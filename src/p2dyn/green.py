@@ -14,6 +14,8 @@ Partial sums telescope exactly -- G_N(p) = log||p|| + sum_{k<N}
 d^(-k-1) log||F(v_k)|| with v_k the sup-renormalized orbit -- so each step
 adds a bounded term and the truncation error after depth N is at most
 B d^(-N) / (d-1), where B bounds |log ||F|| | on the sup-norm unit sphere.
+:func:`escape_rate` computes these partial sums in the sup norm or in the
+2-norm; the two differ by at most d^(-N) log sqrt(3) and share the limit.
 """
 
 from __future__ import annotations
@@ -22,11 +24,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResolutionError
-from .projective import HomogeneousMap, HomogeneousPoint, lift_from_chart
+from .errors import DegenerateEvaluationError, ResolutionError
+from .projective import (
+    DEGENERATE_EVAL_TOL,
+    HomogeneousMap,
+    HomogeneousPoint,
+    as_point_array,
+    check_row_scale,
+    lift_from_chart,
+    sup_norms,
+)
 
 #: default escape-rate depth: d^(-40) is far below double-precision noise
 DEFAULT_DEPTH = 40
+
+#: rows that escape_rate carries through all depth steps at once; small
+#: enough that one block's power tables and images stay in cache
+_BLOCK_ROWS = 1 << 14
 
 _SPHERE_SAMPLE_SEED = 524287
 _SPHERE_SAMPLE_COUNT = 4096
@@ -77,29 +91,58 @@ class GreenEvaluator:
         return self.step_bound * d ** (-float(n)) / (d - 1.0)
 
 
+def _l2_norms(points: np.ndarray) -> np.ndarray:
+    """Per-row Hermitian norm of an (N, 3) array."""
+    sq = points.real ** 2 + points.imag ** 2
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+
+
+#: per-row norms accepted by :func:`escape_rate`
+_ROW_NORMS = {"sup": sup_norms, "2": _l2_norms}
+
+
 def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
-                depth: int | None = None) -> np.ndarray:
+                depth: int | None = None, norm: str = "sup") -> np.ndarray:
     """G_N at the exact lifts given ((N,3) complex): log-homogeneous.
 
-    Accumulates log ||F(v_k)||_sup over the sup-renormalized orbit, each
-    term weighted d^(-k-1), plus log of the initial sup norm.
+    The one truncated Green function: with ``|.|`` the chosen norm
+    (``"sup"``, or ``"2"`` for the Hermitian norm), it returns
+    ``log |p| + sum_{k<N} d^(-k-1) log |F(v_k)|`` where ``v_0 = p / |p|``
+    and ``v_{k+1} = F(v_k) / |F(v_k)|``, which telescopes to
+    ``d^(-N) log |F^N(p)|``.  The slice grids use the sup norm; the mass
+    certificate uses the 2-norm, whose truncations are smooth.
+
+    Zero or non-finite lifts raise ``ValueError``; an image collapsing
+    below ``DEGENERATE_EVAL_TOL`` raises :class:`DegenerateEvaluationError`.
     """
+    if norm not in _ROW_NORMS:
+        raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
+    row_norm = _ROW_NORMS[norm]
     n = ev.depth if depth is None else depth
-    pts = np.asarray(lifts, dtype=np.complex128)
-    squeeze = pts.ndim == 1
-    if squeeze:
-        pts = pts[None, :]
-    scale = np.max(np.abs(pts), axis=1)
+    squeeze = np.ndim(lifts) == 1
+    pts = as_point_array(lifts)
+    scale = row_norm(pts)
+    check_row_scale(scale)
     total = np.log(scale)
-    v = pts / scale[:, None]
     inv_d = 1.0 / ev.map.degree
-    factor = inv_d
-    for _ in range(n):
-        out = ev.map.evaluate_batch(v, renormalize=False)
-        norms = np.max(np.abs(out), axis=1)
-        total = total + factor * np.log(norms)
-        v = out / norms[:, None]
-        factor *= inv_d
+    for start in range(0, pts.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        part = total[rows]
+        v = pts[rows] / scale[rows, None]
+        factor = inv_d
+        for _ in range(n):
+            out = ev.map.polynomial_batch(v)
+            norms = row_norm(out)
+            if np.any(norms <= DEGENERATE_EVAL_TOL):
+                raise DegenerateEvaluationError(
+                    "map %r collapsed a point to ~0 (common-zero locus hit)"
+                    % ev.map.name)
+            part += factor * np.log(norms)
+            # dividing the real and imaginary parts is correctly rounded,
+            # and faster than numpy's complex-by-real division
+            out.view(np.float64)[...] /= norms[:, None]
+            v = out
+            factor *= inv_d
     return total[0] if squeeze else total
 
 

@@ -4,12 +4,13 @@ Points are homogeneous triples in C^3 \\ {0}.  Every point owns a preferred
 affine chart: the index of its largest-modulus coordinate (ties resolved to
 the lowest index), which keeps affine representatives inside the closed unit
 bidisk.  Maps are triples of homogeneous polynomials of a common degree d
-with 2 <= d <= 8, stored as dense exponent/coefficient tables.
+with 2 <= d <= 8.  A map keeps its coefficient tables as given and compiles
+them into one coefficient matrix over the union of its components' monomial
+supports (and one more for its first partial derivatives), so every
+evaluation is a single monomial gather and matrix product.
 
-Most routines come in two flavours: scalar wrappers operating on
-:class:`HomogeneousPoint` and vectorized kernels operating on ``(N, 3)``
-complex arrays.  The vectorized kernels are the hot paths used by the
-samplers and grid evaluators.
+Hot paths work on ``(N, 3)`` complex arrays of homogeneous triples; the
+point classes are thin scalar views over the same kernels.
 """
 
 from __future__ import annotations
@@ -51,12 +52,28 @@ def as_point_array(points) -> np.ndarray:
     return arr
 
 
+def sup_norms(points: np.ndarray) -> np.ndarray:
+    """Per-row sup norm of an (N, 3) array."""
+    mag = np.abs(points)
+    return np.maximum(np.maximum(mag[:, 0], mag[:, 1]), mag[:, 2])
+
+
+def check_row_scale(scale: np.ndarray) -> None:
+    """Reject rows whose norm is zero or not finite.
+
+    ``scale`` holds one norm per row; a NaN or infinite coordinate makes
+    the row's norm NaN or infinite, so this one check covers both.
+    """
+    if not np.all((scale > 0.0) & (scale < np.inf)):
+        raise ValueError("zero or non-finite vector is not a projective "
+                         "point")
+
+
 def sup_normalize(points: np.ndarray) -> np.ndarray:
     """Scale each row to unit sup-norm."""
     arr = as_point_array(points)
-    scale = np.max(np.abs(arr), axis=1)
-    if np.any(scale == 0.0):
-        raise ValueError("zero vector is not a projective point")
+    scale = sup_norms(arr)
+    check_row_scale(scale)
     return arr / scale[:, None]
 
 
@@ -182,67 +199,75 @@ def fs_distance(p: HomogeneousPoint, q: HomogeneousPoint) -> float:
     return p.distance(q)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector at a point, expressed in that point's chart."""
-
-    point: HomogeneousPoint
-    chart: int
-    components: tuple[complex, complex]
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=np.complex128)
-
-
 # ---------------------------------------------------------------------------
 # homogeneous polynomial maps
 # ---------------------------------------------------------------------------
 
-def _component_table(table, degree):
-    """Validate one component's {(i, j, k): coeff} exponent table."""
-    exps = []
-    coeffs = []
-    for key, val in sorted(table.items()):
+def _component_table(table, degree) -> dict:
+    """Validate one component's {(i, j, k): coeff} table; drop zero terms."""
+    out = {}
+    for key, val in table.items():
         i, j, k = (int(e) for e in key)
         if min(i, j, k) < 0 or i + j + k != degree:
             raise DegenerateMapError(
                 "exponent triple %r does not have total degree %d"
                 % (key, degree))
         if val != 0:
-            exps.append((i, j, k))
-            coeffs.append(complex(val))
-    if not exps:
+            out[(i, j, k)] = complex(val)
+    if not out:
         raise DegenerateMapError("component is identically zero")
-    return np.asarray(exps, dtype=np.int64), np.asarray(coeffs,
-                                                        dtype=np.complex128)
+    return out
 
 
-def _eval_terms(exps, coeffs, points):
-    """Evaluate sum coeffs * z^i w^j t^k on an (N, 3) array."""
-    n = points.shape[0]
-    dmax = int(exps.max())
-    pows = np.empty((3, n, dmax + 1), dtype=np.complex128)
-    pows[:, :, 0] = 1.0
-    for var in range(3):
-        col = points[:, var]
-        for e in range(1, dmax + 1):
-            pows[var, :, e] = pows[var, :, e - 1] * col
-    vals = (pows[0][:, exps[:, 0]]
-            * pows[1][:, exps[:, 1]]
-            * pows[2][:, exps[:, 2]])
-    return vals @ coeffs
+def _partial_table(table: dict, var: int) -> dict:
+    """Coefficient table of the partial derivative along one variable."""
+    out = {}
+    for key, val in table.items():
+        if key[var]:
+            lowered = list(key)
+            lowered[var] -= 1
+            out[tuple(lowered)] = val * key[var]
+    return out
 
 
-def _derivative_table(exps, coeffs, var):
-    """Exponent table of the partial derivative along one variable."""
-    mask = exps[:, var] > 0
-    if not np.any(mask):
-        return None
-    dexps = exps[mask].copy()
-    dcoeffs = coeffs[mask] * dexps[:, var]
-    dexps[:, var] -= 1
-    return dexps, dcoeffs
+class _SupportKernel:
+    """K polynomials in (z, w, t) over the union M of their supports.
+
+    Holds the ``(M, K)`` coefficient matrix.  A call builds the powers of
+    the three coordinates once, multiplies the M monomials together from
+    them and sums them with one ``(N, M) @ (M, K)`` product.
+    """
+
+    def __init__(self, tables):
+        # monomials with more variables first: the second and third factors
+        # then multiply leading blocks of rows in place
+        support = sorted({key for table in tables for key in table},
+                         key=lambda key: (-np.count_nonzero(key), key))
+        row = {key: m for m, key in enumerate(support)}
+        self.matrix = np.zeros((len(support), len(tables)),
+                               dtype=np.complex128)
+        for col, table in enumerate(tables):
+            for key, val in table.items():
+                self.matrix[row[key], col] = val
+        self.top = max(max(key) for key in support)
+        # x_var^e sits in row (e - 1) * 3 + var of the flattened powers
+        factors = [[(e - 1) * 3 + var for var, e in enumerate(key) if e]
+                   for key in support]
+        self.factors = [np.asarray([f[k] for f in factors if len(f) > k],
+                                   dtype=np.int64) for k in range(3)]
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        n = points.shape[0]
+        pows = np.empty((self.top, 3, n), dtype=np.complex128)
+        pows[0] = points.T
+        for e in range(1, self.top):
+            np.multiply(pows[e - 1], pows[0], out=pows[e])
+        flat = pows.reshape(-1, n)
+        first, second, third = self.factors
+        mono = flat[first]
+        mono[:second.size] *= flat[second]
+        mono[:third.size] *= flat[third]
+        return mono.T @ self.matrix
 
 
 class HomogeneousMap:
@@ -251,6 +276,12 @@ class HomogeneousMap:
     Construction validates homogeneity, the degree range, and that no
     component is identically zero.  Full nondegeneracy (no common root) is
     certified separately through preimage counting (see the zoo module).
+
+    ``tables`` keeps the three ``{(i, j, k): coeff}`` tables as given.  For
+    evaluation they are compiled into one ``(M, 3)`` coefficient matrix over
+    the union of the components' monomial supports (M = 3 for the power
+    maps, at most (d+1)(d+2)/2), and the nine first partials into a second
+    matrix over the union of the derivative supports.
     """
 
     def __init__(self, components, name: str = "map"):
@@ -272,13 +303,17 @@ class HomogeneousMap:
         self.degree = degree
         self.name = name
         self.tables = tuple(dict(t) for t in components)
-        self._terms = tuple(_component_table(t, degree) for t in components)
-        self._jac_terms = tuple(
-            tuple(_derivative_table(exps, coeffs, var) for var in range(3))
-            for exps, coeffs in self._terms)
+        terms = [_component_table(t, degree) for t in components]
+        self._values = _SupportKernel(terms)
+        self._partials = _SupportKernel(
+            [_partial_table(t, var) for t in terms for var in range(3)])
         self._c2_cache: float | None = None
 
     # -- evaluation --------------------------------------------------------
+
+    def polynomial_batch(self, points: np.ndarray) -> np.ndarray:
+        """Raw values ``F(x)`` on an (N, 3) array: no scaling, no checks."""
+        return self._values(as_point_array(points))
 
     def evaluate_batch(self, points: np.ndarray,
                        renormalize: bool = True) -> np.ndarray:
@@ -287,11 +322,8 @@ class HomogeneousMap:
         Rows whose image collapses below the degeneracy threshold raise
         :class:`DegenerateEvaluationError`.
         """
-        pts = sup_normalize(points)
-        out = np.empty_like(pts)
-        for comp, (exps, coeffs) in enumerate(self._terms):
-            out[:, comp] = _eval_terms(exps, coeffs, pts)
-        scale = np.max(np.abs(out), axis=1)
+        out = self._values(sup_normalize(points))
+        scale = sup_norms(out)
         if np.any(scale <= DEGENERATE_EVAL_TOL):
             raise DegenerateEvaluationError(
                 "map %r collapsed a point to ~0 (common-zero locus hit)"
@@ -303,16 +335,19 @@ class HomogeneousMap:
     def evaluate_batch_safe(self, points: np.ndarray):
         """Like :meth:`evaluate_batch` but returns a validity mask.
 
-        Rows that collapse below the degeneracy threshold come back as
-        unit vectors with ``ok`` False instead of raising; used by solvers
-        that must filter wild intermediate candidates row by row.
+        Rows that collapse below the degeneracy threshold, and zero or
+        non-finite input rows, come back as unit vectors with ``ok`` False
+        instead of raising; used by solvers that must filter wild
+        intermediate candidates row by row.
         """
-        pts = sup_normalize(points)
-        out = np.empty_like(pts)
-        for comp, (exps, coeffs) in enumerate(self._terms):
-            out[:, comp] = _eval_terms(exps, coeffs, pts)
-        scale = np.max(np.abs(out), axis=1)
-        ok = scale > DEGENERATE_EVAL_TOL
+        pts = as_point_array(points)
+        scale = sup_norms(pts)
+        usable = (scale > 0.0) & (scale < np.inf)
+        pts = (np.where(usable[:, None], pts, 1.0)
+               / np.where(usable, scale, 1.0)[:, None])
+        out = self._values(pts)
+        scale = sup_norms(out)
+        ok = usable & (scale > DEGENERATE_EVAL_TOL)
         safe = np.where(ok, scale, 1.0)
         out /= safe[:, None]
         out[~ok] = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
@@ -337,14 +372,7 @@ class HomogeneousMap:
     def jacobian_h_batch(self, points: np.ndarray) -> np.ndarray:
         """Homogeneous 3x3 Jacobian dF_i/dx_j on an (N, 3) array."""
         pts = as_point_array(points)
-        n = pts.shape[0]
-        jac = np.zeros((n, 3, 3), dtype=np.complex128)
-        for comp in range(3):
-            for var in range(3):
-                dt = self._jac_terms[comp][var]
-                if dt is not None:
-                    jac[:, comp, var] = _eval_terms(dt[0], dt[1], pts)
-        return jac
+        return self._partials(pts).reshape(pts.shape[0], 3, 3)
 
     def chart_differential_batch(self, points: np.ndarray):
         """Derivative of the chart representation at each row.
@@ -354,10 +382,8 @@ class HomogeneousMap:
         chart to its image's own chart.
         """
         pts, charts_in = chart_normalize(points)
-        images = np.empty_like(pts)
-        for comp, (exps, coeffs) in enumerate(self._terms):
-            images[:, comp] = _eval_terms(exps, coeffs, pts)
-        scale = np.max(np.abs(images), axis=1)
+        images = self._values(pts)
+        scale = sup_norms(images)
         if np.any(scale <= DEGENERATE_EVAL_TOL):
             raise DegenerateEvaluationError(
                 "map %r collapsed a point to ~0" % self.name)
@@ -417,38 +443,6 @@ def chart_differential(map_: HomogeneousMap, point: HomogeneousPoint,
     return diff
 
 
-def tangent_to_chart(point: HomogeneousPoint, vector: TangentVector,
-                     chart: int) -> TangentVector:
-    """Re-express a tangent vector in another chart at the same point."""
-    if vector.chart == chart:
-        return vector
-    src = vector.chart
-    norm, _ = chart_normalize(point.array[None, :],
-                              np.asarray([src], dtype=np.int64))
-    p = norm[0]
-    if abs(p[chart]) < DEGENERATE_EVAL_TOL:
-        raise CriticalPointError(
-            "point lies on the coordinate line of the target chart")
-    lift = np.zeros(3, dtype=np.complex128)
-    i, j = CHART_OTHERS[src]
-    lift[i], lift[j] = vector.components
-    k1, k2 = CHART_OTHERS[chart]
-    pb, vb = p[chart], lift[chart]
-    comps = ((lift[k1] * pb - p[k1] * vb) / pb**2,
-             (lift[k2] * pb - p[k2] * vb) / pb**2)
-    return TangentVector(point, chart, (complex(comps[0]), complex(comps[1])))
-
-
-def push_tangent(map_: HomogeneousMap, vector: TangentVector) -> TangentVector:
-    """Push a tangent vector forward through the map."""
-    diff = chart_differential(map_, vector.point, check_critical=False)
-    v = tangent_to_chart(vector.point, vector, diff.chart_in)
-    out = diff.matrix @ v.array
-    image = map_.evaluate(vector.point)
-    return TangentVector(image, diff.chart_out,
-                         (complex(out[0]), complex(out[1])))
-
-
 # ---------------------------------------------------------------------------
 # polynomial algebra on exponent tables
 # ---------------------------------------------------------------------------
@@ -462,55 +456,22 @@ def _mul_tables(a: dict, b: dict) -> dict:
     return out
 
 
-def _pow_table(a: dict, n: int) -> dict:
-    out = {(0, 0, 0): 1.0 + 0j}
-    for _ in range(n):
-        out = _mul_tables(out, a)
-    return out
-
-
 def _clean_table(table: dict, rel_tol: float = 1e-14) -> dict:
     mags = [abs(c) for c in table.values()]
     floor = max(mags) * rel_tol if mags else 0.0
     return {k: c for k, c in table.items() if abs(c) > floor}
 
 
-def compose(outer: HomogeneousMap, inner: HomogeneousMap,
-            name: str | None = None) -> HomogeneousMap:
-    """Coefficient table of ``outer(inner(.))`` (degree multiplies)."""
-    inner_tables = [dict(t) for t in inner.tables]
-    # cache powers of each inner component up to outer.degree
-    powers = [[{(0, 0, 0): 1.0 + 0j}] for _ in range(3)]
-    for comp in range(3):
-        for n in range(outer.degree):
-            powers[comp].append(
-                _mul_tables(powers[comp][-1], inner_tables[comp]))
-    comps = []
-    for table in outer.tables:
-        acc: dict = {}
-        for (i, j, k), c in table.items():
-            term = _mul_tables(powers[0][i], powers[1][j])
-            term = _mul_tables(term, powers[2][k])
-            for key, val in term.items():
-                acc[key] = acc.get(key, 0j) + c * val
-        comps.append(_clean_table(acc))
-    if name is None:
-        name = "%s.%s" % (outer.name, inner.name)
-    return HomogeneousMap(comps, name=name)
+def _substitute(map_: HomogeneousMap, rows, name: str) -> HomogeneousMap:
+    """Coefficient tables of ``F(rows[0], rows[1], rows[2])``.
 
-
-def substitute_linear(map_: HomogeneousMap, matrix: np.ndarray,
-                      name: str | None = None) -> HomogeneousMap:
-    """Coefficient table of ``F(U x)`` for a 3x3 linear change ``U``."""
-    u = np.asarray(matrix, dtype=np.complex128)
-    rows = []
-    for r in range(3):
-        rows.append({(1, 0, 0): complex(u[r, 0]),
-                     (0, 1, 0): complex(u[r, 1]),
-                     (0, 0, 1): complex(u[r, 2])})
+    ``rows`` are three homogeneous polynomial tables of a common degree;
+    the result has degree ``map_.degree`` times theirs.
+    """
+    # powers of each substituted polynomial up to map_.degree
     powers = [[{(0, 0, 0): 1.0 + 0j}] for _ in range(3)]
     for var in range(3):
-        for n in range(map_.degree):
+        for _ in range(map_.degree):
             powers[var].append(_mul_tables(powers[var][-1], rows[var]))
     comps = []
     for table in map_.tables:
@@ -521,9 +482,27 @@ def substitute_linear(map_: HomogeneousMap, matrix: np.ndarray,
             for key, val in term.items():
                 acc[key] = acc.get(key, 0j) + c * val
         comps.append(_clean_table(acc))
+    return HomogeneousMap(comps, name=name)
+
+
+def compose(outer: HomogeneousMap, inner: HomogeneousMap,
+            name: str | None = None) -> HomogeneousMap:
+    """Coefficient table of ``outer(inner(.))`` (degree multiplies)."""
+    if name is None:
+        name = "%s.%s" % (outer.name, inner.name)
+    return _substitute(outer, inner.tables, name)
+
+
+def substitute_linear(map_: HomogeneousMap, matrix: np.ndarray,
+                      name: str | None = None) -> HomogeneousMap:
+    """Coefficient table of ``F(U x)`` for a 3x3 linear change ``U``."""
+    u = np.asarray(matrix, dtype=np.complex128)
+    rows = [{(1, 0, 0): complex(u[r, 0]),
+             (0, 1, 0): complex(u[r, 1]),
+             (0, 0, 1): complex(u[r, 2])} for r in range(3)]
     if name is None:
         name = "%s.rotated" % map_.name
-    return HomogeneousMap(comps, name=name)
+    return _substitute(map_, rows, name)
 
 
 def dehomogenized_tables(map_: HomogeneousMap, chart: int) -> list[np.ndarray]:

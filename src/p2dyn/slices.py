@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
-from .green import GreenEvaluator, local_potential
+from .green import GreenEvaluator, escape_rate, local_potential
 from .projective import HomogeneousMap, HomogeneousPoint
 from .sampler import tangent_basis_batch
 
@@ -529,48 +529,13 @@ class MassCertificate:
     resolution: int
 
 
-def _l2_green(map_: HomogeneousMap, lifts: np.ndarray,
-              depth: int) -> np.ndarray:
-    """Depth-truncated 2-norm escape rate (log-homogeneous, smooth).
+def _chart_values(ev: GreenEvaluator, chart: int, axis: np.ndarray,
+                  depth: int) -> np.ndarray:
+    """2-norm truncated potential of ``depth`` on the ghosted chart cube.
 
-    Telescopes to ``d^-depth * log ||F^depth(lift)||_2``; its ``dd^c``
-    is the degree-normalized depth-fold pullback of the Fubini-Study
-    form, which keeps every certificate integral exactly cohomological.
-    """
-    norms = np.linalg.norm(lifts, axis=1)
-    total = np.log(norms)
-    v = lifts / norms[:, None]
-    factor = 1.0 / map_.degree
-    for _ in range(depth):
-        # evaluate_batch sup-normalizes its input, dividing the image by
-        # ||v||_sup^degree; homogeneity restores the exact-lift value.
-        sup = np.max(np.abs(v), axis=1)
-        out = map_.evaluate_batch(v, renormalize=False)
-        norms = np.linalg.norm(out, axis=1)
-        total = total + factor * (np.log(norms)
-                                  + map_.degree * np.log(sup))
-        v = out / norms[:, None]
-        factor /= map_.degree
-    return total
-
-
-def _l2_pullback(map_: HomogeneousMap, lifts: np.ndarray,
-                 n: int) -> np.ndarray:
-    """``log ||F^n(lift)||_2`` without degree weights (n in {0, 1})."""
-    if n == 0:
-        return np.log(np.linalg.norm(lifts, axis=1))
-    sup = np.max(np.abs(lifts), axis=1)
-    out = map_.evaluate_batch(lifts, renormalize=False)
-    return (np.log(np.linalg.norm(out, axis=1))
-            + map_.degree * np.log(sup))
-
-
-def _chart_values(map_: HomogeneousMap, chart: int, axis: np.ndarray,
-                  kind: str, order: int) -> np.ndarray:
-    """Sample a potential on the ghosted chart node cube, slab by slab.
-
-    ``kind`` 'green' gives the degree-weighted truncated potential of
-    depth ``order``; 'pullback' gives ``log ||F^order||_2``.
+    Its ``dd^c`` is the degree-normalized depth-fold pullback of the
+    Fubini-Study form, which keeps every certificate integral exactly
+    cohomological.  Sampled slab by slab.
     """
     n = axis.size
     others = [i for i in range(3) if i != chart]
@@ -581,10 +546,7 @@ def _chart_values(map_: HomogeneousMap, chart: int, axis: np.ndarray,
     lifts[:, others[1]] = np.tile(ww, n)
     for a in range(n):
         lifts[:, others[0]] = np.repeat(axis[a] + 1j * axis, ww.size)
-        if kind == "green":
-            vals = _l2_green(map_, lifts, order)
-        else:
-            vals = _l2_pullback(map_, lifts, order)
+        vals = escape_rate(ev, lifts, depth, norm="2")
         out[a] = vals.reshape(n, n, n)
     return out
 
@@ -639,16 +601,18 @@ def _certificate_integral(map_: HomogeneousMap, n: int, depth: int,
     denom = 1.0 + s_z + s_w
     weight = _hinge(1.0 / denom)
     weight = weight / (weight + _hinge(s_z / denom) + _hinge(s_w / denom))
+    ev = GreenEvaluator(map_)
     total = 0.0
     for chart in range(3):
-        u = _chart_values(map_, chart, axis, "green", depth)
-        v = _chart_values(map_, chart, axis, "pullback", n)
+        u = _chart_values(ev, chart, axis, depth)
+        v = _chart_values(ev, chart, axis, n)
         u_zz, u_ww, u_zw = _hessian_terms(u, h)
         v_zz, v_ww, v_zw = _hessian_terms(v, h)
         density = (u_zz * v_ww + u_ww * v_zz
                    - 2.0 * np.real(u_zw * np.conj(v_zw)))
         total += float((weight * density).sum()) * h ** 4
-    return total * 4.0 / math.pi ** 2
+    # v is the depth-n truncation, and log ||F^n||_2 is d^n times it
+    return total * map_.degree ** n * 4.0 / math.pi ** 2
 
 
 def mass_certificate(map_: HomogeneousMap, n: int, *,

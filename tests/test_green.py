@@ -271,3 +271,38 @@ class TestPshProxy:
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):
             laplacian_defect(np.zeros((2, 5)), 0.1)
+
+
+class TestNormArgument:
+    """The 2-norm truncation: the same telescoping sum in another norm."""
+
+    def test_two_norm_telescopes_to_iterated_image(self):
+        # d^-N log ||F^N(p)||_2 by direct iteration of the raw lift
+        map_ = lattes_suspension()
+        ev = GreenEvaluator(map_)
+        rng = np.random.default_rng(31)
+        lifts = random_lifts(rng, 50, spread=0.5)
+        image = lifts.copy()
+        for _ in range(3):
+            image = map_.polynomial_batch(image)
+        direct = np.log(np.linalg.norm(image, axis=1)) / map_.degree ** 3
+        got = escape_rate(ev, lifts, depth=3, norm="2")
+        assert np.max(np.abs(got - direct)) < 1e-13
+
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    def test_norms_differ_by_at_most_half_log3_over_d_n(self, depth):
+        # both telescope to d^-N log |F^N(p)|, and for x in C^3
+        # ||x||_sup <= ||x||_2 <= sqrt(3) ||x||_sup
+        map_ = chebyshev_product()
+        ev = GreenEvaluator(map_)
+        rng = np.random.default_rng(32)
+        lifts = random_lifts(rng, 200)
+        gap = (escape_rate(ev, lifts, depth=depth, norm="2")
+               - escape_rate(ev, lifts, depth=depth))
+        bound = 0.5 * np.log(3.0) * float(map_.degree) ** -depth
+        assert np.all(gap >= -1e-13) and np.all(gap <= bound + 1e-13)
+
+    def test_unknown_norm_rejected(self):
+        ev = GreenEvaluator(power_map(2))
+        with pytest.raises(ValueError):
+            escape_rate(ev, np.ones(3), norm="inf")

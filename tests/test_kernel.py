@@ -1,0 +1,143 @@
+"""The map evaluation kernel against a term-by-term reference.
+
+``HomogeneousMap`` evaluates its components and their partials with one
+matrix product over the union of the monomial supports.  The reference
+below evaluates each component separately, term by term, with its own power
+table; it is the kernel the library used before the shared basis.
+
+Tolerance, fixed from float64 before running: on sup-normalized points
+every monomial has modulus <= 1.  Either evaluation forms a monomial of
+degree <= 8 with at most 7 complex multiplications (relative error
+<= sqrt(5) u each, u = 2**-53) and sums at most 45 terms (<= 45 u of the
+absolute sum), and the kernel's re-normalization of its input costs <= 8 u
+more.  One evaluation is therefore within about 70 u * sum|c| ~ 8e-15
+sum|c| of the exact value, two of them within 1.6e-14 sum|c|; the test
+allows 1e-13 sum|c|, per component and per partial.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from p2dyn.green import GreenEvaluator, escape_rate
+from p2dyn.projective import HomogeneousMap, sup_normalize
+from p2dyn.zoo import lattes_suspension
+
+KERNEL_RTOL = 1e-13
+
+
+def eval_terms(exps, coeffs, points):
+    """Evaluate sum coeffs * z^i w^j t^k on an (N, 3) array, term by term."""
+    n = points.shape[0]
+    dmax = int(exps.max())
+    pows = np.empty((3, n, dmax + 1), dtype=np.complex128)
+    pows[:, :, 0] = 1.0
+    for var in range(3):
+        col = points[:, var]
+        for e in range(1, dmax + 1):
+            pows[var, :, e] = pows[var, :, e - 1] * col
+    vals = (pows[0][:, exps[:, 0]]
+            * pows[1][:, exps[:, 1]]
+            * pows[2][:, exps[:, 2]])
+    return vals @ coeffs
+
+
+def table_arrays(table):
+    exps = np.asarray(list(table), dtype=np.int64).reshape(-1, 3)
+    coeffs = np.asarray(list(table.values()), dtype=np.complex128)
+    return exps, coeffs
+
+
+def partial(table, var):
+    out = {}
+    for key, val in table.items():
+        if key[var]:
+            lowered = list(key)
+            lowered[var] -= 1
+            out[tuple(lowered)] = val * key[var]
+    return out
+
+
+def random_tables(rng, degree, density):
+    """Three tables of one degree; each monomial kept with ``density``."""
+    monomials = [(a, b, degree - a - b) for a in range(degree + 1)
+                 for b in range(degree + 1 - a)]
+    tables = []
+    for _ in range(3):
+        keep = rng.random(len(monomials)) < density
+        keep[rng.integers(len(monomials))] = True  # never identically zero
+        tables.append({m: complex(rng.normal(), rng.normal())
+                       for m, k in zip(monomials, keep) if k})
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(2, 8),
+       density=st.sampled_from([0.1, 0.4, 1.0]),
+       batch=st.integers(1, 1000),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_term_by_term_reference(degree, density, batch, seed):
+    rng = np.random.default_rng(seed)
+    tables = random_tables(rng, degree, density)
+    f = HomogeneousMap(tables)
+    pts = sup_normalize(rng.normal(size=(batch, 3))
+                        + 1j * rng.normal(size=(batch, 3)))
+    values = f.evaluate_batch(pts, renormalize=False)
+    jac = f.jacobian_h_batch(pts)
+    assert values.shape == (batch, 3) and jac.shape == (batch, 3, 3)
+    for comp, table in enumerate(tables):
+        exps, coeffs = table_arrays(table)
+        tol = KERNEL_RTOL * np.sum(np.abs(coeffs))
+        ref = eval_terms(exps, coeffs, pts)
+        assert np.max(np.abs(values[:, comp] - ref)) <= tol
+        for var in range(3):
+            dtable = partial(table, var)
+            if not dtable:
+                assert np.all(jac[:, comp, var] == 0.0)
+                continue
+            dexps, dcoeffs = table_arrays(dtable)
+            dtol = KERNEL_RTOL * np.sum(np.abs(dcoeffs))
+            dref = eval_terms(dexps, dcoeffs, pts)
+            assert np.max(np.abs(jac[:, comp, var] - dref)) <= dtol
+
+
+def test_power_map_support_has_three_monomials():
+    f = HomogeneousMap([{(3, 0, 0): 1.0}, {(0, 3, 0): 1.0},
+                        {(0, 0, 3): 1.0}])
+    assert f._values.matrix.shape == (3, 3)
+    assert f._partials.matrix.shape == (3, 9)
+
+
+class TestNonFiniteRows:
+    """Zero, NaN and infinite rows are errors, never silent NaN values."""
+
+    @pytest.mark.parametrize("bad", [
+        [0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1.0, np.inf, 2.0],
+        [complex(0.0, np.nan), 1.0, 1.0]])
+    def test_sup_normalize_and_evaluate_reject(self, bad):
+        pts = np.array([[1.0, 2.0, 3.0], bad], dtype=np.complex128)
+        with pytest.raises(ValueError):
+            sup_normalize(pts)
+        with pytest.raises(ValueError):
+            lattes_suspension().evaluate_batch(pts)
+
+    @pytest.mark.parametrize("bad", [
+        [0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1.0, -np.inf, 2.0]])
+    def test_escape_rate_rejects(self, bad):
+        ev = GreenEvaluator(lattes_suspension(), depth=5)
+        pts = np.array([bad, [1.0, 2.0, 3.0]], dtype=np.complex128)
+        for norm in ("sup", "2"):
+            with pytest.raises(ValueError):
+                escape_rate(ev, pts, norm=norm)
+
+    def test_safe_evaluation_masks_bad_rows(self):
+        f = lattes_suspension()
+        pts = np.array([[1.0, 2.0, 3.0], [np.nan, 1.0, 0.0],
+                        [0.0, 0.0, 0.0], [np.inf, 0.0, 1.0]],
+                       dtype=np.complex128)
+        out, ok = f.evaluate_batch_safe(pts)
+        assert ok.tolist() == [True, False, False, False]
+        assert np.all(np.isfinite(out.view(np.float64)))
+        np.testing.assert_allclose(out[0], f.evaluate_batch(pts[:1])[0],
+                                   rtol=1e-15)
