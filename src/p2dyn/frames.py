@@ -556,20 +556,19 @@ def _pullback_once(map_: HomogeneousMap, sup: np.ndarray, units: np.ndarray,
     n_back = back.shape[0]
     for level in range(1, n_levels + 1):
         prod = prod @ back[n_back - level]
-        target = sup[level]
-        psets = preimage_batch(map_, current)
-        for i, pset in enumerate(psets):
-            expanded = pset.expanded_points()
-            dist = fs_distance_batch(expanded, target)
-            pick = int(np.argmin(dist))
-            separated = fs_distance_batch(expanded, expanded[pick]) > 1e-8
-            if np.any(separated):
-                margin = float(np.min(dist[separated]))
-                if dist[pick] > 0.25 * margin:
-                    raise _ChartEscape(
-                        "branch selection ambiguous at depth %d "
-                        "(%.3g vs %.3g)" % (level, dist[pick], margin))
-            current[i] = expanded[pick]
+        lifts = preimage_batch(map_, current).lifts  # (B, d^2, 3)
+        dist = fs_distance_batch(lifts, sup[level])
+        rows = np.arange(lifts.shape[0])
+        pick = np.argmin(dist, axis=1)
+        current = lifts[rows, pick]
+        separated = fs_distance_batch(lifts, current[:, None]) > 1e-8
+        margin = np.min(np.where(separated, dist, np.inf), axis=1)
+        ambiguous = np.flatnonzero(dist[rows, pick] > 0.25 * margin)
+        if ambiguous.size:
+            i = ambiguous[0]
+            raise _ChartEscape(
+                "branch selection ambiguous at depth %d (%.3g vs %.3g)"
+                % (level, dist[i, pick[i]], margin[i]))
         idx = depth_set.get(level)
         if idx is None:
             continue

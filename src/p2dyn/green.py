@@ -31,6 +31,7 @@ from .projective import (
     HomogeneousPoint,
     as_point_array,
     check_row_scale,
+    divide_rows,
     lift_from_chart,
     sup_norms,
 )
@@ -138,10 +139,7 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
                     "map %r collapsed a point to ~0 (common-zero locus hit)"
                     % ev.map.name)
             part += factor * np.log(norms)
-            # dividing the real and imaginary parts is correctly rounded,
-            # and faster than numpy's complex-by-real division
-            out.view(np.float64)[...] /= norms[:, None]
-            v = out
+            v = divide_rows(out, norms)
             factor *= inv_d
     return total[0] if squeeze else total
 

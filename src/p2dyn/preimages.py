@@ -13,7 +13,12 @@ before raising.
 
 Everything is batched over targets: the solver's inner loops are uniform in
 the target point, so thousands of simultaneous preimage queries (one per
-backward-orbit walker) cost a handful of vectorized passes.
+backward-orbit walker) cost a handful of vectorized passes.  The result is
+arrays too: :func:`preimage_batch` merges the roots found on chart
+boundaries with one broadcast distance matrix per target and returns a
+:class:`PreimageBatch` whose ``(B, d^2, 3)`` lifts are in the one canonical
+branch order that the backward walkers draw from.  :class:`PreimageSet` and
+:class:`PreimageRoot` are per-target views of it for the scalar API.
 """
 
 from __future__ import annotations
@@ -189,15 +194,6 @@ def _chart_equations(map_: HomogeneousMap, search_chart: int,
     return g1, g2
 
 
-def _v_degree_rows(g: np.ndarray) -> np.ndarray:
-    """Structural v-degree of each row of a (B, du+1, dv+1) tensor."""
-    mags = np.abs(g).max(axis=1)  # (B, dv+1)
-    floor = mags.max(axis=1, keepdims=True) * TRIM_REL
-    nz = mags > floor
-    return np.where(nz.any(axis=1), g.shape[2] - 1 -
-                    np.argmax(nz[:, ::-1], axis=1), -1)
-
-
 def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
                                 m1: int, m2: int, degree: int) -> np.ndarray:
     """Coefficients in u of Res_v(g1, g2) for a batch with fixed v-degrees.
@@ -308,49 +304,37 @@ def _cluster_complex(values: np.ndarray, radius: float):
     return clusters
 
 
-@dataclass
-class _ChartRoots:
-    """Accepted roots of one target in one chart: (n, 2) coords + counts."""
-    coords: np.ndarray
-    mults: np.ndarray
-
-
-def _empty_chart_roots() -> _ChartRoots:
-    return _ChartRoots(np.empty((0, 2), dtype=np.complex128),
-                       np.empty(0, dtype=np.int64))
+def _no_roots():
+    """Empty ``(rows, coords, mults)`` result of a chart solve."""
+    return (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.complex128),
+            np.empty(0, dtype=np.int64))
 
 
 def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
                        target_chart: int, search_chart: int):
     """Roots (home chart == search chart) for every target in the batch.
 
-    All candidate processing (back-substitution, Newton, residual gating)
-    is flattened across the batch; only the final per-target clustering
-    runs as a Python loop over a handful of candidates each.
+    Returns flat arrays ``(rows, coords, mults)``: the target row, the
+    (u, v) chart coordinates and the multiplicity of each accepted root,
+    sorted by row.  All candidate processing (back-substitution, Newton,
+    residual gating) is flattened across the batch; only the per-target
+    clustering runs as a Python loop over a handful of candidates each.
     """
     d = map_.degree
     g1, g2 = _chart_equations(map_, search_chart, targets_norm, target_chart)
-    m1_rows = _v_degree_rows(g1)
-    m2_rows = _v_degree_rows(g2)
+    # structural v-degree of each row: that of its largest u-coefficients
+    m1_rows = _trim_degree_rows(np.abs(g1).max(axis=1))
+    m2_rows = _trim_degree_rows(np.abs(g2).max(axis=1))
     u_cands, direct = _u_candidates(g1, g2, m1_rows, m2_rows, d)
     b = targets_norm.shape[0]
 
-    # flatten u-candidates: one entry per (target row, u-root copy)
-    flat_rows = []
-    flat_u = []
-    flat_uid = []  # distinct id per u-root copy, for multiplicity budgets
-    uid = 0
-    for row in range(b):
-        for val in u_cands[row]:
-            flat_rows.append(row)
-            flat_u.append(val)
-            flat_uid.append(uid)
-            uid += 1
-    if not flat_rows:
-        return [_empty_chart_roots() for _ in range(b)]
-    flat_rows = np.asarray(flat_rows)
-    flat_u = np.asarray(flat_u, dtype=np.complex128)
-    flat_uid = np.asarray(flat_uid)
+    # flatten u-candidates: one entry per (target row, u-root copy), with a
+    # distinct id per u-root copy for the multiplicity budgets
+    flat_rows = np.repeat(np.arange(b), [c.size for c in u_cands])
+    if flat_rows.size == 0:
+        return _no_roots()
+    flat_u = np.concatenate(u_cands)
+    flat_uid = np.arange(flat_u.size)
 
     # batched back-substitution: per row, the equation with larger v-degree
     use_g2 = (m2_rows >= m1_rows)[flat_rows]
@@ -371,7 +355,7 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
             cand_flat.append(sel)
             cand_v.append(roots[:, j])
     if not cand_flat:
-        return [_empty_chart_roots() for _ in range(b)]
+        return _no_roots()
     cand_flat = np.concatenate(cand_flat)
     v = np.concatenate(cand_v)
 
@@ -415,19 +399,11 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
 
     # only now refine the representatives in 2D, and require the refined
     # point to certify as an actual preimage of its target
-    rep_row = []
-    rep_uv = []
-    rep_mult = []
-    for row, cr in enumerate(raw):
-        for i in range(cr.mults.size):
-            rep_row.append(row)
-            rep_uv.append(cr.coords[i])
-            rep_mult.append(cr.mults[i])
-    if not rep_row:
-        return raw
-    rep_row = np.asarray(rep_row)
-    rep_uv = np.asarray(rep_uv)
-    rep_mult = np.asarray(rep_mult, dtype=np.int64)
+    rep_row = np.repeat(np.arange(b), [coords.shape[0] for coords, _ in raw])
+    if rep_row.size == 0:
+        return _no_roots()
+    rep_uv = np.concatenate([coords for coords, _ in raw])
+    rep_mult = np.concatenate([mults for _, mults in raw])
 
     refined = _newton_refine(g1[rep_row], g2[rep_row], rep_uv)
     moved = np.max(np.abs(refined - rep_uv), axis=1)
@@ -435,28 +411,22 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     images, ok = map_.evaluate_batch_safe(lifts)
     res = fs_distance_batch(images, targets_norm[rep_row])
     good = ok & (res < RESIDUAL_GATE) & (moved < 1e-3)
-
-    results = []
-    for row in range(b):
-        sel = (rep_row == row) & good
-        results.append(_ChartRoots(refined[sel], rep_mult[sel]))
-    return results
+    return rep_row[good], refined[good], rep_mult[good]
 
 
 def _assemble_chart_roots(u0: np.ndarray, v: np.ndarray, uid: np.ndarray,
-                          direct: bool) -> _ChartRoots:
+                          direct: bool):
     """Collapse raw candidate pairs to distinct roots with multiplicities.
 
-    Candidates are grouped into fibers (clusters of u-values) and then
-    into distinct v-points within each fiber.  On the factorized path every
-    (u-copy, v-copy) pair is one unit of intersection multiplicity, so the
+    Returns ``(coords, mults)`` of shapes (n, 2) and (n,).  Candidates are
+    grouped into fibers (clusters of u-values) and then into distinct
+    v-points within each fiber.  On the factorized path every (u-copy,
+    v-copy) pair is one unit of intersection multiplicity, so the
     pair-cluster sizes are the multiplicities.  On the resultant path the
     fiber carries the total multiplicity above it (the distinct u-copy
     count k), which is redistributed over the distinct v-points, larger
     candidate clusters first.
     """
-    if u0.shape[0] == 0:
-        return _empty_chart_roots()
     coords = []
     mults = []
     for fiber in _cluster_complex(u0, U_FIBER_RADIUS):
@@ -478,9 +448,97 @@ def _assemble_chart_roots(u0: np.ndarray, v: np.ndarray, uid: np.ndarray,
             members = v_clusters[ci]
             coords.append([uf[members].mean(), vf[members].mean()])
             mults.append(m)
-    if not coords:
-        return _empty_chart_roots()
-    return _ChartRoots(np.asarray(coords), np.asarray(mults, dtype=np.int64))
+    return (np.asarray(coords, dtype=np.complex128).reshape(-1, 2),
+            np.asarray(mults, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# merging the chart sweeps and the canonical branch order
+# ---------------------------------------------------------------------------
+
+def _merge_across_charts(lifts: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """Multiplicities ``(B, K)`` after merging near-duplicate boundary roots.
+
+    Each target's K root slots are scanned in order (multiplicity 0 marks
+    an unused slot); a root not merged yet absorbs every later unmerged
+    root within ``CLUSTER_RADIUS`` (FS distance) and keeps the larger
+    multiplicity.  The scan runs over the K slots, each step vectorized
+    over targets on one broadcast distance matrix per target.  Merged roots
+    come back with multiplicity 0.
+    """
+    close = fs_distance_batch(lifts[:, :, None], lifts[:, None]) \
+        < CLUSTER_RADIUS
+    mults = mults.copy()
+    alive = mults > 0
+    for i in range(mults.shape[1]):
+        absorb = close[:, i, i + 1:] & alive[:, i + 1:] & alive[:, i, None]
+        mults[:, i] = np.maximum(
+            mults[:, i], np.max(mults[:, i + 1:] * absorb, axis=1, initial=0))
+        alive[:, i + 1:] &= ~absorb
+    return np.where(alive, mults, 0)
+
+
+def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
+    """One full 3x3 chart sweep followed by the cross-chart merge.
+
+    Returns ``(lifts, mults)`` padded to ``(B, K)`` root slots: a target's
+    roots fill its leading slots in search-chart order, each lift has 1 in
+    the chart it was found in, and unused or merged slots have
+    multiplicity 0.
+    """
+    targets_norm, tcharts = chart_normalize(targets)
+    parts = []
+    for tchart in range(3):
+        idx = np.flatnonzero(tcharts == tchart)
+        for schart in range(3 if idx.size else 0):
+            local, coords, mults = _solve_chart_batch(
+                map_, targets_norm[idx], tchart, schart)
+            parts.append((idx[local], lift_from_chart(schart, coords), mults))
+    rows, lifts, mults = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=targets.shape[0])
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    shape = (targets.shape[0], int(counts.max(initial=0)))
+    padded = np.ones(shape + (3,), dtype=np.complex128)
+    padded[rows[order], slot] = lifts[order]
+    padded_mults = np.zeros(shape, dtype=np.int64)
+    padded_mults[rows[order], slot] = mults[order]
+    return padded, _merge_across_charts(padded, padded_mults)
+
+
+def _canonical_branches(lifts: np.ndarray, mults: np.ndarray):
+    """Lifts in branch order and root ids, flat over ``(B, d^2)``.
+
+    Takes padded ``(B, K)`` roots whose multiplicities sum to d^2 per
+    target.  Roots sort by descending real, then imaginary, part of their
+    affine coordinates in the standard chart (t = 1), roots at infinity of
+    that chart last and sorted on their sup-normalized coordinates; exact
+    ties keep the solve order.  The keys are rounded to 12 decimals so that
+    solver noise never decides the order (distinct roots differ by at
+    least the merge radius).  Each root is then repeated by multiplicity,
+    so copies of one root sit side by side, and root ids number a target's
+    distinct roots 0, 1, ... in that order.
+    """
+    b, k = mults.shape
+    sup = np.abs(lifts).max(axis=-1)
+    finite = np.abs(lifts[..., 2]) > 1e-12 * sup
+    aff = lifts[..., :2] / np.where(finite, lifts[..., 2], sup)[..., None]
+    keys = np.round(-np.stack([aff[..., 1].imag, aff[..., 1].real,
+                               aff[..., 0].imag, aff[..., 0].real]), 12)
+    keys = np.concatenate([keys, ~finite[None]])
+    keys[:, mults == 0] = np.inf  # unused slots sort last
+    ranked = np.lexsort(keys)
+    count = np.take_along_axis(mults, ranked, axis=1).ravel()
+    branch = np.repeat((ranked + k * np.arange(b)[:, None]).ravel(), count)
+    ids = np.repeat(np.tile(np.arange(k), b), count)
+    return lifts.reshape(-1, 3)[branch], ids
+
+
+def _rotation_matrix(attempt: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(_ROTATION_SEED + attempt))
+    raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -495,153 +553,108 @@ class PreimageRoot:
     residual: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreimageSet:
-    """All preimages of one target, multiplicities summing to degree^2."""
+    """One target's row of a :class:`PreimageBatch`, for the scalar API."""
     target: HomogeneousPoint
-    roots: list[PreimageRoot]
+    lifts: np.ndarray
+    root_ids: np.ndarray
+    residuals: np.ndarray
+
+    @property
+    def roots(self) -> list[PreimageRoot]:
+        """Distinct roots in branch order with their multiplicities."""
+        _, first, mults = np.unique(self.root_ids, return_index=True,
+                                    return_counts=True)
+        return [PreimageRoot(HomogeneousPoint(self.lifts[i]).chart_point(),
+                             int(m), float(self.residuals[i]))
+                for i, m in zip(first, mults)]
 
     @property
     def total_multiplicity(self) -> int:
-        return int(sum(r.multiplicity for r in self.roots))
+        return int(self.root_ids.size)
 
     def expanded_points(self) -> np.ndarray:
-        """(d^2, 3) array with each root repeated by its multiplicity."""
-        rows = []
-        for r in self.roots:
-            lift = r.point.homogeneous().array
-            for _ in range(r.multiplicity):
-                rows.append(lift)
-        return np.asarray(rows, dtype=np.complex128)
+        """(d^2, 3) lifts in branch order, roots repeated by multiplicity."""
+        return self.lifts
 
 
-def _merge_across_charts(per_chart: list[_ChartRoots]):
-    """Concatenate chart results, merging near-duplicate boundary roots."""
-    lifts = []
-    mults = []
-    charts = []
-    coords = []
-    for chart, cr in enumerate(per_chart):
-        for i in range(cr.coords.shape[0]):
-            lifts.append(lift_from_chart(chart, cr.coords[i][None, :])[0])
-            mults.append(int(cr.mults[i]))
-            charts.append(chart)
-            coords.append(cr.coords[i])
-    if not lifts:
-        return [], [], []
-    lifts = np.asarray(lifts)
-    keep = []
-    dropped = np.zeros(len(mults), dtype=bool)
-    for i in range(len(mults)):
-        if dropped[i]:
-            continue
-        for j in range(i + 1, len(mults)):
-            if dropped[j]:
-                continue
-            if float(fs_distance_batch(lifts[i], lifts[j])) < CLUSTER_RADIUS:
-                mults[i] = max(mults[i], mults[j])
-                dropped[j] = True
-        keep.append(i)
-    return ([coords[i] for i in keep], [charts[i] for i in keep],
-            [mults[i] for i in keep])
+@dataclass(frozen=True)
+class PreimageBatch:
+    """All d^2 preimages of each of B targets, in canonical branch order.
+
+    ``lifts`` is ``(B, d^2, 3)``: row b holds the preimages of
+    ``targets[b]`` in the branch order of :func:`_canonical_branches`
+    (descending affine coordinates in the standard chart, so branch 0 of a
+    real Chebyshev product target is the coordinatewise positive square
+    root), each root repeated by its multiplicity.  ``root_ids`` ``(B, d^2)``
+    numbers each target's distinct roots 0, 1, ... in that order,
+    ``residuals`` ``(B, d^2)`` is the FS distance of each lift's image to
+    its target, and ``rotations`` ``(B,)`` counts the coordinate rotations
+    each target needed.  ``len``, indexing and iteration give
+    :class:`PreimageSet` views of single targets.
+    """
+    targets: np.ndarray
+    lifts: np.ndarray
+    root_ids: np.ndarray
+    residuals: np.ndarray
+    rotations: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lifts.shape[0]
+
+    def __getitem__(self, row: int) -> PreimageSet:
+        return PreimageSet(HomogeneousPoint(self.targets[row]),
+                           self.lifts[row], self.root_ids[row],
+                           self.residuals[row])
+
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
 
 
-def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
-    """One full 3x3 chart sweep; returns per-target root records."""
-    targets_norm, tcharts = chart_normalize(targets)
-    b = targets.shape[0]
-    per_target = [[None] * 3 for _ in range(b)]
-    for tchart in range(3):
-        rows = np.nonzero(tcharts == tchart)[0]
-        if rows.size == 0:
-            continue
-        batch = targets_norm[rows]
-        for schart in range(3):
-            solved = _solve_chart_batch(map_, batch, tchart, schart)
-            for local, row in enumerate(rows):
-                per_target[row][schart] = solved[local]
-    out = []
-    for row in range(b):
-        coords, charts, mults = _merge_across_charts(per_target[row])
-        out.append((coords, charts, mults))
-    return out
-
-
-def _result_to_set(map_: HomogeneousMap, target: HomogeneousPoint,
-                   coords, charts, mults) -> PreimageSet:
-    roots = []
-    if coords:
-        arr = np.asarray(coords, dtype=np.complex128).reshape(-1, 2)
-        ch = np.asarray(charts)
-        order = np.lexsort((arr[:, 1].imag, arr[:, 1].real,
-                            arr[:, 0].imag, arr[:, 0].real, ch))
-        for i in order:
-            cp = ChartPoint(int(ch[i]), complex(arr[i, 0]), complex(arr[i, 1]))
-            lift = cp.homogeneous()
-            residual = float(fs_distance_batch(
-                map_.evaluate(lift).array, target.array))
-            roots.append(PreimageRoot(cp, int(mults[i]), residual))
-    return PreimageSet(target, roots)
-
-
-def _rotation_matrix(attempt: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(_ROTATION_SEED + attempt))
-    raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(raw)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
-
-
-def preimage_batch(map_: HomogeneousMap, targets) -> list[PreimageSet]:
-    """Preimage sets for a batch of targets, certified to sum to d^2.
+def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
+    """All preimages of a batch of targets, certified to sum to d^2.
 
     Targets whose first sweep comes up short are retried under up to three
-    deterministic unitary changes of coordinates; a persistent mismatch
-    raises :class:`PreimageSolverError`.
+    deterministic unitary changes of coordinates U (the roots q found for
+    ``F(U x)`` map back as ``p = U q``); a persistent mismatch raises
+    :class:`PreimageSolverError`.  Residuals come from one batched
+    evaluation of the map at every lift.
     """
     targets = as_point_array(targets)
+    b = targets.shape[0]
     want = map_.degree ** 2
-    raw = _solve_batch_once(map_, targets)
-    sets: list[PreimageSet | None] = []
-    retry_rows = []
-    for row, (coords, charts, mults) in enumerate(raw):
-        if int(sum(mults)) == want:
-            sets.append(_result_to_set(
-                map_, HomogeneousPoint(targets[row]), coords, charts, mults))
-        else:
-            sets.append(None)
-            retry_rows.append(row)
-    for attempt in range(1, MAX_ROTATIONS + 1):
-        if not retry_rows:
+    lifts = np.empty((b, want, 3), dtype=np.complex128)
+    root_ids = np.empty((b, want), dtype=np.int64)
+    rotations = np.zeros(b, dtype=np.int64)
+    todo = np.arange(b)
+    for attempt in range(MAX_ROTATIONS + 1):
+        if todo.size == 0:
             break
-        u = _rotation_matrix(attempt)
-        rotated = substitute_linear(map_, u)
-        sub = targets[retry_rows]
-        raw = _solve_batch_once(rotated, sub)
-        still = []
-        for local, row in enumerate(retry_rows):
-            coords, charts, mults = raw[local]
-            if int(sum(mults)) == want:
-                # map rotated-coordinate roots back: p = U q
-                lifts = [u @ lift_from_chart(charts[i],
-                                             np.asarray(coords[i])[None, :])[0]
-                         for i in range(len(coords))]
-                back_coords = []
-                back_charts = []
-                for lift in lifts:
-                    hp = HomogeneousPoint(lift).chart_point()
-                    back_coords.append(np.array([hp.c1, hp.c2]))
-                    back_charts.append(hp.chart)
-                sets[row] = _result_to_set(
-                    map_, HomogeneousPoint(targets[row]),
-                    back_coords, back_charts, mults)
-            else:
-                still.append(row)
-        retry_rows = still
-    if retry_rows:
+        if attempt == 0:
+            found, mults = _solve_batch_once(map_, targets[todo])
+        else:
+            u = _rotation_matrix(attempt)
+            found, mults = _solve_batch_once(substitute_linear(map_, u),
+                                             targets[todo])
+            # map the roots back, p = U q, with 1 in each one's own chart
+            back, charts = chart_normalize((found @ u.T).reshape(-1, 3))
+            back[np.arange(charts.size), charts] = 1.0
+            found = back.reshape(found.shape)
+        done = mults.sum(axis=1) == want
+        branches, ids = _canonical_branches(found[done], mults[done])
+        lifts[todo[done]] = branches.reshape(-1, want, 3)
+        root_ids[todo[done]] = ids.reshape(-1, want)
+        rotations[todo[done]] = attempt
+        todo = todo[~done]
+    if todo.size:
         raise PreimageSolverError(
             "could not account for %d preimages of %d target(s) "
-            "after %d rotations" % (want, len(retry_rows), MAX_ROTATIONS))
-    return sets  # type: ignore[return-value]
+            "after %d rotations" % (want, todo.size, MAX_ROTATIONS))
+    images = map_.evaluate_batch(lifts.reshape(-1, 3))
+    residuals = fs_distance_batch(images, np.repeat(targets, want, axis=0))
+    return PreimageBatch(targets, lifts, root_ids,
+                         residuals.reshape(b, want), rotations)
 
 
 def preimages(map_: HomogeneousMap, target: HomogeneousPoint) -> PreimageSet:
@@ -649,34 +662,22 @@ def preimages(map_: HomogeneousMap, target: HomogeneousPoint) -> PreimageSet:
     return preimage_batch(map_, target.array[None, :])[0]
 
 
-def random_inverse_branch(map_: HomogeneousMap, point: HomogeneousPoint,
-                          rng: np.random.Generator) -> HomogeneousPoint:
-    """One preimage drawn uniformly among the d^2 roots with multiplicity."""
-    pset = preimages(map_, point)
-    expanded = pset.expanded_points()
-    idx = int(rng.integers(0, expanded.shape[0]))
-    return HomogeneousPoint(expanded[idx])
-
-
 def random_preimage_batch(map_: HomogeneousMap, points: np.ndarray,
                           rngs: list[np.random.Generator]) -> np.ndarray:
     """One multiplicity-weighted preimage per row, one RNG per row.
 
-    Duplicate targets (backward walkers sharing a point) are solved once;
-    each walker still draws from its own generator, so results are
-    independent of the deduplication.
+    This is one step of the backward walker: duplicate targets are solved
+    once, and each row draws a branch from its own generator, so results
+    are independent of the deduplication; a critically close branch is
+    re-drawn as in :func:`p2dyn.sampler.backward_orbit`.
     """
-    points = as_point_array(points)
-    norm, _ = chart_normalize(points)
-    view = np.ascontiguousarray(np.round(norm, 12)).view(np.float64)
-    view = view.reshape(points.shape[0], -1)
-    _, first, inverse = np.unique(view, axis=0, return_index=True,
-                                  return_inverse=True)
-    sets = preimage_batch(map_, points[first])
-    expanded = [s.expanded_points() for s in sets]
-    out = np.empty_like(points)
-    for i in range(points.shape[0]):
-        pool = expanded[inverse[i]]
-        idx = int(rngs[i].integers(0, pool.shape[0]))
-        out[i] = pool[idx]
+    from .sampler import _raise_for_stuck, _walker_step
+    out, picks, _, _ = _walker_step(map_, as_point_array(points), rngs)
+    _raise_for_stuck(map_, picks)
     return out
+
+
+def random_inverse_branch(map_: HomogeneousMap, point: HomogeneousPoint,
+                          rng: np.random.Generator) -> HomogeneousPoint:
+    """One preimage drawn uniformly among the d^2 roots with multiplicity."""
+    return HomogeneousPoint(random_preimage_batch(map_, point.array, [rng])[0])

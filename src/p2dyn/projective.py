@@ -69,12 +69,24 @@ def check_row_scale(scale: np.ndarray) -> None:
                          "point")
 
 
+def divide_rows(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Divide each row of a C-contiguous complex array by a real scale.
+
+    Works in place and returns ``values``.  Dividing the float64 view
+    divides the real and imaginary parts separately, which is correctly
+    rounded; numpy's complex-by-real division multiplies by a rounded
+    reciprocal instead, and is slower.
+    """
+    values.view(np.float64)[...] /= scale[:, None]
+    return values
+
+
 def sup_normalize(points: np.ndarray) -> np.ndarray:
     """Scale each row to unit sup-norm."""
     arr = as_point_array(points)
     scale = sup_norms(arr)
     check_row_scale(scale)
-    return arr / scale[:, None]
+    return divide_rows(arr.copy(), scale)
 
 
 def chart_indices(points: np.ndarray) -> np.ndarray:
@@ -329,7 +341,7 @@ class HomogeneousMap:
                 "map %r collapsed a point to ~0 (common-zero locus hit)"
                 % self.name)
         if renormalize:
-            out /= scale[:, None]
+            divide_rows(out, scale)
         return out
 
     def evaluate_batch_safe(self, points: np.ndarray):
@@ -348,8 +360,7 @@ class HomogeneousMap:
         out = self._values(pts)
         scale = sup_norms(out)
         ok = usable & (scale > DEGENERATE_EVAL_TOL)
-        safe = np.where(ok, scale, 1.0)
-        out /= safe[:, None]
+        divide_rows(out, np.where(ok, scale, 1.0))
         out[~ok] = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
         return out, ok
 

@@ -24,10 +24,15 @@ serves exponent estimation, backward-orbit validation, and the
 inverse-branch Lipschitz diagnostic.
 
 Concurrency model: walkers are independent; the implementation realizes
-the parallel map over walkers as vectorized batch steps.  Walker k draws
-from a generator seeded with the k-th child of ``SeedSequence(seed)``;
-replacement walkers consume children ``count, count+1, ...`` in the order
-failures are discovered (deterministic, because the batch sweep is).
+the parallel map over walkers as vectorized batch steps.  One walker step
+(deduplicate the positions, solve their preimages in one batch, draw a
+critically clear branch per walker) serves the level-synchronous sampler,
+single backward orbits and the replacement walkers, so all of them draw
+from the same canonical branch order with the same calls on each walker's
+generator.  Walker k draws from a generator seeded with the k-th child of
+``SeedSequence(seed)``; replacement walkers consume children ``count,
+count+1, ...`` in the order failures are found, by level and then by row
+(deterministic, because the batch sweep is).
 """
 
 from __future__ import annotations
@@ -180,37 +185,9 @@ def _chained_factors(map_: HomogeneousMap, pts: np.ndarray) -> np.ndarray:
 def branch_expanded_lifts(pset: PreimageSet):
     """(d^2, 3) preimage lifts in canonical branch order plus root ids.
 
-    Roots are sorted by descending real part (then descending imaginary
-    part) of their affine coordinates in the standard chart, points at
-    infinity of that chart last; each root then repeats by multiplicity.
-    Branch index 0 therefore selects the "largest" preimage, which on the
-    real Chebyshev product is the coordinatewise positive square root.
+    The order is the one :class:`p2dyn.preimages.PreimageBatch` holds.
     """
-    entries = []
-    for rid, root in enumerate(pset.roots):
-        lift = root.point.homogeneous().array
-        sup = np.max(np.abs(lift))
-        t = lift[2]
-        # keys are rounded so that solver noise (distinct roots differ by
-        # >= the dedup clustering radius) never decides the order
-        if np.abs(t) > 1e-12 * sup:
-            a, b = lift[0] / t, lift[1] / t
-            key = (0,) + tuple(np.round(
-                [-a.real, -a.imag, -b.real, -b.imag], 12))
-        else:
-            norm = lift / sup
-            key = (1,) + tuple(np.round(
-                [-norm[0].real, -norm[0].imag,
-                 -norm[1].real, -norm[1].imag], 12))
-        entries.append((key, lift, rid, root.multiplicity))
-    entries.sort(key=lambda e: e[0])
-    lifts = []
-    ids = []
-    for _, lift, rid, mult in entries:
-        for _ in range(mult):
-            lifts.append(lift)
-            ids.append(rid)
-    return np.asarray(lifts, dtype=np.complex128), np.asarray(ids)
+    return pset.lifts, pset.root_ids
 
 
 @dataclass(frozen=True)
@@ -256,22 +233,82 @@ class BackwardOrbit:
                           dtype=np.complex128)
 
 
-def _draw_clear_branch(map_: HomogeneousMap, pset: PreimageSet,
-                       rng: np.random.Generator):
-    """One uniform multiplicity-weighted branch with clearance retries."""
-    lifts, ids = branch_expanded_lifts(pset)
-    excluded: set[int] = set()
-    for _ in range(BRANCH_RETRIES + 1):
-        allowed = np.flatnonzero(~np.isin(ids, sorted(excluded)))
-        if allowed.size == 0:
+#: branch picks of walkers that could not move: no certified preimage set,
+#: or no critically clear branch within the re-draw budget
+_UNSOLVED, _STUCK = -1, -2
+
+
+def _walker_step(map_: HomogeneousMap, pts: np.ndarray,
+                 rngs: list[np.random.Generator]):
+    """One backward step for every row of ``pts``, each with its own RNG.
+
+    Rows are deduplicated on their sup-normalized coordinates rounded to 12
+    decimals, and the distinct targets solved in one :func:`preimage_batch`
+    call; if that raises, they are solved one at a time so that only the
+    failing targets are lost.  Each row then draws a canonical branch index
+    uniformly among its d^2 preimages counted with multiplicity.  A branch
+    whose FS Jacobian is below ``CRITICAL_DET_TOL`` is re-drawn, excluding
+    every copy of its root, at most ``BRANCH_RETRIES`` times.
+
+    Returns ``(lifts, picks, rotated, worst)``: the chosen lifts (rows that
+    could not move keep their point), the branch indices (``_UNSOLVED`` or
+    ``_STUCK`` for those rows), the number of distinct targets that needed
+    coordinate rotations, and the worst preimage residual.
+    """
+    keys = np.round(sup_normalize(pts), 12).view(np.float64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    try:
+        found = [(slice(None), preimage_batch(map_, pts[first]))]
+    except PreimageSolverError:
+        found = []
+        for i, row in enumerate(first if first.size > 1 else ()):
+            try:
+                found.append(([i], preimage_batch(map_, pts[row][None, :])))
+            except PreimageSolverError:
+                pass
+    want = map_.degree ** 2
+    lifts = np.ones((first.size, want, 3), dtype=np.complex128)
+    ids = np.zeros((first.size, want), dtype=np.int64)
+    solved = np.zeros(first.size, dtype=bool)
+    rotated, worst = 0, 0.0
+    for sel, batch in found:
+        lifts[sel], ids[sel], solved[sel] = batch.lifts, batch.root_ids, True
+        rotated += int(np.count_nonzero(batch.rotations))
+        worst = max(worst, float(batch.residuals.max()))
+
+    out = pts.copy()
+    picks = np.where(solved[inverse], 0, _UNSOLVED)
+    pending = np.flatnonzero(solved[inverse])
+    blocked = np.zeros((pts.shape[0], want), dtype=bool)
+    for _attempt in range(BRANCH_RETRIES + 1):
+        for row in pending:
+            allowed = np.flatnonzero(~blocked[row])
+            picks[row] = (allowed[int(rngs[row].integers(0, allowed.size))]
+                          if allowed.size else _STUCK)
+        pending = pending[picks[pending] >= 0]
+        if pending.size == 0:
             break
-        idx = int(allowed[int(rng.integers(0, allowed.size))])
-        det = float(fs_jacobian_dets(map_, lifts[idx][None, :])[0])
-        if det >= CRITICAL_DET_TOL:
-            return idx, lifts[idx]
-        excluded.add(int(ids[idx]))
-    raise OrbitInvariantError(
-        "all preimage branches of %r are critically close" % map_.name)
+        cands = lifts[inverse[pending], picks[pending]]
+        clear = fs_jacobian_dets(map_, cands) >= CRITICAL_DET_TOL
+        out[pending[clear]] = cands[clear]
+        pending = pending[~clear]
+        root = ids[inverse[pending]]
+        blocked[pending] |= root == root[np.arange(pending.size),
+                                         picks[pending], None]
+    picks[pending] = _STUCK
+    return out, picks, rotated, worst
+
+
+def _raise_for_stuck(map_: HomogeneousMap, picks: np.ndarray) -> None:
+    """Raise the typed error for walkers a step could not move."""
+    if np.any(picks == _UNSOLVED):
+        raise PreimageSolverError(
+            "no certified preimage set for %d walker target(s) of %r"
+            % (np.count_nonzero(picks == _UNSOLVED), map_.name))
+    if np.any(picks == _STUCK):
+        raise OrbitInvariantError(
+            "all preimage branches of %r are critically close" % map_.name)
 
 
 def backward_orbit(map_: HomogeneousMap, x0: HomogeneousPoint, depth: int,
@@ -279,10 +316,11 @@ def backward_orbit(map_: HomogeneousMap, x0: HomogeneousPoint, depth: int,
                    branch_choices=None) -> BackwardOrbit:
     """Depth-n backward random walk from x0 with validated invariants.
 
-    Branches are chosen uniformly among the d^2 preimages counted with
-    multiplicity; a critically close choice is re-drawn (different root,
-    at most ``BRANCH_RETRIES`` times).  Passing ``branch_choices`` replays
-    fixed canonical indices instead of sampling (no retries).
+    Each step is the walker step of :func:`sample_equilibrium` for a single
+    walker: a branch is chosen uniformly among the d^2 preimages counted
+    with multiplicity, and a critically close choice is re-drawn (different
+    root, at most ``BRANCH_RETRIES`` times).  Passing ``branch_choices``
+    replays fixed canonical indices instead of sampling (no retries).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -292,19 +330,19 @@ def backward_orbit(map_: HomogeneousMap, x0: HomogeneousPoint, depth: int,
         raise OrbitInvariantError("starting point is critically close")
     points = [x0]
     chosen = []
-    current = x0
     for k in range(depth):
-        pset = preimage_batch(map_, current.array[None, :])[0]
-        if branch_choices is not None:
-            idx = int(branch_choices[k])
-            lifts, _ = branch_expanded_lifts(pset)
-            if not 0 <= idx < lifts.shape[0]:
-                raise OrbitInvariantError("branch index %d out of range" % idx)
-            lift = lifts[idx]
+        current = points[-1].array[None, :]
+        if branch_choices is None:
+            lift, picks, _, _ = _walker_step(map_, current, [rng])
+            _raise_for_stuck(map_, picks)
+            idx = int(picks[0])
         else:
-            idx, lift = _draw_clear_branch(map_, pset, rng)
-        current = HomogeneousPoint(lift)
-        points.append(current)
+            idx = int(branch_choices[k])
+            lifts = preimage_batch(map_, current).lifts
+            if not 0 <= idx < lifts.shape[1]:
+                raise OrbitInvariantError("branch index %d out of range" % idx)
+            lift = lifts[:, idx]
+        points.append(HomogeneousPoint(lift[0]))
         chosen.append(idx)
     return BackwardOrbit(map_, tuple(points), tuple(chosen))
 
@@ -346,39 +384,19 @@ def _clear_start(map_: HomogeneousMap) -> HomogeneousPoint:
         "could not find a critically clear start for %r" % map_.name)
 
 
-def _solve_rows(map_: HomogeneousMap, pts: np.ndarray):
-    """Preimage sets per row with deduplication and failure isolation.
-
-    Returns a list with a :class:`PreimageSet` per row, or None where the
-    solver failed for that row's target.
-    """
-    norm = sup_normalize(pts)
-    view = np.ascontiguousarray(np.round(norm, 12)).view(np.float64)
-    view = view.reshape(pts.shape[0], -1)
-    _, first, inverse = np.unique(view, axis=0, return_index=True,
-                                  return_inverse=True)
-    distinct: list[PreimageSet | None]
-    try:
-        distinct = list(preimage_batch(map_, pts[first]))
-    except PreimageSolverError:
-        distinct = []
-        for row in first:
-            try:
-                distinct.append(preimage_batch(map_, pts[row][None, :])[0])
-            except PreimageSolverError:
-                distinct.append(None)
-    return [distinct[inverse[i]] for i in range(pts.shape[0])]
-
-
 def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
                        count: int = 2000, seed: int = 0) -> MeasureSample:
     """Endpoints of ``count`` depth-n backward random walks.
 
-    Walks run level-synchronously (one batched preimage solve per depth
-    level over the distinct walker positions); each walker draws branches
-    from its own seeded stream.  A walker whose solve or clearance retries
-    fail is aborted and replaced by a fresh-seeded full walk (logged);
-    more than ``MAX_FAILURE_FRACTION`` aborts raise ``SamplingError``.
+    Walks run level-synchronously: each depth level is one walker step
+    (:func:`_walker_step`, one batched preimage solve over the distinct
+    walker positions), and each walker draws branches from its own seeded
+    stream.  A walker whose solve or clearance re-draws fail is aborted and,
+    after the last level, replaced by a fresh-seeded full walk; more than
+    ``MAX_FAILURE_FRACTION`` aborts raise ``SamplingError``.  Aborts are
+    counted in ``n_failures``; one log line per call reports them with the
+    number of targets that needed coordinate rotations and the worst
+    preimage residual of the level steps.
     """
     if depth < 1 or count < 1:
         raise ValueError("depth and count must be >= 1")
@@ -388,6 +406,7 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
     pos = np.tile(start.array, (count, 1))
     active = np.ones(count, dtype=bool)
     failures = 0
+    rotated, worst = 0, 0.0
 
     def fail_budget_ok() -> bool:
         return failures <= MAX_FAILURE_FRACTION * count
@@ -397,52 +416,14 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        sets = _solve_rows(map_, pos[rows])
-        pending = []  # (row, pset, lifts, ids, excluded)
-        for local, row in enumerate(rows):
-            if sets[local] is None:
-                failures += 1
-                logger.info("walker %d aborted: preimage solve failed", row)
-                active[row] = False
-                replacement_rows.append(row)
-            else:
-                lifts, ids = branch_expanded_lifts(sets[local])
-                pending.append([row, lifts, ids, set()])
-        for _attempt in range(BRANCH_RETRIES + 1):
-            if not pending:
-                break
-            cands = np.empty((len(pending), 3), dtype=np.complex128)
-            picks = np.empty(len(pending), dtype=np.int64)
-            for i, (row, lifts, ids, excluded) in enumerate(pending):
-                allowed = np.flatnonzero(~np.isin(ids, sorted(excluded)))
-                if allowed.size == 0:
-                    picks[i] = -1
-                    cands[i] = np.array([1.0, 0.0, 0.0])
-                    continue
-                picks[i] = int(allowed[int(rngs[row].integers(
-                    0, allowed.size))])
-                cands[i] = lifts[picks[i]]
-            dets = fs_jacobian_dets(map_, cands)
-            still = []
-            for i, entry in enumerate(pending):
-                row, lifts, ids, excluded = entry
-                if picks[i] >= 0 and dets[i] >= CRITICAL_DET_TOL:
-                    pos[row] = cands[i]
-                elif picks[i] < 0:
-                    failures += 1
-                    logger.info("walker %d aborted: all branches critical",
-                                row)
-                    active[row] = False
-                    replacement_rows.append(row)
-                else:
-                    excluded.add(int(ids[picks[i]]))
-                    still.append(entry)
-            pending = still
-        for row, lifts, ids, excluded in pending:
-            failures += 1
-            logger.info("walker %d aborted: clearance retries exhausted", row)
-            active[row] = False
-            replacement_rows.append(row)
+        pos[rows], picks, step_rotated, step_worst = _walker_step(
+            map_, pos[rows], [rngs[row] for row in rows])
+        rotated += step_rotated
+        worst = max(worst, step_worst)
+        lost = rows[picks < 0]
+        active[lost] = False
+        replacement_rows.extend(lost.tolist())
+        failures += lost.size
         if not fail_budget_ok():
             raise SamplingError(
                 "%d of %d walkers aborted (> %.0f%%)"
@@ -458,12 +439,15 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
                 done = True
             except (PreimageSolverError, OrbitInvariantError):
                 failures += 1
-                logger.info("replacement walker for row %d aborted", row)
         if not done:
             raise SamplingError(
                 "%d of %d walkers aborted (> %.0f%%)"
                 % (failures, count, 100 * MAX_FAILURE_FRACTION))
 
+    logger.info("sample_equilibrium: %d walker(s) aborted, %d replaced; %d "
+                "preimage target(s) needed coordinate rotations; worst "
+                "preimage residual %.3g", failures, len(replacement_rows),
+                rotated, worst)
     points = tuple(HomogeneousPoint(row) for row in pos)
     weights = np.full(count, 1.0 / count)
     return MeasureSample(points, weights, (depth, count, seed), failures)
@@ -531,12 +515,14 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     Each sample point is iterated forward up to ``n_iter`` steps; the FS
     derivative factor feeds a per-walker QR accumulation.  A walker whose
     FS Jacobian falls below ``CRITICAL_DET_TOL`` is stopped there and
-    logged: on an expanding support this fires when accumulated rounding
-    has carried the computed orbit off the support, so the walker's last
-    ``COCYCLE_BACKOFF`` steps (where the contamination concentrates) are
-    censored and the rest kept.  The first few steps are dropped as the
-    QR alignment transient.  Aggregates are means with standard errors
-    across contributing walkers, exponents sorted descending per walker.
+    counted in ``n_truncated``: on an expanding support this fires when
+    accumulated rounding has carried the computed orbit off the support,
+    so the walker's last ``COCYCLE_BACKOFF`` steps (where the contamination
+    concentrates) are censored and the rest kept.  The first few steps are
+    dropped as the QR alignment transient.  Aggregates are means with
+    standard errors across contributing walkers, exponents sorted
+    descending per walker.
+    One log line per call reports the censored and discarded counts.
     """
     if n_iter < 100:
         raise ValueError("n_iter must be >= 100")
@@ -560,9 +546,6 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
                       - mats[:, 0, 1] * mats[:, 1, 0])
         dead = ~ok | (dets < CRITICAL_DET_TOL)
         if np.any(dead):
-            for row in rows[dead]:
-                logger.info("walker %d hit the critical tolerance zone at "
-                            "step %d; censoring its tail", row, k)
             censored[rows[dead]] = True
             active[rows[dead]] = False
             rows = rows[~dead]
@@ -585,11 +568,14 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
         burn = min(COCYCLE_BURN_CAP, stop // 4) if stop > 0 else 0
         if stop - burn < COCYCLE_MIN_WINDOW:
             n_discarded += 1
-            logger.info("walker %d discarded: only %d usable cocycle steps",
-                        i, max(stop - burn, 0))
             continue
         pair = logs[i, burn:stop].mean(axis=0)
         per_point.append(np.sort(pair)[::-1])
+    n_truncated = int(np.sum(censored))
+    logger.info("lyapunov_exponents: %d of %d walker(s) censored at the "
+                "critical tolerance zone, %d discarded with fewer than %d "
+                "usable cocycle steps", n_truncated, n, n_discarded,
+                COCYCLE_MIN_WINDOW)
     if not per_point:
         raise InsufficientDataError(
             "no walker produced %d usable cocycle steps; sample at a "
@@ -604,7 +590,7 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
         errs = np.full(2, np.inf)
     return ExponentEstimate(float(means[0]), float(means[1]),
                             float(errs[0]), float(errs[1]), n_iter,
-                            per_point, int(np.sum(censored)), n_discarded)
+                            per_point, n_truncated, n_discarded)
 
 
 # ---------------------------------------------------------------------------

@@ -299,12 +299,12 @@ def certify_nondegenerate(map_: HomogeneousMap, n_targets: int = 20,
     targets = rng.normal(size=(n_targets, 3)) \
         + 1j * rng.normal(size=(n_targets, 3))
     try:
-        sets = preimage_batch(map_, targets)
+        batch = preimage_batch(map_, targets)
     except PreimageSolverError as exc:
         raise DegenerateMapError(
             "map %r failed the preimage-count certificate: %s"
             % (map_.name, exc)) from exc
-    return max(max(r.residual for r in s.roots) for s in sets)
+    return float(batch.residuals.max())
 
 
 def perturb(map_: HomogeneousMap, g: HomogeneousMap,

@@ -141,3 +141,21 @@ class TestNonFiniteRows:
         assert np.all(np.isfinite(out.view(np.float64)))
         np.testing.assert_allclose(out[0], f.evaluate_batch(pts[:1])[0],
                                    rtol=1e-15)
+
+
+def test_row_division_is_correctly_rounded():
+    # dividing a row by its scale must equal dividing the real and the
+    # imaginary parts separately, bit for bit (numpy's complex-by-real
+    # division multiplies by a rounded reciprocal instead)
+    rng = np.random.default_rng(21)
+    pts = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+    scale = np.abs(pts).max(axis=1)[:, None]
+    got = sup_normalize(pts)
+    assert np.array_equal(got.real, pts.real / scale)
+    assert np.array_equal(got.imag, pts.imag / scale)
+    f = lattes_suspension()
+    raw = f.polynomial_batch(got)
+    image = f.evaluate_batch(pts)
+    scale = np.abs(raw).max(axis=1)[:, None]
+    assert np.array_equal(image.real, raw.real / scale)
+    assert np.array_equal(image.imag, raw.imag / scale)

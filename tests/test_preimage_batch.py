@@ -1,0 +1,199 @@
+"""The array result of the preimage solver.
+
+``preimage_batch`` returns one :class:`PreimageBatch`: ``(B, d^2, 3)``
+lifts in the canonical branch order, root ids, residuals and rotation
+counts.  The cross-chart merge is checked against the pairwise loop it
+replaced; the batch as a whole is checked by property tests over zoo maps
+and random degree 2-3 maps.
+
+Tolerances, fixed before running: a computed preimage p of a target tau
+maps to within a few hundred ulps of tau for well-conditioned roots (the
+residual gate of the solver itself is 1e-8), so 1e-9 leaves room without
+hiding a wrong root; distinct roots of random targets are simple, so a
+one-target solve differs from the batched one only by the rounding of the
+Aberth and Newton iterates, well under 1e-12.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from p2dyn.preimages import (
+    CLUSTER_RADIUS,
+    PreimageBatch,
+    PreimageSet,
+    _merge_across_charts,
+    preimage_batch,
+)
+from p2dyn.projective import (
+    HomogeneousMap,
+    fs_distance_batch,
+    lift_from_chart,
+)
+from p2dyn.sampler import branch_expanded_lifts
+from p2dyn.zoo import chebyshev_product, lattes_suspension, power_map
+
+
+def reference_merge(lifts, mults):
+    """The former pairwise merge loop over one target's chart roots."""
+    mults = [int(m) for m in mults]
+    keep = []
+    dropped = np.zeros(len(mults), dtype=bool)
+    for i in range(len(mults)):
+        if dropped[i]:
+            continue
+        for j in range(i + 1, len(mults)):
+            if dropped[j]:
+                continue
+            if float(fs_distance_batch(lifts[i], lifts[j])) < CLUSTER_RADIUS:
+                mults[i] = max(mults[i], mults[j])
+                dropped[j] = True
+        keep.append(i)
+    return keep, [mults[i] for i in keep]
+
+
+def boundary_duplicate(rng, lift, scale):
+    """The same projective point in another chart, moved by ~scale."""
+    moved = lift + scale * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    chart = int(rng.integers(0, 3))
+    others = [i for i in range(3) if i != chart]
+    moved = moved / moved[chart]
+    return lift_from_chart(chart, moved[others])[0]
+
+
+def random_chart_roots(rng, n_targets):
+    """Per-target chart-root lists with planted near-duplicates and chains."""
+    sets = []
+    for _ in range(n_targets):
+        lifts = []
+        for _ in range(int(rng.integers(1, 7))):
+            chart = int(rng.integers(0, 3))
+            coords = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
+            lifts.append(lift_from_chart(chart, coords)[0])
+        for _ in range(int(rng.integers(0, 4))):
+            base = lifts[int(rng.integers(0, len(lifts)))]
+            # within the radius, just outside it, or a chain of two steps
+            scale = CLUSTER_RADIUS * rng.choice([0.1, 0.4, 3.0])
+            dup = boundary_duplicate(rng, base, scale)
+            lifts.append(dup)
+            if rng.random() < 0.5:
+                lifts.append(boundary_duplicate(rng, dup, scale))
+        order = rng.permutation(len(lifts))
+        lifts = np.asarray(lifts)[order]
+        mults = rng.integers(1, 4, size=len(lifts))
+        sets.append((lifts, mults))
+    return sets
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vectorized_merge_matches_pairwise_loop(seed):
+    rng = np.random.default_rng(seed)
+    sets = random_chart_roots(rng, 40)
+    k = max(len(m) for _, m in sets)
+    lifts = np.ones((len(sets), k, 3), dtype=np.complex128)
+    mults = np.zeros((len(sets), k), dtype=np.int64)
+    for row, (ls, ms) in enumerate(sets):
+        lifts[row, :len(ms)] = ls
+        mults[row, :len(ms)] = ms
+    merged = _merge_across_charts(lifts, mults)
+    n_merged = 0
+    for row, (ls, ms) in enumerate(sets):
+        keep, kept_mults = reference_merge(ls, ms)
+        got = np.flatnonzero(merged[row])
+        assert got.tolist() == keep
+        assert merged[row, got].tolist() == kept_mults
+        assert np.array_equal(lifts[row, got], ls[keep])
+        n_merged += len(ms) - len(keep)
+    assert n_merged > 0  # the planted duplicates did get merged
+
+
+def random_map(degree: int, seed: int) -> HomogeneousMap:
+    rng = np.random.default_rng(seed)
+    keys = [(a, b, degree - a - b) for a in range(degree + 1)
+            for b in range(degree + 1 - a)]
+    comps = [{key: complex(rng.normal(), rng.normal()) for key in keys}
+             for _ in range(3)]
+    return HomogeneousMap(comps, name="random%d_%d" % (degree, seed))
+
+
+ZOO = (power_map(2), power_map(3), chebyshev_product(), lattes_suspension())
+
+
+def branch_key(lift):
+    """The canonical sort key of one lift, as the sampler used to build it."""
+    sup = np.max(np.abs(lift))
+    t = lift[2]
+    if np.abs(t) > 1e-12 * sup:
+        a, b = lift[0] / t, lift[1] / t
+        return (0,) + tuple(np.round([-a.real, -a.imag,
+                                      -b.real, -b.imag], 12))
+    norm = lift / sup
+    return (1,) + tuple(np.round([-norm[0].real, -norm[0].imag,
+                                  -norm[1].real, -norm[1].imag], 12))
+
+
+maps = st.one_of(st.sampled_from(ZOO),
+                 st.builds(random_map, st.integers(2, 3),
+                           st.integers(0, 10_000)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=maps, n_targets=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_batch_properties(f, n_targets, seed):
+    rng = np.random.default_rng(seed)
+    targets = rng.normal(size=(n_targets, 3)) \
+        + 1j * rng.normal(size=(n_targets, 3))
+    want = f.degree ** 2
+    batch = preimage_batch(f, targets)
+    assert batch.lifts.shape == (n_targets, want, 3)
+    assert batch.root_ids.shape == batch.residuals.shape == (n_targets, want)
+    assert batch.rotations.shape == (n_targets,)
+    for i in range(n_targets):
+        lifts, ids = batch.lifts[i], batch.root_ids[i]
+        images = f.evaluate_batch(lifts)
+        assert fs_distance_batch(images, targets[i]).max() < 1e-9
+        assert batch.residuals[i].max() < 1e-9
+        # ids count the roots 0, 1, ... in branch order, and copies of one
+        # root are adjacent and identical
+        assert ids[0] == 0 and np.all(np.isin(np.diff(ids), (0, 1)))
+        runs = np.flatnonzero(np.diff(ids)) + 1
+        for run in np.split(np.arange(want), runs):
+            assert np.all(lifts[run] == lifts[run[0]])
+        keys = [branch_key(lift) for lift in lifts]
+        assert all(a <= b for a, b in zip(keys, keys[1:]))
+        one = preimage_batch(f, targets[i:i + 1])
+        assert fs_distance_batch(lifts, one.lifts[0]).max() < 1e-12
+        assert np.array_equal(ids, one.root_ids[0])
+
+
+def test_views_and_accessor_read_the_same_rows():
+    f = lattes_suspension()
+    rng = np.random.default_rng(3)
+    targets = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    batch = preimage_batch(f, targets)
+    assert isinstance(batch, PreimageBatch) and len(batch) == 4
+    for i, pset in enumerate(batch):
+        assert isinstance(pset, PreimageSet)
+        assert pset.total_multiplicity == 4
+        lifts, ids = branch_expanded_lifts(pset)
+        assert np.array_equal(lifts, batch.lifts[i])
+        assert np.array_equal(ids, batch.root_ids[i])
+        assert np.array_equal(pset.expanded_points(), batch.lifts[i])
+        assert sum(r.multiplicity for r in pset.roots) == 4
+        assert np.array_equal(batch[i].target.array, targets[i])
+
+
+def test_target_solved_only_after_a_rotation():
+    # the first sweep of [0:0:1] under the Chebyshev product comes up short
+    # on every chart, so the whole batch is solved in rotated coordinates
+    f = chebyshev_product()
+    target = np.array([[0.0, 0.0, 1.0]], dtype=np.complex128)
+    batch = preimage_batch(f, target)
+    assert batch.rotations.tolist() == [1]
+    assert fs_distance_batch(f.evaluate_batch(batch.lifts[0]),
+                             target[0]).max() < 1e-12
+    # z^2 - 2 t^2 = w^2 - 2 t^2 = 0 with t = 1: (+-sqrt 2, +-sqrt 2)
+    aff = batch.lifts[0, :, :2] / batch.lifts[0, :, 2:]
+    s = np.sqrt(2.0)
+    assert np.max(np.abs(aff - [[s, s], [s, -s], [-s, s], [-s, -s]])) < 1e-9
