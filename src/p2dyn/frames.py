@@ -56,12 +56,11 @@ from .projective import (
     sup_normalize,
 )
 from .sampler import (
-    COCYCLE_BACKOFF,
-    CRITICAL_DET_TOL,
     BackwardOrbit,
+    _censored_length,
     _chained_factors,
-    _factor_from_bases,
-    _raw_images,
+    _forward_cocycle,
+    fs_tangent_maps,
     tangent_basis_batch,
 )
 
@@ -86,9 +85,14 @@ FORWARD_CAP = 60
 #: minimum usable forward steps for the slow direction
 MIN_FORWARD_STEPS = 8
 
-#: stencil offset and median-test radius as fractions of the test radius
+#: stencil offset and median-test radius as fractions of the test radius,
+#: and the median test points per axis (ring angles seeded with 0)
 STENCIL_FRACTION = 0.15
 MEDIAN_FRACTION = 0.1
+MEDIAN_TEST_POINTS = 16
+
+#: model slack added to each exponent's standard error in the rate bands
+RATE_SLACK = 0.02
 
 #: radius halvings attempted when followed points escape a chart
 SHRINK_RETRIES = 5
@@ -115,43 +119,23 @@ def _phase_aligned_mean(directions: list[np.ndarray]) -> np.ndarray:
     return _unit(acc)
 
 
-def _forward_factors(map_: HomogeneousMap, lift: np.ndarray,
-                     cap: int) -> np.ndarray:
-    """Censored chained cocycle factors along the forward orbit of a lift.
+def _forward_factors(map_: HomogeneousMap, lift: np.ndarray) -> np.ndarray:
+    """The first :data:`FORWARD_CAP` chained factors along a lift's orbit.
 
-    Iterates until the Fubini-Study determinant of a factor collapses
-    below the critical threshold (or ``cap`` steps), then drops the
-    trailing :data:`~p2dyn.sampler.COCYCLE_BACKOFF` factors when the
-    collapse detector fired, mirroring the exponent estimator's policy
-    for float64 forward orbits.
+    Walked and censored by the exponent estimator's rule
+    (:func:`~p2dyn.sampler._forward_cocycle`,
+    :func:`~p2dyn.sampler._censored_length`); fewer than
+    :data:`MIN_FORWARD_STEPS` usable factors raise :class:`FrameError`.
     """
-    pts = sup_normalize(np.asarray(lift, dtype=np.complex128)[None, :])
-    basis = tangent_basis_batch(pts)
-    factors = []
-    censored = False
-    for _ in range(cap):
-        raw, ok = _raw_images(map_, pts)
-        if not ok[0]:
-            censored = True
-            break
-        basis_out = tangent_basis_batch(raw)
-        fac = _factor_from_bases(map_, pts, raw, basis, basis_out)[0]
-        det = abs(fac[0, 0] * fac[1, 1] - fac[0, 1] * fac[1, 0])
-        if det < CRITICAL_DET_TOL:
-            censored = True
-            break
-        factors.append(fac)
-        pts = sup_normalize(raw)
-        basis = basis_out
-    if censored:
-        factors = factors[:-COCYCLE_BACKOFF] if len(factors) > COCYCLE_BACKOFF \
-            else []
-    if not factors:
+    factors = [mats[0] for _, mats in
+               _forward_cocycle(map_, lift, FORWARD_CAP)]
+    usable = _censored_length(len(factors), FORWARD_CAP)
+    if usable < MIN_FORWARD_STEPS:
         raise FrameError(
-            "forward orbit of the base point lost resolution immediately; "
-            "no usable cocycle factors for the slow direction (base frames "
-            "at backward-walk endpoints, whose forward horizon is deep)")
-    return np.asarray(factors)
+            "only %d usable forward cocycle steps at the base point (need "
+            ">= %d; use backward-walk endpoints, whose forward horizon is "
+            "deep)" % (max(usable, 0), MIN_FORWARD_STEPS))
+    return np.asarray(factors[:usable])
 
 
 def _window_lengths(n: int) -> list[int]:
@@ -258,8 +242,8 @@ class OseledecFrame:
         return self.tangent_basis @ self.e2
 
 
-def compute_frame(map_: HomogeneousMap, orbit: BackwardOrbit,
-                  forward_cap: int = FORWARD_CAP) -> OseledecFrame:
+def compute_frame(map_: HomogeneousMap, orbit: BackwardOrbit
+                  ) -> OseledecFrame:
     """Fast/slow frame at the endpoint ``x_0`` of a backward orbit.
 
     The fast direction is the image at ``x_0`` of the leading
@@ -275,13 +259,7 @@ def compute_frame(map_: HomogeneousMap, orbit: BackwardOrbit,
     chain = sup_normalize(orbit.array[::-1])
     back = _chained_factors(map_, chain)
     e1, gap_back = _fast_direction(back)
-    fwd = _forward_factors(map_, orbit.array[0], forward_cap)
-    if fwd.shape[0] < MIN_FORWARD_STEPS:
-        raise FrameError(
-            "only %d usable forward cocycle steps at the base point "
-            "(need >= %d for the slow direction)"
-            % (fwd.shape[0], MIN_FORWARD_STEPS))
-    e2, gap_fwd = _slow_direction(fwd)
+    e2, gap_fwd = _slow_direction(_forward_factors(map_, orbit.array[0]))
     base_lift = chain[-1]
     basis = tangent_basis_batch(base_lift[None, :])[0]
     det = abs(e1[0] * e2[1] - e1[1] * e2[0])
@@ -299,21 +277,17 @@ def transport_frame(map_: HomogeneousMap, frame: OseledecFrame
     Used by invariance checks comparing local estimates at ``x`` and at
     ``f(x)`` in corresponding (covariant) coordinates.
     """
-    pts = sup_normalize(frame.base_lift[None, :])
-    raw, ok = _raw_images(map_, pts)
+    mats, raw, ok = fs_tangent_maps(map_, frame.base_lift)
     if not ok[0]:
         raise FrameError("cannot transport frame: evaluation collapsed")
-    basis_out = tangent_basis_batch(raw)
-    fac = _factor_from_bases(map_, pts, raw, tangent_basis_batch(pts),
-                             basis_out)[0]
-    e1 = _unit(fac @ frame.e1)
-    e2 = _unit(fac @ frame.e2)
+    e1 = _unit(mats[0] @ frame.e1)
+    e2 = _unit(mats[0] @ frame.e2)
     det = abs(e1[0] * e2[1] - e1[1] * e2[0])
     lift = raw[0] / np.linalg.norm(raw[0])
     return OseledecFrame(
         base=HomogeneousPoint(lift).chart_point(),
         e1=e1, e2=e2, conditioning=float(det), isotropic=frame.isotropic,
-        base_lift=lift, tangent_basis=basis_out[0])
+        base_lift=lift, tangent_basis=tangent_basis_batch(raw)[0])
 
 
 def _chart_offsets(base_lift: np.ndarray, points: np.ndarray
@@ -377,13 +351,12 @@ class NormalFormCoordinates:
         return np.ascontiguousarray(self.frame.base_lift[None, :] + ambient)
 
 
-def default_coordinates(map_: HomogeneousMap, frame: OseledecFrame,
-                        fraction: float = DOMAIN_FRACTION
+def default_coordinates(map_: HomogeneousMap, frame: OseledecFrame
                         ) -> NormalFormCoordinates:
     """Frame chart with domain a safe fraction of the injectivity radius."""
     radius = injectivity_radius(map_, HomogeneousPoint(frame.base_lift))
     return NormalFormCoordinates(frame=frame,
-                                 domain_radius=fraction * radius)
+                                 domain_radius=DOMAIN_FRACTION * radius)
 
 
 def resonance_detect(lambda1: float, lambda2: float,
@@ -445,8 +418,8 @@ class PullbackScaling:
 
 
 def _band_check(rates: np.ndarray, depths: np.ndarray, target: float,
-                stderr: float, slack: float, label: str) -> None:
-    eps = 3.0 * (stderr + slack)
+                stderr: float, label: str) -> None:
+    eps = 3.0 * (stderr + RATE_SLACK)
     rate = float(rates[-1])
     if not (-target - eps <= rate <= -target + eps):
         raise FrameError(
@@ -456,9 +429,7 @@ def _band_check(rates: np.ndarray, depths: np.ndarray, target: float,
 
 def pullback_scaling_check(map_: HomogeneousMap, orbit: BackwardOrbit,
                            coords: NormalFormCoordinates,
-                           depths=None, exponents=None, slack: float = 0.02,
-                           n_test: int = 16, seed: int = 0
-                           ) -> PullbackScaling:
+                           depths=None, exponents=None) -> PullbackScaling:
     """Follow chart points down the orbit and measure coordinate scaling.
 
     A cloud of test points around the base (stencil offsets along each
@@ -472,7 +443,7 @@ def pullback_scaling_check(map_: HomogeneousMap, orbit: BackwardOrbit,
 
     When ``exponents`` is given — an object with ``lambda1``, ``lambda2``,
     ``stderr1``, ``stderr2`` attributes or a 4-tuple — the deepest mean
-    rates are asserted to lie within ``3 * (stderr + slack)`` of the
+    rates are asserted to lie within ``3 * (stderr + RATE_SLACK)`` of the
     negated exponents, raising :class:`FrameError` otherwise.
     """
     depth = orbit.depth
@@ -489,8 +460,6 @@ def pullback_scaling_check(map_: HomogeneousMap, orbit: BackwardOrbit,
             or np.any(np.diff(depths) <= 0):
         raise ValueError("depths must be strictly increasing in [1, %d]"
                          % depth)
-    if n_test < 4:
-        raise ValueError("need at least 4 median test points per axis")
 
     sup = sup_normalize(orbit.array)            # rows x_0 .. x_-n
     back = _chained_factors(map_, sup[::-1])    # deepest-first factors
@@ -503,7 +472,7 @@ def pullback_scaling_check(map_: HomogeneousMap, orbit: BackwardOrbit,
     for _ in range(SHRINK_RETRIES):
         try:
             result = _pullback_once(map_, sup, units, bases, back, coords,
-                                    f0, depths, radius, n_test, seed)
+                                    f0, depths, radius)
             break
         except _ChartEscape as exc:
             last_error = exc
@@ -519,9 +488,9 @@ def pullback_scaling_check(map_: HomogeneousMap, orbit: BackwardOrbit,
         else:
             l1, l2 = exponents.lambda1, exponents.lambda2
             s1, s2 = exponents.stderr1, exponents.stderr2
-        _band_check(result.alpha_rates, result.depths, l1, s1, slack,
+        _band_check(result.alpha_rates, result.depths, l1, s1,
                     "fast-coordinate")
-        _band_check(result.beta_rates, result.depths, l2, s2, slack,
+        _band_check(result.beta_rates, result.depths, l2, s2,
                     "slow-coordinate")
     return result
 
@@ -529,11 +498,11 @@ def pullback_scaling_check(map_: HomogeneousMap, orbit: BackwardOrbit,
 def _pullback_once(map_: HomogeneousMap, sup: np.ndarray, units: np.ndarray,
                    bases: np.ndarray, back: np.ndarray,
                    coords: NormalFormCoordinates, f0: np.ndarray,
-                   depths: np.ndarray, radius: float, n_test: int,
-                   seed: int) -> PullbackScaling:
+                   depths: np.ndarray, radius: float) -> PullbackScaling:
+    n_test = MEDIAN_TEST_POINTS
     h = STENCIL_FRACTION * radius
     r_med = MEDIAN_FRACTION * radius
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     angles = 2.0 * np.pi * rng.random(n_test)
     ring = r_med * np.exp(1j * angles)
 

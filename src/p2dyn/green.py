@@ -129,7 +129,7 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         part = total[rows]
-        v = pts[rows] / scale[rows, None]
+        v = divide_rows(pts[rows].copy(), scale[rows])
         factor = inv_d
         for _ in range(n):
             out = ev.map.polynomial_batch(v)

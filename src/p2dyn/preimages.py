@@ -67,6 +67,12 @@ MAX_ROTATIONS = 3
 
 _ROTATION_SEED = 718293541
 
+#: Aberth stopping rule (relative correction, iteration cap) and the
+#: damped Newton steps that polish each clustered root in 2D
+ABERTH_REL_TOL = 1e-13
+ABERTH_MAX_ITER = 200
+NEWTON_STEPS = 14
+
 
 # ---------------------------------------------------------------------------
 # vectorized Aberth-Ehrlich root finder
@@ -86,8 +92,7 @@ def _horner_batch(coeffs: np.ndarray, x: np.ndarray):
     return p, dp
 
 
-def aberth_roots(coeffs: np.ndarray, rel_tol: float = 1e-13,
-                 max_iter: int = 200) -> np.ndarray:
+def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of each row of ascending-coefficient polynomials.
 
     Rows share one degree D (leading coefficients must be nonzero); returns
@@ -113,7 +118,7 @@ def aberth_roots(coeffs: np.ndarray, rel_tol: float = 1e-13,
     radii = 0.7 * cauchy[:, None] * (1.0 + 0.05 * (j[None, :] + 1) / deg)
     x = radii * np.exp(1j * angles)[None, :]
     eye = np.eye(deg, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         p, dp = _horner_batch(monic, x)
         dp = np.where(dp == 0, 1e-300, dp)
         w = p / dp
@@ -126,7 +131,7 @@ def aberth_roots(coeffs: np.ndarray, rel_tol: float = 1e-13,
         denom = np.where(denom == 0, 1e-300, denom)
         corr = w / denom
         x = x - corr
-        if np.max(np.abs(corr) / (np.abs(x) + 1.0)) < rel_tol:
+        if np.max(np.abs(corr) / (np.abs(x) + 1.0)) < ABERTH_REL_TOL:
             break
     return x
 
@@ -261,7 +266,7 @@ def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
     return out, direct
 
 
-def _newton_refine(g1, g2, uv: np.ndarray, iters: int = 14) -> np.ndarray:
+def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
     """Damped Newton on per-candidate 2x2 polynomial systems.
 
     ``g1``/``g2`` are (N, du+1, dv+1) coefficient tensors (one system per
@@ -270,7 +275,7 @@ def _newton_refine(g1, g2, uv: np.ndarray, iters: int = 14) -> np.ndarray:
     g1u, g1v = _d_du(g1), _d_dv(g1)
     g2u, g2v = _d_du(g2), _d_dv(g2)
     u, v = uv[:, 0].copy(), uv[:, 1].copy()
-    for _ in range(iters):
+    for _ in range(NEWTON_STEPS):
         f1 = _eval2d(g1, u, v)
         f2 = _eval2d(g2, u, v)
         a = _eval2d(g1u, u, v)

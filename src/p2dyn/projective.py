@@ -37,6 +37,13 @@ CRITICAL_JACOBIAN_TOL = 1e-12
 
 MAX_DEGREE = 8
 
+#: complex lattice nodes per variable and safety factor of the C^2 estimate
+C2_NODES = 8
+C2_SAFETY = 2.0
+
+#: composed coefficients below this share of the largest one are dropped
+CLEAN_REL_TOL = 1e-14
+
 
 # ---------------------------------------------------------------------------
 # array kernels
@@ -355,8 +362,8 @@ class HomogeneousMap:
         pts = as_point_array(points)
         scale = sup_norms(pts)
         usable = (scale > 0.0) & (scale < np.inf)
-        pts = (np.where(usable[:, None], pts, 1.0)
-               / np.where(usable, scale, 1.0)[:, None])
+        pts = divide_rows(np.where(usable[:, None], pts, 1.0),
+                          np.where(usable, scale, 1.0))
         out = self._values(pts)
         scale = sup_norms(out)
         ok = usable & (scale > DEGENERATE_EVAL_TOL)
@@ -438,16 +445,16 @@ class ChartDifferential:
         return np.linalg.svd(self.matrix, compute_uv=False)
 
 
-def chart_differential(map_: HomogeneousMap, point: HomogeneousPoint,
-                       check_critical: bool = True) -> ChartDifferential:
+def chart_differential(map_: HomogeneousMap, point: HomogeneousPoint
+                       ) -> ChartDifferential:
     """Derivative of the chart representation of a map at a point.
 
-    With ``check_critical`` the determinant is required to exceed the
-    critical threshold; otherwise :class:`CriticalPointError` is raised.
+    A determinant below ``CRITICAL_JACOBIAN_TOL`` raises
+    :class:`CriticalPointError`.
     """
     mats, cin, cout = map_.chart_differential_batch(point.array[None, :])
     diff = ChartDifferential(mats[0], int(cin[0]), int(cout[0]))
-    if check_critical and abs(diff.det) < CRITICAL_JACOBIAN_TOL:
+    if abs(diff.det) < CRITICAL_JACOBIAN_TOL:
         raise CriticalPointError(
             "chart Jacobian determinant %.3e below threshold at %r"
             % (abs(diff.det), point.coords))
@@ -467,9 +474,9 @@ def _mul_tables(a: dict, b: dict) -> dict:
     return out
 
 
-def _clean_table(table: dict, rel_tol: float = 1e-14) -> dict:
+def _clean_table(table: dict) -> dict:
     mags = [abs(c) for c in table.values()]
-    floor = max(mags) * rel_tol if mags else 0.0
+    floor = max(mags) * CLEAN_REL_TOL if mags else 0.0
     return {k: c for k, c in table.items() if abs(c) > floor}
 
 
@@ -538,19 +545,17 @@ def dehomogenized_tables(map_: HomogeneousMap, chart: int) -> list[np.ndarray]:
 # geometry of local charts: second-derivative norm and injectivity radius
 # ---------------------------------------------------------------------------
 
-def _c2_norm_estimate(map_: HomogeneousMap, grid: int = 64,
-                      safety: float = 2.0) -> float:
+def _c2_norm_estimate(map_: HomogeneousMap) -> float:
     """Estimated sup of second chart-derivatives over the unit bidisks.
 
-    Samples a grid x grid lattice on each of the three input charts (which
-    together cover the plane), reads the map in the output chart chosen at
-    each node, and takes finite differences of the 2x2 first derivative.
-    The result is inflated by a safety factor and cached on the map.
+    Samples a lattice of ``C2_NODES`` complex nodes per variable on each of
+    the three input charts (which together cover the plane), reads the map
+    in the output chart chosen at each node, and takes finite differences
+    of the 2x2 first derivative, inflated by ``C2_SAFETY``.
     """
     h = 1e-4
     sup = 0.0
-    per_axis = max(2, int(round(grid ** 0.5)))  # complex nodes per variable
-    side = np.linspace(-1.0, 1.0, per_axis)
+    side = np.linspace(-1.0, 1.0, C2_NODES)
     re, im = np.meshgrid(side, side)
     nodes = (re + 1j * im).ravel()
     uu, vv = np.meshgrid(nodes, nodes)
@@ -581,7 +586,7 @@ def _c2_norm_estimate(map_: HomogeneousMap, grid: int = 64,
         sup = max(sup, float(mag))
     if sup == 0.0:
         sup = 1.0
-    return safety * sup
+    return C2_SAFETY * sup
 
 
 def c2_norm(map_: HomogeneousMap) -> float:
@@ -597,7 +602,7 @@ def injectivity_radius(map_: HomogeneousMap, point: HomogeneousPoint) -> float:
     Uses the quantitative inverse-function bound min(a / C2, 1) with
     a = sigma_min(Df) / 2 and C2 the cached second-derivative estimate.
     """
-    diff = chart_differential(map_, point, check_critical=True)
+    diff = chart_differential(map_, point)
     sigma_min = float(diff.singular_values[-1])
     a = 0.5 * sigma_min
     return float(min(a / c2_norm(map_), 1.0))

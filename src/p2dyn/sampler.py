@@ -5,11 +5,12 @@ multiplicity) equidistribute toward the measure of maximal entropy; the
 walk is also numerically stable because inverse branches contract toward
 the measure's support.  Forward orbits on that support are expanding, so a
 float64 forward orbit loses the support after roughly ``52 / log2(e^l1)``
-steps (representation error grows like ``e^{n l1}``); the exponent
-estimator below therefore censors each walker's cocycle series a fixed
-number of steps before the walker hits the critical-degeneracy detector,
-which removes the exponentially concentrated end-of-track contamination
-while keeping the estimator a plain ergodic average.
+steps (representation error grows like ``e^{n l1}``).  The one forward
+cocycle walk, :func:`_forward_cocycle`, stops each row at the critical
+degeneracy detector and :func:`_censored_length` drops a fixed number of
+steps before that stop, removing the exponentially concentrated end of
+track contamination; this one rule serves both the exponent estimator and
+the slow direction of :mod:`p2dyn.frames`.
 
 All tangent-space computations use Fubini-Study orthonormal frames: at a
 lift p the tangent plane is the hermitian orthogonal complement of p, and
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateMapError,
     InsufficientDataError,
     OrbitInvariantError,
     PreimageSolverError,
@@ -53,11 +53,14 @@ from .errors import (
 from .preimages import PreimageSet, preimage_batch
 from .projective import (
     CHART_OTHERS,
+    DEGENERATE_EVAL_TOL,
     HomogeneousMap,
     HomogeneousPoint,
     as_point_array,
+    check_row_scale,
     fs_distance_batch,
     sup_normalize,
+    sup_norms,
 )
 
 logger = logging.getLogger("p2dyn.sampler")
@@ -99,6 +102,7 @@ def tangent_basis_batch(points) -> np.ndarray:
     so the triple is always nonsingular and the result deterministic.
     """
     pts = as_point_array(points)
+    check_row_scale(sup_norms(pts))
     unit = pts / np.linalg.norm(pts, axis=1)[:, None]
     n = pts.shape[0]
     others = np.asarray(CHART_OTHERS)[np.argmax(np.abs(pts), axis=1)]
@@ -112,21 +116,12 @@ def tangent_basis_batch(points) -> np.ndarray:
 
 
 def _raw_images(map_: HomogeneousMap, pts: np.ndarray):
-    """Unnormalized images of sup-normalized rows plus a validity mask."""
-    try:
-        return map_.evaluate_batch(pts, renormalize=False), \
-            np.ones(pts.shape[0], dtype=bool)
-    except DegenerateMapError:
-        out = np.empty_like(pts)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for i in range(pts.shape[0]):
-            try:
-                out[i] = map_.evaluate_batch(pts[i][None, :],
-                                             renormalize=False)[0]
-            except DegenerateMapError:
-                out[i] = np.array([1.0, 0.0, 0.0])
-                ok[i] = False
-        return out, ok
+    """Unnormalized images of sup-normalized rows plus a validity mask;
+    images collapsing below ``DEGENERATE_EVAL_TOL`` read ``[1, 0, 0]``."""
+    raw = map_.polynomial_batch(sup_normalize(pts))
+    ok = sup_norms(raw) > DEGENERATE_EVAL_TOL
+    raw[~ok] = 1.0, 0.0, 0.0
+    return raw, ok
 
 
 def _factor_from_bases(map_: HomogeneousMap, pts: np.ndarray,
@@ -176,6 +171,36 @@ def _chained_factors(map_: HomogeneousMap, pts: np.ndarray) -> np.ndarray:
     if not np.all(ok):
         raise OrbitInvariantError("orbit point evaluation collapsed")
     return _factor_from_bases(map_, sup[:-1], raw, bases[:-1], bases[1:])
+
+
+def _forward_cocycle(map_: HomogeneousMap, points, steps: int):
+    """Chained FS cocycle factors along the forward orbits of rows.
+
+    Yields ``(rows, mats)`` per step: the rows still walking and their
+    factors.  A row stops at its first image collapse or its first factor
+    with |det| below ``CRITICAL_DET_TOL``, which is not yielded.
+    """
+    p = sup_normalize(as_point_array(points))
+    basis = tangent_basis_batch(p)
+    rows = np.arange(p.shape[0])
+    for _ in range(steps):
+        raw, ok = _raw_images(map_, p)
+        basis_out = tangent_basis_batch(raw)
+        mats = _factor_from_bases(map_, p, raw, basis, basis_out)
+        dets = np.abs(mats[:, 0, 0] * mats[:, 1, 1]
+                      - mats[:, 0, 1] * mats[:, 1, 0])
+        live = ok & (dets >= CRITICAL_DET_TOL)
+        rows, mats = rows[live], mats[live]
+        if rows.size == 0:
+            return
+        yield rows, mats
+        p, basis = sup_normalize(raw[live]), basis_out[live]
+
+
+def _censored_length(length, steps: int):
+    """Usable steps of a series that ran ``length`` of ``steps`` steps,
+    less ``COCYCLE_BACKOFF`` when the detector stopped it early."""
+    return length - COCYCLE_BACKOFF * (length < steps)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +351,9 @@ def backward_orbit(map_: HomogeneousMap, x0: HomogeneousPoint, depth: int,
         raise ValueError("depth must be >= 0")
     if branch_choices is None and rng is None and depth > 0:
         raise ValueError("need an rng or explicit branch choices")
+    if branch_choices is not None and len(branch_choices) != depth:
+        raise ValueError("need %d branch choices, got %d"
+                         % (depth, len(branch_choices)))
     if float(fs_jacobian_dets(map_, x0.array[None, :])[0]) < CRITICAL_DET_TOL:
         raise OrbitInvariantError("starting point is critically close")
     points = [x0]
@@ -526,52 +554,25 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     """
     if n_iter < 100:
         raise ValueError("n_iter must be >= 100")
-    pts = sample.array
-    n = pts.shape[0]
-    p = sup_normalize(pts)
-    basis = tangent_basis_batch(p)
+    n = len(sample.points)
     q = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
     logs = np.zeros((n, n_iter, 2))
     length = np.zeros(n, dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    for k in range(n_iter):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        raw, ok = _raw_images(map_, p[rows])
-        basis_out = tangent_basis_batch(raw)
-        mats = _factor_from_bases(map_, p[rows], raw, basis[rows], basis_out)
-        dets = np.abs(mats[:, 0, 0] * mats[:, 1, 1]
-                      - mats[:, 0, 1] * mats[:, 1, 0])
-        dead = ~ok | (dets < CRITICAL_DET_TOL)
-        if np.any(dead):
-            censored[rows[dead]] = True
-            active[rows[dead]] = False
-            rows = rows[~dead]
-            if rows.size == 0:
-                break
-            keep = ~dead
-            raw, basis_out, mats = raw[keep], basis_out[keep], mats[keep]
-        q_new, l1, l2 = _qr_accumulate(q[rows], mats)
-        q[rows] = q_new
-        logs[rows, k, 0] = l1
-        logs[rows, k, 1] = l2
+    for k, (rows, mats) in enumerate(
+            _forward_cocycle(map_, sample.array, n_iter)):
+        q[rows], logs[rows, k, 0], logs[rows, k, 1] = \
+            _qr_accumulate(q[rows], mats)
         length[rows] = k + 1
-        p[rows] = sup_normalize(raw)
-        basis[rows] = basis_out
 
     per_point = []
-    n_discarded = 0
-    for i in range(n):
-        stop = length[i] - (COCYCLE_BACKOFF if censored[i] else 0)
+    for i, stop in enumerate(_censored_length(length, n_iter)):
         burn = min(COCYCLE_BURN_CAP, stop // 4) if stop > 0 else 0
         if stop - burn < COCYCLE_MIN_WINDOW:
-            n_discarded += 1
             continue
         pair = logs[i, burn:stop].mean(axis=0)
         per_point.append(np.sort(pair)[::-1])
-    n_truncated = int(np.sum(censored))
+    n_discarded = n - len(per_point)
+    n_truncated = int(np.count_nonzero(length < n_iter))
     logger.info("lyapunov_exponents: %d of %d walker(s) censored at the "
                 "critical tolerance zone, %d discarded with fewer than %d "
                 "usable cocycle steps", n_truncated, n, n_discarded,

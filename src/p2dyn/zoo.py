@@ -32,6 +32,10 @@ from .projective import HomogeneousMap, HomogeneousPoint
 
 LOG2 = float(np.log(2.0))
 
+#: independent orbits of a Birkhoff average and unsampled steps of each
+BIRKHOFF_ORBITS = 50
+BIRKHOFF_BURN_IN = 200
+
 
 # ---------------------------------------------------------------------------
 # one-variable maps on the sphere (homogeneous pairs)
@@ -149,11 +153,11 @@ def lattes_factor() -> RationalMap1D:
 
 
 def birkhoff_exponent(factor: RationalMap1D, seed: int,
-                      n_steps: int = 100_000, burn_in: int = 200,
-                      n_orbits: int = 50):
+                      n_steps: int = 100_000):
     """Orbit average of the log spherical derivative over n_steps samples.
 
-    The budget is spread over ``n_orbits`` independent long orbits (run in
+    The budget is spread over ``BIRKHOFF_ORBITS`` independent long orbits,
+    each first run for ``BIRKHOFF_BURN_IN`` unsampled steps (run in
     one vectorized batch); the estimate is the grand mean and the stderr the
     spread of per-orbit means.  Starts are measure-typical per family:
     Chebyshev-like factors start on the invariant interval (2 cos of a
@@ -164,7 +168,7 @@ def birkhoff_exponent(factor: RationalMap1D, seed: int,
     rng = np.random.default_rng(seed)
     poly = not np.any(factor.denominator[1:])
     monomial = poly and not np.any(factor.numerator[:-1])
-    b = n_orbits
+    b = BIRKHOFF_ORBITS
     if poly and factor.numerator[0] == -2.0 and factor.numerator[1] == 0:
         starts = 2.0 * np.cos(rng.uniform(0.0, np.pi, size=b)) + 0j
     elif monomial:
@@ -187,7 +191,7 @@ def birkhoff_exponent(factor: RationalMap1D, seed: int,
 
     n_per = max(1, n_steps // b)
     logs = np.empty((n_per, b))
-    for _ in range(burn_in):
+    for _ in range(BIRKHOFF_BURN_IN):
         pairs = step(pairs)
     for k in range(n_per):
         logs[k] = np.log(factor.spherical_derivative(pairs))

@@ -1,10 +1,15 @@
 """Packaging metadata points only at code that exists."""
 
+import ast
 import importlib
+import importlib.metadata
+import re
+import sys
 import tomllib
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_scripts_resolve():
@@ -15,3 +20,37 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def _normalize(name: str) -> str:
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_third_party_imports_are_declared():
+    # ``pip install .[test]`` must bring everything that src/ and tests/
+    # import, so each third-party module needs a distribution declared in
+    # ``dependencies`` or in the ``test`` extra
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = {_normalize(re.match(r"[A-Za-z0-9._-]+", req).group())
+                for req in project["dependencies"]
+                + project["optional-dependencies"]["test"]}
+    first_party = {p.name for p in (ROOT / "src").iterdir() if p.is_dir()}
+    first_party |= {p.stem for p in (ROOT / "tests").glob("*.py")}
+    distributions = importlib.metadata.packages_distributions()
+    undeclared = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) \
+            + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in (name.split(".")[0] for name in names):
+                if top in sys.stdlib_module_names or top in first_party:
+                    continue
+                dists = distributions.get(top, [top])
+                if not declared & {_normalize(d) for d in dists}:
+                    undeclared.add("%s (%s)" % (top, path.relative_to(ROOT)))
+    assert not undeclared, sorted(undeclared)
