@@ -228,42 +228,40 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
 
 
 def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
-    """Root candidates in u for each row, via resultant or direct solve.
+    """Root candidates in u, flat over the batch, via resultant or direct solve.
 
-    Returns ``(out, direct)``: per-row 1D arrays of u values (repeated
-    according to resultant multiplicity) and a per-row flag marking rows
-    solved on the factorized path (one equation free of v), where each
-    (u, v) combination is an intersection in its own right.
+    Returns ``(rows, u, direct)``: the target row and value of every u-root
+    copy (repeated according to resultant multiplicity), sorted by row with
+    each row's roots in solver order, and a per-row flag marking rows solved
+    on the factorized path (one equation free of v), where each (u, v)
+    combination is an intersection in its own right.  Rows are solved in
+    batches of equal v-degrees (m1, m2) and equal effective u-degree.
     """
-    b = g1.shape[0]
-    out = [np.empty(0, dtype=np.complex128) for _ in range(b)]
-    direct = np.zeros(b, dtype=bool)
-    keys = {}
-    for row in range(b):
-        keys.setdefault((int(m1_rows[row]), int(m2_rows[row])),
-                        []).append(row)
-    for (m1, m2), rows in keys.items():
-        rows = np.asarray(rows)
+    direct = (np.minimum(m1_rows, m2_rows) <= 0) \
+        & (np.maximum(m1_rows, m2_rows) > 0)
+    rows_out = [np.empty(0, dtype=np.int64)]
+    u_out = [np.empty(0, dtype=np.complex128)]
+    keys = (m1_rows + 1) * (degree + 2) + m2_rows + 1
+    for key in np.unique(keys):
+        rows = np.flatnonzero(keys == key)
+        m1, m2 = int(m1_rows[rows[0]]), int(m2_rows[rows[0]])
         if m1 <= 0 and m2 <= 0:
             # both equations free of v: no isolated roots in this chart
             continue
         if m1 <= 0 or m2 <= 0:
             # one equation is univariate in u: use it directly
-            guni = (g1 if m1 <= 0 else g2)[rows, :, 0]
-            res = guni
-            direct[rows] = True
+            res = (g1 if m1 <= 0 else g2)[rows, :, 0]
         else:
             res = _sylvester_resultant_coeffs(
                 g1[rows], g2[rows], m1, m2, degree)
         degs = _trim_degree_rows(res)
-        for d_eff in np.unique(degs):
-            if d_eff <= 0:
-                continue
+        for d_eff in np.unique(degs[degs > 0]):
             sel = degs == d_eff
-            roots = aberth_roots(res[sel][:, :d_eff + 1])
-            for local, row in enumerate(rows[sel]):
-                out[row] = roots[local]
-    return out, direct
+            rows_out.append(np.repeat(rows[sel], d_eff))
+            u_out.append(aberth_roots(res[sel][:, :d_eff + 1]).ravel())
+    rows, u = np.concatenate(rows_out), np.concatenate(u_out)
+    order = np.argsort(rows, kind="stable")
+    return rows[order], u[order], direct
 
 
 def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
@@ -293,20 +291,53 @@ def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
     return np.stack([u, v], axis=1)
 
 
-def _cluster_complex(values: np.ndarray, radius: float):
-    """Greedy clustering of complex scalars; returns list of index arrays."""
-    n = values.shape[0]
-    used = np.zeros(n, dtype=bool)
-    order = np.lexsort((values.imag, values.real))
-    clusters = []
-    for idx in order:
-        if used[idx]:
-            continue
-        members = np.nonzero((np.abs(values - values[idx]) <= radius)
-                             & ~used)[0]
-        used[members] = True
-        clusters.append(members)
-    return clusters
+def _slots(rows: np.ndarray, b: int):
+    """Each flat entry's slot in its row (flat order kept) and the width K.
+
+    Padding the entries of ``b`` rows to ``(b, K)`` by ``[rows, slot]``
+    puts each row's entries in its leading slots, in their flat order.
+    """
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=b)
+    slot = np.empty(rows.size, dtype=np.int64)
+    slot[order] = np.arange(rows.size) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    return slot, int(counts.max(initial=0))
+
+
+def _greedy_clusters(close: np.ndarray, order: np.ndarray,
+                     valid: np.ndarray) -> np.ndarray:
+    """The one greedy clustering rule, over padded slots of many rows.
+
+    ``close`` ``(B, K, K)`` says which slots may share a cluster, ``order``
+    ``(B, K)`` is the visiting order and ``valid`` ``(B, K)`` marks used
+    slots.  A valid slot still unclaimed when it is visited seeds a cluster
+    that claims every unclaimed valid slot close to it.  The loop runs over
+    the K slots, each step vectorized over rows.  Returns the seed slot of
+    every slot's cluster (-1 for invalid slots).
+    """
+    b, k = valid.shape
+    rows = np.arange(b)
+    labels = np.full((b, k), -1, dtype=np.int64)
+    free = valid.copy()
+    for t in range(k):
+        seed = order[:, t]
+        live = free[rows, seed]
+        claim = close[rows, seed] & free & live[:, None]
+        claim[rows, seed] = live
+        labels = np.where(claim, seed[:, None], labels)
+        free &= ~claim
+    return labels
+
+
+def _lex_order(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Per row, valid slots by real and then imaginary part, invalid last."""
+    return np.lexsort((x.imag, x.real, ~valid), axis=-1)
+
+
+def _within(x: np.ndarray, radius: float) -> np.ndarray:
+    """``(B, K, K)`` pairs of slots at most ``radius`` apart."""
+    return np.abs(x[:, :, None] - x[:, None, :]) <= radius
 
 
 def _no_roots():
@@ -321,25 +352,20 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
 
     Returns flat arrays ``(rows, coords, mults)``: the target row, the
     (u, v) chart coordinates and the multiplicity of each accepted root,
-    sorted by row.  All candidate processing (back-substitution, Newton,
-    residual gating) is flattened across the batch; only the per-target
-    clustering runs as a Python loop over a handful of candidates each.
+    sorted by row.  Every stage (root finding, back-substitution, gating,
+    clustering, Newton, certification) runs on arrays flat or padded over
+    the batch; the only Python loops are over degrees and padded slots.
     """
     d = map_.degree
     g1, g2 = _chart_equations(map_, search_chart, targets_norm, target_chart)
     # structural v-degree of each row: that of its largest u-coefficients
     m1_rows = _trim_degree_rows(np.abs(g1).max(axis=1))
     m2_rows = _trim_degree_rows(np.abs(g2).max(axis=1))
-    u_cands, direct = _u_candidates(g1, g2, m1_rows, m2_rows, d)
-    b = targets_norm.shape[0]
-
-    # flatten u-candidates: one entry per (target row, u-root copy), with a
-    # distinct id per u-root copy for the multiplicity budgets
-    flat_rows = np.repeat(np.arange(b), [c.size for c in u_cands])
+    # one entry per (target row, u-root copy); its index is the copy's id
+    # in the multiplicity budgets
+    flat_rows, flat_u, direct = _u_candidates(g1, g2, m1_rows, m2_rows, d)
     if flat_rows.size == 0:
         return _no_roots()
-    flat_u = np.concatenate(u_cands)
-    flat_uid = np.arange(flat_u.size)
 
     # batched back-substitution: per row, the equation with larger v-degree
     use_g2 = (m2_rows >= m1_rows)[flat_rows]
@@ -377,7 +403,6 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
         v = v - step * np.where(mag > 0.5, 0.5 / np.maximum(mag, 1e-300), 1.0)
 
     cand_row = flat_rows[cand_flat]
-    cand_uid = flat_uid[cand_flat]
     u0 = flat_u[cand_flat]
 
     # gate on BOTH chart equations at the raw pair, plus the bidisk /
@@ -392,24 +417,16 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     home = chart_indices(lifts) == search_chart
     keep = (f1 <= PAIR_GATE * scale1) & (f2 <= PAIR_GATE * scale2) \
         & (maxmod <= 1.0 + 1e-9) & (home | (maxmod >= 1.0 - 1e-9))
-    cand_row, cand_uid = cand_row[keep], cand_uid[keep]
-    u0, v = u0[keep], v[keep]
+    if not keep.any():
+        return _no_roots()
 
-    # per-target multiplicity bookkeeping on the raw fibers
-    raw = []
-    for row in range(b):
-        sel = cand_row == row
-        raw.append(_assemble_chart_roots(u0[sel], v[sel], cand_uid[sel],
-                                         bool(direct[row])))
+    # multiplicity bookkeeping on the raw fibers
+    rep_row, rep_uv, rep_mult = _chart_roots(
+        cand_row[keep], cand_flat[keep], u0[keep], v[keep], direct,
+        targets_norm.shape[0])
 
     # only now refine the representatives in 2D, and require the refined
     # point to certify as an actual preimage of its target
-    rep_row = np.repeat(np.arange(b), [coords.shape[0] for coords, _ in raw])
-    if rep_row.size == 0:
-        return _no_roots()
-    rep_uv = np.concatenate([coords for coords, _ in raw])
-    rep_mult = np.concatenate([mults for _, mults in raw])
-
     refined = _newton_refine(g1[rep_row], g2[rep_row], rep_uv)
     moved = np.max(np.abs(refined - rep_uv), axis=1)
     lifts = lift_from_chart(search_chart, refined)
@@ -419,42 +436,82 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     return rep_row[good], refined[good], rep_mult[good]
 
 
-def _assemble_chart_roots(u0: np.ndarray, v: np.ndarray, uid: np.ndarray,
-                          direct: bool):
+def _chart_roots(rows: np.ndarray, uid: np.ndarray, u: np.ndarray,
+                 v: np.ndarray, direct: np.ndarray, b: int):
     """Collapse raw candidate pairs to distinct roots with multiplicities.
 
-    Returns ``(coords, mults)`` of shapes (n, 2) and (n,).  Candidates are
-    grouped into fibers (clusters of u-values) and then into distinct
-    v-points within each fiber.  On the factorized path every (u-copy,
-    v-copy) pair is one unit of intersection multiplicity, so the
-    pair-cluster sizes are the multiplicities.  On the resultant path the
-    fiber carries the total multiplicity above it (the distinct u-copy
-    count k), which is redistributed over the distinct v-points, larger
-    candidate clusters first.
+    Takes flat candidates (target row, u-copy id, u, v) and returns flat
+    ``(rows, coords, mults)`` sorted by row.  Each row's candidates fill
+    ``(b, K)`` slots in their flat order and are grouped into fibers
+    (u-values within ``U_FIBER_RADIUS``, seeds visited in (real, imag)
+    order) and then into distinct v-points within each fiber (within
+    ``CLUSTER_RADIUS``), both by :func:`_greedy_clusters`.  On the
+    factorized path (``direct``) every (u-copy, v-copy) pair is one unit of
+    intersection multiplicity, so the pair-cluster sizes are the
+    multiplicities.  On the resultant path the fiber carries the total
+    multiplicity above it (the distinct u-copy count k), which is
+    redistributed over its r distinct v-points by ``divmod(k, r)``, larger
+    clusters (then earlier seeds) first; clusters left with multiplicity 0
+    are dropped.  A root is the mean of its cluster's (u, v) members (in
+    slot order), and roots come fiber by fiber, each fiber's in that rank
+    order.
     """
-    coords = []
-    mults = []
-    for fiber in _cluster_complex(u0, U_FIBER_RADIUS):
-        uf, vf = u0[fiber], v[fiber]
-        v_clusters = _cluster_complex(vf, CLUSTER_RADIUS)
-        if direct:
-            for members in v_clusters:
-                coords.append([uf[members].mean(), vf[members].mean()])
-                mults.append(members.size)
-            continue
-        k = np.unique(uid[fiber]).size
-        r = len(v_clusters)
-        base, extra = divmod(k, r)
-        order = np.argsort([-c.size for c in v_clusters])
-        for rank, ci in enumerate(order):
-            m = base + (1 if rank < extra else 0)
-            if m <= 0:
-                continue
-            members = v_clusters[ci]
-            coords.append([uf[members].mean(), vf[members].mean()])
-            mults.append(m)
-    return (np.asarray(coords, dtype=np.complex128).reshape(-1, 2),
-            np.asarray(mults, dtype=np.int64))
+    slot, k = _slots(rows, b)
+    valid = np.zeros((b, k), dtype=bool)
+    valid[rows, slot] = True
+    pu = np.zeros((b, k), dtype=np.complex128)
+    pv = np.zeros((b, k), dtype=np.complex128)
+    puid = np.zeros((b, k), dtype=np.int64)
+    pu[rows, slot], pv[rows, slot], puid[rows, slot] = u, v, uid
+    uorder, vorder = _lex_order(pu, valid), _lex_order(pv, valid)
+    fiber = _greedy_clusters(_within(pu, U_FIBER_RADIUS), uorder, valid)
+    same = fiber[:, :, None] == fiber[:, None, :]
+    cluster = _greedy_clusters(_within(pv, CLUSTER_RADIUS) & same, vorder,
+                               valid)
+    # visiting position of each slot, to rank seeds
+    upos, vpos = np.empty_like(uorder), np.empty_like(vorder)
+    np.put_along_axis(upos, uorder, np.arange(k)[None, :], axis=1)
+    np.put_along_axis(vpos, vorder, np.arange(k)[None, :], axis=1)
+
+    # members grouped by cluster, ascending slot within each
+    crow, cslot = np.nonzero(valid)
+    cid = crow * k + cluster[valid]
+    members = np.argsort(cid, kind="stable")
+    start = np.flatnonzero(np.diff(cid[members], prepend=-1))
+    size = np.diff(start, append=cid.size)
+    seed = cid[members][start]
+    row, sslot = seed // k, seed % k
+    # means over (clusters, size) blocks: numpy sums a row of a block in the
+    # same (pairwise) order as it sums one cluster's members
+    cu, cv = pu[valid][members], pv[valid][members]
+    mean = np.empty((seed.size, 2), dtype=np.complex128)
+    for n in np.unique(size):
+        sel = np.flatnonzero(size == n)
+        at = start[sel, None] + np.arange(n)
+        mean[sel, 0], mean[sel, 1] = cu[at].mean(axis=1), cv[at].mean(axis=1)
+
+    # fiber budgets: distinct u-copies k_f and distinct v-points r_f
+    fid = row * k + fiber[row, sslot]
+    n_uid = uid.max(initial=0) + 1
+    copies = np.unique((crow * k + fiber[valid]) * n_uid + puid[valid]) \
+        // n_uid
+    k_f = np.bincount(copies, minlength=b * k)[fid]
+    r_f = np.bincount(fid, minlength=b * k)[fid]
+
+    # rank within each fiber: larger clusters first on the resultant path,
+    # then seed order; fibers in seed order
+    is_direct = direct[row]
+    rank_key = np.where(is_direct, 0, -size)
+    order = np.lexsort((vpos[row, sslot], rank_key,
+                        upos[row, fiber[row, sslot]], row))
+    first = np.flatnonzero(np.diff(fid[order], prepend=-1))
+    rank = np.arange(order.size) - np.repeat(first, np.diff(
+        first, append=order.size))
+    base, extra = np.divmod(k_f[order], r_f[order])
+    mult = np.where(is_direct[order], size[order],
+                    base + (rank < extra))
+    keep = order[mult > 0]
+    return row[keep], mean[keep], mult[mult > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -464,23 +521,22 @@ def _assemble_chart_roots(u0: np.ndarray, v: np.ndarray, uid: np.ndarray,
 def _merge_across_charts(lifts: np.ndarray, mults: np.ndarray) -> np.ndarray:
     """Multiplicities ``(B, K)`` after merging near-duplicate boundary roots.
 
-    Each target's K root slots are scanned in order (multiplicity 0 marks
-    an unused slot); a root not merged yet absorbs every later unmerged
-    root within ``CLUSTER_RADIUS`` (FS distance) and keeps the larger
-    multiplicity.  The scan runs over the K slots, each step vectorized
-    over targets on one broadcast distance matrix per target.  Merged roots
-    come back with multiplicity 0.
+    :func:`_greedy_clusters` visits each target's K root slots in order
+    (multiplicity 0 marks an unused slot) on one broadcast FS-distance
+    matrix per target: a root not merged yet absorbs every later unmerged
+    root within ``CLUSTER_RADIUS`` and keeps the largest multiplicity of
+    its cluster.  Merged roots come back with multiplicity 0.
     """
+    b, k = mults.shape
     close = fs_distance_batch(lifts[:, :, None], lifts[:, None]) \
         < CLUSTER_RADIUS
-    mults = mults.copy()
-    alive = mults > 0
-    for i in range(mults.shape[1]):
-        absorb = close[:, i, i + 1:] & alive[:, i + 1:] & alive[:, i, None]
-        mults[:, i] = np.maximum(
-            mults[:, i], np.max(mults[:, i + 1:] * absorb, axis=1, initial=0))
-        alive[:, i + 1:] &= ~absorb
-    return np.where(alive, mults, 0)
+    valid = mults > 0
+    labels = _greedy_clusters(close, np.broadcast_to(np.arange(k), (b, k)),
+                              valid)
+    kept = np.zeros(b * k, dtype=np.int64)
+    flat = (np.arange(b)[:, None] * k + labels)[valid]
+    np.maximum.at(kept, flat, mults[valid])
+    return kept.reshape(b, k)
 
 
 def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
@@ -500,14 +556,11 @@ def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
                 map_, targets_norm[idx], tchart, schart)
             parts.append((idx[local], lift_from_chart(schart, coords), mults))
     rows, lifts, mults = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(rows, kind="stable")
-    counts = np.bincount(rows, minlength=targets.shape[0])
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    shape = (targets.shape[0], int(counts.max(initial=0)))
-    padded = np.ones(shape + (3,), dtype=np.complex128)
-    padded[rows[order], slot] = lifts[order]
-    padded_mults = np.zeros(shape, dtype=np.int64)
-    padded_mults[rows[order], slot] = mults[order]
+    slot, k = _slots(rows, targets.shape[0])
+    padded = np.ones((targets.shape[0], k, 3), dtype=np.complex128)
+    padded[rows, slot] = lifts
+    padded_mults = np.zeros((targets.shape[0], k), dtype=np.int64)
+    padded_mults[rows, slot] = mults
     return padded, _merge_across_charts(padded, padded_mults)
 
 
