@@ -4,21 +4,28 @@ Pipeline per affine search chart: write the preimage condition as two
 bivariate polynomial equations, eliminate the second variable with a
 Sylvester resultant (evaluated on Fourier nodes and interpolated back to
 coefficients), find the resultant's roots by a vectorized Aberth-Ehrlich
-iteration, back-substitute to recover the second coordinate, refine every
-candidate pair with a damped 2D Newton step, and keep the solutions whose
-own max-modulus chart is the search chart (so the three charts partition
-the preimages).  Root counts are certified against the Bezout number d^2;
-shortfalls trigger up to three deterministic unitary changes of coordinates
-before raising.
+iteration, back-substitute to recover the second coordinate, cluster the
+candidate pairs into distinct roots with multiplicities, refine each root
+with a damped 2D Newton step, and keep the solutions whose own max-modulus
+chart is the search chart (so the three charts partition the preimages).
+Root counts are certified against the Bezout number d^2; shortfalls
+trigger up to three deterministic unitary changes of coordinates before
+raising.
 
-Everything is batched over targets: the solver's inner loops are uniform in
-the target point, so thousands of simultaneous preimage queries (one per
-backward-orbit walker) cost a handful of vectorized passes.  The result is
-arrays too: :func:`preimage_batch` merges the roots found on chart
-boundaries with one broadcast distance matrix per target and returns a
-:class:`PreimageBatch` whose ``(B, d^2, 3)`` lifts are in the one canonical
-branch order that the backward walkers draw from.  :class:`PreimageSet` and
-:class:`PreimageRoot` are per-target views of it for the scalar API.
+Aberth stops a row when its relative corrections are tiny or when all its
+roots sit at the rounding floor (Bini's test): double resultant roots,
+as in the suspension's fibres w -> w^2, stall at about sqrt(eps), where
+relative corrections never get tiny.
+
+Everything is batched over targets, so thousands of simultaneous preimage
+queries (one per backward-orbit walker) cost a handful of vectorized
+passes.  Each chart solve's candidates are padded to ``(B, K)`` slots, and
+one greedy rule (:func:`_greedy_clusters`, a loop over the K slots) forms
+the u-fibres, the distinct v-points of each fibre and the cross-chart
+merge.  :func:`preimage_batch` returns a :class:`PreimageBatch` whose
+``(B, d^2, 3)`` lifts are in the one canonical branch order that the
+backward walkers draw from.  :class:`PreimageSet` and :class:`PreimageRoot`
+are per-target views of it for the scalar API.
 """
 
 from __future__ import annotations
@@ -67,8 +74,9 @@ MAX_ROTATIONS = 3
 
 _ROTATION_SEED = 718293541
 
-#: Aberth stopping rule (relative correction, iteration cap) and the
-#: damped Newton steps that polish each clustered root in 2D
+#: Aberth stopping rule (relative correction, iteration cap; rows at the
+#: rounding floor stop too) and the damped Newton steps that polish each
+#: clustered root in 2D
 ABERTH_REL_TOL = 1e-13
 ABERTH_MAX_ITER = 200
 NEWTON_STEPS = 14
@@ -83,10 +91,9 @@ def _horner_batch(coeffs: np.ndarray, x: np.ndarray):
 
     ``coeffs`` is (B, D+1), ``x`` is (B, R); returns (p, dp) of shape (B, R).
     """
-    b, dp1 = coeffs.shape
     p = np.broadcast_to(coeffs[:, -1][:, None], x.shape).copy()
     dp = np.zeros_like(x)
-    for k in range(dp1 - 2, -1, -1):
+    for k in range(coeffs.shape[1] - 2, -1, -1):
         dp = dp * x + p
         p = p * x + coeffs[:, k][:, None]
     return p, dp
@@ -97,13 +104,17 @@ def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
 
     Rows share one degree D (leading coefficients must be nonzero); returns
     an (B, D) array.  Simultaneous Aberth-Ehrlich iteration started on a
-    perturbed circle of the per-row Cauchy radius.
+    perturbed circle of the per-row Cauchy radius.  A row is done when its
+    largest relative correction is below ``ABERTH_REL_TOL`` or when every
+    root is at the rounding floor of the monic p, ``|p(x)| <= 4 D eps
+    sum_k |a_k| |x|^k`` (Bini, Numer. Algorithms 13, 1996); the batch stops
+    when every row is done.  A root of multiplicity m is accurate to about
+    eps^(1/m) (simple ones to eps times their condition number).
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim == 1:
         coeffs = coeffs[None, :]
-    b, dp1 = coeffs.shape
-    deg = dp1 - 1
+    b, deg = coeffs.shape[0], coeffs.shape[1] - 1
     if deg == 0:
         return np.empty((b, 0), dtype=np.complex128)
     lead = coeffs[:, -1]
@@ -112,14 +123,20 @@ def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     monic = coeffs / lead[:, None]
     if deg == 1:
         return -monic[:, :1]
-    cauchy = 1.0 + np.max(np.abs(monic[:, :-1]), axis=1)
+    sizes = np.abs(monic)
+    floor = 4 * deg * np.finfo(float).eps
+    cauchy = 1.0 + np.max(sizes[:, :-1], axis=1)
     j = np.arange(deg)
     angles = 2.0 * np.pi * (j + 0.37) / deg + 0.31
     radii = 0.7 * cauchy[:, None] * (1.0 + 0.05 * (j[None, :] + 1) / deg)
     x = radii * np.exp(1j * angles)[None, :]
     eye = np.eye(deg, dtype=bool)
+    small = np.zeros(b, dtype=bool)
     for _ in range(ABERTH_MAX_ITER):
         p, dp = _horner_batch(monic, x)
+        bound = _horner_batch(sizes, np.abs(x))[0]
+        if np.all(small | np.all(np.abs(p) <= floor * bound, axis=1)):
+            break
         dp = np.where(dp == 0, 1e-300, dp)
         w = p / dp
         diff = x[:, :, None] - x[:, None, :]
@@ -131,8 +148,8 @@ def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
         denom = np.where(denom == 0, 1e-300, denom)
         corr = w / denom
         x = x - corr
-        if np.max(np.abs(corr) / (np.abs(x) + 1.0)) < ABERTH_REL_TOL:
-            break
+        small = np.max(np.abs(corr) / (np.abs(x) + 1.0), axis=1) \
+            < ABERTH_REL_TOL
     return x
 
 
@@ -150,23 +167,16 @@ def _powers(x: np.ndarray, deg: int) -> np.ndarray:
 
 def _eval2d(c: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Evaluate batched 2D polynomials at batched points (same lead shape)."""
-    du = c.shape[-2] - 1
-    dv = c.shape[-1] - 1
-    pu = _powers(u, du)
-    pv = _powers(v, dv)
-    return np.einsum("...ab,...a,...b->...", c, pu, pv)
+    return np.einsum("...ab,...a,...b->...", c, _powers(u, c.shape[-2] - 1),
+                     _powers(v, c.shape[-1] - 1))
 
 
 def _d_du(c: np.ndarray) -> np.ndarray:
-    out = c[..., 1:, :].copy()
-    mult = np.arange(1, c.shape[-2])
-    return out * mult[:, None]
+    return c[..., 1:, :] * np.arange(1, c.shape[-2])[:, None]
 
 
 def _d_dv(c: np.ndarray) -> np.ndarray:
-    out = c[..., :, 1:].copy()
-    mult = np.arange(1, c.shape[-1])
-    return out * mult[None, :]
+    return c[..., :, 1:] * np.arange(1, c.shape[-1])[None, :]
 
 
 def _trim_degree_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -174,9 +184,8 @@ def _trim_degree_rows(coeffs: np.ndarray) -> np.ndarray:
     mags = np.abs(coeffs)
     floor = mags.max(axis=1, keepdims=True) * TRIM_REL
     nz = mags > floor
-    deg = np.where(nz.any(axis=1), coeffs.shape[1] - 1 -
-                   np.argmax(nz[:, ::-1], axis=1), -1)
-    return deg
+    return np.where(nz.any(axis=1), coeffs.shape[1] - 1 -
+                    np.argmax(nz[:, ::-1], axis=1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +237,17 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
 
 
 def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
-    """Root candidates in u, flat over the batch, via resultant or direct solve.
+    """Flat root candidates in u, via the resultant or a direct solve.
 
-    Returns ``(rows, u, direct)``: the target row and value of every u-root
-    copy (repeated according to resultant multiplicity), sorted by row with
-    each row's roots in solver order, and a per-row flag marking rows solved
-    on the factorized path (one equation free of v), where each (u, v)
-    combination is an intersection in its own right.  Rows are solved in
-    batches of equal v-degrees (m1, m2) and equal effective u-degree.
+    Returns ``(rows, u, direct)``: the row and value of every u-root copy
+    (repeated according to resultant multiplicity), sorted by row, and a
+    per-row flag marking rows solved on the factorized path (one equation
+    free of v), where each (u, v) combination is an intersection in its
+    own right.
     """
     direct = (np.minimum(m1_rows, m2_rows) <= 0) \
         & (np.maximum(m1_rows, m2_rows) > 0)
-    rows_out = [np.empty(0, dtype=np.int64)]
-    u_out = [np.empty(0, dtype=np.complex128)]
+    rows_out, u_out = [np.empty(0, np.int64)], [np.empty(0, np.complex128)]
     keys = (m1_rows + 1) * (degree + 2) + m2_rows + 1
     for key in np.unique(keys):
         rows = np.flatnonzero(keys == key)
@@ -274,12 +281,8 @@ def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
     g2u, g2v = _d_du(g2), _d_dv(g2)
     u, v = uv[:, 0].copy(), uv[:, 1].copy()
     for _ in range(NEWTON_STEPS):
-        f1 = _eval2d(g1, u, v)
-        f2 = _eval2d(g2, u, v)
-        a = _eval2d(g1u, u, v)
-        bq = _eval2d(g1v, u, v)
-        c = _eval2d(g2u, u, v)
-        dq = _eval2d(g2v, u, v)
+        f1, f2, a, bq, c, dq = (_eval2d(g, u, v)
+                                for g in (g1, g2, g1u, g1v, g2u, g2v))
         det = a * dq - bq * c
         det = np.where(np.abs(det) < 1e-300, 1e-300, det)
         du = (f1 * dq - f2 * bq) / det
@@ -292,29 +295,21 @@ def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
 
 
 def _slots(rows: np.ndarray, b: int):
-    """Each flat entry's slot in its row (flat order kept) and the width K.
-
-    Padding the entries of ``b`` rows to ``(b, K)`` by ``[rows, slot]``
-    puts each row's entries in its leading slots, in their flat order.
-    """
-    order = np.argsort(rows, kind="stable")
+    """Each flat entry's slot in its row, keeping the flat order, and the
+    width K of the padded ``(b, K)`` array they fill by ``[rows, slot]``."""
     counts = np.bincount(rows, minlength=b)
-    slot = np.empty(rows.size, dtype=np.int64)
-    slot[order] = np.arange(rows.size) \
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    return slot, int(counts.max(initial=0))
+    rank = np.argsort(np.argsort(rows, kind="stable"))
+    return rank - (counts.cumsum() - counts)[rows], int(counts.max(initial=0))
 
 
 def _greedy_clusters(close: np.ndarray, order: np.ndarray,
                      valid: np.ndarray) -> np.ndarray:
-    """The one greedy clustering rule, over padded slots of many rows.
+    """The one greedy clustering rule, looping over K slots of B rows.
 
-    ``close`` ``(B, K, K)`` says which slots may share a cluster, ``order``
-    ``(B, K)`` is the visiting order and ``valid`` ``(B, K)`` marks used
-    slots.  A valid slot still unclaimed when it is visited seeds a cluster
-    that claims every unclaimed valid slot close to it.  The loop runs over
-    the K slots, each step vectorized over rows.  Returns the seed slot of
-    every slot's cluster (-1 for invalid slots).
+    Slots are visited in ``order`` ``(B, K)``; a ``valid`` slot unclaimed
+    when visited seeds a cluster that claims every unclaimed valid slot it
+    is ``close`` ``(B, K, K)`` to.  Returns each slot's cluster label, the
+    step at which its seed was visited (-1 for invalid slots).
     """
     b, k = valid.shape
     rows = np.arange(b)
@@ -325,25 +320,9 @@ def _greedy_clusters(close: np.ndarray, order: np.ndarray,
         live = free[rows, seed]
         claim = close[rows, seed] & free & live[:, None]
         claim[rows, seed] = live
-        labels = np.where(claim, seed[:, None], labels)
+        labels[claim] = t
         free &= ~claim
     return labels
-
-
-def _lex_order(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Per row, valid slots by real and then imaginary part, invalid last."""
-    return np.lexsort((x.imag, x.real, ~valid), axis=-1)
-
-
-def _within(x: np.ndarray, radius: float) -> np.ndarray:
-    """``(B, K, K)`` pairs of slots at most ``radius`` apart."""
-    return np.abs(x[:, :, None] - x[:, None, :]) <= radius
-
-
-def _no_roots():
-    """Empty ``(rows, coords, mults)`` result of a chart solve."""
-    return (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.complex128),
-            np.empty(0, dtype=np.int64))
 
 
 def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
@@ -364,8 +343,6 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     # one entry per (target row, u-root copy); its index is the copy's id
     # in the multiplicity budgets
     flat_rows, flat_u, direct = _u_candidates(g1, g2, m1_rows, m2_rows, d)
-    if flat_rows.size == 0:
-        return _no_roots()
 
     # batched back-substitution: per row, the equation with larger v-degree
     use_g2 = (m2_rows >= m1_rows)[flat_rows]
@@ -374,21 +351,14 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     vcoeffs = np.einsum("nab,na->nb", back, pu)
     vdegs = _trim_degree_rows(vcoeffs)
 
-    # expand to (u, v) candidate pairs, batched over uniform v-degrees
-    cand_flat = []  # index into the flat u-copy arrays
-    cand_v = []
-    for d_eff in np.unique(vdegs):
-        if d_eff <= 0:
-            continue
-        sel = np.nonzero(vdegs == d_eff)[0]
-        roots = aberth_roots(vcoeffs[sel][:, :d_eff + 1])  # (S, d_eff)
-        for j in range(d_eff):
-            cand_flat.append(sel)
-            cand_v.append(roots[:, j])
-    if not cand_flat:
-        return _no_roots()
-    cand_flat = np.concatenate(cand_flat)
-    v = np.concatenate(cand_v)
+    # expand to (u, v) candidate pairs, batched over uniform v-degrees;
+    # cand_flat indexes the flat u-copy arrays
+    cand_flat, v = [np.empty(0, dtype=np.int64)], [flat_u[:0]]
+    for d_eff in np.unique(vdegs[vdegs > 0]):
+        sel = np.flatnonzero(vdegs == d_eff)
+        cand_flat.append(np.tile(sel, d_eff))
+        v.append(aberth_roots(vcoeffs[sel][:, :d_eff + 1]).T.ravel())
+    cand_flat, v = np.concatenate(cand_flat), np.concatenate(v)
 
     # polish v along its own fiber (u held fixed) so every candidate stays
     # attached to the u-copy that produced it: 2D refinement here would let
@@ -417,8 +387,6 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     home = chart_indices(lifts) == search_chart
     keep = (f1 <= PAIR_GATE * scale1) & (f2 <= PAIR_GATE * scale2) \
         & (maxmod <= 1.0 + 1e-9) & (home | (maxmod >= 1.0 - 1e-9))
-    if not keep.any():
-        return _no_roots()
 
     # multiplicity bookkeeping on the raw fibers
     rep_row, rep_uv, rep_mult = _chart_roots(
@@ -440,76 +408,55 @@ def _chart_roots(rows: np.ndarray, uid: np.ndarray, u: np.ndarray,
                  v: np.ndarray, direct: np.ndarray, b: int):
     """Collapse raw candidate pairs to distinct roots with multiplicities.
 
-    Takes flat candidates (target row, u-copy id, u, v) and returns flat
-    ``(rows, coords, mults)`` sorted by row.  Each row's candidates fill
-    ``(b, K)`` slots in their flat order and are grouped into fibers
-    (u-values within ``U_FIBER_RADIUS``, seeds visited in (real, imag)
-    order) and then into distinct v-points within each fiber (within
-    ``CLUSTER_RADIUS``), both by :func:`_greedy_clusters`.  On the
-    factorized path (``direct``) every (u-copy, v-copy) pair is one unit of
-    intersection multiplicity, so the pair-cluster sizes are the
-    multiplicities.  On the resultant path the fiber carries the total
-    multiplicity above it (the distinct u-copy count k), which is
-    redistributed over its r distinct v-points by ``divmod(k, r)``, larger
-    clusters (then earlier seeds) first; clusters left with multiplicity 0
-    are dropped.  A root is the mean of its cluster's (u, v) members (in
-    slot order), and roots come fiber by fiber, each fiber's in that rank
-    order.
+    Takes flat candidates (target row, u-copy id, u, v), padded per row to
+    ``(b, K)`` slots in their flat order, and groups them into fibers
+    (u-values within ``U_FIBER_RADIUS``, seeds in (real, imag) order) and
+    then into distinct v-points of each fiber (within ``CLUSTER_RADIUS``).
+    On the factorized path (``direct``) each (u-copy, v-copy) pair is one
+    unit of intersection multiplicity, so cluster sizes are multiplicities.
+    On the resultant path a fiber's k distinct u-copies are split over its
+    r v-points by ``divmod(k, r)``, larger clusters (then earlier seeds)
+    first, and clusters left at 0 are dropped.  Returns flat ``(rows,
+    coords, mults)``: cluster means, fiber by fiber in that rank order.
     """
     slot, k = _slots(rows, b)
     valid = np.zeros((b, k), dtype=bool)
-    valid[rows, slot] = True
-    pu = np.zeros((b, k), dtype=np.complex128)
-    pv = np.zeros((b, k), dtype=np.complex128)
-    puid = np.zeros((b, k), dtype=np.int64)
-    pu[rows, slot], pv[rows, slot], puid[rows, slot] = u, v, uid
-    uorder, vorder = _lex_order(pu, valid), _lex_order(pv, valid)
-    fiber = _greedy_clusters(_within(pu, U_FIBER_RADIUS), uorder, valid)
-    same = fiber[:, :, None] == fiber[:, None, :]
-    cluster = _greedy_clusters(_within(pv, CLUSTER_RADIUS) & same, vorder,
-                               valid)
-    # visiting position of each slot, to rank seeds
-    upos, vpos = np.empty_like(uorder), np.empty_like(vorder)
-    np.put_along_axis(upos, uorder, np.arange(k)[None, :], axis=1)
-    np.put_along_axis(vpos, vorder, np.arange(k)[None, :], axis=1)
+    pu, pv = np.zeros((2, b, k), dtype=np.complex128)
+    valid[rows, slot], pu[rows, slot], pv[rows, slot] = True, u, v
+    fiber = _greedy_clusters(
+        np.abs(pu[:, :, None] - pu[:, None]) <= U_FIBER_RADIUS,
+        np.lexsort((pu.imag, pu.real, ~valid), axis=-1), valid)
+    cluster = _greedy_clusters(
+        (np.abs(pv[:, :, None] - pv[:, None]) <= CLUSTER_RADIUS)
+        & (fiber[:, :, None] == fiber[:, None]),
+        np.lexsort((pv.imag, pv.real, ~valid), axis=-1), valid)
+    fid = rows * k + fiber[rows, slot]
 
-    # members grouped by cluster, ascending slot within each
-    crow, cslot = np.nonzero(valid)
-    cid = crow * k + cluster[valid]
-    members = np.argsort(cid, kind="stable")
-    start = np.flatnonzero(np.diff(cid[members], prepend=-1))
-    size = np.diff(start, append=cid.size)
-    seed = cid[members][start]
-    row, sslot = seed // k, seed % k
-    # means over (clusters, size) blocks: numpy sums a row of a block in the
-    # same (pairwise) order as it sums one cluster's members
-    cu, cv = pu[valid][members], pv[valid][members]
-    mean = np.empty((seed.size, 2), dtype=np.complex128)
+    # members grouped by cluster, in slot order; means over (clusters,
+    # size) blocks, whose rows numpy sums in the order it sums one cluster
+    key = (rows * k + cluster[rows, slot]) * k + slot
+    members = np.argsort(key)
+    start = np.flatnonzero(np.diff(key[members] // k, prepend=-1))
+    size = np.diff(start, append=rows.size)
+    mean = np.empty((start.size, 2), dtype=np.complex128)
     for n in np.unique(size):
-        sel = np.flatnonzero(size == n)
-        at = start[sel, None] + np.arange(n)
-        mean[sel, 0], mean[sel, 1] = cu[at].mean(axis=1), cv[at].mean(axis=1)
+        at = members[start[size == n, None] + np.arange(n)]
+        mean[size == n] = np.stack([u[at].mean(axis=1), v[at].mean(axis=1)],
+                                   axis=1)
 
-    # fiber budgets: distinct u-copies k_f and distinct v-points r_f
-    fid = row * k + fiber[row, sslot]
+    # fiber budgets: distinct u-copies k_f and distinct v-points r_f; rank
+    # within a fiber by size (resultant path only), then seed order
+    row, seed, cfid = (a[members[start]] for a in (rows, key // k % k, fid))
     n_uid = uid.max(initial=0) + 1
-    copies = np.unique((crow * k + fiber[valid]) * n_uid + puid[valid]) \
-        // n_uid
-    k_f = np.bincount(copies, minlength=b * k)[fid]
-    r_f = np.bincount(fid, minlength=b * k)[fid]
-
-    # rank within each fiber: larger clusters first on the resultant path,
-    # then seed order; fibers in seed order
-    is_direct = direct[row]
-    rank_key = np.where(is_direct, 0, -size)
-    order = np.lexsort((vpos[row, sslot], rank_key,
-                        upos[row, fiber[row, sslot]], row))
-    first = np.flatnonzero(np.diff(fid[order], prepend=-1))
+    copies = np.unique(fid * n_uid + uid) // n_uid
+    k_f = np.bincount(copies, minlength=b * k)[cfid]
+    r_f = np.bincount(cfid, minlength=b * k)[cfid]
+    order = np.lexsort((seed, np.where(direct[row], 0, -size), cfid))
+    first = np.flatnonzero(np.diff(cfid[order], prepend=-1))
     rank = np.arange(order.size) - np.repeat(first, np.diff(
         first, append=order.size))
     base, extra = np.divmod(k_f[order], r_f[order])
-    mult = np.where(is_direct[order], size[order],
-                    base + (rank < extra))
+    mult = np.where(direct[row[order]], size[order], base + (rank < extra))
     keep = order[mult > 0]
     return row[keep], mean[keep], mult[mult > 0]
 
@@ -534,8 +481,8 @@ def _merge_across_charts(lifts: np.ndarray, mults: np.ndarray) -> np.ndarray:
     labels = _greedy_clusters(close, np.broadcast_to(np.arange(k), (b, k)),
                               valid)
     kept = np.zeros(b * k, dtype=np.int64)
-    flat = (np.arange(b)[:, None] * k + labels)[valid]
-    np.maximum.at(kept, flat, mults[valid])
+    np.maximum.at(kept, (np.arange(b)[:, None] * k + labels)[valid],
+                  mults[valid])
     return kept.reshape(b, k)
 
 
@@ -558,9 +505,8 @@ def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
     rows, lifts, mults = (np.concatenate(p) for p in zip(*parts))
     slot, k = _slots(rows, targets.shape[0])
     padded = np.ones((targets.shape[0], k, 3), dtype=np.complex128)
-    padded[rows, slot] = lifts
     padded_mults = np.zeros((targets.shape[0], k), dtype=np.int64)
-    padded_mults[rows, slot] = mults
+    padded[rows, slot], padded_mults[rows, slot] = lifts, mults
     return padded, _merge_across_charts(padded, padded_mults)
 
 

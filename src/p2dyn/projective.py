@@ -281,7 +281,7 @@ class _SupportKernel:
         pows[0] = points.T
         for e in range(1, self.top):
             np.multiply(pows[e - 1], pows[0], out=pows[e])
-        flat = pows.reshape(-1, n)
+        flat = pows.reshape(3 * self.top, n)
         first, second, third = self.factors
         mono = flat[first]
         mono[:second.size] *= flat[second]

@@ -1,4 +1,4 @@
-"""Batched multiplicity bookkeeping of the chart solves.
+"""Batched multiplicity bookkeeping and the Aberth stopping rule.
 
 ``_chart_roots`` collapses the raw (u, v) candidate pairs of a whole batch
 of chart solves to distinct roots with multiplicities.  It is checked
@@ -8,9 +8,17 @@ and order.  The reference ranks a fiber's v-clusters with a stable sort:
 numpy's default sort is not stable on every platform (SIMD sorts reorder
 ties among four or more entries), and the stated rule is "larger clusters
 first, then seed order".
+
+The Aberth tolerances are fixed before running from float64 analysis: a
+simple root is found to about eps times its condition number (1e-10 leaves
+room for the random coefficients used), a root of multiplicity m only to
+about eps^(1/m) times a modest constant (double roots: 1e-6).
 """
 
+import importlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +26,11 @@ from p2dyn.preimages import (
     CLUSTER_RADIUS,
     U_FIBER_RADIUS,
     _chart_roots,
+    aberth_roots,
 )
+
+# the module itself (the package's ``preimages`` attribute is the function)
+preimages = importlib.import_module("p2dyn.preimages")
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +106,7 @@ fiber_shape = st.tuples(
     st.sampled_from([0.0, 1e-12, 0.3 * CLUSTER_RADIUS]),  # v spread
     st.booleans(),              # drop one candidate (a gated-out pairing)
     st.booleans(),              # add one v-duplicate
+    st.booleans(),              # share the previous fiber's v-points
 )
 
 row_shape = st.tuples(st.booleans(), st.lists(fiber_shape, max_size=3))
@@ -106,9 +119,13 @@ def candidate_batch(shapes, seed):
     direct = np.array([d for d, _ in shapes], dtype=bool)
     next_uid = 0
     for row, (_, fibers) in enumerate(shapes):
-        for copies, n_v, u_spread, v_spread, drop, dup in fibers:
+        v_base = np.empty(0, dtype=np.complex128)
+        for copies, n_v, u_spread, v_spread, drop, dup, share in fibers:
             u_base = complex(*rng.uniform(-1, 1, 2))
-            v_base = rng.uniform(-1, 1, n_v) + 1j * rng.uniform(-1, 1, n_v)
+            if not (share and v_base.size):
+                # (two roots with one v-coordinate, as in product maps)
+                v_base = rng.uniform(-1, 1, n_v) \
+                    + 1j * rng.uniform(-1, 1, n_v)
             entries = []
             for _ in range(copies):
                 u = u_base + u_spread * complex(*rng.normal(size=2))
@@ -149,7 +166,7 @@ def test_batched_clustering_matches_per_target_loop(shapes, seed):
 
 def test_empty_batch_and_rows_without_candidates():
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-             np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.complex128))
+             np.empty(0, dtype=complex), np.empty(0, dtype=complex))
     for b in (0, 4):
         batch = empty + (np.zeros(b, dtype=bool), b)
         got = _chart_roots(*batch)
@@ -170,3 +187,65 @@ def test_double_fiber_budget_is_split_over_its_v_points():
     assert np.allclose(coords[:, 1], [-0.25, 0.25])
     _, _, mults = _chart_roots(rows, uid, u, v, np.array([True]), 1)
     assert mults.tolist() == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Aberth: simple and multiple roots in one batch
+# ---------------------------------------------------------------------------
+
+def count_newton_passes(monkeypatch):
+    """Count the complex Horner passes of :func:`aberth_roots` (one per
+    iteration; a bound pass on moduli is real and not counted)."""
+    calls = []
+    horner = preimages._horner_batch
+
+    def spy(coeffs, x):
+        if np.iscomplexobj(x):
+            calls.append(x.shape)
+        return horner(coeffs, x)
+
+    monkeypatch.setattr(preimages, "_horner_batch", spy)
+    return calls
+
+
+def test_batch_with_multiple_roots_stops_at_the_rounding_floor(monkeypatch):
+    rng = np.random.default_rng(2024)
+    simple = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+    double = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    double = np.concatenate([double[:, :1], double], axis=1)   # r0 twice
+    triple = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    triple = np.concatenate([triple[:, :1], triple[:, :1], triple], axis=1)
+    roots = np.concatenate([simple, double, triple])
+    coeffs = np.array([np.poly(r)[::-1] for r in roots])
+    calls = count_newton_passes(monkeypatch)
+    got = aberth_roots(coeffs)
+    assert 0 < len(calls) < 60
+    for row in range(simple.shape[0]):
+        want = np.sort_complex(np.roots(coeffs[row, ::-1]))
+        np.testing.assert_allclose(np.sort_complex(got[row]), want,
+                                   rtol=0, atol=1e-10)
+    for row in range(20, 26):
+        found = got[row][np.argsort(np.abs(got[row] - roots[row, 0]))]
+        assert np.abs(found[:2] - roots[row, 0]).max() < 1e-6
+        np.testing.assert_allclose(np.sort_complex(found[2:]),
+                                   np.sort_complex(roots[row, 2:]),
+                                   rtol=0, atol=1e-10)
+    for row in range(26, 30):
+        found = got[row][np.argsort(np.abs(got[row] - roots[row, 0]))]
+        # a triple root is accurate to about eps^(1/3)
+        assert np.abs(found[:3] - roots[row, 0]).max() < 1e-4
+
+
+@pytest.mark.parametrize("degree", [2, 4, 7])
+def test_simple_roots_still_stop_on_the_correction_test(degree,
+                                                         monkeypatch):
+    rng = np.random.default_rng(degree)
+    coeffs = rng.normal(size=(50, degree + 1)) \
+        + 1j * rng.normal(size=(50, degree + 1))
+    calls = count_newton_passes(monkeypatch)
+    got = aberth_roots(coeffs)
+    assert len(calls) < 60
+    for row in range(coeffs.shape[0]):
+        want = np.sort_complex(np.roots(coeffs[row, ::-1]))
+        np.testing.assert_allclose(np.sort_complex(got[row]), want,
+                                   rtol=1e-9, atol=1e-9)
