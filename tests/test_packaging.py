@@ -54,3 +54,30 @@ def test_third_party_imports_are_declared():
                 if not declared & {_normalize(d) for d in dists}:
                     undeclared.add("%s (%s)" % (top, path.relative_to(ROOT)))
     assert not undeclared, sorted(undeclared)
+
+
+def _imported_modules():
+    """Top-level names of every absolute import under src/ and tests/."""
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) \
+            + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_declared_distributions_are_imported():
+    # the converse of the test above: every distribution declared in
+    # ``dependencies`` or the ``test`` extra provides a module that src/ or
+    # tests/ imports, so ``pip install .[test]`` pulls nothing unused
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = {_normalize(re.match(r"[A-Za-z0-9._-]+", req).group())
+                for req in project["dependencies"]
+                + project["optional-dependencies"]["test"]}
+    distributions = importlib.metadata.packages_distributions()
+    used = {_normalize(dist) for top in _imported_modules()
+            for dist in distributions.get(top, [top])}
+    assert not declared - used, sorted(declared - used)
