@@ -308,8 +308,9 @@ def _greedy_clusters(close: np.ndarray, order: np.ndarray,
 
     Slots are visited in ``order`` ``(B, K)``; a ``valid`` slot unclaimed
     when visited seeds a cluster that claims every unclaimed valid slot it
-    is ``close`` ``(B, K, K)`` to.  Returns each slot's cluster label, the
-    step at which its seed was visited (-1 for invalid slots).
+    is ``close`` ``(B, K, K)`` to, itself included (``close`` holds on the
+    diagonal).  Returns each slot's cluster label, the step at which its
+    seed was visited (-1 for invalid slots).
     """
     b, k = valid.shape
     rows = np.arange(b)
@@ -319,7 +320,6 @@ def _greedy_clusters(close: np.ndarray, order: np.ndarray,
         seed = order[:, t]
         live = free[rows, seed]
         claim = close[rows, seed] & free & live[:, None]
-        claim[rows, seed] = live
         labels[claim] = t
         free &= ~claim
     return labels
