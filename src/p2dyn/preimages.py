@@ -148,8 +148,7 @@ def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
         denom = np.where(denom == 0, 1e-300, denom)
         corr = w / denom
         x = x - corr
-        small = np.max(np.abs(corr) / (np.abs(x) + 1.0), axis=1) \
-            < ABERTH_REL_TOL
+        small = (np.abs(corr) / (np.abs(x) + 1.0)).max(axis=1) < ABERTH_REL_TOL
     return x
 
 
@@ -387,6 +386,8 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     home = chart_indices(lifts) == search_chart
     keep = (f1 <= PAIR_GATE * scale1) & (f2 <= PAIR_GATE * scale2) \
         & (maxmod <= 1.0 + 1e-9) & (home | (maxmod >= 1.0 - 1e-9))
+    if not keep.any():  # spare the map an empty evaluation
+        return cand_row[:0], np.empty((0, 2), complex), cand_row[:0]
 
     # multiplicity bookkeeping on the raw fibers
     rep_row, rep_uv, rep_mult = _chart_roots(

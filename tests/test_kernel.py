@@ -159,3 +159,14 @@ def test_row_division_is_correctly_rounded():
     scale = np.abs(raw).max(axis=1)[:, None]
     assert np.array_equal(image.real, raw.real / scale)
     assert np.array_equal(image.imag, raw.imag / scale)
+
+
+def test_zero_row_batches_evaluate_to_empty_arrays():
+    # an empty batch is a batch: the kernel's power table must not need a
+    # row to infer its shape
+    f = lattes_suspension()
+    empty = np.empty((0, 3), dtype=np.complex128)
+    assert f.polynomial_batch(empty).shape == (0, 3)
+    assert f.evaluate_batch(empty).shape == (0, 3)
+    images, ok = f.evaluate_batch_safe(empty)
+    assert images.shape == (0, 3) and ok.shape == (0,)
