@@ -517,22 +517,32 @@ def _canonical_branches(lifts: np.ndarray, mults: np.ndarray):
     Takes padded ``(B, K)`` roots whose multiplicities sum to d^2 per
     target.  Roots sort by descending real, then imaginary, part of their
     affine coordinates in the standard chart (t = 1), roots at infinity of
-    that chart last and sorted on their sup-normalized coordinates; exact
-    ties keep the solve order.  The keys are rounded to 12 decimals so that
-    solver noise never decides the order (distinct roots differ by at
-    least the merge radius).  Each root is then repeated by multiplicity,
-    so copies of one root sit side by side, and root ids number a target's
-    distinct roots 0, 1, ... in that order.
+    that chart last and sorted on their sup-normalized coordinates; ties
+    keep the solve order.  Two keys tie when adjacent in sorted order within
+    ``CLUSTER_RADIUS * max(1, |key|)``, and a tie falls through to the next
+    key: a refined root's coordinates carry noise of about eps times their
+    condition number, relative, far below that bound, so noise never
+    decides the order, even when two keys that are equal in exact
+    arithmetic (the x of a pair of roots +-y) straddle a rounding boundary.
+    Each root is then repeated by multiplicity, so copies of one root sit
+    side by side, and root ids number a target's distinct roots 0, 1, ...
+    in that order.
     """
     b, k = mults.shape
     sup = np.abs(lifts).max(axis=-1)
     finite = np.abs(lifts[..., 2]) > 1e-12 * sup
     aff = lifts[..., :2] / np.where(finite, lifts[..., 2], sup)[..., None]
-    keys = np.round(-np.stack([aff[..., 1].imag, aff[..., 1].real,
-                               aff[..., 0].imag, aff[..., 0].real]), 12)
-    keys = np.concatenate([keys, ~finite[None]])
-    keys[:, mults == 0] = np.inf  # unused slots sort last
-    ranked = np.lexsort(keys)
+    # tie classes, refined key by key (unused slots last)
+    group = np.where(mults == 0, 2, ~finite)
+    for key in -np.stack([aff[..., 0].real, aff[..., 0].imag,
+                          aff[..., 1].real, aff[..., 1].imag]):
+        order = np.lexsort((key, group), axis=-1)
+        g, x = (np.take_along_axis(a, order, axis=1) for a in (group, key))
+        tol = CLUSTER_RADIUS * np.maximum(1, np.abs(x[:, 1:]))
+        new = np.zeros((b, k), dtype=np.int64)
+        new[:, 1:] = (g[:, 1:] != g[:, :-1]) | (x[:, 1:] - x[:, :-1] > tol)
+        np.put_along_axis(group, order, new.cumsum(axis=1), axis=1)
+    ranked = np.argsort(group, axis=1, kind="stable")
     count = np.take_along_axis(mults, ranked, axis=1).ravel()
     branch = np.repeat((ranked + k * np.arange(b)[:, None]).ravel(), count)
     ids = np.repeat(np.tile(np.arange(k), b), count)

@@ -23,6 +23,7 @@ from p2dyn.preimages import (
     CLUSTER_RADIUS,
     PreimageBatch,
     PreimageSet,
+    _canonical_branches,
     _merge_across_charts,
     preimage_batch,
 )
@@ -165,6 +166,27 @@ def test_batch_properties(f, n_targets, seed):
         one = preimage_batch(f, targets[i:i + 1])
         assert fs_distance_batch(lifts, one.lifts[0]).max() < 1e-12
         assert np.array_equal(ids, one.root_ids[0])
+
+
+@pytest.mark.parametrize("x", [
+    (-213.06602132392948, -213.0660213239295),  # the sign flips the order
+    (4.99999e-13, 5.00001e-13),                 # 12-decimal boundary at 0
+])
+def test_branch_order_ignores_noise_across_rounding_boundaries(x):
+    # two roots (x, +-y) share x in exact arithmetic, and solver noise puts
+    # the computed x values on either side of a rounding boundary (the first
+    # pair is from a walker of the seed-7 lattes_suspension sample): x ties,
+    # so y decides, and the larger y comes first in either solve order
+    for xa, xb in (x, x[::-1]):
+        lifts = np.array([[[xa, -0.5, 1.0], [xb, 0.5, 1.0]]], dtype=complex)
+        got, ids = _canonical_branches(lifts, np.array([[1, 1]]))
+        assert got[:, 1].real.tolist() == [0.5, -0.5]
+        assert ids.tolist() == [0, 1]
+    # keys apart by much more than noise still decide on their own
+    lifts = np.array([[[1.0, -0.5, 1.0], [1.0 - 1e-6, 0.5, 1.0]]],
+                     dtype=complex)
+    got, _ = _canonical_branches(lifts, np.array([[1, 1]]))
+    assert got[:, 1].real.tolist() == [-0.5, 0.5]
 
 
 def test_views_and_accessor_read_the_same_rows():
