@@ -3,29 +3,27 @@
 Pipeline per affine search chart: write the preimage condition as two
 bivariate polynomial equations, eliminate the second variable with a
 Sylvester resultant (evaluated on Fourier nodes and interpolated back to
-coefficients), find the resultant's roots by a vectorized Aberth-Ehrlich
-iteration, back-substitute to recover the second coordinate, cluster the
-candidate pairs into distinct roots with multiplicities, refine each root
-with a damped 2D Newton step, and keep the solutions whose own max-modulus
-chart is the search chart (so the three charts partition the preimages).
-Root counts are certified against the Bezout number d^2; shortfalls
-trigger up to three deterministic unitary changes of coordinates before
-raising.
-
-Aberth stops a row when its relative corrections are tiny or when all its
-roots sit at the rounding floor (Bini's test): double resultant roots,
-as in the suspension's fibres w -> w^2, stall at about sqrt(eps), where
-relative corrections never get tiny.
+coefficients), find the resultant's roots as companion-matrix eigenvalues
+(:func:`polynomial_roots`), back-substitute to recover the second
+coordinate, cluster the candidate pairs into distinct roots with
+multiplicities, refine each root with a damped 2D Newton step, and keep
+the solutions whose own max-modulus chart is the search chart (so the three
+charts partition the preimages).  Root counts are certified against the
+Bezout number d^2; shortfalls trigger up to three deterministic unitary
+changes of coordinates before raising.
 
 Everything is batched over targets, so thousands of simultaneous preimage
 queries (one per backward-orbit walker) cost a handful of vectorized
-passes.  Each chart solve's candidates are padded to ``(B, K)`` slots, and
-one greedy rule (:func:`_greedy_clusters`, a loop over the K slots) forms
-the u-fibres, the distinct v-points of each fibre and the cross-chart
-merge.  :func:`preimage_batch` returns a :class:`PreimageBatch` whose
-``(B, d^2, 3)`` lifts are in the one canonical branch order that the
-backward walkers draw from.  :class:`PreimageSet` and :class:`PreimageRoot`
-are per-target views of it for the scalar API.
+passes: one eigensolve per uniform-degree batch of polynomials, and Newton
+loops that drop each row once it has converged.  Every stage works row by
+row, so a target's results do not depend on the rest of its batch.  Each
+chart solve's candidates are padded to ``(B, K)`` slots, and one greedy
+rule (:func:`_greedy_clusters`, a loop over the K slots) forms the
+u-fibres, the distinct v-points of each fibre and the cross-chart merge.
+:func:`preimage_batch` returns a :class:`PreimageBatch` whose ``(B, d^2,
+3)`` lifts are in the one canonical branch order that the backward walkers
+draw from.  :class:`PreimageSet` and :class:`PreimageRoot` are per-target
+views of it for the scalar API.
 """
 
 from __future__ import annotations
@@ -74,82 +72,54 @@ MAX_ROTATIONS = 3
 
 _ROTATION_SEED = 718293541
 
-#: Aberth stopping rule (relative correction, iteration cap; rows at the
-#: rounding floor stop too) and the damped Newton steps that polish each
-#: clustered root in 2D
-ABERTH_REL_TOL = 1e-13
-ABERTH_MAX_ITER = 200
+#: cap on the damped Newton steps that polish each 2D root, and the
+#: relative step after which a row stops early (see :func:`_newton_refine`)
 NEWTON_STEPS = 14
+NEWTON_STOP = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# vectorized Aberth-Ehrlich root finder
+# univariate roots
 # ---------------------------------------------------------------------------
 
 def _horner_batch(coeffs: np.ndarray, x: np.ndarray):
-    """Evaluate rows of ascending-coefficient polynomials and derivatives.
-
-    ``coeffs`` is (B, D+1), ``x`` is (B, R); returns (p, dp) of shape (B, R).
-    """
-    p = np.broadcast_to(coeffs[:, -1][:, None], x.shape).copy()
-    dp = np.zeros_like(x)
+    """Values and derivatives (p, dp) of the rows of ascending-coefficient
+    polynomials ``coeffs`` (B, D+1), each at its own point ``x`` (B,)."""
+    p, dp = coeffs[:, -1].copy(), np.zeros_like(x)
     for k in range(coeffs.shape[1] - 2, -1, -1):
         dp = dp * x + p
-        p = p * x + coeffs[:, k][:, None]
+        p = p * x + coeffs[:, k]
     return p, dp
 
 
-def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
+def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of each row of ascending-coefficient polynomials.
 
-    Rows share one degree D (leading coefficients must be nonzero); returns
-    an (B, D) array.  Simultaneous Aberth-Ehrlich iteration started on a
-    perturbed circle of the per-row Cauchy radius.  A row is done when its
-    largest relative correction is below ``ABERTH_REL_TOL`` or when every
-    root is at the rounding floor of the monic p, ``|p(x)| <= 4 D eps
-    sum_k |a_k| |x|^k`` (Bini, Numer. Algorithms 13, 1996); the batch stops
-    when every row is done.  A root of multiplicity m is accurate to about
-    eps^(1/m) (simple ones to eps times their condition number).
+    Rows share one degree D; returns a (B, D) array.  The roots are the
+    eigenvalues of the monic companion matrices, all B of them in one
+    batched ``np.linalg.eigvals`` call (LAPACK ``geev``, which balances
+    each matrix first).  The QR iteration is backward stable, so a simple
+    root is accurate to about eps times its condition number and a root of
+    multiplicity m to about eps^(1/m).  Each row is solved on its own, so
+    a row's roots do not depend on the other rows of the batch.  A zero
+    leading coefficient or a non-finite coefficient raises ``ValueError``.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.ndim == 1:
-        coeffs = coeffs[None, :]
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
     b, deg = coeffs.shape[0], coeffs.shape[1] - 1
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("non-finite coefficient in polynomial_roots")
     if deg == 0:
         return np.empty((b, 0), dtype=np.complex128)
     lead = coeffs[:, -1]
     if np.any(lead == 0):
-        raise ValueError("zero leading coefficient in aberth_roots")
+        raise ValueError("zero leading coefficient in polynomial_roots")
     monic = coeffs / lead[:, None]
     if deg == 1:
         return -monic[:, :1]
-    sizes = np.abs(monic)
-    floor = 4 * deg * np.finfo(float).eps
-    cauchy = 1.0 + np.max(sizes[:, :-1], axis=1)
-    j = np.arange(deg)
-    angles = 2.0 * np.pi * (j + 0.37) / deg + 0.31
-    radii = 0.7 * cauchy[:, None] * (1.0 + 0.05 * (j[None, :] + 1) / deg)
-    x = radii * np.exp(1j * angles)[None, :]
-    eye = np.eye(deg, dtype=bool)
-    small = np.zeros(b, dtype=bool)
-    for _ in range(ABERTH_MAX_ITER):
-        p, dp = _horner_batch(monic, x)
-        bound = _horner_batch(sizes, np.abs(x))[0]
-        if np.all(small | np.all(np.abs(p) <= floor * bound, axis=1)):
-            break
-        dp = np.where(dp == 0, 1e-300, dp)
-        w = p / dp
-        diff = x[:, :, None] - x[:, None, :]
-        diff[:, eye] = 1.0
-        inv = 1.0 / diff
-        inv[:, eye] = 0.0
-        s = inv.sum(axis=2)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1e-300, denom)
-        corr = w / denom
-        x = x - corr
-        small = (np.abs(corr) / (np.abs(x) + 1.0)).max(axis=1) < ABERTH_REL_TOL
-    return x
+    companion = np.zeros((b, deg, deg), dtype=np.complex128)
+    companion[:, 0] = -monic[:, -2::-1]
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    return np.linalg.eigvals(companion)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +234,7 @@ def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
         for d_eff in np.unique(degs[degs > 0]):
             sel = degs == d_eff
             rows_out.append(np.repeat(rows[sel], d_eff))
-            u_out.append(aberth_roots(res[sel][:, :d_eff + 1]).ravel())
+            u_out.append(polynomial_roots(res[sel][:, :d_eff + 1]).ravel())
     rows, u = np.concatenate(rows_out), np.concatenate(u_out)
     order = np.argsort(rows, kind="stable")
     return rows[order], u[order], direct
@@ -274,23 +244,30 @@ def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
     """Damped Newton on per-candidate 2x2 polynomial systems.
 
     ``g1``/``g2`` are (N, du+1, dv+1) coefficient tensors (one system per
-    candidate), ``uv`` is (N, 2).
+    candidate), ``uv`` is (N, 2).  A row stops after ``NEWTON_STEPS``
+    steps or after its first step s (largest coordinate) with ``s <=
+    NEWTON_STOP * max(1, |u|, |v|)``: near a simple root the error left
+    after a step is about C s^2 (C = |J^-1 H| / 2), here at most 1e-18 C
+    max(1, |u|, |v|)^2, below the coordinates' rounding (2.2e-16, relative)
+    while C max(1, |u|, |v|) < 200.  A multiple root runs to the cap.
     """
-    g1u, g1v = _d_du(g1), _d_dv(g1)
-    g2u, g2v = _d_du(g2), _d_dv(g2)
-    u, v = uv[:, 0].copy(), uv[:, 1].copy()
+    out, live = uv.copy(), np.arange(uv.shape[0])
+    gs = (g1, g2, _d_du(g1), _d_dv(g1), _d_du(g2), _d_dv(g2))
     for _ in range(NEWTON_STEPS):
-        f1, f2, a, bq, c, dq = (_eval2d(g, u, v)
-                                for g in (g1, g2, g1u, g1v, g2u, g2v))
+        if not live.size:
+            break
+        u, v = out[live, 0], out[live, 1]
+        f1, f2, a, bq, c, dq = (_eval2d(g, u, v) for g in gs)
         det = a * dq - bq * c
         det = np.where(np.abs(det) < 1e-300, 1e-300, det)
         du = (f1 * dq - f2 * bq) / det
         dv = (a * f2 - c * f1) / det
         step = np.maximum(np.abs(du), np.abs(dv))
         damp = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
-        u = u - du * damp
-        v = v - dv * damp
-    return np.stack([u, v], axis=1)
+        out[live, 0], out[live, 1] = u - du * damp, v - dv * damp
+        go = step > NEWTON_STOP * np.abs(out[live]).max(axis=1, initial=1.0)
+        live, gs = live[go], tuple(g[go] for g in gs)
+    return out
 
 
 def _slots(rows: np.ndarray, b: int):
@@ -356,20 +333,24 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     for d_eff in np.unique(vdegs[vdegs > 0]):
         sel = np.flatnonzero(vdegs == d_eff)
         cand_flat.append(np.tile(sel, d_eff))
-        v.append(aberth_roots(vcoeffs[sel][:, :d_eff + 1]).T.ravel())
+        v.append(polynomial_roots(vcoeffs[sel][:, :d_eff + 1]).T.ravel())
     cand_flat, v = np.concatenate(cand_flat), np.concatenate(v)
 
     # polish v along its own fiber (u held fixed) so every candidate stays
     # attached to the u-copy that produced it: 2D refinement here would let
     # spurious pairings migrate onto other genuine roots and corrupt the
-    # multiplicity budgets
-    vc = vcoeffs[cand_flat]
+    # multiplicity budgets; rows stop as in _newton_refine
+    vc, live = vcoeffs[cand_flat], np.arange(v.size)
     for _ in range(12):
-        p, dp = _horner_batch(vc, v[:, None])
-        dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-        step = p[:, 0] / dp[:, 0]
+        if not live.size:
+            break
+        p, dp = _horner_batch(vc, v[live])
+        step = p / np.where(np.abs(dp) < 1e-300, 1e-300, dp)
         mag = np.abs(step)
-        v = v - step * np.where(mag > 0.5, 0.5 / np.maximum(mag, 1e-300), 1.0)
+        v[live] -= step * np.where(mag > 0.5, 0.5 / np.maximum(mag, 1e-300),
+                                   1.0)
+        go = mag > NEWTON_STOP * np.maximum(1.0, np.abs(v[live]))
+        live, vc = live[go], vc[go]
 
     cand_row = flat_rows[cand_flat]
     u0 = flat_u[cand_flat]
@@ -518,15 +499,13 @@ def _canonical_branches(lifts: np.ndarray, mults: np.ndarray):
     target.  Roots sort by descending real, then imaginary, part of their
     affine coordinates in the standard chart (t = 1), roots at infinity of
     that chart last and sorted on their sup-normalized coordinates; ties
-    keep the solve order.  Two keys tie when adjacent in sorted order within
-    ``CLUSTER_RADIUS * max(1, |key|)``, and a tie falls through to the next
-    key: a refined root's coordinates carry noise of about eps times their
-    condition number, relative, far below that bound, so noise never
-    decides the order, even when two keys that are equal in exact
-    arithmetic (the x of a pair of roots +-y) straddle a rounding boundary.
-    Each root is then repeated by multiplicity, so copies of one root sit
-    side by side, and root ids number a target's distinct roots 0, 1, ...
-    in that order.
+    keep the solve order.  Keys adjacent in sorted order within
+    ``CLUSTER_RADIUS * max(1, |key|)`` tie and fall through to the next
+    key, far above the rounding noise of refined roots, so noise never
+    decides the order (not even for keys equal in exact arithmetic, like
+    the x of roots (x, +-y)).  Each root is then repeated by multiplicity,
+    so copies of one root sit side by side, and root ids number a target's
+    distinct roots 0, 1, ... in that order.
     """
     b, k = mults.shape
     sup = np.abs(lifts).max(axis=-1)

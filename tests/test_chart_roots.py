@@ -1,4 +1,4 @@
-"""Batched multiplicity bookkeeping and the Aberth stopping rule.
+"""Batched multiplicity bookkeeping and the univariate root solver.
 
 ``_chart_roots`` collapses the raw (u, v) candidate pairs of a whole batch
 of chart solves to distinct roots with multiplicities.  It is checked
@@ -9,7 +9,7 @@ numpy's default sort is not stable on every platform (SIMD sorts reorder
 ties among four or more entries), and the stated rule is "larger clusters
 first, then seed order".
 
-The Aberth tolerances are fixed before running from float64 analysis: a
+The root tolerances are fixed before running from float64 analysis: a
 simple root is found to about eps times its condition number (1e-10 leaves
 room for the random coefficients used), a root of multiplicity m only to
 about eps^(1/m) times a modest constant (double roots: 1e-6).
@@ -26,7 +26,7 @@ from p2dyn.preimages import (
     CLUSTER_RADIUS,
     U_FIBER_RADIUS,
     _chart_roots,
-    aberth_roots,
+    polynomial_roots,
 )
 
 # the module itself (the package's ``preimages`` attribute is the function)
@@ -190,21 +190,20 @@ def test_double_fiber_budget_is_split_over_its_v_points():
 
 
 # ---------------------------------------------------------------------------
-# Aberth: simple and multiple roots in one batch
+# roots: simple and multiple roots in one batch
 # ---------------------------------------------------------------------------
 
-def count_newton_passes(monkeypatch):
-    """Count the complex Horner passes of :func:`aberth_roots` (one per
-    iteration; a bound pass on moduli is real and not counted)."""
+def count_eigensolver_calls(monkeypatch):
+    """Count the eigenvalue solves of :func:`polynomial_roots` (one batched
+    ``eigvals`` call per uniform-degree batch)."""
     calls = []
-    horner = preimages._horner_batch
+    eigvals = np.linalg.eigvals
 
-    def spy(coeffs, x):
-        if np.iscomplexobj(x):
-            calls.append(x.shape)
-        return horner(coeffs, x)
+    def spy(a):
+        calls.append(a.shape)
+        return eigvals(a)
 
-    monkeypatch.setattr(preimages, "_horner_batch", spy)
+    monkeypatch.setattr(preimages.np.linalg, "eigvals", spy)
     return calls
 
 
@@ -217,9 +216,9 @@ def test_batch_with_multiple_roots_stops_at_the_rounding_floor(monkeypatch):
     triple = np.concatenate([triple[:, :1], triple[:, :1], triple], axis=1)
     roots = np.concatenate([simple, double, triple])
     coeffs = np.array([np.poly(r)[::-1] for r in roots])
-    calls = count_newton_passes(monkeypatch)
-    got = aberth_roots(coeffs)
-    assert 0 < len(calls) < 60
+    calls = count_eigensolver_calls(monkeypatch)
+    got = polynomial_roots(coeffs)
+    assert len(calls) == 1
     for row in range(simple.shape[0]):
         want = np.sort_complex(np.roots(coeffs[row, ::-1]))
         np.testing.assert_allclose(np.sort_complex(got[row]), want,
@@ -242,10 +241,19 @@ def test_simple_roots_still_stop_on_the_correction_test(degree,
     rng = np.random.default_rng(degree)
     coeffs = rng.normal(size=(50, degree + 1)) \
         + 1j * rng.normal(size=(50, degree + 1))
-    calls = count_newton_passes(monkeypatch)
-    got = aberth_roots(coeffs)
-    assert len(calls) < 60
+    calls = count_eigensolver_calls(monkeypatch)
+    got = polynomial_roots(coeffs)
+    assert len(calls) == 1
     for row in range(coeffs.shape[0]):
         want = np.sort_complex(np.roots(coeffs[row, ::-1]))
         np.testing.assert_allclose(np.sort_complex(got[row]), want,
                                    rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_non_finite_coefficients_are_rejected(bad):
+    coeffs = np.array([[1.0, 2.0, 1.0], [1.0, bad, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        polynomial_roots(coeffs)
+    with pytest.raises(ValueError, match="non-finite"):
+        polynomial_roots(coeffs[:, ::-1])  # in the leading coefficient

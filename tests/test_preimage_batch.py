@@ -33,7 +33,12 @@ from p2dyn.projective import (
     lift_from_chart,
 )
 from p2dyn.sampler import branch_expanded_lifts
-from p2dyn.zoo import chebyshev_product, lattes_suspension, power_map
+from p2dyn.zoo import (
+    chebyshev_product,
+    lattes_suspension,
+    mixed_product_family,
+    power_map,
+)
 
 
 def reference_merge(lifts, mults):
@@ -219,3 +224,24 @@ def test_target_solved_only_after_a_rotation():
     aff = batch.lifts[0, :, :2] / batch.lifts[0, :, 2:]
     s = np.sqrt(2.0)
     assert np.max(np.abs(aff - [[s, s], [s, -s], [-s, s], [-s, -s]])) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["lattes_suspension", "chebyshev_product",
+                                  "mixed_product"])
+def test_each_row_is_independent_of_its_batch(name):
+    # every row is solved on its own (one eigensolve per matrix, Newton
+    # stopping per row), so a target gets bit for bit the same lifts, root
+    # ids and rotations inside a batch as alone; the slice holds targets
+    # whose rotation count used to depend on the rest of their batch
+    f = {"lattes_suspension": lattes_suspension(),
+         "chebyshev_product": chebyshev_product(),
+         "mixed_product": mixed_product_family().map}[name]
+    rng = np.random.default_rng(3)
+    targets = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))
+    targets = targets[:450]
+    batch = preimage_batch(f, targets)
+    for i in range(targets.shape[0]):
+        one = preimage_batch(f, targets[i:i + 1])
+        assert np.array_equal(batch.lifts[i], one.lifts[0])
+        assert np.array_equal(batch.root_ids[i], one.root_ids[0])
+        assert batch.rotations[i] == one.rotations[0]

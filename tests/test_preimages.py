@@ -12,7 +12,7 @@ import sympy as sp
 
 from p2dyn.errors import PreimageSolverError
 from p2dyn.preimages import (
-    aberth_roots,
+    polynomial_roots,
     preimage_batch,
     preimages,
     random_inverse_branch,
@@ -73,7 +73,7 @@ class TestAberth:
         rng = np.random.default_rng(100 + degree)
         coeffs = rng.normal(size=(12, degree + 1)) \
             + 1j * rng.normal(size=(12, degree + 1))
-        got = aberth_roots(coeffs)
+        got = polynomial_roots(coeffs)
         for row in range(coeffs.shape[0]):
             oracle = np.roots(coeffs[row, ::-1])
             a = np.sort_complex(got[row])
@@ -83,12 +83,12 @@ class TestAberth:
     def test_repeated_root(self):
         # (x - 0.5)^3 expanded, ascending: roots cluster at 0.5
         coeffs = np.array([[-0.125, 0.75, -1.5, 1.0]])
-        got = aberth_roots(coeffs)[0]
+        got = polynomial_roots(coeffs)[0]
         np.testing.assert_allclose(got, 0.5 * np.ones(3), atol=2e-5)
 
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            aberth_roots(np.array([[1.0, 2.0, 0.0]]))
+            polynomial_roots(np.array([[1.0, 2.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
