@@ -194,8 +194,10 @@ def test_double_fiber_budget_is_split_over_its_v_points():
 # ---------------------------------------------------------------------------
 
 def count_eigensolver_calls(monkeypatch):
-    """Count the eigenvalue solves of :func:`polynomial_roots` (one batched
-    ``eigvals`` call per uniform-degree batch)."""
+    """Record the matrix shapes of the eigenvalue solves of
+    :func:`polynomial_roots`; a batched solve is one ``eigvals`` call on
+    the ``(B, D, D)`` stack of companion matrices, whatever the
+    multiplicities."""
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -218,7 +220,7 @@ def test_batch_with_multiple_roots_stops_at_the_rounding_floor(monkeypatch):
     coeffs = np.array([np.poly(r)[::-1] for r in roots])
     calls = count_eigensolver_calls(monkeypatch)
     got = polynomial_roots(coeffs)
-    assert len(calls) == 1
+    assert calls == [(30, 4, 4)]
     for row in range(simple.shape[0]):
         want = np.sort_complex(np.roots(coeffs[row, ::-1]))
         np.testing.assert_allclose(np.sort_complex(got[row]), want,
@@ -243,7 +245,7 @@ def test_simple_roots_still_stop_on_the_correction_test(degree,
         + 1j * rng.normal(size=(50, degree + 1))
     calls = count_eigensolver_calls(monkeypatch)
     got = polynomial_roots(coeffs)
-    assert len(calls) == 1
+    assert calls == [(50, degree, degree)]
     for row in range(coeffs.shape[0]):
         want = np.sort_complex(np.roots(coeffs[row, ::-1]))
         np.testing.assert_allclose(np.sort_complex(got[row]), want,
