@@ -31,9 +31,7 @@ from .projective import (
     HomogeneousPoint,
     as_point_array,
     check_row_scale,
-    divide_rows,
     lift_from_chart,
-    sup_norms,
 )
 
 #: default escape-rate depth: d^(-40) is far below double-precision noise
@@ -59,7 +57,6 @@ def _norm_growth_constants(map_: HomogeneousMap) -> tuple[float, float]:
     rng = np.random.default_rng(_SPHERE_SAMPLE_SEED)
     n = _SPHERE_SAMPLE_COUNT
     pts = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    pts /= np.max(np.abs(pts), axis=1)[:, None]
     values = map_.evaluate_batch(pts, renormalize=False)
     lower = 0.5 * float(np.min(np.max(np.abs(values), axis=1)))
     return lower, upper
@@ -92,14 +89,11 @@ class GreenEvaluator:
         return self.step_bound * d ** (-float(n)) / (d - 1.0)
 
 
-def _l2_norms(points: np.ndarray) -> np.ndarray:
-    """Per-row Hermitian norm of an (N, 3) array."""
-    sq = points.real ** 2 + points.imag ** 2
-    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-
-
-#: per-row norms accepted by :func:`escape_rate`
-_ROW_NORMS = {"sup": sup_norms, "2": _l2_norms}
+#: norms of (3, N) columns accepted by :func:`escape_rate`
+_COLUMN_NORMS = {
+    "sup": lambda cols: np.max(np.abs(cols), axis=0),
+    "2": lambda cols: np.sqrt(np.sum(cols.real ** 2 + cols.imag ** 2, axis=0)),
+}
 
 
 def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
@@ -115,31 +109,39 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
 
     Zero or non-finite lifts raise ``ValueError``; an image collapsing
     below ``DEGENERATE_EVAL_TOL`` raises :class:`DegenerateEvaluationError`.
+
+    Blocks of ``_BLOCK_ROWS`` points run as (3, b) columns in one power
+    table, where the map writes its images; the real and imaginary parts
+    are divided apart, which is correctly rounded.
     """
-    if norm not in _ROW_NORMS:
+    if norm not in _COLUMN_NORMS:
         raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
-    row_norm = _ROW_NORMS[norm]
+    col_norm = _COLUMN_NORMS[norm]
     n = ev.depth if depth is None else depth
     squeeze = np.ndim(lifts) == 1
     pts = as_point_array(lifts)
-    scale = row_norm(pts)
+    scale = col_norm(pts.T)
     check_row_scale(scale)
     total = np.log(scale)
     inv_d = 1.0 / ev.map.degree
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         part = total[rows]
-        v = divide_rows(pts[rows].copy(), scale[rows])
+        table = np.empty((ev.map.degree, 3, part.size), dtype=np.complex128)
+        v = table[0]
+        v[...] = pts[rows].T
+        norms = scale[rows]
         factor = inv_d
         for _ in range(n):
-            out = ev.map.polynomial_batch(v)
-            norms = row_norm(out)
+            v.real /= norms
+            v.imag /= norms
+            ev.map.polynomial_columns(table)
+            norms = col_norm(v)
             if np.any(norms <= DEGENERATE_EVAL_TOL):
                 raise DegenerateEvaluationError(
                     "map %r collapsed a point to ~0 (common-zero locus hit)"
                     % ev.map.name)
             part += factor * np.log(norms)
-            v = divide_rows(out, norms)
             factor *= inv_d
     return total[0] if squeeze else total
 
@@ -165,6 +167,15 @@ def chart_potential(ev: GreenEvaluator, chart: int,
     return vals.reshape(xi.shape[:-1])
 
 
+def check_domain(coords, extent: float) -> None:
+    """Reject nodes reaching past ``coords.domain_radius``, when present."""
+    radius = getattr(coords, "domain_radius", None)
+    if radius is not None and extent > radius:
+        raise ResolutionError(
+            "grid extends to |xi| = %.3g beyond the chart domain "
+            "radius %.3g" % (extent, radius))
+
+
 def local_potential(ev: GreenEvaluator, coords, xi: np.ndarray) -> np.ndarray:
     """G sampled along a holomorphic lift section at frame coordinates xi.
 
@@ -172,19 +183,14 @@ def local_potential(ev: GreenEvaluator, coords, xi: np.ndarray) -> np.ndarray:
     method (the normal-form frame charts provide one).  Sections differing
     by a nonvanishing holomorphic factor shift G pluriharmonically, so all
     downstream Laplacians are section-independent.  Nodes outside the
-    chart's validity ball (``coords.domain_radius``, when present) raise
-    :class:`ResolutionError` rather than silently sampling an invalid
+    chart's validity ball raise :class:`ResolutionError` (see
+    :func:`check_domain`) rather than silently sampling an invalid
     trivialization.
     """
     xi = np.asarray(xi, dtype=np.complex128)
     flat = xi.reshape(-1, 2)
-    radius = getattr(coords, "domain_radius", None)
-    if radius is not None:
-        extent = float(np.max(np.linalg.norm(flat, axis=1), initial=0.0))
-        if extent > radius:
-            raise ResolutionError(
-                "grid extends to |xi| = %.3g beyond the chart domain "
-                "radius %.3g" % (extent, radius))
+    check_domain(coords,
+                 float(np.max(np.linalg.norm(flat, axis=1), initial=0.0)))
     vals = escape_rate(ev, coords.lift_batch(flat))
     return vals.reshape(xi.shape[:-1])
 

@@ -252,9 +252,9 @@ def _partial_table(table: dict, var: int) -> dict:
 class _SupportKernel:
     """K polynomials in (z, w, t) over the union M of their supports.
 
-    Holds the ``(M, K)`` coefficient matrix.  A call builds the powers of
-    the three coordinates once, multiplies the M monomials together from
-    them and sums them with one ``(N, M) @ (M, K)`` product.
+    Holds the ``(M, K)`` coefficient matrix.  :meth:`monomials` builds the
+    powers of the three coordinates once and multiplies the M monomials
+    from them; a call sums them with one ``(N, M) @ (M, K)`` product.
     """
 
     def __init__(self, tables):
@@ -275,18 +275,22 @@ class _SupportKernel:
         self.factors = [np.asarray([f[k] for f in factors if len(f) > k],
                                    dtype=np.int64) for k in range(3)]
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        n = points.shape[0]
-        pows = np.empty((self.top, 3, n), dtype=np.complex128)
-        pows[0] = points.T
+    def monomials(self, table: np.ndarray) -> np.ndarray:
+        """The (M, n) monomials of the (3, n) columns in ``table[0]``;
+        ``table`` holds at least ``top`` powers."""
         for e in range(1, self.top):
-            np.multiply(pows[e - 1], pows[0], out=pows[e])
-        flat = pows.reshape(3 * self.top, n)
+            np.multiply(table[e - 1], table[0], out=table[e])
+        flat = table.reshape(3 * len(table), -1)
         first, second, third = self.factors
         mono = flat[first]
         mono[:second.size] *= flat[second]
         mono[:third.size] *= flat[third]
-        return mono.T @ self.matrix
+        return mono
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        table = np.empty((self.top, 3, points.shape[0]), dtype=np.complex128)
+        table[0] = points.T
+        return self.monomials(table).T @ self.matrix
 
 
 class HomogeneousMap:
@@ -333,6 +337,12 @@ class HomogeneousMap:
     def polynomial_batch(self, points: np.ndarray) -> np.ndarray:
         """Raw values ``F(x)`` on an (N, 3) array: no scaling, no checks."""
         return self._values(as_point_array(points))
+
+    def polynomial_columns(self, table: np.ndarray) -> np.ndarray:
+        """Raw values in place on a (degree, 3, n) table of powers: its
+        first entry holds (3, n) columns x and is overwritten by F(x)."""
+        k = self._values
+        return np.matmul(k.matrix.T, k.monomials(table), out=table[0])
 
     def evaluate_batch(self, points: np.ndarray,
                        renormalize: bool = True) -> np.ndarray:
