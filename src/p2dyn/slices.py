@@ -52,8 +52,9 @@ import numpy as np
 
 from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
-from .green import GreenEvaluator, escape_rate, local_potential
-from .projective import HomogeneousMap, HomogeneousPoint
+from . import green
+from .green import GreenEvaluator
+from .projective import CHART_OTHERS, HomogeneousMap, HomogeneousPoint
 from .sampler import tangent_basis_batch
 
 __all__ = [
@@ -173,10 +174,6 @@ class LocalGrid:
             return -self.radius + (np.arange(m + 2) - 0.5) * h
         return -self.radius + (np.arange(m) + 0.5) * h
 
-    def cell_centers(self) -> np.ndarray:
-        """Interior cell centers of one axis (length ``resolution``)."""
-        return self.axis_nodes(ghost=False)
-
     def sample_scalar(self, fn) -> np.ndarray:
         """Sample ``fn(Z, W)`` on the ghosted node cube.
 
@@ -193,22 +190,41 @@ class LocalGrid:
             np.broadcast_to(vals, (n, n, n, n)))
 
     def sample_green(self, evaluator: GreenEvaluator) -> np.ndarray:
-        """Truncated potential on the ghosted node cube, in large blocks."""
+        """Truncated potential on the ghosted node cube.
+
+        The lift section is ``base + Z c1 + W c2`` with ``(c1 c2) =
+        tangent_basis @ frame.matrix``.  The chart-domain check is made
+        once, at a corner node: ``|xi| = sqrt(2) max |Z|``.
+        """
         ax = self.axis_nodes()
-        n = ax.size
-        out = np.empty((n, n, n, n), dtype=np.float64)
-        ww = (ax[:, None] + 1j * ax[None, :]).ravel()
-        slabs = max(1, (1 << 18) // (n * ww.size))
-        block = np.empty((slabs * n * ww.size, 2), dtype=np.complex128)
-        for a in range(0, n, slabs):
-            k = min(slabs, n - a)
-            size = k * n * ww.size
-            zz = (ax[a:a + k, None] + 1j * ax[None, :]).ravel()
-            block[:size, 0] = np.repeat(zz, ww.size)
-            block[:size, 1] = np.tile(ww, k * n)
-            vals = local_potential(evaluator, self.coords, block[:size])
-            out[a:a + k] = vals.reshape(k, n, n, n)
-        return out
+        green.check_domain(self.coords, math.sqrt(2.0) * float(
+            np.abs(ax[:, None] + 1j * ax[None, :]).max()))
+        frame = self.coords.frame
+        return _cube_potential(evaluator, ax, frame.base_lift,
+                               frame.tangent_basis @ frame.matrix)
+
+
+def _cube_potential(ev: GreenEvaluator, axis: np.ndarray, base: np.ndarray,
+                    c: np.ndarray, depth: int | None = None,
+                    norm: str = "sup") -> np.ndarray:
+    """Escape rate at the lifts ``base + Z c[:, 0] + W c[:, 1]``, ``Z`` and
+    ``W`` over ``axis + i axis``: each block of Z-slabs of the node cube
+    is one broadcast sum of Z-parts (base included) and W-parts."""
+    n = axis.size
+    plane = (axis[:, None] + 1j * axis[None, :]).ravel()
+    zpart = base + plane[:, None] * c[:, 0]
+    wpart = plane[:, None] * c[:, 1]
+    out = np.empty((n, n, n, n), dtype=np.float64)
+    slabs = max(1, (1 << 18) // (n * plane.size))
+    lifts = np.empty((slabs * n, plane.size, 3), dtype=np.complex128)
+    for a in range(0, n, slabs):
+        k = min(slabs, n - a)
+        block = np.add(zpart[a * n:(a + k) * n, None], wpart,
+                       out=lifts[:k * n])
+        # looked up at call time, so a wrapped green.escape_rate is seen
+        vals = green.escape_rate(ev, block.reshape(-1, 3), depth, norm)
+        out[a:a + k] = vals.reshape(k, n, n, n)
+    return out
 
 
 def axis_chart(map_: HomogeneousMap, point,
@@ -411,6 +427,9 @@ def ball_mass(sm: SliceMeasure, center, r: float) -> float:
     cell widths are under-resolved and raise :class:`ResolutionError`.
     Balls reaching beyond the grid box are truncated to it (the returned
     value is then a lower bound; keep ``r`` small enough if that matters).
+    Only the box of cells whose every axis term ``(x - c)^2`` is below
+    ``(r + h)^2`` can be inside or in the shell; its cells are gathered in
+    the same C order as over the whole cube, so the sums are identical.
     """
     grid = sm.grid
     h = grid.spacing
@@ -423,22 +442,26 @@ def ball_mass(sm: SliceMeasure, center, r: float) -> float:
     if max(abs(p) for p in parts) >= grid.radius:
         raise ValueError("ball center %r lies outside the grid box of "
                          "radius %.3g" % (center, grid.radius))
-    ax = grid.cell_centers()
-    d2 = [np.square(ax - p) for p in parts]
+    ax = grid.axis_nodes(ghost=False)
+    # ax is sorted and has a cell centre near each part: a nonempty run
+    keep = [np.flatnonzero(np.square(ax - p) < (r + h) ** 2) for p in parts]
+    box = tuple(slice(k[0], k[-1] + 1) for k in keep)
+    d2 = [np.square(ax[b] - p) for b, p in zip(box, parts)]
+    cells = sm.cell_mass[box]
     dist2 = (d2[0][:, None, None, None] + d2[1][None, :, None, None]
              + d2[2][None, None, :, None] + d2[3][None, None, None, :])
-    inside = dist2 <= (r - h) ** 2 if r > h else np.zeros(dist2.shape, bool)
+    inside = dist2 <= (r - h) ** 2
     shell = (dist2 < (r + h) ** 2) & ~inside
-    total = float(sm.cell_mass[inside].sum())
+    total = float(cells[inside].sum())
     idx = np.nonzero(shell)
     if idx[0].size:
         offsets = np.array(list(product((-0.25 * h, 0.25 * h), repeat=4)))
-        centers = np.stack([ax[idx[k]] - parts[k] for k in range(4)], axis=1)
+        centers = np.stack([ax[b][i] - p for b, i, p in zip(box, idx, parts)],
+                           axis=1)
         counts = np.zeros(idx[0].size, dtype=np.float64)
         for off in offsets:
             counts += (np.square(centers + off).sum(axis=1) <= r * r)
-        total += float((counts / offsets.shape[0]
-                        * sm.cell_mass[shell]).sum())
+        total += float((counts / offsets.shape[0] * cells[shell]).sum())
     return total
 
 
@@ -529,28 +552,6 @@ class MassCertificate:
     resolution: int
 
 
-def _chart_values(ev: GreenEvaluator, chart: int, axis: np.ndarray,
-                  depth: int) -> np.ndarray:
-    """2-norm truncated potential of ``depth`` on the ghosted chart cube.
-
-    Its ``dd^c`` is the degree-normalized depth-fold pullback of the
-    Fubini-Study form, which keeps every certificate integral exactly
-    cohomological.  Sampled slab by slab.
-    """
-    n = axis.size
-    others = [i for i in range(3) if i != chart]
-    out = np.empty((n, n, n, n), dtype=np.float64)
-    ww = (axis[:, None] + 1j * axis[None, :]).ravel()
-    lifts = np.empty((n * ww.size, 3), dtype=np.complex128)
-    lifts[:, chart] = 1.0
-    lifts[:, others[1]] = np.tile(ww, n)
-    for a in range(n):
-        lifts[:, others[0]] = np.repeat(axis[a] + 1j * axis, ww.size)
-        vals = escape_rate(ev, lifts, depth, norm="2")
-        out[a] = vals.reshape(n, n, n)
-    return out
-
-
 def _hessian_terms(values: np.ndarray, h: float):
     """Mixed complex Hessian entries from 2nd-order stencils.
 
@@ -603,9 +604,12 @@ def _certificate_integral(map_: HomogeneousMap, n: int, depth: int,
     weight = weight / (weight + _hinge(s_z / denom) + _hinge(s_w / denom))
     ev = GreenEvaluator(map_)
     total = 0.0
+    unit = np.eye(3, dtype=np.complex128)
     for chart in range(3):
-        u = _chart_values(ev, chart, axis, depth)
-        v = _chart_values(ev, chart, axis, n)
+        # 2-norm truncations keep every integral exactly cohomological
+        c = unit[:, CHART_OTHERS[chart]]
+        u = _cube_potential(ev, axis, unit[chart], c, depth, "2")
+        v = _cube_potential(ev, axis, unit[chart], c, n, "2")
         u_zz, u_ww, u_zw = _hessian_terms(u, h)
         v_zz, v_ww, v_zw = _hessian_terms(v, h)
         density = (u_zz * v_ww + u_ww * v_zz
