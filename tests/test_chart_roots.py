@@ -209,7 +209,7 @@ def count_eigensolver_calls(monkeypatch):
     return calls
 
 
-def test_batch_with_multiple_roots_stops_at_the_rounding_floor(monkeypatch):
+def test_one_eigensolve_resolves_simple_and_multiple_roots(monkeypatch):
     rng = np.random.default_rng(2024)
     simple = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
     double = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
@@ -238,8 +238,7 @@ def test_batch_with_multiple_roots_stops_at_the_rounding_floor(monkeypatch):
 
 
 @pytest.mark.parametrize("degree", [2, 4, 7])
-def test_simple_roots_still_stop_on_the_correction_test(degree,
-                                                         monkeypatch):
+def test_one_eigensolve_matches_numpy_on_simple_roots(degree, monkeypatch):
     rng = np.random.default_rng(degree)
     coeffs = rng.normal(size=(50, degree + 1)) \
         + 1j * rng.normal(size=(50, degree + 1))

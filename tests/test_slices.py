@@ -22,14 +22,21 @@ Independent oracles used here:
 
 import csv
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from p2dyn.errors import ResolutionError
-from p2dyn.green import GreenEvaluator
+from p2dyn.frames import compute_frame, default_coordinates
+from p2dyn.green import GreenEvaluator, local_potential
 from p2dyn.projective import HomogeneousPoint
-from p2dyn.sampler import MeasureSample, sample_equilibrium
+from p2dyn.sampler import (
+    GENERIC_START,
+    MeasureSample,
+    backward_orbit,
+    sample_equilibrium,
+)
 from p2dyn.slices import (
     CERTIFICATE_DEPTH,
     CERTIFICATE_RESOLUTION,
@@ -179,6 +186,108 @@ class TestLocalGrid:
         assert coords.frame.isotropic
         assert coords.frame.conditioning == pytest.approx(1.0)
         assert coords.domain_radius > 0
+
+
+def explicit_potential(grid, evaluator):
+    """``sample_green`` restated: ``local_potential`` at nodes built one
+    Z-slab at a time, through the chart's own ``lift_batch``."""
+    plane = (grid.axis_nodes()[:, None] + 1j * grid.axis_nodes()[None, :])
+    n = plane.shape[0]
+    out = np.empty((n,) * 4)
+    for a in range(n):
+        xi = np.empty((n, n, n, 2), dtype=np.complex128)
+        xi[..., 0] = plane[a][:, None, None]
+        xi[..., 1] = plane[None, :, :]
+        out[a] = local_potential(evaluator, grid.coords, xi)
+    return out
+
+
+@pytest.fixture(scope="module")
+def suspension_chart():
+    """Dynamical frame chart of lattes_suspension: its frame matrix is
+    not the identity, unlike an axis chart's."""
+    susp = lattes_suspension()
+    start = HomogeneousPoint(np.array(GENERIC_START))
+    warm = backward_orbit(susp, start, 25, rng=np.random.default_rng(31))
+    orbit = backward_orbit(susp, warm.points[-1], 20,
+                           rng=np.random.default_rng(41))
+    return susp, default_coordinates(susp, compute_frame(susp, orbit))
+
+
+class TestGridSampling:
+    def test_axis_chart_matches_local_potential(self, flat_grid):
+        evaluator = GreenEvaluator(POWER, depth=4)
+        assert np.array_equal(flat_grid.coords.frame.matrix, np.eye(2))
+        got = flat_grid.sample_green(evaluator)
+        want = explicit_potential(flat_grid, evaluator)
+        assert np.max(np.abs(got - want)) <= 2e-15
+
+    def test_frame_chart_matches_local_potential(self, suspension_chart):
+        susp, coords = suspension_chart
+        assert not np.allclose(coords.frame.matrix, np.eye(2))
+        grid = LocalGrid.from_coords(coords, resolution=32)
+        evaluator = GreenEvaluator(susp, depth=3)
+        got = grid.sample_green(evaluator)
+        want = explicit_potential(grid, evaluator)
+        assert np.max(np.abs(got - want)) <= 2e-15
+
+    def test_out_of_domain_nodes_raise(self, suspension_chart, flat_grid):
+        susp, coords = suspension_chart
+        evaluator = GreenEvaluator(susp, depth=3)
+        outside = np.array([[1.0001 * coords.domain_radius, 0.0]])
+        with pytest.raises(ResolutionError):
+            local_potential(evaluator, coords, outside)
+        # a grid whose corner node passes the domain radius by 5e-13, inside
+        # the construction slack of 1e-12, is refused when sampled
+        domain = flat_grid.coords.domain_radius
+        grid = LocalGrid(coords=flat_grid.coords, resolution=32,
+                         radius=domain * (1 + 5e-13) / (2 * (1 + 1 / 32)))
+        with pytest.raises(ResolutionError):
+            grid.sample_green(GreenEvaluator(POWER, depth=2))
+
+
+def full_cube_ball_mass(sm, center, r):
+    """``ball_mass`` over every cell of the grid, without the box."""
+    grid = sm.grid
+    h = grid.spacing
+    cz, cw = np.asarray(center, dtype=np.complex128).reshape(2)
+    parts = (cz.real, cz.imag, cw.real, cw.imag)
+    ax = grid.axis_nodes(ghost=False)
+    d2 = [np.square(ax - p) for p in parts]
+    dist2 = (d2[0][:, None, None, None] + d2[1][None, :, None, None]
+             + d2[2][None, None, :, None] + d2[3][None, None, None, :])
+    inside = dist2 <= (r - h) ** 2
+    shell = (dist2 < (r + h) ** 2) & ~inside
+    total = float(sm.cell_mass[inside].sum())
+    idx = np.nonzero(shell)
+    if idx[0].size:
+        offsets = np.array(list(product((-0.25 * h, 0.25 * h), repeat=4)))
+        centers = np.stack([ax[idx[k]] - parts[k] for k in range(4)], axis=1)
+        counts = np.zeros(idx[0].size, dtype=np.float64)
+        for off in offsets:
+            counts += (np.square(centers + off).sum(axis=1) <= r * r)
+        total += float((counts / offsets.shape[0]
+                        * sm.cell_mass[shell]).sum())
+    return total
+
+
+class TestBallMassBox:
+    CENTERS = (
+        (0.0, 0.0),
+        (0.21 - 0.13j, -0.08 + 0.3j),
+        (0.9 * RHO + 0.85j * RHO, -0.95 * RHO),   # ball cut by the box
+    )
+
+    @pytest.mark.parametrize("center", CENTERS)
+    def test_equals_the_full_cube_rule(self, torus_grid32, center):
+        grid, values = torus_grid32
+        center = np.array(center, dtype=np.complex128) * grid.radius / RHO
+        radii = np.geomspace(3.0 * grid.spacing, 1.5 * grid.radius, 7)
+        for direction in ("Z", "W"):
+            measure = slice_measure(values, grid, direction)
+            for r in radii:
+                assert ball_mass(measure, center, r) == \
+                    full_cube_ball_mass(measure, center, r)
 
 
 class TestCalibrationSlice:
