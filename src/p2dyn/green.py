@@ -120,9 +120,7 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     n = ev.depth if depth is None else depth
     squeeze = np.ndim(lifts) == 1
     pts = as_point_array(lifts)
-    scale = col_norm(pts.T)
-    check_row_scale(scale)
-    total = np.log(scale)
+    total = np.empty(pts.shape[0], dtype=np.float64)
     inv_d = 1.0 / ev.map.degree
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
@@ -130,7 +128,9 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
         table = np.empty((ev.map.degree, 3, part.size), dtype=np.complex128)
         v = table[0]
         v[...] = pts[rows].T
-        norms = scale[rows]
+        norms = col_norm(v)
+        check_row_scale(norms)
+        part[...] = np.log(norms)
         factor = inv_d
         for _ in range(n):
             v.real /= norms

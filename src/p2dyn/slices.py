@@ -215,7 +215,7 @@ def _cube_potential(ev: GreenEvaluator, axis: np.ndarray, base: np.ndarray,
     zpart = base + plane[:, None] * c[:, 0]
     wpart = plane[:, None] * c[:, 1]
     out = np.empty((n, n, n, n), dtype=np.float64)
-    slabs = max(1, (1 << 18) // (n * plane.size))
+    slabs = max(1, (1 << 16) // (n * plane.size))
     lifts = np.empty((slabs * n, plane.size, 3), dtype=np.complex128)
     for a in range(0, n, slabs):
         k = min(slabs, n - a)
