@@ -194,11 +194,10 @@ class LocalGrid:
 
         The lift section is ``base + Z c1 + W c2`` with ``(c1 c2) =
         tangent_basis @ frame.matrix``.  The chart-domain check is made
-        once, at a corner node: ``|xi| = sqrt(2) max |Z|``.
+        once, at a corner node: ``|xi| = 2 max |axis node|``.
         """
         ax = self.axis_nodes()
-        green.check_domain(self.coords, math.sqrt(2.0) * float(
-            np.abs(ax[:, None] + 1j * ax[None, :]).max()))
+        green.check_domain(self.coords, 2.0 * float(np.abs(ax).max()))
         frame = self.coords.frame
         return _cube_potential(evaluator, ax, frame.base_lift,
                                frame.tangent_basis @ frame.matrix)
