@@ -11,11 +11,12 @@ G along holomorphic lift sections provides local potentials whose discrete
 Laplacians feed the slice-measure machinery.
 
 Partial sums telescope exactly -- G_N(p) = log||p|| + sum_{k<N}
-d^(-k-1) log||F(v_k)|| with v_k the sup-renormalized orbit -- so each step
-adds a bounded term and the truncation error after depth N is at most
+d^(-k-1) log||F(u_k)|| with u_k the orbit rescaled to unit norm -- so each
+step adds a bounded term and the truncation error after depth N is at most
 B d^(-N) / (d-1), where B bounds |log ||F|| | on the sup-norm unit sphere.
-:func:`escape_rate` computes these partial sums in the sup norm or in the
-2-norm; the two differ by at most d^(-N) log sqrt(3) and share the limit.
+:func:`escape_rate` computes G_N in the sup norm or in the 2-norm (they
+differ by at most d^(-N) log sqrt(3) and share the limit), rescaling the
+orbit by powers of two, which is exact, instead of to unit norm.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ DEFAULT_DEPTH = 40
 
 #: rows that escape_rate carries through all depth steps at once; small
 #: enough that one block's power tables and images stay in cache
-_BLOCK_ROWS = 1 << 14
+_BLOCK_ROWS = 1 << 13
 
 _SPHERE_SAMPLE_SEED = 524287
 _SPHERE_SAMPLE_COUNT = 4096
@@ -100,49 +101,55 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
                 depth: int | None = None, norm: str = "sup") -> np.ndarray:
     """G_N at the exact lifts given ((N,3) complex): log-homogeneous.
 
-    The one truncated Green function: with ``|.|`` the chosen norm
-    (``"sup"``, or ``"2"`` for the Hermitian norm), it returns
-    ``log |p| + sum_{k<N} d^(-k-1) log |F(v_k)|`` where ``v_0 = p / |p|``
-    and ``v_{k+1} = F(v_k) / |F(v_k)|``, which telescopes to
-    ``d^(-N) log |F^N(p)|``.  The slice grids use the sup norm; the mass
-    certificate uses the 2-norm, whose truncations are smooth.
+    The one truncated Green function ``d^(-N) log |F^N(p)|`` in the chosen
+    norm (``"sup"``, or ``"2"`` for the Hermitian norm); the slice grids use
+    the sup norm, the mass certificate the 2-norm, whose truncations are
+    smooth.  With ``|v_k| = m_k 2^(e_k)``, ``m_k`` in [1/2, 1), it iterates
+    ``v_0 = p``, ``v_(k+1) = F(2^(-e_k) v_k)``: a power of two rescales
+    exactly, and by homogeneity G_N telescopes to ``log 2 sum_{k<N} d^(-k)
+    e_k + d^(-N) log |v_N|``, one ``log`` per point.  The lift is first
+    rescaled by its sup norm's exponent, so no 2-norm overflows.
 
-    Zero or non-finite lifts raise ``ValueError``; an image collapsing
-    below ``DEGENERATE_EVAL_TOL`` raises :class:`DegenerateEvaluationError`.
-
-    Blocks of ``_BLOCK_ROWS`` points run as (3, b) columns in one power
-    table, where the map writes its images; the real and imaginary parts
-    are divided apart, which is correctly rounded.
+    Zero or non-finite lifts raise ``ValueError``; a step where the image
+    of the unit-norm point ``2^(-e_k) v_k / m_k`` has norm at most
+    ``DEGENERATE_EVAL_TOL`` (``|v_(k+1)| <= tol m_k^d``) raises
+    :class:`DegenerateEvaluationError`.  Blocks of ``_BLOCK_ROWS`` points
+    run as (3, b) columns in one power table, where the map writes F.
     """
     if norm not in _COLUMN_NORMS:
         raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
     col_norm = _COLUMN_NORMS[norm]
     n = ev.depth if depth is None else depth
+    d = ev.map.degree
     squeeze = np.ndim(lifts) == 1
     pts = as_point_array(lifts)
     total = np.empty(pts.shape[0], dtype=np.float64)
-    inv_d = 1.0 / ev.map.degree
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        part = total[rows]
-        table = np.empty((ev.map.degree, 3, part.size), dtype=np.complex128)
+        table = np.empty((d, 3, total[rows].size), dtype=np.complex128)
         v = table[0]
         v[...] = pts[rows].T
-        norms = col_norm(v)
-        check_row_scale(norms)
-        part[...] = np.log(norms)
-        factor = inv_d
+        sup = np.max(np.abs(v), axis=0)
+        check_row_scale(sup)
+        # 2^-e is finite for e >= -1021, so subnormal norms rescale too
+        pre = np.maximum(np.frexp(sup)[1], -1021)
+        v *= np.ldexp(1.0, -pre)
+        norms = np.ldexp(sup, -pre) if norm == "sup" else col_norm(v)
+        exps, factor = pre.astype(np.float64), 1.0
         for _ in range(n):
-            v.real /= norms
-            v.imag /= norms
+            mant, e = np.frexp(norms)
+            exps += factor * e
+            v *= np.ldexp(1.0, -e)
             ev.map.polynomial_columns(table)
             norms = col_norm(v)
-            if np.any(norms <= DEGENERATE_EVAL_TOL):
+            # m_k < 1, so the cheap screen passes every degenerate row
+            if norms.min() <= DEGENERATE_EVAL_TOL and np.any(
+                    norms <= DEGENERATE_EVAL_TOL * mant ** d):
                 raise DegenerateEvaluationError(
                     "map %r collapsed a point to ~0 (common-zero locus hit)"
                     % ev.map.name)
-            part += factor * np.log(norms)
-            factor *= inv_d
+            factor /= d
+        total[rows] = np.log(2.0) * exps + factor * np.log(norms)
     return total[0] if squeeze else total
 
 

@@ -16,7 +16,7 @@ Independent oracles used here:
 import numpy as np
 import pytest
 
-from p2dyn.errors import ResolutionError
+from p2dyn.errors import DegenerateEvaluationError, ResolutionError
 from p2dyn.green import (
     DEFAULT_DEPTH,
     GreenEvaluator,
@@ -105,13 +105,17 @@ class TestPowerMapClosedForm:
 
 class TestHomogeneityAndScale:
     def test_log_homogeneous_in_the_lift(self):
+        # squares of coordinates near 1e160 or 1e-170 overflow or
+        # underflow, so the 2-norm must not be taken of the raw lift
         ev = GreenEvaluator(chebyshev_product(), depth=25)
         rng = np.random.default_rng(11)
         lifts = random_lifts(rng, 30)
-        base = escape_rate(ev, lifts)
-        for c in (2.0, 0.125, -3.0 + 4.0j, 1e6j):
-            shifted = escape_rate(ev, c * lifts)
-            assert np.max(np.abs(shifted - base - np.log(abs(c)))) < 1e-10
+        for norm in ("sup", "2"):
+            base = escape_rate(ev, lifts, norm=norm)
+            for c in (2.0, 0.125, -3.0 + 4.0j, 1e6j, 1e160, 1e-170):
+                shifted = escape_rate(ev, c * lifts, norm=norm)
+                gap = shifted - base - np.log(abs(c))
+                assert np.max(np.abs(gap)) < 1e-10
 
     def test_green_value_ignores_representative(self):
         ev = GreenEvaluator(lattes_suspension(), depth=25)
@@ -121,6 +125,28 @@ class TestHomogeneityAndScale:
             a = green_value(ev, HomogeneousPoint(arr))
             b = green_value(ev, HomogeneousPoint(arr * (37.0 - 2.0j)))
             assert a == pytest.approx(b, abs=1e-10)
+
+
+class TestDegeneracy:
+    # (z^2, zw, zt) vanishes on z = 0; at the lift [a : 1 : 1] the image
+    # of the unit-norm representative has norm a (sup) or a / sqrt(2) (2)
+    MAP = HomogeneousMap([{(2, 0, 0): 1.0}, {(1, 1, 0): 1.0},
+                          {(1, 0, 1): 1.0}], name="z-cone")
+
+    @pytest.mark.parametrize("a", [0.0, 5e-15])
+    def test_collapsed_image_raises_in_both_norms(self, a):
+        ev = GreenEvaluator(self.MAP, depth=3)
+        for norm in ("sup", "2"):
+            with pytest.raises(DegenerateEvaluationError):
+                escape_rate(ev, np.array([a, 1.0, 1.0]), norm=norm)
+
+    def test_threshold_reads_the_unit_norm_representative(self):
+        # the depth loop's iterates have norm in [1/2, 1): their raw images
+        # fall below the tolerance before the unit representative's do
+        ev = GreenEvaluator(self.MAP, depth=1)
+        for norm in ("sup", "2"):
+            got = escape_rate(ev, np.array([2e-14, 1.0, 1.0]), norm=norm)
+            assert np.isfinite(got)
 
 
 class TestTelescoping:
