@@ -252,7 +252,8 @@ def _partial_table(table: dict, var: int) -> dict:
 class _SupportKernel:
     """K polynomials in (z, w, t) over the union M of their supports.
 
-    Holds the ``(M, K)`` coefficient matrix.  :meth:`monomials` builds the
+    Holds the ``(M, K)`` coefficient matrix, and its real transpose
+    ``real_t`` when it has no imaginary part.  :meth:`monomials` builds the
     powers of the three coordinates once and multiplies the M monomials
     from them; a call sums them with one ``(N, M) @ (M, K)`` product.
     """
@@ -268,6 +269,8 @@ class _SupportKernel:
         for col, table in enumerate(tables):
             for key, val in table.items():
                 self.matrix[row[key], col] = val
+        self.real_t = (None if self.matrix.imag.any()
+                       else self.matrix.T.real.copy())
         self.top = max(max(key) for key in support)
         # x_var^e sits in row (e - 1) * 3 + var of the flattened powers
         factors = [[(e - 1) * 3 + var for var, e in enumerate(key) if e]
@@ -340,9 +343,15 @@ class HomogeneousMap:
 
     def polynomial_columns(self, table: np.ndarray) -> np.ndarray:
         """Raw values in place on a (degree, 3, n) table of powers: its
-        first entry holds (3, n) columns x and is overwritten by F(x)."""
+        first entry holds (3, n) columns x and is overwritten by F(x); a
+        real coefficient matrix takes one real product of float64 views."""
         k = self._values
-        return np.matmul(k.matrix.T, k.monomials(table), out=table[0])
+        mono = k.monomials(table)
+        if k.real_t is None:
+            return np.matmul(k.matrix.T, mono, out=table[0])
+        np.matmul(k.real_t, mono.view(np.float64),
+                  out=table[0].view(np.float64))
+        return table[0]
 
     def evaluate_batch(self, points: np.ndarray,
                        renormalize: bool = True) -> np.ndarray:

@@ -59,15 +59,16 @@ def partial(table, var):
     return out
 
 
-def random_tables(rng, degree, density):
-    """Three tables of one degree; each monomial kept with ``density``."""
+def random_tables(rng, degree, density, real=False):
+    """Three tables of one degree; each monomial kept with ``density``,
+    with real or complex coefficients."""
     monomials = [(a, b, degree - a - b) for a in range(degree + 1)
                  for b in range(degree + 1 - a)]
     tables = []
     for _ in range(3):
         keep = rng.random(len(monomials)) < density
         keep[rng.integers(len(monomials))] = True  # never identically zero
-        tables.append({m: complex(rng.normal(), rng.normal())
+        tables.append({m: complex(rng.normal(), 0.0 if real else rng.normal())
                        for m, k in zip(monomials, keep) if k})
     return tables
 
@@ -76,21 +77,30 @@ def random_tables(rng, degree, density):
 @given(degree=st.integers(2, 8),
        density=st.sampled_from([0.1, 0.4, 1.0]),
        batch=st.integers(1, 1000),
+       real=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_kernel_matches_term_by_term_reference(degree, density, batch, seed):
+def test_kernel_matches_term_by_term_reference(degree, density, batch, real,
+                                               seed):
     rng = np.random.default_rng(seed)
-    tables = random_tables(rng, degree, density)
+    tables = random_tables(rng, degree, density, real)
     f = HomogeneousMap(tables)
+    # a real coefficient matrix takes the real product of the float64 views
+    assert (f._values.real_t is not None) == real
     pts = sup_normalize(rng.normal(size=(batch, 3))
                         + 1j * rng.normal(size=(batch, 3)))
     values = f.evaluate_batch(pts, renormalize=False)
     jac = f.jacobian_h_batch(pts)
+    powers = np.empty((degree, 3, batch), dtype=np.complex128)
+    powers[0] = pts.T
+    columns = f.polynomial_columns(powers)
     assert values.shape == (batch, 3) and jac.shape == (batch, 3, 3)
+    assert columns.shape == (3, batch) and np.shares_memory(columns, powers)
     for comp, table in enumerate(tables):
         exps, coeffs = table_arrays(table)
         tol = KERNEL_RTOL * np.sum(np.abs(coeffs))
         ref = eval_terms(exps, coeffs, pts)
         assert np.max(np.abs(values[:, comp] - ref)) <= tol
+        assert np.max(np.abs(columns[comp] - ref)) <= tol
         for var in range(3):
             dtable = partial(table, var)
             if not dtable:
