@@ -348,13 +348,13 @@ def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
     disables the failure entirely (clamping is still applied and
     reported) for callers that merely classify whether mass is present.
     """
-    raw = _raw_stencil(potential, grid, direction)
-    mass = raw * (grid.spacing ** 2 * MASS_NORMALIZATION)
+    mass = _raw_stencil(potential, grid, direction)
+    mass *= grid.spacing ** 2 * MASS_NORMALIZATION
     negative = mass < 0.0
-    clamped = float(-mass[negative].sum()) if negative.any() else 0.0
-    worst = float(-mass.min()) if clamped else 0.0
-    if clamped:
-        mass = np.where(negative, 0.0, mass)
+    below = mass[negative]
+    clamped = float(-below.sum()) if below.size else 0.0
+    worst = float(-below.min()) if clamped else 0.0
+    mass[negative] = 0.0
     total = float(mass.sum())
     if clamped:
         max_cell = float(mass.max(initial=0.0))
@@ -370,9 +370,8 @@ def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
                 "%.3g; the transverse Laplacian is not resolved at "
                 "spacing %.3g" % (clamped, 100.0 * clamp_budget, total,
                                   grid.spacing))
-        count = int(np.count_nonzero(negative))
         logger.info("clamped %d negative cells totaling %.3g (total %.3g)",
-                    count, clamped, total)
+                    below.size, clamped, total)
         if max_cell > 0.0 and worst > NEGATIVITY_FLOOR * max_cell:
             logger.warning(
                 "negative cell mass %.3g beyond the discretization floor "
