@@ -15,8 +15,7 @@ d^(-k-1) log||F(u_k)|| with u_k the orbit rescaled to unit norm -- so each
 step adds a bounded term and the truncation error after depth N is at most
 B d^(-N) / (d-1), where B bounds |log ||F|| | on the sup-norm unit sphere.
 :func:`escape_rate` computes G_N in the sup norm or in the 2-norm (they
-differ by at most d^(-N) log sqrt(3) and share the limit), rescaling the
-orbit by powers of two, which is exact, instead of to unit norm.
+differ by at most d^(-N) log sqrt(3)), rescaling by exact powers of two.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     smooth.  With ``|v_k| = m_k 2^(e_k)``, ``m_k`` in [1/2, 1), it iterates
     ``v_0 = p``, ``v_(k+1) = F(2^(-e_k) v_k)``: a power of two rescales
     exactly, and by homogeneity G_N telescopes to ``log 2 sum_{k<N} d^(-k)
-    e_k + d^(-N) log |v_N|``, one ``log`` per point.  The lift is first
-    rescaled by its sup norm's exponent, so no 2-norm overflows.
+    e_k + d^(-N) log |v_N|``, one ``log`` per point.
 
     Zero or non-finite lifts raise ``ValueError``; a step where the image
     of the unit-norm point ``2^(-e_k) v_k / m_k`` has norm at most
@@ -129,13 +127,17 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
         table = np.empty((d, 3, total[rows].size), dtype=np.complex128)
         v = table[0]
         v[...] = pts[rows].T
-        sup = np.max(np.abs(v), axis=0)
-        check_row_scale(sup)
-        # 2^-e is finite for e >= -1021, so subnormal norms rescale too
-        pre = np.maximum(np.frexp(sup)[1], -1021)
-        v *= np.ldexp(1.0, -pre)
-        norms = np.ldexp(sup, -pre) if norm == "sup" else col_norm(v)
-        exps, factor = pre.astype(np.float64), 1.0
+        with np.errstate(over="ignore"):
+            norms = col_norm(v)
+        exps, factor = 0.0, 1.0
+        # 2-norm squares over- or underflow far from unit scale, and 2^-e
+        # must stay finite: such (or invalid) lifts take a sup exponent first
+        if not np.all((norms > 2.0 ** -500) & (norms < 2.0 ** 500)):
+            sup = np.max(np.abs(v), axis=0)
+            check_row_scale(sup)
+            pre = np.maximum(np.frexp(sup)[1], -1021)
+            v *= np.ldexp(1.0, -pre)
+            exps, norms = pre.astype(np.float64), col_norm(v)
         for _ in range(n):
             mant, e = np.frexp(norms)
             exps += factor * e

@@ -252,8 +252,7 @@ def _partial_table(table: dict, var: int) -> dict:
 class _SupportKernel:
     """K polynomials in (z, w, t) over the union M of their supports.
 
-    Holds the ``(M, K)`` coefficient matrix, and its real transpose
-    ``real_t`` when it has no imaginary part.  :meth:`monomials` builds the
+    Holds the ``(M, K)`` coefficient matrix.  :meth:`monomials` builds the
     powers of the three coordinates once and multiplies the M monomials
     from them; a call sums them with one ``(N, M) @ (M, K)`` product.
     """
@@ -346,10 +345,9 @@ class HomogeneousMap:
         first entry holds (3, n) columns x and is overwritten by F(x); a
         real coefficient matrix takes one real product of float64 views."""
         k = self._values
-        mono = k.monomials(table)
         if k.real_t is None:
-            return np.matmul(k.matrix.T, mono, out=table[0])
-        np.matmul(k.real_t, mono.view(np.float64),
+            return np.matmul(k.matrix.T, k.monomials(table), out=table[0])
+        np.matmul(k.real_t, k.monomials(table).view(np.float64),
                   out=table[0].view(np.float64))
         return table[0]
 
