@@ -22,8 +22,7 @@ rule (:func:`_greedy_clusters`, a loop over the K slots) forms the
 u-fibres, the distinct v-points of each fibre and the cross-chart merge.
 :func:`preimage_batch` returns a :class:`PreimageBatch` whose ``(B, d^2,
 3)`` lifts are in the one canonical branch order that the backward walkers
-draw from.  :class:`PreimageSet` and :class:`PreimageRoot` are per-target
-views of it for the scalar API.
+draw from.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import numpy as np
 from .errors import PreimageSolverError
 from .projective import (
     CHART_OTHERS,
-    ChartPoint,
     HomogeneousMap,
     HomogeneousPoint,
     as_point_array,
@@ -540,40 +538,6 @@ def _rotation_matrix(attempt: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PreimageRoot:
-    """One distinct preimage: chart representative, multiplicity, residual."""
-    point: ChartPoint
-    multiplicity: int
-    residual: float
-
-
-@dataclass(frozen=True)
-class PreimageSet:
-    """One target's row of a :class:`PreimageBatch`, for the scalar API."""
-    target: HomogeneousPoint
-    lifts: np.ndarray
-    root_ids: np.ndarray
-    residuals: np.ndarray
-
-    @property
-    def roots(self) -> list[PreimageRoot]:
-        """Distinct roots in branch order with their multiplicities."""
-        _, first, mults = np.unique(self.root_ids, return_index=True,
-                                    return_counts=True)
-        return [PreimageRoot(HomogeneousPoint(self.lifts[i]).chart_point(),
-                             int(m), float(self.residuals[i]))
-                for i, m in zip(first, mults)]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return int(self.root_ids.size)
-
-    def expanded_points(self) -> np.ndarray:
-        """(d^2, 3) lifts in branch order, roots repeated by multiplicity."""
-        return self.lifts
-
-
-@dataclass(frozen=True)
 class PreimageBatch:
     """All d^2 preimages of each of B targets, in canonical branch order.
 
@@ -585,25 +549,13 @@ class PreimageBatch:
     numbers each target's distinct roots 0, 1, ... in that order,
     ``residuals`` ``(B, d^2)`` is the FS distance of each lift's image to
     its target, and ``rotations`` ``(B,)`` counts the coordinate rotations
-    each target needed.  ``len``, indexing and iteration give
-    :class:`PreimageSet` views of single targets.
+    each target needed.
     """
     targets: np.ndarray
     lifts: np.ndarray
     root_ids: np.ndarray
     residuals: np.ndarray
     rotations: np.ndarray
-
-    def __len__(self) -> int:
-        return self.lifts.shape[0]
-
-    def __getitem__(self, row: int) -> PreimageSet:
-        return PreimageSet(HomogeneousPoint(self.targets[row]),
-                           self.lifts[row], self.root_ids[row],
-                           self.residuals[row])
-
-    def __iter__(self):
-        return (self[row] for row in range(len(self)))
 
 
 def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
@@ -651,27 +603,14 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
                          residuals.reshape(b, want), rotations)
 
 
-def preimages(map_: HomogeneousMap, target: HomogeneousPoint) -> PreimageSet:
-    """All preimages of one target with multiplicities and residuals."""
-    return preimage_batch(map_, target.array[None, :])[0]
 
 
-def random_preimage_batch(map_: HomogeneousMap, points: np.ndarray,
-                          rngs: list[np.random.Generator]) -> np.ndarray:
-    """One multiplicity-weighted preimage per row, one RNG per row.
+def preimages(map_: HomogeneousMap,
+              target: HomogeneousPoint) -> PreimageBatch:
+    """The one-row :class:`PreimageBatch` of a single target.
 
-    This is one step of the backward walker: duplicate targets are solved
-    once, and each row draws a branch from its own generator, so results
-    are independent of the deduplication; a critically close branch is
-    re-drawn as in :func:`p2dyn.sampler.backward_orbit`.
+    The package attribute ``p2dyn.preimages`` is this function rather than
+    the submodule, and the benchmark's own tests check that it is callable;
+    so the function stays although :func:`preimage_batch` does the work.
     """
-    from .sampler import _raise_for_stuck, _walker_step
-    out, picks, _, _ = _walker_step(map_, as_point_array(points), rngs)
-    _raise_for_stuck(map_, picks)
-    return out
-
-
-def random_inverse_branch(map_: HomogeneousMap, point: HomogeneousPoint,
-                          rng: np.random.Generator) -> HomogeneousPoint:
-    """One preimage drawn uniformly among the d^2 roots with multiplicity."""
-    return HomogeneousPoint(random_preimage_batch(map_, point.array, [rng])[0])
+    return preimage_batch(map_, target.array[None, :])

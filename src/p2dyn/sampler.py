@@ -50,7 +50,7 @@ from .errors import (
     PreimageSolverError,
     SamplingError,
 )
-from .preimages import PreimageSet, preimage_batch
+from .preimages import preimage_batch
 from .projective import (
     CHART_OTHERS,
     DEGENERATE_EVAL_TOL,
@@ -207,22 +207,15 @@ def _censored_length(length, steps: int):
 # backward orbits
 # ---------------------------------------------------------------------------
 
-def branch_expanded_lifts(pset: PreimageSet):
-    """(d^2, 3) preimage lifts in canonical branch order plus root ids.
-
-    The order is the one :class:`p2dyn.preimages.PreimageBatch` holds.
-    """
-    return pset.lifts, pset.root_ids
-
-
 @dataclass(frozen=True)
 class BackwardOrbit:
     """Finite backward orbit x_0, x_{-1}, ..., x_{-n} under a map.
 
     ``points[k+1]`` is a preimage of ``points[k]``; ``branch_choices[k]``
-    is the canonical branch index (see :func:`branch_expanded_lifts`) that
-    produced it.  Construction validates forward-backward consistency and
-    critical-set clearance of every point.
+    is the index into the canonical branch order of
+    :class:`p2dyn.preimages.PreimageBatch` lifts that produced it.
+    Construction validates forward-backward consistency and critical-set
+    clearance of every point.
     """
 
     map: HomogeneousMap

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMapError
+from .errors import ConfigError, DegenerateMapError, PreimageSolverError
+from .preimages import preimage_batch
 from .projective import HomogeneousMap, HomogeneousPoint
 
 LOG2 = float(np.log(2.0))
@@ -298,7 +299,6 @@ def certify_nondegenerate(map_: HomogeneousMap, n_targets: int = 20,
     cannot be achieved -- the fibers of a true endomorphism always carry
     d^2 points.
     """
-    from .preimages import PreimageSolverError, preimage_batch
     rng = np.random.default_rng(seed)
     targets = rng.normal(size=(n_targets, 3)) \
         + 1j * rng.normal(size=(n_targets, 3))

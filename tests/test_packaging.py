@@ -81,3 +81,12 @@ def test_declared_distributions_are_imported():
     used = {_normalize(dist) for top in _imported_modules()
             for dist in distributions.get(top, [top])}
     assert not declared - used, sorted(declared - used)
+
+
+def test_export_lists_resolve():
+    # a name deleted from a module cannot linger in an export list
+    for name in ("p2dyn", "p2dyn.slices"):
+        module = importlib.import_module(name)
+        missing = [attr for attr in module.__all__
+                   if not hasattr(module, attr)]
+        assert not missing, (name, missing)

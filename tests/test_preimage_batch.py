@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 
 from p2dyn.preimages import (
     CLUSTER_RADIUS,
-    PreimageBatch,
-    PreimageSet,
     _canonical_branches,
     _merge_across_charts,
     preimage_batch,
@@ -32,7 +30,6 @@ from p2dyn.projective import (
     fs_distance_batch,
     lift_from_chart,
 )
-from p2dyn.sampler import branch_expanded_lifts
 from p2dyn.zoo import (
     chebyshev_product,
     lattes_suspension,
@@ -220,23 +217,6 @@ def test_branch_order_ignores_noise_across_rounding_boundaries(x):
                      dtype=complex)
     got, _ = _canonical_branches(lifts, np.array([[1, 1]]))
     assert got[:, 1].real.tolist() == [-0.5, 0.5]
-
-
-def test_views_and_accessor_read_the_same_rows():
-    f = lattes_suspension()
-    rng = np.random.default_rng(3)
-    targets = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    batch = preimage_batch(f, targets)
-    assert isinstance(batch, PreimageBatch) and len(batch) == 4
-    for i, pset in enumerate(batch):
-        assert isinstance(pset, PreimageSet)
-        assert pset.total_multiplicity == 4
-        lifts, ids = branch_expanded_lifts(pset)
-        assert np.array_equal(lifts, batch.lifts[i])
-        assert np.array_equal(ids, batch.root_ids[i])
-        assert np.array_equal(pset.expanded_points(), batch.lifts[i])
-        assert sum(r.multiplicity for r in pset.roots) == 4
-        assert np.array_equal(batch[i].target.array, targets[i])
 
 
 def test_target_solved_only_after_a_rotation():

@@ -11,19 +11,14 @@ import pytest
 import sympy as sp
 
 from p2dyn.errors import PreimageSolverError
-from p2dyn.preimages import (
-    polynomial_roots,
-    preimage_batch,
-    preimages,
-    random_inverse_branch,
-    random_preimage_batch,
-)
+from p2dyn.preimages import polynomial_roots, preimage_batch, preimages
 from p2dyn.projective import (
     HomogeneousMap,
     HomogeneousPoint,
     fs_distance_batch,
     lift_from_chart,
 )
+from p2dyn.sampler import _raise_for_stuck, _walker_step, backward_orbit
 
 
 def power_map(d: int = 2) -> HomogeneousMap:
@@ -63,6 +58,7 @@ def match_sets(points_a: np.ndarray, points_b: np.ndarray, tol: float):
         remaining.pop(k)
 
 
+
 # ---------------------------------------------------------------------------
 # univariate stage
 # ---------------------------------------------------------------------------
@@ -97,52 +93,52 @@ class TestAberth:
 
 class TestClosedForms:
     def test_power_map_four_square_roots(self):
-        ps = preimages(power_map(2),
-                       HomogeneousPoint(np.array([1.0, 1.0, 1.0])))
-        assert ps.total_multiplicity == 4
-        assert sorted(r.multiplicity for r in ps.roots) == [1, 1, 1, 1]
-        got = np.array([r.point.homogeneous().array for r in ps.roots])
+        batch = preimages(power_map(2),
+                          HomogeneousPoint(np.array([1.0, 1.0, 1.0])))
+        assert batch.lifts.shape == (1, 4, 3)
+        _, mults = np.unique(batch.root_ids[0], return_counts=True)
+        assert mults.tolist() == [1, 1, 1, 1]
         oracle = np.array([[s1, s2, 1.0] for s1 in (1, -1)
                            for s2 in (1, -1)], dtype=complex)
-        match_sets(oracle, got, 1e-10)
-        assert max(r.residual for r in ps.roots) < 1e-10
+        match_sets(oracle, batch.lifts[0], 1e-10)
+        assert batch.residuals.max() < 1e-10
 
     def test_power_map_critical_value_multiplicity_two(self):
         # [0:1:1] pulls back to (0, ±1) each with multiplicity 2
-        ps = preimages(power_map(2),
-                       HomogeneousPoint(np.array([0.0, 1.0, 1.0])))
-        assert ps.total_multiplicity == 4
-        assert sorted(r.multiplicity for r in ps.roots) == [2, 2]
-        got = np.array([r.point.homogeneous().array for r in ps.roots])
+        batch = preimages(power_map(2),
+                          HomogeneousPoint(np.array([0.0, 1.0, 1.0])))
+        assert batch.lifts.shape == (1, 4, 3)
+        _, first, mults = np.unique(batch.root_ids[0], return_index=True,
+                                    return_counts=True)
+        assert mults.tolist() == [2, 2]
         oracle = np.array([[0.0, 1.0, 1.0], [0.0, -1.0, 1.0]], dtype=complex)
-        match_sets(oracle, got, 1e-7)
+        match_sets(oracle, batch.lifts[0, first], 1e-7)
 
     def test_totally_invariant_point_multiplicity_four(self):
         # [0:0:1] is totally invariant for the power map: one root, mult 4
-        ps = preimages(power_map(2),
-                       HomogeneousPoint(np.array([0.0, 0.0, 1.0])))
-        assert ps.total_multiplicity == 4
-        assert len(ps.roots) == 1
-        assert ps.roots[0].multiplicity == 4
+        batch = preimages(power_map(2),
+                          HomogeneousPoint(np.array([0.0, 0.0, 1.0])))
+        assert batch.lifts.shape == (1, 4, 3)
+        _, mults = np.unique(batch.root_ids[0], return_counts=True)
+        assert mults.tolist() == [4]
 
     def test_chebyshev_square_preimages(self):
         # z^2 - 2 = 2 and w^2 - 2 = 2: four roots (±2, ±2)
-        ps = preimages(chebyshev_product(),
-                       HomogeneousPoint(np.array([2.0, 2.0, 1.0])))
-        assert ps.total_multiplicity == 4
-        got = np.array([r.point.homogeneous().array for r in ps.roots])
+        batch = preimages(chebyshev_product(),
+                          HomogeneousPoint(np.array([2.0, 2.0, 1.0])))
+        assert batch.lifts.shape == (1, 4, 3)
         oracle = np.array([[s1 * 2.0, s2 * 2.0, 1.0] for s1 in (1, -1)
                            for s2 in (1, -1)], dtype=complex)
-        match_sets(oracle, got, 1e-10)
+        # four distinct oracle roots: a repeated lift cannot match them all
+        match_sets(oracle, batch.lifts[0], 1e-10)
 
     def test_power_map_cube(self):
-        ps = preimages(power_map(3),
-                       HomogeneousPoint(np.array([1.0, 1.0, 1.0])))
-        assert ps.total_multiplicity == 9
-        got = np.array([r.point.homogeneous().array for r in ps.roots])
+        batch = preimages(power_map(3),
+                          HomogeneousPoint(np.array([1.0, 1.0, 1.0])))
+        assert batch.lifts.shape == (1, 9, 3)
         cube = np.exp(2j * np.pi * np.arange(3) / 3)
         oracle = np.array([[a, b, 1.0] for a in cube for b in cube])
-        match_sets(oracle, got, 1e-10)
+        match_sets(oracle, batch.lifts[0], 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +180,19 @@ class TestExactAlgebraOracle:
         f = random_map(2, seed=31)
         target = np.array([0.4 - 0.3j, 0.2 + 0.5j, 1.0])
         oracle = sympy_preimage_oracle(f, target)
-        ps = preimages(f, HomogeneousPoint(target))
-        assert ps.total_multiplicity == 4
-        assert len(ps.roots) == oracle.shape[0] == 4
-        got = np.array([r.point.homogeneous().array for r in ps.roots])
-        match_sets(oracle, got, 1e-9)
+        batch = preimages(f, HomogeneousPoint(target))
+        assert batch.lifts.shape == (1, 4, 3)
+        assert np.unique(batch.root_ids[0]).size == oracle.shape[0] == 4
+        match_sets(oracle, batch.lifts[0], 1e-9)
 
     def test_second_seed_and_target(self):
         f = random_map(2, seed=32)
         target = np.array([-0.7 + 0.2j, 0.1 - 0.9j, 1.0])
         oracle = sympy_preimage_oracle(f, target)
-        ps = preimages(f, HomogeneousPoint(target))
-        got = np.array([r.point.homogeneous().array for r in ps.roots])
-        assert len(ps.roots) == oracle.shape[0]
-        match_sets(oracle, got, 1e-9)
+        batch = preimages(f, HomogeneousPoint(target))
+        _, first = np.unique(batch.root_ids[0], return_index=True)
+        assert first.size == oracle.shape[0]
+        match_sets(oracle, batch.lifts[0, first], 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +229,9 @@ class TestProductFactorization:
             target = np.array([complex(rng.normal(), rng.normal()),
                                complex(rng.normal(), rng.normal()), 1.0])
             oracle = factorized_product_oracle(pc, qc, target)
-            ps = preimages(f, HomogeneousPoint(target))
-            assert ps.total_multiplicity == 4
-            got = ps.expanded_points()
+            batch = preimages(f, HomogeneousPoint(target))
+            assert batch.lifts.shape == (1, 4, 3)
+            got = batch.lifts[0]
             # expand oracle by multiplicity pairing: all roots simple here
             assert got.shape[0] == oracle.shape[0]
             match_sets(oracle, got, 1e-9)
@@ -257,17 +252,15 @@ class TestCertification:
         f = factory()
         rng = np.random.default_rng(60 + degree)
         targets = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
-        sets = preimage_batch(f, targets)
-        for s in sets:
-            assert s.total_multiplicity == degree ** 2
-            assert max(r.residual for r in s.roots) < 1e-10
+        batch = preimage_batch(f, targets)
+        assert batch.lifts.shape == (20, degree ** 2, 3)
+        assert batch.residuals.max() < 1e-10
 
     def test_forward_evaluation_closes_the_loop(self):
         f = random_map(3, seed=53)
         rng = np.random.default_rng(54)
         target = rng.normal(size=3) + 1j * rng.normal(size=3)
-        ps = preimages(f, HomogeneousPoint(target))
-        pts = np.array([r.point.homogeneous().array for r in ps.roots])
+        pts = preimages(f, HomogeneousPoint(target)).lifts[0]
         images = f.evaluate_batch(pts)
         tiled = np.repeat(target[None, :] / np.max(np.abs(target)),
                           pts.shape[0], axis=0)
@@ -282,7 +275,7 @@ class TestCertification:
 
 
 # ---------------------------------------------------------------------------
-# determinism and sampling helpers
+# determinism and branch draws
 # ---------------------------------------------------------------------------
 
 class TestDeterminismAndSampling:
@@ -291,17 +284,14 @@ class TestDeterminismAndSampling:
         target = np.array([0.2 + 0.1j, -0.4, 1.0])
         a = preimages(f, HomogeneousPoint(target))
         b = preimages(f, HomogeneousPoint(target))
-        pa = np.array([r.point.homogeneous().array for r in a.roots])
-        pb = np.array([r.point.homogeneous().array for r in b.roots])
-        assert np.array_equal(pa, pb)
-        assert [r.multiplicity for r in a.roots] == \
-            [r.multiplicity for r in b.roots]
+        assert np.array_equal(a.lifts, b.lifts)
+        assert np.array_equal(a.root_ids, b.root_ids)
 
     def test_random_branch_is_a_preimage(self):
         f = random_map(2, seed=72)
         target = HomogeneousPoint(np.array([0.1, 0.7 - 0.2j, 1.0]))
         rng = np.random.default_rng(73)
-        branch = random_inverse_branch(f, target, rng)
+        branch = backward_orbit(f, target, 1, rng).points[1]
         img = f.evaluate(branch)
         assert fs_distance_batch(img.array[None, :],
                                  target.normalized().array[None, :])[0] < 1e-9
@@ -314,7 +304,8 @@ class TestDeterminismAndSampling:
         n = 10_000
         rngs = [np.random.default_rng(s)
                 for s in np.random.SeedSequence(123).spawn(n)]
-        out = random_preimage_batch(f, np.tile(pt, (n, 1)), rngs)
+        out, picks, _, _ = _walker_step(f, np.tile(pt, (n, 1)), rngs)
+        _raise_for_stuck(f, picks)
         aff = out[:, :2] / out[:, 2:]
         signs = np.stack([np.sign(aff[:, 0].real),
                           np.sign(aff[:, 1].real)], axis=1)
@@ -329,7 +320,8 @@ class TestDeterminismAndSampling:
         points = np.stack([pt, pt, pt])
         seeds = np.random.SeedSequence(99).spawn(3)
         rngs = [np.random.default_rng(s) for s in seeds]
-        out = random_preimage_batch(f, points, rngs)
+        out, picks, _, _ = _walker_step(f, points, rngs)
+        _raise_for_stuck(f, picks)
         # all outputs are preimages of the shared target
         images = f.evaluate_batch(out)
         tiled = np.repeat(pt[None, :] / np.max(np.abs(pt)), 3, axis=0)
@@ -337,5 +329,5 @@ class TestDeterminismAndSampling:
         # identical seeds reproduce identical draws
         rngs2 = [np.random.default_rng(s)
                  for s in np.random.SeedSequence(99).spawn(3)]
-        out2 = random_preimage_batch(f, points, rngs2)
+        out2, _, _, _ = _walker_step(f, points, rngs2)
         assert np.array_equal(out, out2)

@@ -28,7 +28,6 @@ from p2dyn.sampler import (
     BackwardOrbit,
     ExponentEstimate,
     backward_orbit,
-    branch_expanded_lifts,
     contraction_diagnostic,
     fs_jacobian_dets,
     fs_tangent_maps,
@@ -164,9 +163,9 @@ class TestFsTangentMaps:
 
 class TestBranchOrder:
     def test_real_chebyshev_target_puts_positive_roots_first(self):
-        pset = preimages(chebyshev_product(),
-                         HomogeneousPoint([2.0, 2.0, 1.0]))
-        lifts, ids = branch_expanded_lifts(pset)
+        batch = preimages(chebyshev_product(),
+                          HomogeneousPoint([2.0, 2.0, 1.0]))
+        lifts, ids = batch.lifts[0], batch.root_ids[0]
         assert lifts.shape == (4, 3)
         aff = lifts[:, :2] / lifts[:, 2:]
         expected = np.array([[2.0, 2.0], [2.0, -2.0],
@@ -175,8 +174,8 @@ class TestBranchOrder:
         assert len(set(ids.tolist())) == 4
 
     def test_multiple_roots_expand_adjacently(self):
-        pset = preimages(power_map(2), HomogeneousPoint([0.0, 1.0, 1.0]))
-        lifts, ids = branch_expanded_lifts(pset)
+        batch = preimages(power_map(2), HomogeneousPoint([0.0, 1.0, 1.0]))
+        lifts, ids = batch.lifts[0], batch.root_ids[0]
         assert lifts.shape == (4, 3)
         # two double roots (0, +-1); copies of one root sit side by side
         assert ids[0] == ids[1] and ids[2] == ids[3] and ids[0] != ids[2]

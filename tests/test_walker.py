@@ -11,10 +11,10 @@ import logging
 
 import numpy as np
 
-from p2dyn.preimages import random_inverse_branch, random_preimage_batch
 from p2dyn.projective import HomogeneousPoint, fs_distance_batch
 from p2dyn.sampler import (
     _clear_start,
+    _walker_step,
     backward_orbit,
     lyapunov_exponents,
     sample_equilibrium,
@@ -35,13 +35,12 @@ def test_batched_walkers_replay_as_single_orbits():
 
 
 def test_random_branches_follow_the_walker_draw():
-    # the scalar helpers draw from the same canonical order as the walker
+    # a batched walker step draws from the same canonical order as a
+    # single backward orbit with the same generator
     f = power_map(2)
     start = HomogeneousPoint([0.3 + 0.2j, -0.5 + 0.1j, 1.0])
     orbit = backward_orbit(f, start, 1, np.random.default_rng(8))
-    branch = random_inverse_branch(f, start, np.random.default_rng(8))
-    assert np.array_equal(branch.array, orbit.points[1].array)
-    rows = random_preimage_batch(f, np.stack([start.array] * 2),
+    rows, _, _, _ = _walker_step(f, np.stack([start.array] * 2),
                                  [np.random.default_rng(8),
                                   np.random.default_rng(9)])
     assert np.array_equal(rows[0], orbit.points[1].array)

@@ -130,9 +130,9 @@ class TestPerturb:
         g = HomogeneousMap([{(0, 2, 0): 1.0}, {(0, 0, 2): 1.0},
                             {(2, 0, 0): 1.0}])
         h = perturb(f, g, 0.01)
-        ps = preimages(h, HomogeneousPoint(
+        batch = preimages(h, HomogeneousPoint(
             np.array([0.3 + 0.2j, -0.6, 1.0])))
-        assert ps.total_multiplicity == 4
+        assert batch.lifts.shape == (1, 4, 3)
 
     def test_full_cancellation_raises(self):
         f = power_map(2)
