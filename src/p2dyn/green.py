@@ -176,46 +176,24 @@ def chart_potential(ev: GreenEvaluator, chart: int,
     return vals.reshape(xi.shape[:-1])
 
 
-def check_domain(coords, extent: float) -> None:
-    """Reject nodes reaching past ``coords.domain_radius``, when present."""
-    radius = getattr(coords, "domain_radius", None)
-    if radius is not None and extent > radius:
-        raise ResolutionError(
-            "grid extends to |xi| = %.3g beyond the chart domain "
-            "radius %.3g" % (extent, radius))
-
-
 def local_potential(ev: GreenEvaluator, coords, xi: np.ndarray) -> np.ndarray:
     """G sampled along a holomorphic lift section at frame coordinates xi.
 
     ``coords`` is anything with a ``lift_batch((M, 2) complex) -> (M, 3)``
     method (the normal-form frame charts provide one).  Sections differing
     by a nonvanishing holomorphic factor shift G pluriharmonically, so all
-    downstream Laplacians are section-independent.  Nodes outside the
-    chart's validity ball raise :class:`ResolutionError` (see
-    :func:`check_domain`) rather than silently sampling an invalid
+    downstream Laplacians are section-independent.  Nodes past
+    ``coords.domain_radius`` (when it has one) raise
+    :class:`ResolutionError` rather than silently sampling an invalid
     trivialization.
     """
     xi = np.asarray(xi, dtype=np.complex128)
     flat = xi.reshape(-1, 2)
-    check_domain(coords,
-                 float(np.max(np.linalg.norm(flat, axis=1), initial=0.0)))
+    extent = float(np.max(np.linalg.norm(flat, axis=1), initial=0.0))
+    radius = getattr(coords, "domain_radius", None)
+    if radius is not None and extent > radius:
+        raise ResolutionError(
+            "grid extends to |xi| = %.3g beyond the chart domain "
+            "radius %.3g" % (extent, radius))
     vals = escape_rate(ev, coords.lift_batch(flat))
     return vals.reshape(xi.shape[:-1])
-
-
-def laplacian_defect(values: np.ndarray, spacing: float) -> float:
-    """Most-negative unnormalized 5-point stencil over interior nodes.
-
-    ``values`` is a real 2D grid of potential samples with uniform complex
-    grid ``spacing`` (same step in both real directions).  For samples of a
-    plurisubharmonic function the stencil sums are >= -spacing^2 * 1e-6 up
-    to discretization noise; callers use this as the positivity proxy.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 2 or min(v.shape) < 3:
-        raise ValueError("need an (m, n) grid with m, n >= 3")
-    stencil = (v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2] + v[1:-1, 2:]
-               - 4.0 * v[1:-1, 1:-1])
-    del spacing  # the stencil is already in unnormalized (h^2-scaled) form
-    return float(stencil.min())

@@ -126,7 +126,8 @@ class LocalGrid:
     resolution``; node ``i`` of an axis sits at ``-radius + (i + 1/2) h``.
     One ghost node beyond each edge supports the 5-point stencils, so the
     sampled node cube has ``resolution + 2`` nodes per axis and must stay
-    inside the chart domain (including the ghost ring).
+    inside the chart domain (including the ghost ring); construction
+    checks this, once, so every grid that constructs can be sampled.
     """
 
     coords: NormalFormCoordinates
@@ -141,11 +142,11 @@ class LocalGrid:
         object.__setattr__(self, "resolution", int(self.resolution))
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError("grid radius must be positive and finite")
-        # worst corner: all four real axes at radius + h/2, so the chart
-        # norm |xi| reaches 2 (radius + h/2) there
-        reach = 2.0 * (self.radius + 0.5 * self.spacing)
+        # worst corner: all four real axes at the outermost ghost node, so
+        # the chart norm |xi| reaches twice its modulus there
+        reach = 2.0 * float(np.abs(self.axis_nodes()).max())
         domain = float(self.coords.domain_radius)
-        if reach > domain * (1.0 + 1e-12):
+        if reach > domain:
             raise ValueError(
                 "grid (with its ghost ring) reaches |xi| = %.3g beyond the "
                 "chart domain radius %.3g; shrink the grid radius below "
@@ -192,13 +193,11 @@ class LocalGrid:
         """Truncated potential on the ghosted node cube.
 
         The lift section is ``base + Z c1 + W c2`` with ``(c1 c2) =
-        tangent_basis @ frame.matrix``.  The chart-domain check is made
-        once, at a corner node: ``|xi| = 2 max |axis node|``.
+        tangent_basis @ frame.matrix``.  Construction has already checked
+        that every node lies in the chart domain.
         """
-        ax = self.axis_nodes()
-        green.check_domain(self.coords, 2.0 * float(np.abs(ax).max()))
         frame = self.coords.frame
-        return _cube_potential(evaluator, ax, frame.base_lift,
+        return _cube_potential(evaluator, self.axis_nodes(), frame.base_lift,
                                frame.tangent_basis @ frame.matrix)
 
 
@@ -307,6 +306,24 @@ class SliceMeasure:
                              "%.17g" % (self.total_mass, total))
 
 
+def _shifted(values: np.ndarray, shifts: dict) -> np.ndarray:
+    """Interior nodes of a 4-axis node cube, each axis in ``shifts`` moved
+    one node up (+1) or down (-1)."""
+    index = [slice(1, -1)] * 4
+    for axis, step in shifts.items():
+        index[axis] = slice(2, None) if step > 0 else slice(None, -2)
+    return values[tuple(index)]
+
+
+def _plane_stencil(values: np.ndarray, plane: int) -> np.ndarray:
+    """Unnormalized 5-point stencil over the Z-plane (``plane`` 0, axes 0
+    and 1) or the W-plane (``plane`` 1, axes 2 and 3) at interior nodes."""
+    a, b = 2 * plane, 2 * plane + 1
+    return (_shifted(values, {a: 1}) + _shifted(values, {a: -1})
+            + _shifted(values, {b: 1}) + _shifted(values, {b: -1})
+            - 4.0 * _shifted(values, {}))
+
+
 def _raw_stencil(potential: np.ndarray, grid: LocalGrid,
                  direction: str) -> np.ndarray:
     """Unnormalized transverse 5-point stencil on interior cells.
@@ -323,14 +340,7 @@ def _raw_stencil(potential: np.ndarray, grid: LocalGrid,
         raise ValueError(
             "potential grid mismatch: expected the ghosted node cube "
             "%r, got %r" % ((n, n, n, n), pot.shape))
-    c = pot[1:-1, 1:-1, 1:-1, 1:-1]
-    if direction == "Z":
-        return (pot[1:-1, 1:-1, 2:, 1:-1] + pot[1:-1, 1:-1, :-2, 1:-1]
-                + pot[1:-1, 1:-1, 1:-1, 2:] + pot[1:-1, 1:-1, 1:-1, :-2]
-                - 4.0 * c)
-    return (pot[2:, 1:-1, 1:-1, 1:-1] + pot[:-2, 1:-1, 1:-1, 1:-1]
-            + pot[1:-1, 2:, 1:-1, 1:-1] + pot[1:-1, :-2, 1:-1, 1:-1]
-            - 4.0 * c)
+    return _plane_stencil(pot, 1 if direction == "Z" else 0)
 
 
 def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
@@ -551,29 +561,15 @@ def _hessian_terms(values: np.ndarray, h: float):
 
     Returns ``(u_ZZbar, u_WWbar, u_ZWbar)`` on the interior node cube.
     """
-    c = values[1:-1, 1:-1, 1:-1, 1:-1]
-    lap_z = (values[2:, 1:-1, 1:-1, 1:-1] + values[:-2, 1:-1, 1:-1, 1:-1]
-             + values[1:-1, 2:, 1:-1, 1:-1] + values[1:-1, :-2, 1:-1, 1:-1]
-             - 4.0 * c)
-    lap_w = (values[1:-1, 1:-1, 2:, 1:-1] + values[1:-1, 1:-1, :-2, 1:-1]
-             + values[1:-1, 1:-1, 1:-1, 2:] + values[1:-1, 1:-1, 1:-1, :-2]
-             - 4.0 * c)
-
     def cross(ax_a, ax_b):
-        sl_pp = [slice(1, -1)] * 4
-        sl_pm = [slice(1, -1)] * 4
-        sl_mp = [slice(1, -1)] * 4
-        sl_mm = [slice(1, -1)] * 4
-        sl_pp[ax_a] = slice(2, None); sl_pp[ax_b] = slice(2, None)
-        sl_pm[ax_a] = slice(2, None); sl_pm[ax_b] = slice(None, -2)
-        sl_mp[ax_a] = slice(None, -2); sl_mp[ax_b] = slice(2, None)
-        sl_mm[ax_a] = slice(None, -2); sl_mm[ax_b] = slice(None, -2)
-        return (values[tuple(sl_pp)] - values[tuple(sl_pm)]
-                - values[tuple(sl_mp)] + values[tuple(sl_mm)])
+        return (_shifted(values, {ax_a: 1, ax_b: 1})
+                - _shifted(values, {ax_a: 1, ax_b: -1})
+                - _shifted(values, {ax_a: -1, ax_b: 1})
+                + _shifted(values, {ax_a: -1, ax_b: -1}))
 
     h2 = h * h
-    u_zz = lap_z / (4.0 * h2)
-    u_ww = lap_w / (4.0 * h2)
+    u_zz = _plane_stencil(values, 0) / (4.0 * h2)
+    u_ww = _plane_stencil(values, 1) / (4.0 * h2)
     u_zw = (cross(0, 2) + cross(1, 3)
             + 1j * (cross(0, 3) - cross(1, 2))) / (16.0 * h2)
     return u_zz, u_ww, u_zw

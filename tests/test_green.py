@@ -13,20 +13,28 @@ Independent oracles used here:
   partial sums satisfy exactly up to floating-point roundoff.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from p2dyn.errors import DegenerateEvaluationError, ResolutionError
+from p2dyn.frames import NormalFormCoordinates, OseledecFrame
 from p2dyn.green import (
     DEFAULT_DEPTH,
     GreenEvaluator,
     chart_potential,
     escape_rate,
     green_value,
-    laplacian_defect,
     local_potential,
 )
 from p2dyn.projective import HomogeneousMap, HomogeneousPoint, lift_from_chart
+from p2dyn.slices import (
+    LocalGrid,
+    axis_chart,
+    harmonicity_defect,
+    slice_measure,
+)
 from p2dyn.zoo import (
     chebyshev_product,
     lattes_suspension,
@@ -260,13 +268,13 @@ class TestLocalPotential:
 
 
 class TestPshProxy:
-    @staticmethod
-    def _grid_values(ev, center, half_width, m):
-        xs = np.linspace(-half_width, half_width, m)
-        z = center[0] + xs[:, None] + 1j * xs[None, :]
-        w = np.full_like(z, center[1])
-        return chart_potential(ev, 2, np.stack([z, w], axis=-1)), \
-            xs[1] - xs[0]
+    """Plurisubharmonicity read off the slice stencil of :mod:`p2dyn.slices`.
+
+    The proxy's floor is ``-h^2 * 1e-6`` on each unnormalized 5-point
+    stencil.  Adding ``(1e-6 / 4) (|Z|^2 + |W|^2)`` adds exactly
+    ``h^2 * 1e-6`` to every stencil, so the floor holds at every node
+    exactly when the shifted potential's slice measure clamps no mass.
+    """
 
     @pytest.mark.parametrize("map_", [
         chebyshev_product(),
@@ -276,27 +284,47 @@ class TestPshProxy:
     def test_sampled_potential_is_subharmonic_on_lines(self, map_):
         # grid spacing comparable to the slice grids used downstream;
         # coarser grids let the O(h^4) stencil truncation outgrow the
-        # -h^2 * 1e-6 proxy threshold where the true Laplacian vanishes
-        ev = GreenEvaluator(map_)
-        values, h = self._grid_values(ev, (0.31 + 0.07j, 0.22 - 0.11j),
-                                      0.1, 33)
-        assert laplacian_defect(values, h) >= -h * h * 1e-6
+        # floor where the true Laplacian vanishes.  The chart's Z and W
+        # axes are the affine z and w of chart 2, so the grid's slices are
+        # the complex lines z -> (z, w) and w -> (z, w) through its nodes
+        base = np.array([0.31 + 0.07j, 0.22 - 0.11j, 1.0])
+        frame = OseledecFrame(
+            base=HomogeneousPoint(base).chart_point(),
+            e1=np.array([1.0, 0.0j]), e2=np.array([0.0j, 1.0]),
+            conditioning=1.0, isotropic=True, base_lift=base,
+            tangent_basis=np.eye(3, 2) / np.linalg.norm(base))
+        grid = LocalGrid(coords=NormalFormCoordinates(frame=frame,
+                                                      domain_radius=0.25),
+                         resolution=32, radius=0.1)
+        values = grid.sample_green(GreenEvaluator(map_)) + grid.sample_scalar(
+            lambda Z, W: 0.25e-6 * (np.abs(Z) ** 2 + np.abs(W) ** 2))
+        for direction in ("Z", "W"):
+            measure = slice_measure(values, grid, direction,
+                                    clamp_budget=math.inf)
+            assert measure.clamped_mass == 0.0
 
-    def test_detector_dichotomy(self):
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return LocalGrid(coords=axis_chart(power_map(2), np.ones(3),
+                                           domain_radius=2.5),
+                         resolution=32, radius=0.5)
+
+    def test_detector_dichotomy(self, grid):
         # harmonic sample passes (singularity far enough that the O(h^4)
-        # stencil truncation stays below threshold), strictly concave
-        # sample fails loudly
-        xs = np.linspace(-0.5, 0.5, 21)
-        z = 10.0 + xs[:, None] + 1j * xs[None, :]
-        h = xs[1] - xs[0]
-        harmonic = np.log(np.abs(z))
-        assert laplacian_defect(harmonic, h) >= -h * h * 1e-6
-        concave = -np.abs(z - 10.0) ** 2
-        assert laplacian_defect(concave, h) < -h * h * 1.0
+        # stencil truncation stays below the floor), strictly concave
+        # sample fails loudly: per W-slice, the mean absolute stencil is
+        # compared with the floor h^2 * 1e-6 and with h^2
+        floor = grid.resolution ** 2 * grid.spacing ** 2
+        harmonic = grid.sample_scalar(
+            lambda Z, W: np.log(np.abs(10.0 + W)) + 0.0 * Z.real)
+        assert harmonicity_defect(harmonic, grid, "Z").max() <= floor * 1e-6
+        concave = grid.sample_scalar(
+            lambda Z, W: -np.abs(W) ** 2 + 0.0 * Z.real)
+        assert harmonicity_defect(concave, grid, "Z").min() > floor * 1.0
 
-    def test_rejects_tiny_grids(self):
+    def test_rejects_tiny_grids(self, grid):
         with pytest.raises(ValueError):
-            laplacian_defect(np.zeros((2, 5)), 0.1)
+            harmonicity_defect(np.zeros((2, 5)), grid, "Z")
 
 
 class TestNormArgument:

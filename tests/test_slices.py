@@ -26,6 +26,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from p2dyn.errors import ResolutionError
 from p2dyn.frames import compute_frame, default_coordinates
@@ -237,13 +239,30 @@ class TestGridSampling:
         outside = np.array([[1.0001 * coords.domain_radius, 0.0]])
         with pytest.raises(ResolutionError):
             local_potential(evaluator, coords, outside)
-        # a grid whose corner node passes the domain radius by 5e-13, inside
-        # the construction slack of 1e-12, is refused when sampled
+        # a grid whose corner node passes the domain radius by 5e-13 is
+        # refused at construction, so it is never sampled
         domain = flat_grid.coords.domain_radius
-        grid = LocalGrid(coords=flat_grid.coords, resolution=32,
-                         radius=domain * (1 + 5e-13) / (2 * (1 + 1 / 32)))
-        with pytest.raises(ResolutionError):
-            grid.sample_green(GreenEvaluator(POWER, depth=2))
+        with pytest.raises(ValueError):
+            LocalGrid(coords=flat_grid.coords, resolution=32,
+                      radius=domain * (1 + 5e-13) / (2 * (1 + 1 / 32)))
+
+    @settings(max_examples=10, deadline=None)
+    @example(rel=5e-13)
+    @given(rel=st.floats(-1e-12, 1e-12))
+    def test_every_grid_that_constructs_samples(self, flat_grid, rel):
+        # radii straddling the largest one whose ghost corner stays in the
+        # chart domain: a grid is refused at construction (only past the
+        # bound, up to rounding) or it samples
+        domain = flat_grid.coords.domain_radius
+        radius = domain * (1 + rel) / (2 * (1 + 1 / 32))
+        try:
+            grid = LocalGrid(coords=flat_grid.coords, resolution=32,
+                             radius=radius)
+        except ValueError:
+            assert rel > -1e-14
+            return
+        values = grid.sample_green(GreenEvaluator(POWER, depth=1))
+        assert np.all(np.isfinite(values))
 
 
 def full_cube_ball_mass(sm, center, r):
