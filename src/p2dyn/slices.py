@@ -127,7 +127,8 @@ class LocalGrid:
     One ghost node beyond each edge supports the 5-point stencils, so the
     sampled node cube has ``resolution + 2`` nodes per axis and must stay
     inside the chart domain (including the ghost ring); construction
-    checks this, once, so every grid that constructs can be sampled.
+    checks this, once, so every grid that constructs can be sampled, and
+    raises :class:`ResolutionError` past the domain, as sampling would.
     """
 
     coords: NormalFormCoordinates
@@ -147,7 +148,7 @@ class LocalGrid:
         reach = 2.0 * float(np.abs(self.axis_nodes()).max())
         domain = float(self.coords.domain_radius)
         if reach > domain:
-            raise ValueError(
+            raise ResolutionError(
                 "grid (with its ghost ring) reaches |xi| = %.3g beyond the "
                 "chart domain radius %.3g; shrink the grid radius below "
                 "%.3g" % (reach, domain, domain / 2.0))

@@ -173,7 +173,7 @@ class TestLocalGrid:
 
     def test_domain_reach_guard(self, flat_grid):
         # ghosted box corners reach chart norm 2 (radius + h/2) > 2.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ResolutionError):
             LocalGrid(coords=flat_grid.coords, resolution=32, radius=1.3)
 
     def test_sample_scalar_nodes(self, flat_grid):
@@ -242,7 +242,7 @@ class TestGridSampling:
         # a grid whose corner node passes the domain radius by 5e-13 is
         # refused at construction, so it is never sampled
         domain = flat_grid.coords.domain_radius
-        with pytest.raises(ValueError):
+        with pytest.raises(ResolutionError):
             LocalGrid(coords=flat_grid.coords, resolution=32,
                       radius=domain * (1 + 5e-13) / (2 * (1 + 1 / 32)))
 
@@ -258,7 +258,7 @@ class TestGridSampling:
         try:
             grid = LocalGrid(coords=flat_grid.coords, resolution=32,
                              radius=radius)
-        except ValueError:
+        except ResolutionError:
             assert rel > -1e-14
             return
         values = grid.sample_green(GreenEvaluator(POWER, depth=1))
