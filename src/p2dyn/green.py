@@ -16,6 +16,8 @@ step adds a bounded term and the truncation error after depth N is at most
 B d^(-N) / (d-1), where B bounds |log ||F|| | on the sup-norm unit sphere.
 :func:`escape_rate` computes G_N in the sup norm or in the 2-norm (they
 differ by at most d^(-N) log sqrt(3)), rescaling by exact powers of two.
+Its ``also`` argument returns a shallower truncation G_M (M <= N) from the
+same pass: the partial sum at step M is bit-identical to a depth-M call.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ _COLUMN_NORMS = {
 
 
 def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
-                depth: int | None = None, norm: str = "sup") -> np.ndarray:
+                depth: int | None = None, norm: str = "sup", *,
+                also: int | None = None):
     """G_N at the exact lifts given ((N,3) complex): log-homogeneous.
 
     The one truncated Green function ``d^(-N) log |F^N(p)|`` in the chosen
@@ -113,15 +116,25 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     ``DEGENERATE_EVAL_TOL`` (``|v_(k+1)| <= tol m_k^d``) raises
     :class:`DegenerateEvaluationError`.  Blocks of ``_BLOCK_ROWS`` points
     run as (3, b) columns in one power table, where the map writes F.
+
+    With ``also = M`` (an integer, 0 <= M <= N) the result is the pair
+    ``(G_N, G_M)``: G_M is the partial sum the loop holds after M steps,
+    the same operations in the same order as a depth-M call, so both are
+    bit-identical to separate calls (a lift that degenerates within N
+    steps raises, as the depth-N call does).
     """
     if norm not in _COLUMN_NORMS:
         raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
     col_norm = _COLUMN_NORMS[norm]
     n = ev.depth if depth is None else depth
+    if also is not None and (int(also) != also or not 0 <= also <= n):
+        raise ValueError("also must be an integer in [0, %d], got %r"
+                         % (n, also))
     d = ev.map.degree
     squeeze = np.ndim(lifts) == 1
     pts = as_point_array(lifts)
     total = np.empty(pts.shape[0], dtype=np.float64)
+    shallow = None if also is None else np.empty_like(total)
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         table = np.empty((d, 3, total[rows].size), dtype=np.complex128)
@@ -138,7 +151,9 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
             pre = np.maximum(np.frexp(sup)[1], -1021)
             v *= np.ldexp(1.0, -pre)
             exps, norms = pre.astype(np.float64), col_norm(v)
-        for _ in range(n):
+        for step in range(n):
+            if step == also:
+                shallow[rows] = np.log(2.0) * exps + factor * np.log(norms)
             mant, e = np.frexp(norms)
             exps += factor * e
             v *= np.ldexp(1.0, -e)
@@ -152,7 +167,11 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
                     % ev.map.name)
             factor /= d
         total[rows] = np.log(2.0) * exps + factor * np.log(norms)
-    return total[0] if squeeze else total
+        if also == n:
+            shallow[rows] = total[rows]
+    if also is None:
+        return total[0] if squeeze else total
+    return (total[0], shallow[0]) if squeeze else (total, shallow)
 
 
 def green_value(ev: GreenEvaluator, point: HomogeneousPoint) -> float:

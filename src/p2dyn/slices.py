@@ -204,15 +204,17 @@ class LocalGrid:
 
 def _cube_potential(ev: GreenEvaluator, axis: np.ndarray, base: np.ndarray,
                     c: np.ndarray, depth: int | None = None,
-                    norm: str = "sup") -> np.ndarray:
+                    norm: str = "sup", also: int | None = None) -> np.ndarray:
     """Escape rate at the lifts ``base + Z c[:, 0] + W c[:, 1]``, ``Z`` and
     ``W`` over ``axis + i axis``: each block of Z-slabs of the node cube
-    is one broadcast sum of Z-parts (base included) and W-parts."""
+    is one broadcast sum of Z-parts (base included) and W-parts.  With
+    ``also`` the result stacks the depth and ``also`` truncations of one
+    escape-rate pass as a ``(2, n, n, n, n)`` cube."""
     n = axis.size
     plane = (axis[:, None] + 1j * axis[None, :]).ravel()
     zpart = base + plane[:, None] * c[:, 0]
     wpart = plane[:, None] * c[:, 1]
-    out = np.empty((n, n, n, n), dtype=np.float64)
+    out = np.empty((n,) * 4 if also is None else (2,) + (n,) * 4)
     slabs = max(1, (1 << 16) // (n * plane.size))
     lifts = np.empty((slabs * n, plane.size, 3), dtype=np.complex128)
     for a in range(0, n, slabs):
@@ -220,8 +222,9 @@ def _cube_potential(ev: GreenEvaluator, axis: np.ndarray, base: np.ndarray,
         block = np.add(zpart[a * n:(a + k) * n, None], wpart,
                        out=lifts[:k * n])
         # looked up at call time, so a wrapped green.escape_rate is seen
-        vals = green.escape_rate(ev, block.reshape(-1, 3), depth, norm)
-        out[a:a + k] = vals.reshape(k, n, n, n)
+        vals = green.escape_rate(ev, block.reshape(-1, 3), depth, norm,
+                                 also=also)
+        out[..., a:a + k, :, :, :] = np.reshape(vals, (-1, k, n, n, n))
     return out
 
 
@@ -580,7 +583,7 @@ def _hinge(x: np.ndarray) -> np.ndarray:
     return np.square(np.maximum(x - _HINGE_OFFSET, 0.0))
 
 
-def _certificate_integral(map_: HomogeneousMap, n: int, depth: int,
+def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
                           resolution: int) -> float:
     """Three-chart partition-of-unity quadrature of the wedge density."""
     h = 2.0 * _CERTIFICATE_EXTENT / resolution
@@ -593,21 +596,22 @@ def _certificate_integral(map_: HomogeneousMap, n: int, depth: int,
     denom = 1.0 + s_z + s_w
     weight = _hinge(1.0 / denom)
     weight = weight / (weight + _hinge(s_z / denom) + _hinge(s_w / denom))
-    ev = GreenEvaluator(map_)
     total = 0.0
     unit = np.eye(3, dtype=np.complex128)
     for chart in range(3):
-        # 2-norm truncations keep every integral exactly cohomological
+        # 2-norm truncations keep every integral exactly cohomological;
+        # one pass gives the deeper one and, on the way, the shallower
         c = unit[:, CHART_OTHERS[chart]]
-        u = _cube_potential(ev, axis, unit[chart], c, depth, "2")
-        v = _cube_potential(ev, axis, unit[chart], c, n, "2")
+        deep, shallow = _cube_potential(ev, axis, unit[chart], c,
+                                        max(depth, n), "2", also=min(depth, n))
+        u, v = (deep, shallow) if depth >= n else (shallow, deep)
         u_zz, u_ww, u_zw = _hessian_terms(u, h)
         v_zz, v_ww, v_zw = _hessian_terms(v, h)
         density = (u_zz * v_ww + u_ww * v_zz
                    - 2.0 * np.real(u_zw * np.conj(v_zw)))
         total += float((weight * density).sum()) * h ** 4
     # v is the depth-n truncation, and log ||F^n||_2 is d^n times it
-    return total * map_.degree ** n * 4.0 / math.pi ** 2
+    return total * ev.map.degree ** n * 4.0 / math.pi ** 2
 
 
 def mass_certificate(map_: HomogeneousMap, n: int, *,
@@ -622,7 +626,9 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
     quadrature and normalization.  ``n`` beyond 1 would need prohibitively
     fine global grids and is rejected.  The value is recomputed at half
     resolution; a relative spread above 10% flags the certificate as
-    inconclusive.
+    inconclusive.  Each chart cube takes one escape-rate pass, to the
+    larger of ``green_depth`` and ``n``, which also returns the smaller
+    truncation; one evaluator serves both resolutions.
     """
     if n not in (0, 1):
         raise ValueError("the global quadrature certificate supports "
@@ -632,8 +638,9 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
     if int(resolution) != resolution or resolution < 8 or resolution % 2:
         raise ValueError("certificate resolution must be an even integer "
                          ">= 8, got %r" % (resolution,))
-    value = _certificate_integral(map_, n, int(green_depth), int(resolution))
-    coarse = _certificate_integral(map_, n, int(green_depth),
+    ev = GreenEvaluator(map_)
+    value = _certificate_integral(ev, n, int(green_depth), int(resolution))
+    coarse = _certificate_integral(ev, n, int(green_depth),
                                    int(resolution) // 2)
     residual = abs(value - coarse) / max(abs(value), 1e-300)
     return MassCertificate(value=value, coarse_value=coarse,

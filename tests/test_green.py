@@ -157,6 +157,45 @@ class TestDegeneracy:
             assert np.isfinite(got)
 
 
+class TestTwoDepthsOnePass:
+    """``also`` returns a shallower truncation from the same depth loop."""
+
+    @pytest.mark.parametrize("norm", ["sup", "2"])
+    @pytest.mark.parametrize("also", [0, 1, 4])
+    def test_pair_equals_separate_calls_bitwise(self, norm, also):
+        ev = GreenEvaluator(lattes_suspension(), depth=4)
+        rng = np.random.default_rng(21)
+        lifts = random_lifts(rng, 40)
+        # far-from-unit lifts take the sup-exponent rescale before the loop
+        for scaled in (lifts, 1e160 * lifts, 1e-170 * lifts):
+            deep, shallow = escape_rate(ev, scaled, norm=norm, also=also)
+            assert np.array_equal(deep, escape_rate(ev, scaled, norm=norm))
+            assert np.array_equal(
+                shallow, escape_rate(ev, scaled, depth=also, norm=norm))
+
+    def test_single_lift_and_depth_zero(self):
+        ev = GreenEvaluator(chebyshev_product())
+        lift = np.array([0.3 + 1j, -2.0, 0.5j])
+        deep, shallow = escape_rate(ev, lift, depth=0, also=0)
+        assert deep == shallow == escape_rate(ev, lift, depth=0)
+        deep, shallow = escape_rate(ev, lift, depth=3, norm="2", also=1)
+        assert deep == escape_rate(ev, lift, depth=3, norm="2")
+        assert shallow == escape_rate(ev, lift, depth=1, norm="2")
+
+    def test_degenerate_lift_raises(self):
+        ev = GreenEvaluator(TestDegeneracy.MAP, depth=3)
+        for norm in ("sup", "2"):
+            with pytest.raises(DegenerateEvaluationError):
+                escape_rate(ev, np.array([0.0, 1.0, 1.0]), norm=norm,
+                            also=1)
+
+    @pytest.mark.parametrize("also", [-1, 4, 1.5])
+    def test_also_outside_the_depth_rejected(self, also):
+        ev = GreenEvaluator(power_map(2))
+        with pytest.raises(ValueError):
+            escape_rate(ev, np.ones(3), depth=3, also=also)
+
+
 class TestTelescoping:
     @pytest.mark.parametrize("map_", [
         chebyshev_product(),

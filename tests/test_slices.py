@@ -29,9 +29,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from p2dyn import green, slices
 from p2dyn.errors import ResolutionError
 from p2dyn.frames import compute_frame, default_coordinates
-from p2dyn.green import GreenEvaluator, local_potential
+from p2dyn.green import GreenEvaluator, escape_rate, local_potential
 from p2dyn.projective import HomogeneousPoint
 from p2dyn.sampler import (
     GENERIC_START,
@@ -661,6 +662,21 @@ class TestMassCertificate:
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
             mass_certificate(POWER, 0, green_depth=-1)
+
+    @pytest.mark.parametrize("n, depth", [(0, 0), (1, 0), (1, 3)])
+    def test_one_pass_matches_two_calls(self, monkeypatch, n, depth):
+        # the reference answers every chart cube's request with two
+        # separate 2-norm calls at the truncations the certificate pairs,
+        # the deeper first; (1, 0) has n > green_depth
+        ev = GreenEvaluator(lattes_suspension())
+        one_pass = slices._certificate_integral(ev, n, depth, 8)
+
+        def two_calls(ev, lifts, *args, **kwargs):
+            return (escape_rate(ev, lifts, max(depth, n), "2"),
+                    escape_rate(ev, lifts, min(depth, n), "2"))
+
+        monkeypatch.setattr(green, "escape_rate", two_calls)
+        assert slices._certificate_integral(ev, n, depth, 8) == one_pass
 
 
 class TestExports:
