@@ -22,7 +22,8 @@ same pass: the partial sum at step M is bit-identical to a depth-M call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,18 +71,15 @@ class GreenEvaluator:
 
     map: HomogeneousMap
     depth: int = DEFAULT_DEPTH
-    _constants: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        object.__setattr__(self, "_constants",
-                           _norm_growth_constants(self.map))
 
-    @property
+    @cached_property
     def step_bound(self) -> float:
         """B with |log ||F(v)||_sup| <= B for sup-normalized v."""
-        lower, upper = self._constants
+        lower, upper = _norm_growth_constants(self.map)
         return max(abs(np.log(lower)), abs(np.log(upper)))
 
     def truncation_bound(self, depth: int | None = None) -> float:

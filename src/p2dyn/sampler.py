@@ -494,10 +494,10 @@ def write_csv(sample: MeasureSample, path) -> None:
 class ExponentEstimate:
     """Lyapunov exponents (nats per iteration) with walker statistics.
 
-    ``per_point`` holds each contributing walker's finite-time pair sorted
-    descending; ``n_truncated`` counts walkers whose series was censored
-    at the degeneracy detector (numerical loss of the expanding support),
-    ``n_discarded`` those with too little usable data to contribute.
+    ``per_point`` holds each contributing walker's finite-time pair in QR
+    column order, unsorted; ``n_truncated`` counts walkers whose series was
+    censored at the degeneracy detector (numerical loss of the expanding
+    support), ``n_discarded`` those with too little usable data.
     """
 
     lambda1: float
@@ -541,8 +541,7 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     so the walker's last ``COCYCLE_BACKOFF`` steps (where the contamination
     concentrates) are censored and the rest kept.  The first few steps are
     dropped as the QR alignment transient.  Aggregates are means with
-    standard errors across contributing walkers, exponents sorted
-    descending per walker.
+    standard errors of the unsorted pairs; only the means are sorted.
     One log line per call reports the censored and discarded counts.
     """
     if n_iter < 100:
@@ -562,8 +561,7 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
         burn = min(COCYCLE_BURN_CAP, stop // 4) if stop > 0 else 0
         if stop - burn < COCYCLE_MIN_WINDOW:
             continue
-        pair = logs[i, burn:stop].mean(axis=0)
-        per_point.append(np.sort(pair)[::-1])
+        per_point.append(logs[i, burn:stop].mean(axis=0))
     n_discarded = n - len(per_point)
     n_truncated = int(np.count_nonzero(length < n_iter))
     logger.info("lyapunov_exponents: %d of %d walker(s) censored at the "
@@ -582,6 +580,8 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
         errs = per_point.std(axis=0, ddof=1) / np.sqrt(m)
     else:
         errs = np.full(2, np.inf)
+    order = np.argsort(-means, kind="stable")
+    means, errs = means[order], errs[order]
     return ExponentEstimate(float(means[0]), float(means[1]),
                             float(errs[0]), float(errs[1]), n_iter,
                             per_point, n_truncated, n_discarded)

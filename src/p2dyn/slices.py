@@ -29,7 +29,8 @@ bidisk in chart coordinates:
   projective plane with a three-chart partition-of-unity quadrature.  The
   pairing is cohomological, so the exact value is ``d^n`` for *every*
   truncation depth; the computed number certifies the quadrature and the
-  mass normalization at once.
+  mass normalization at once.  A chart's weight is nonzero only where
+  ``|z|^2 + |w|^2 < 3``; only the nodes its stencils read are evaluated.
 * :func:`positivity_check` measures how often grids centered at
   equilibrium sample points carry genuine slice mass, and
   :func:`harmonicity_defect` integrates ``|transverse Laplacian|`` per
@@ -204,24 +205,39 @@ class LocalGrid:
 
 def _cube_potential(ev: GreenEvaluator, axis: np.ndarray, base: np.ndarray,
                     c: np.ndarray, depth: int | None = None,
-                    norm: str = "sup", also: int | None = None) -> np.ndarray:
+                    norm: str = "sup", also: int | None = None,
+                    nodes: np.ndarray | None = None) -> np.ndarray:
     """Escape rate at the lifts ``base + Z c[:, 0] + W c[:, 1]``, ``Z`` and
     ``W`` over ``axis + i axis``: each block of Z-slabs of the node cube
     is one broadcast sum of Z-parts (base included) and W-parts.  With
     ``also`` the result stacks the depth and ``also`` truncations of one
-    escape-rate pass as a ``(2, n, n, n, n)`` cube."""
+    escape-rate pass as a ``(2, n, n, n, n)`` cube.  With a boolean node
+    cube ``nodes``, only its true nodes are gathered and evaluated; the
+    others hold 0.0."""
     n = axis.size
     plane = (axis[:, None] + 1j * axis[None, :]).ravel()
     zpart = base + plane[:, None] * c[:, 0]
     wpart = plane[:, None] * c[:, 1]
-    out = np.empty((n,) * 4 if also is None else (2,) + (n,) * 4)
+    shape = (n,) * 4 if also is None else (2,) + (n,) * 4
+    # looked up at call time, so a wrapped green.escape_rate is seen
+    if nodes is not None:
+        out = np.zeros(shape)
+        rows = out.reshape(-1, nodes.size)
+        picked = np.flatnonzero(nodes)
+        for a in range(0, picked.size, 1 << 16):
+            idx = picked[a:a + (1 << 16)]
+            zi, wi = np.divmod(idx, plane.size)
+            lifts = np.take(zpart, zi, 0) + np.take(wpart, wi, 0)
+            vals = green.escape_rate(ev, lifts, depth, norm, also=also)
+            rows[:, idx] = np.reshape(vals, (len(rows), -1))
+        return out
+    out = np.empty(shape)
     slabs = max(1, (1 << 16) // (n * plane.size))
     lifts = np.empty((slabs * n, plane.size, 3), dtype=np.complex128)
     for a in range(0, n, slabs):
         k = min(slabs, n - a)
         block = np.add(zpart[a * n:(a + k) * n, None], wpart,
                        out=lifts[:k * n])
-        # looked up at call time, so a wrapped green.escape_rate is seen
         vals = green.escape_rate(ev, block.reshape(-1, 3), depth, norm,
                                  also=also)
         out[..., a:a + k, :, :, :] = np.reshape(vals, (-1, k, n, n, n))
@@ -560,42 +576,56 @@ class MassCertificate:
     resolution: int
 
 
-def _hessian_terms(values: np.ndarray, h: float):
-    """Mixed complex Hessian entries from 2nd-order stencils.
-
-    Returns ``(u_ZZbar, u_WWbar, u_ZWbar)`` on the interior node cube.
-    """
-    def cross(ax_a, ax_b):
-        return (_shifted(values, {ax_a: 1, ax_b: 1})
-                - _shifted(values, {ax_a: 1, ax_b: -1})
-                - _shifted(values, {ax_a: -1, ax_b: 1})
-                + _shifted(values, {ax_a: -1, ax_b: -1}))
-
-    h2 = h * h
-    u_zz = _plane_stencil(values, 0) / (4.0 * h2)
-    u_ww = _plane_stencil(values, 1) / (4.0 * h2)
-    u_zw = (cross(0, 2) + cross(1, 3)
-            + 1j * (cross(0, 3) - cross(1, 2))) / (16.0 * h2)
-    return u_zz, u_ww, u_zw
-
-
 def _hinge(x: np.ndarray) -> np.ndarray:
     return np.square(np.maximum(x - _HINGE_OFFSET, 0.0))
 
 
-def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
-                          resolution: int) -> float:
-    """Three-chart partition-of-unity quadrature of the wedge density."""
+def _certificate_quadrature(resolution: int):
+    """Ghosted node axis of a chart cube, the partition-of-unity weight on
+    its cells (zero where ``|z|^2 + |w|^2 >= 3``), and the nodes that the
+    densities of the nonzero-weight cells read: the centre, 8 axis and 16
+    (Z-axis, W-axis) diagonal neighbours, i.e. the Z-plane 5-point cross
+    grown by the W-plane cross."""
     h = 2.0 * _CERTIFICATE_EXTENT / resolution
     axis = -_CERTIFICATE_EXTENT + (np.arange(resolution + 2) - 0.5) * h
     interior = axis[1:-1]
-    abs_z2 = (np.square(interior[:, None])
-              + np.square(interior[None, :]))
+    abs_z2 = np.square(interior[:, None]) + np.square(interior[None, :])
     s_z = abs_z2[:, :, None, None]
     s_w = abs_z2[None, None, :, :]
     denom = 1.0 + s_z + s_w
     weight = _hinge(1.0 / denom)
     weight = weight / (weight + _hinge(s_z / denom) + _hinge(s_w / denom))
+    nodes = np.pad(weight > 0.0, 1)
+    # the ghost ring stays empty along the rolled axes, so nothing wraps
+    for plane in ((0, 1), (2, 3)):
+        nodes = np.logical_or.reduce(
+            [nodes] + [np.roll(nodes, s, ax) for ax in plane for s in (1, -1)])
+    return axis, weight, nodes
+
+
+def _mixed_differences(values: np.ndarray):
+    """``A = D0 D2 + D1 D3`` and ``B = D0 D3 - D1 D2`` at interior nodes,
+    ``D_a`` the unnormalized central difference along axis ``a``."""
+    i = slice(1, -1)
+    d2 = values[:, :, 2:, :] - values[:, :, :-2, :]
+    d3 = values[..., 2:] - values[..., :-2]
+    return ((d2[2:, i, :, i] - d2[:-2, i, :, i])
+            + (d3[i, 2:, i, :] - d3[i, :-2, i, :]),
+            (d3[2:, i, i, :] - d3[:-2, i, i, :])
+            - (d2[i, 2:, :, i] - d2[i, :-2, :, i]))
+
+
+def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
+                          resolution: int) -> float:
+    """Three-chart partition-of-unity quadrature of the wedge density,
+    evaluated at the nodes of :func:`_certificate_quadrature` only.  With
+    ``P`` the unnormalized plane stencils, ``h^4`` times the density
+    ``u_ZZbar v_WWbar + u_WWbar v_ZZbar - 2 Re(u_ZWbar conj(v_ZWbar))`` is
+    ``(P_Z u P_W v + P_W u P_Z v) / 16 - (A_u A_v + B_u B_v) / 128`` (see
+    :func:`_mixed_differences`), summed over blocks of Z-slabs with a
+    one-node halo."""
+    axis, weight, nodes = _certificate_quadrature(resolution)
+    slabs = max(1, (1 << 16) // resolution ** 3)
     total = 0.0
     unit = np.eye(3, dtype=np.complex128)
     for chart in range(3):
@@ -603,15 +633,23 @@ def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
         # one pass gives the deeper one and, on the way, the shallower
         c = unit[:, CHART_OTHERS[chart]]
         deep, shallow = _cube_potential(ev, axis, unit[chart], c,
-                                        max(depth, n), "2", also=min(depth, n))
+                                        max(depth, n), "2",
+                                        also=min(depth, n), nodes=nodes)
         u, v = (deep, shallow) if depth >= n else (shallow, deep)
-        u_zz, u_ww, u_zw = _hessian_terms(u, h)
-        v_zz, v_ww, v_zw = _hessian_terms(v, h)
-        density = (u_zz * v_ww + u_ww * v_zz
-                   - 2.0 * np.real(u_zw * np.conj(v_zw)))
-        total += float((weight * density).sum()) * h ** 4
+        for a in range(0, resolution, slabs):
+            # cells past the block's (radial, centred) nonzero range add 0
+            lo = int(np.argmax(weight[a:a + slabs].any(axis=(0, 2, 3))))
+            ic, kn = slice(lo, resolution - lo), slice(lo, resolution + 2 - lo)
+            w = weight[a:a + slabs, ic, ic, ic]
+            us = u[a:a + slabs + 2, kn, kn, kn]
+            vs = v[a:a + slabs + 2, kn, kn, kn]
+            (au, bu), (av, bv) = _mixed_differences(us), _mixed_differences(vs)
+            total += (np.vdot(w * _plane_stencil(us, 0), _plane_stencil(vs, 1))
+                      + np.vdot(w * _plane_stencil(us, 1),
+                                _plane_stencil(vs, 0))) / 16.0
+            total -= (np.vdot(w * au, av) + np.vdot(w * bu, bv)) / 128.0
     # v is the depth-n truncation, and log ||F^n||_2 is d^n times it
-    return total * ev.map.degree ** n * 4.0 / math.pi ** 2
+    return float(total) * ev.map.degree ** n * 4.0 / math.pi ** 2
 
 
 def mass_certificate(map_: HomogeneousMap, n: int, *,
@@ -626,9 +664,11 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
     quadrature and normalization.  ``n`` beyond 1 would need prohibitively
     fine global grids and is rejected.  The value is recomputed at half
     resolution; a relative spread above 10% flags the certificate as
-    inconclusive.  Each chart cube takes one escape-rate pass, to the
-    larger of ``green_depth`` and ``n``, which also returns the smaller
-    truncation; one evaluator serves both resolutions.
+    inconclusive.  A chart's weight is nonzero only where ``|z|^2 + |w|^2
+    < 3``, and only the nodes read by those cells' stencils (about a third
+    of each cube) take the escape-rate pass, to the larger of
+    ``green_depth`` and ``n``, which also returns the smaller truncation;
+    one evaluator serves both resolutions.
     """
     if n not in (0, 1):
         raise ValueError("the global quadrature certificate supports "

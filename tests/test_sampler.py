@@ -373,6 +373,15 @@ class TestLyapunovExponents:
         assert abs(a.lambda2 - b.lambda2) < \
             3 * np.hypot(a.stderr2, b.stderr2)
 
+    def test_equal_exponents_meet_the_band(self, cheb_sample):
+        # both exponents of the Chebyshev product are log 2; sorting each
+        # walker's 15-step pair before averaging read 0.7528 / 0.6340
+        # here, 8.6 % off against the 2 % + 3 standard error band
+        est = lyapunov_exponents(chebyshev_product(), cheb_sample, 500)
+        assert abs(est.lambda1 - LOG2) < 0.02 * LOG2 + 3 * est.stderr1
+        assert abs(est.lambda2 - LOG2) < 0.02 * LOG2 + 3 * est.stderr2
+        assert est.lambda1 >= est.lambda2
+
     def test_rejects_short_iteration_budget(self, power_sample):
         with pytest.raises(ValueError):
             lyapunov_exponents(power_map(2), power_sample, 99)

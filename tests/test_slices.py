@@ -33,7 +33,7 @@ from p2dyn import green, slices
 from p2dyn.errors import ResolutionError
 from p2dyn.frames import compute_frame, default_coordinates
 from p2dyn.green import GreenEvaluator, escape_rate, local_potential
-from p2dyn.projective import HomogeneousPoint
+from p2dyn.projective import CHART_OTHERS, HomogeneousPoint
 from p2dyn.sampler import (
     GENERIC_START,
     MeasureSample,
@@ -677,6 +677,77 @@ class TestMassCertificate:
 
         monkeypatch.setattr(green, "escape_rate", two_calls)
         assert slices._certificate_integral(ev, n, depth, 8) == one_pass
+
+
+    @pytest.mark.parametrize("n, depth", [(0, 3), (1, 3), (1, 0)])
+    def test_masked_integral_matches_full_cube_reference(self, n, depth):
+        # the reference evaluates every node of each chart cube and forms
+        # the density from the complex Hessian entries
+        ev = GreenEvaluator(lattes_suspension())
+        resolution = 8
+        axis, weight, _ = slices._certificate_quadrature(resolution)
+        h = 2.0 * math.sqrt(3.0) / resolution
+        k = axis.size
+        plane = (axis[:, None] + 1j * axis[None, :]).ravel()
+
+        def at(cube, shifts):
+            index = [slice(1, -1)] * 4
+            for ax, step in shifts.items():
+                index[ax] = slice(1 + step, k - 1 + step)
+            return cube[tuple(index)]
+
+        def hessian(cube):
+            def lap(a, b):
+                return (at(cube, {a: 1}) + at(cube, {a: -1})
+                        + at(cube, {b: 1}) + at(cube, {b: -1})
+                        - 4.0 * at(cube, {}))
+
+            def cross(a, b):
+                return (at(cube, {a: 1, b: 1}) - at(cube, {a: 1, b: -1})
+                        - at(cube, {a: -1, b: 1})
+                        + at(cube, {a: -1, b: -1}))
+
+            return (lap(0, 1) / (4 * h * h), lap(2, 3) / (4 * h * h),
+                    (cross(0, 2) + cross(1, 3)
+                     + 1j * (cross(0, 3) - cross(1, 2))) / (16 * h * h))
+
+        total = 0.0
+        for chart in range(3):
+            lifts = np.zeros((plane.size ** 2, 3), dtype=np.complex128)
+            lifts[:, chart] = 1.0
+            lifts[:, CHART_OTHERS[chart][0]] = np.repeat(plane, plane.size)
+            lifts[:, CHART_OTHERS[chart][1]] = np.tile(plane, plane.size)
+            u_zz, u_ww, u_zw = hessian(
+                escape_rate(ev, lifts, depth, "2").reshape((k,) * 4))
+            v_zz, v_ww, v_zw = hessian(
+                escape_rate(ev, lifts, n, "2").reshape((k,) * 4))
+            density = (u_zz * v_ww + u_ww * v_zz
+                       - 2.0 * np.real(u_zw * np.conj(v_zw)))
+            total += float((weight * density).sum()) * h ** 4
+        reference = total * 2 ** n * 4.0 / math.pi ** 2
+        value = slices._certificate_integral(ev, n, depth, resolution)
+        assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("resolution", [8, 12, 24])
+    def test_node_mask_covers_every_stencil_read(self, resolution):
+        _, weight, nodes = slices._certificate_quadrature(resolution)
+        assert nodes.shape == (resolution + 2,) * 4
+        # the centre, the 8 axis neighbours, the 16 Z-axis/W-axis diagonals
+        steps = [np.zeros(4, dtype=int)]
+        for ax in range(4):
+            for s in (1, -1):
+                steps.append(s * np.eye(4, dtype=int)[ax])
+        for a, b in product((0, 1), (2, 3)):
+            for s, t in product((1, -1), repeat=2):
+                step = np.zeros(4, dtype=int)
+                step[a], step[b] = s, t
+                steps.append(step)
+        assert len(steps) == 25
+        cells = np.argwhere(weight > 0.0) + 1
+        for step in steps:
+            assert nodes[tuple((cells + step).T)].all()
+        # the mask leaves out about two thirds of the cube
+        assert nodes.mean() < 0.36
 
 
 class TestExports:
