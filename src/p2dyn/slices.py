@@ -589,7 +589,8 @@ def _certificate_quadrature(resolution: int):
     h = 2.0 * _CERTIFICATE_EXTENT / resolution
     axis = -_CERTIFICATE_EXTENT + (np.arange(resolution + 2) - 0.5) * h
     interior = axis[1:-1]
-    abs_z2 = np.square(interior[:, None]) + np.square(interior[None, :])
+    abs_z2 = (np.square(interior[:, None])
+              + np.square(interior[None, :]))
     s_z = abs_z2[:, :, None, None]
     s_w = abs_z2[None, None, :, :]
     denom = 1.0 + s_z + s_w
