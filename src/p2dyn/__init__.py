@@ -31,13 +31,10 @@ from .frames import (
     default_coordinates,
     pullback_scaling_check,
     resonance_detect,
-    transport_frame,
 )
 from .green import (
     GreenEvaluator,
-    chart_potential,
     escape_rate,
-    green_value,
     local_potential,
 )
 from .preimages import (
@@ -46,12 +43,9 @@ from .preimages import (
     preimages,
 )
 from .projective import (
-    ChartDifferential,
     ChartPoint,
     HomogeneousMap,
     HomogeneousPoint,
-    chart_differential,
-    fs_distance,
     injectivity_radius,
 )
 from .sampler import (
@@ -97,7 +91,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackwardOrbit",
-    "ChartDifferential",
     "ChartPoint",
     "ConfigError",
     "ContractionDiagnostic",
@@ -129,17 +122,13 @@ __all__ = [
     "ball_mass",
     "calibration_mass",
     "certify_nondegenerate",
-    "chart_differential",
-    "chart_potential",
     "compute_frame",
     "contraction_diagnostic",
     "default_coordinates",
     "escape_rate",
     "family_by_name",
-    "fs_distance",
     "fs_jacobian_dets",
     "fs_tangent_maps",
-    "green_value",
     "harmonicity_defect",
     "injectivity_radius",
     "local_potential",
@@ -160,7 +149,6 @@ __all__ = [
     "standard_zoo",
     "tangent_basis_batch",
     "trace_measure",
-    "transport_frame",
     "write_csv",
     "__version__",
 ]

@@ -49,7 +49,6 @@ from .preimages import preimage_batch
 from .projective import (
     ChartPoint,
     HomogeneousMap,
-    HomogeneousPoint,
     as_point_array,
     fs_distance_batch,
     injectivity_radius,
@@ -60,7 +59,6 @@ from .sampler import (
     _censored_length,
     _chained_factors,
     _forward_cocycle,
-    fs_tangent_maps,
     tangent_basis_batch,
 )
 
@@ -265,29 +263,9 @@ def compute_frame(map_: HomogeneousMap, orbit: BackwardOrbit
     det = abs(e1[0] * e2[1] - e1[1] * e2[0])
     isotropic = max(np.exp(gap_back), np.exp(gap_fwd)) <= 1.0 + ISOTROPY_TOL
     return OseledecFrame(
-        base=HomogeneousPoint(base_lift).chart_point(),
+        base=ChartPoint.of(base_lift),
         e1=e1, e2=e2, conditioning=float(det), isotropic=bool(isotropic),
         base_lift=base_lift, tangent_basis=basis)
-
-
-def transport_frame(map_: HomogeneousMap, frame: OseledecFrame
-                    ) -> OseledecFrame:
-    """Frame at the forward image, directions pushed by the derivative.
-
-    Used by invariance checks comparing local estimates at ``x`` and at
-    ``f(x)`` in corresponding (covariant) coordinates.
-    """
-    mats, raw, ok = fs_tangent_maps(map_, frame.base_lift)
-    if not ok[0]:
-        raise FrameError("cannot transport frame: evaluation collapsed")
-    e1 = _unit(mats[0] @ frame.e1)
-    e2 = _unit(mats[0] @ frame.e2)
-    det = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    lift = raw[0] / np.linalg.norm(raw[0])
-    return OseledecFrame(
-        base=HomogeneousPoint(lift).chart_point(),
-        e1=e1, e2=e2, conditioning=float(det), isotropic=frame.isotropic,
-        base_lift=lift, tangent_basis=tangent_basis_batch(raw)[0])
 
 
 def _chart_offsets(base_lift: np.ndarray, points: np.ndarray
@@ -354,7 +332,7 @@ class NormalFormCoordinates:
 def default_coordinates(map_: HomogeneousMap, frame: OseledecFrame
                         ) -> NormalFormCoordinates:
     """Frame chart with domain a safe fraction of the injectivity radius."""
-    radius = injectivity_radius(map_, HomogeneousPoint(frame.base_lift))
+    radius = injectivity_radius(map_, frame.base_lift)
     return NormalFormCoordinates(frame=frame,
                                  domain_radius=DOMAIN_FRACTION * radius)
 

@@ -31,10 +31,8 @@ from .errors import DegenerateEvaluationError, ResolutionError
 from .projective import (
     DEGENERATE_EVAL_TOL,
     HomogeneousMap,
-    HomogeneousPoint,
     as_point_array,
     check_row_scale,
-    lift_from_chart,
 )
 
 #: default escape-rate depth: d^(-40) is far below double-precision noise
@@ -170,27 +168,6 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     if also is None:
         return total[0] if squeeze else total
     return (total[0], shallow[0]) if squeeze else (total, shallow)
-
-
-def green_value(ev: GreenEvaluator, point: HomogeneousPoint) -> float:
-    """Scale-invariant potential G(p) - log ||p||_2 of a projective point."""
-    arr = point.array
-    return float(escape_rate(ev, arr) - np.log(np.linalg.norm(arr)))
-
-
-def chart_potential(ev: GreenEvaluator, chart: int,
-                    coords: np.ndarray) -> np.ndarray:
-    """G at the affine lifts with chart coordinate 1.
-
-    ``coords`` is any (..., 2) complex array of affine coordinates; the
-    result has shape coords.shape[:-1].  For the coordinatewise power map
-    in the chart where the last coordinate is 1 this equals
-    log max(1, |z|, |w|) exactly.
-    """
-    xi = np.asarray(coords, dtype=np.complex128)
-    flat = xi.reshape(-1, 2)
-    vals = escape_rate(ev, lift_from_chart(chart, flat))
-    return vals.reshape(xi.shape[:-1])
 
 
 def local_potential(ev: GreenEvaluator, coords, xi: np.ndarray) -> np.ndarray:

@@ -35,13 +35,13 @@ from .errors import PreimageSolverError
 from .projective import (
     CHART_OTHERS,
     HomogeneousMap,
-    HomogeneousPoint,
     as_point_array,
     chart_indices,
     chart_normalize,
     dehomogenized_tables,
     fs_distance_batch,
     lift_from_chart,
+    one_point,
     substitute_linear,
 )
 
@@ -604,13 +604,12 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
 
 
 
-
-def preimages(map_: HomogeneousMap,
-              target: HomogeneousPoint) -> PreimageBatch:
-    """The one-row :class:`PreimageBatch` of a single target.
+def preimages(map_: HomogeneousMap, target) -> PreimageBatch:
+    """The one-row :class:`PreimageBatch` of a single target, given as any
+    :func:`~p2dyn.projective.one_point` input.
 
     The package attribute ``p2dyn.preimages`` is this function rather than
     the submodule, and the benchmark's own tests check that it is callable;
     so the function stays although :func:`preimage_batch` does the work.
     """
-    return preimage_batch(map_, target.array[None, :])
+    return preimage_batch(map_, one_point(target))

@@ -9,13 +9,15 @@ them into one coefficient matrix over the union of its components' monomial
 supports (and one more for its first partial derivatives), so every
 evaluation is a single monomial gather and matrix product.
 
-Hot paths work on ``(N, 3)`` complex arrays of homogeneous triples; the
-point classes are thin scalar views over the same kernels.
+Points are ``(N, 3)`` complex arrays of homogeneous triples, and every
+kernel takes and returns them.  :class:`HomogeneousPoint` is one validated
+triple that converts to such an array (it has ``__array__``), so a single-point
+entry point accepts it, a ``(3,)`` row or a ``(1, 3)`` array alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +58,16 @@ def as_point_array(points) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("expected an (N, 3) array of homogeneous triples")
+    return arr
+
+
+def one_point(point) -> np.ndarray:
+    """One point -- a :class:`HomogeneousPoint`, a (3,) row or a (1, 3)
+    array -- as a (1, 3) array; zero or non-finite raises ValueError."""
+    arr = as_point_array(point)
+    if arr.shape[0] != 1:
+        raise ValueError("expected a single homogeneous triple")
+    check_row_scale(sup_norms(arr))
     return arr
 
 
@@ -160,32 +172,18 @@ class HomogeneousPoint:
     coords: tuple[complex, complex, complex]
 
     def __init__(self, coords):
-        arr = np.asarray(coords, dtype=np.complex128).reshape(3)
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("non-finite homogeneous coordinates")
-        if np.max(np.abs(arr)) == 0.0:
-            raise ValueError("zero vector is not a projective point")
+        arr = one_point(coords)[0]
         object.__setattr__(self, "coords", tuple(complex(c) for c in arr))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.coords, dtype=dtype or np.complex128)
 
     @property
     def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=np.complex128)
-
-    @property
-    def chart(self) -> int:
-        return int(chart_indices(self.array[None, :])[0])
-
-    def normalized(self) -> "HomogeneousPoint":
-        """Representative scaled to unit sup-norm."""
-        return HomogeneousPoint(sup_normalize(self.array[None, :])[0])
+        return np.asarray(self)
 
     def chart_point(self) -> "ChartPoint":
-        coords, charts = affine_coords(self.array[None, :])
-        return ChartPoint(int(charts[0]), complex(coords[0, 0]),
-                          complex(coords[0, 1]))
-
-    def distance(self, other: "HomogeneousPoint") -> float:
-        return float(fs_distance_batch(self.array, other.array))
+        return ChartPoint.of(self)
 
 
 @dataclass(frozen=True)
@@ -205,17 +203,12 @@ class ChartPoint:
         if self.chart not in (0, 1, 2):
             raise ValueError("chart index must be 0, 1, or 2")
 
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.c1, self.c2], dtype=np.complex128)
-
-    def homogeneous(self) -> HomogeneousPoint:
-        return HomogeneousPoint(lift_from_chart(self.chart, self.coords)[0])
-
-
-def fs_distance(p: HomogeneousPoint, q: HomogeneousPoint) -> float:
-    """Fubini-Study chordal distance between two points."""
-    return p.distance(q)
+    @classmethod
+    def of(cls, point) -> "ChartPoint":
+        """Own-chart representative of one :func:`one_point` input."""
+        coords, charts = affine_coords(one_point(point))
+        return cls(int(charts[0]), complex(coords[0, 0]),
+                   complex(coords[0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +381,6 @@ class HomogeneousMap:
         out[~ok] = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
         return out, ok
 
-    def evaluate(self, point: HomogeneousPoint) -> HomogeneousPoint:
-        """Image of a point, renormalized to unit sup-norm."""
-        return HomogeneousPoint(self.evaluate_batch(point.array[None, :])[0])
-
     def orbit_batch(self, points: np.ndarray, length: int) -> np.ndarray:
         """Forward orbits: array (N, length + 1, 3), renormalized each step."""
         pts = sup_normalize(points)
@@ -442,40 +431,6 @@ class HomogeneousMap:
 
     def __repr__(self):
         return "HomogeneousMap(%r, degree=%d)" % (self.name, self.degree)
-
-
-@dataclass(frozen=True)
-class ChartDifferential:
-    """2x2 derivative of a map between the source and image charts."""
-
-    matrix: np.ndarray
-    chart_in: int
-    chart_out: int
-
-    @property
-    def det(self) -> complex:
-        m = self.matrix
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
-
-
-def chart_differential(map_: HomogeneousMap, point: HomogeneousPoint
-                       ) -> ChartDifferential:
-    """Derivative of the chart representation of a map at a point.
-
-    A determinant below ``CRITICAL_JACOBIAN_TOL`` raises
-    :class:`CriticalPointError`.
-    """
-    mats, cin, cout = map_.chart_differential_batch(point.array[None, :])
-    diff = ChartDifferential(mats[0], int(cin[0]), int(cout[0]))
-    if abs(diff.det) < CRITICAL_JACOBIAN_TOL:
-        raise CriticalPointError(
-            "chart Jacobian determinant %.3e below threshold at %r"
-            % (abs(diff.det), point.coords))
-    return diff
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +568,19 @@ def c2_norm(map_: HomogeneousMap) -> float:
     return map_._c2_cache
 
 
-def injectivity_radius(map_: HomogeneousMap, point: HomogeneousPoint) -> float:
+def injectivity_radius(map_: HomogeneousMap, point) -> float:
     """Radius on which the chart representation is safely invertible.
 
-    Uses the quantitative inverse-function bound min(a / C2, 1) with
-    a = sigma_min(Df) / 2 and C2 the cached second-derivative estimate.
+    Uses the inverse-function bound min(a / C2, 1) with a = sigma_min(Df) / 2,
+    Df the chart differential at one :func:`one_point` input and C2 the
+    cached second-derivative estimate; |det Df| below
+    ``CRITICAL_JACOBIAN_TOL`` raises :class:`CriticalPointError`.
     """
-    diff = chart_differential(map_, point)
-    sigma_min = float(diff.singular_values[-1])
-    a = 0.5 * sigma_min
-    return float(min(a / c2_norm(map_), 1.0))
+    mats, _, _ = map_.chart_differential_batch(one_point(point))
+    m = mats[0]
+    det = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    if det < CRITICAL_JACOBIAN_TOL:
+        raise CriticalPointError(
+            "chart Jacobian determinant %.3e below threshold" % det)
+    sigma_min = float(np.linalg.svd(m, compute_uv=False)[-1])
+    return float(min(0.5 * sigma_min / c2_norm(map_), 1.0))

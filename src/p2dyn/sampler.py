@@ -55,10 +55,11 @@ from .projective import (
     CHART_OTHERS,
     DEGENERATE_EVAL_TOL,
     HomogeneousMap,
-    HomogeneousPoint,
+    affine_coords,
     as_point_array,
     check_row_scale,
     fs_distance_batch,
+    one_point,
     sup_normalize,
     sup_norms,
 )
@@ -142,7 +143,7 @@ def fs_tangent_maps(map_: HomogeneousMap, points):
     matrices are self-contained; their singular values and |det| are
     basis-independent metric derivatives.
     """
-    pts = sup_normalize(as_point_array(points))
+    pts = sup_normalize(points)
     raw, ok = _raw_images(map_, pts)
     mats = _factor_from_bases(map_, pts, raw, tangent_basis_batch(pts),
                               tangent_basis_batch(raw))
@@ -150,12 +151,19 @@ def fs_tangent_maps(map_: HomogeneousMap, points):
 
 
 def fs_jacobian_dets(map_: HomogeneousMap, points) -> np.ndarray:
-    """|det| of the FS derivative at each row (0 where evaluation fails)."""
-    mats, _, ok = fs_tangent_maps(map_, points)
-    dets = np.abs(mats[:, 0, 0] * mats[:, 1, 1]
-                  - mats[:, 0, 1] * mats[:, 1, 0])
-    dets[~ok] = 0.0
-    return dets
+    """|det| of the FS derivative at each row (0 where evaluation fails).
+
+    With q = F(p) and unitary U_p = [p/|p|, B(p)], Euler's identity
+    J p = d q makes U_q^H J U_p block upper triangular: its first column
+    is (d |q| / |p|, 0, 0).  So |det J| = d (|q| / |p|) |det B(q)^H J B(p)|,
+    and the factor of :func:`fs_tangent_maps`, scaled by |p| / |q| in each
+    of two dimensions, has |det| = |det J| |p|^3 / (d |q|^3): no bases.
+    """
+    pts = sup_normalize(points)
+    raw, ok = _raw_images(map_, pts)
+    ratio = np.linalg.norm(pts, axis=1) / np.linalg.norm(raw, axis=1)
+    dets = np.abs(np.linalg.det(map_.jacobian_h_batch(pts))) * ratio ** 3
+    return np.where(ok, dets / map_.degree, 0.0)
 
 
 def _chained_factors(map_: HomogeneousMap, pts: np.ndarray) -> np.ndarray:
@@ -180,7 +188,7 @@ def _forward_cocycle(map_: HomogeneousMap, points, steps: int):
     factors.  A row stops at its first image collapse or its first factor
     with |det| below ``CRITICAL_DET_TOL``, which is not yielded.
     """
-    p = sup_normalize(as_point_array(points))
+    p = sup_normalize(points)
     basis = tangent_basis_batch(p)
     rows = np.arange(p.shape[0])
     for _ in range(steps):
@@ -207,26 +215,29 @@ def _censored_length(length, steps: int):
 # backward orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackwardOrbit:
     """Finite backward orbit x_0, x_{-1}, ..., x_{-n} under a map.
 
-    ``points[k+1]`` is a preimage of ``points[k]``; ``branch_choices[k]``
-    is the index into the canonical branch order of
+    ``points`` (alias ``array``) is the (depth + 1, 3) array x_0, ...,
+    x_{-n}, coerced by :func:`~p2dyn.projective.as_point_array`;
+    ``points[k+1]`` is a preimage of ``points[k]``, and
+    ``branch_choices[k]`` is the index into the canonical branch order of
     :class:`p2dyn.preimages.PreimageBatch` lifts that produced it.
     Construction validates forward-backward consistency and critical-set
     clearance of every point.
     """
 
     map: HomogeneousMap
-    points: tuple[HomogeneousPoint, ...]
+    points: np.ndarray
     branch_choices: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", as_point_array(self.points))
         if len(self.points) != len(self.branch_choices) + 1:
             raise OrbitInvariantError(
                 "need exactly one branch choice per backward step")
-        arr = self.array
+        arr = self.points
         if arr.shape[0] > 1:
             images = self.map.evaluate_batch(arr[1:])
             gaps = fs_distance_batch(images, arr[:-1])
@@ -246,9 +257,7 @@ class BackwardOrbit:
 
     @property
     def array(self) -> np.ndarray:
-        """(depth + 1, 3) lifts ordered x_0, x_{-1}, ..., x_{-n}."""
-        return np.asarray([p.array for p in self.points],
-                          dtype=np.complex128)
+        return self.points
 
 
 #: branch picks of walkers that could not move: no certified preimage set,
@@ -329,14 +338,15 @@ def _raise_for_stuck(map_: HomogeneousMap, picks: np.ndarray) -> None:
             "all preimage branches of %r are critically close" % map_.name)
 
 
-def backward_orbit(map_: HomogeneousMap, x0: HomogeneousPoint, depth: int,
+def backward_orbit(map_: HomogeneousMap, x0, depth: int,
                    rng: np.random.Generator | None = None,
                    branch_choices=None) -> BackwardOrbit:
     """Depth-n backward random walk from x0 with validated invariants.
 
-    Each step is the walker step of :func:`sample_equilibrium` for a single
-    walker: a branch is chosen uniformly among the d^2 preimages counted
-    with multiplicity, and a critically close choice is re-drawn (different
+    ``x0`` is any :func:`~p2dyn.projective.one_point` input.  Each step is
+    the walker step of :func:`sample_equilibrium` for a single walker: a
+    branch is chosen uniformly among the d^2 preimages counted with
+    multiplicity, and a critically close choice is re-drawn (different
     root, at most ``BRANCH_RETRIES`` times).  Passing ``branch_choices``
     replays fixed canonical indices instead of sampling (no retries).
     """
@@ -347,14 +357,13 @@ def backward_orbit(map_: HomogeneousMap, x0: HomogeneousPoint, depth: int,
     if branch_choices is not None and len(branch_choices) != depth:
         raise ValueError("need %d branch choices, got %d"
                          % (depth, len(branch_choices)))
-    if float(fs_jacobian_dets(map_, x0.array[None, :])[0]) < CRITICAL_DET_TOL:
+    current = one_point(x0)
+    if float(fs_jacobian_dets(map_, current)[0]) < CRITICAL_DET_TOL:
         raise OrbitInvariantError("starting point is critically close")
-    points = [x0]
-    chosen = []
+    points, chosen = [current], []
     for k in range(depth):
-        current = points[-1].array[None, :]
         if branch_choices is None:
-            lift, picks, _, _ = _walker_step(map_, current, [rng])
+            current, picks, _, _ = _walker_step(map_, current, [rng])
             _raise_for_stuck(map_, picks)
             idx = int(picks[0])
         else:
@@ -362,26 +371,31 @@ def backward_orbit(map_: HomogeneousMap, x0: HomogeneousPoint, depth: int,
             lifts = preimage_batch(map_, current).lifts
             if not 0 <= idx < lifts.shape[1]:
                 raise OrbitInvariantError("branch index %d out of range" % idx)
-            lift = lifts[:, idx]
-        points.append(HomogeneousPoint(lift[0]))
+            current = lifts[:, idx]
+        points.append(current)
         chosen.append(idx)
-    return BackwardOrbit(map_, tuple(points), tuple(chosen))
+    return BackwardOrbit(map_, np.concatenate(points), tuple(chosen))
 
 
 # ---------------------------------------------------------------------------
 # equilibrium sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSample:
-    """Uniformly weighted empirical sample of the equilibrium measure."""
+    """Uniformly weighted empirical sample of the equilibrium measure.
 
-    points: tuple[HomogeneousPoint, ...]
+    ``points`` (alias ``array``) is the (N, 3) array of lifts, coerced by
+    :func:`~p2dyn.projective.as_point_array` (so a tuple of points works).
+    """
+
+    points: np.ndarray
     weights: np.ndarray
     provenance: tuple[int, int, int]  # (depth, count, seed)
     n_failures: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "points", as_point_array(self.points))
         if len(self.points) != self.weights.shape[0]:
             raise ValueError("one weight per point required")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
@@ -389,18 +403,16 @@ class MeasureSample:
 
     @property
     def array(self) -> np.ndarray:
-        return np.asarray([p.array for p in self.points],
-                          dtype=np.complex128)
+        return self.points
 
 
-def _clear_start(map_: HomogeneousMap) -> HomogeneousPoint:
+def _clear_start(map_: HomogeneousMap) -> np.ndarray:
     """The fixed generic start, nudged deterministically if critical."""
-    base = np.asarray(GENERIC_START, dtype=np.complex128)
-    for k in range(6):
-        candidate = base + np.array([0.013 * k, -0.007 * k, 0.0])
-        if float(fs_jacobian_dets(map_, candidate[None, :])[0]) \
-                >= CRITICAL_DET_TOL:
-            return HomogeneousPoint(candidate)
+    candidates = np.asarray(GENERIC_START, dtype=np.complex128) \
+        + np.outer(np.arange(6), [0.013, -0.007, 0.0])
+    clear = fs_jacobian_dets(map_, candidates) >= CRITICAL_DET_TOL
+    if clear.any():
+        return candidates[np.argmax(clear)]
     raise OrbitInvariantError(
         "could not find a critically clear start for %r" % map_.name)
 
@@ -424,7 +436,7 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
     ss = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(c) for c in ss.spawn(count)]
     start = _clear_start(map_)
-    pos = np.tile(start.array, (count, 1))
+    pos = np.tile(start, (count, 1))
     active = np.ones(count, dtype=bool)
     failures = 0
     rotated, worst = 0, 0.0
@@ -456,7 +468,7 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
             fresh = np.random.default_rng(ss.spawn(1)[0])
             try:
                 orbit = backward_orbit(map_, start, depth, fresh)
-                pos[row] = orbit.points[-1].array
+                pos[row] = orbit.points[-1]
                 done = True
             except (PreimageSolverError, OrbitInvariantError):
                 failures += 1
@@ -469,9 +481,8 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
                 "preimage target(s) needed coordinate rotations; worst "
                 "preimage residual %.3g", failures, len(replacement_rows),
                 rotated, worst)
-    points = tuple(HomogeneousPoint(row) for row in pos)
-    weights = np.full(count, 1.0 / count)
-    return MeasureSample(points, weights, (depth, count, seed), failures)
+    return MeasureSample(pos, np.full(count, 1.0 / count),
+                         (depth, count, seed), failures)
 
 
 def write_csv(sample: MeasureSample, path) -> None:
@@ -479,11 +490,9 @@ def write_csv(sample: MeasureSample, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chart", "re_z", "im_z", "re_w", "im_w"])
-        for point in sample.points:
-            cp = point.chart_point()
-            writer.writerow([cp.chart,
-                             "%.17g" % cp.c1.real, "%.17g" % cp.c1.imag,
-                             "%.17g" % cp.c2.real, "%.17g" % cp.c2.imag])
+        coords, charts = affine_coords(sample.points)
+        for chart, row in zip(charts, coords.view(np.float64)):
+            writer.writerow([chart] + ["%.17g" % x for x in row])
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +507,8 @@ class ExponentEstimate:
     column order, unsorted; ``n_truncated`` counts walkers whose series was
     censored at the degeneracy detector (numerical loss of the expanding
     support), ``n_discarded`` those with too little usable data.
+    ``window`` is the (min, median, max) number of steps the contributing
+    walkers kept, which is what the estimate rests on rather than ``n_iter``.
     """
 
     lambda1: float
@@ -508,6 +519,7 @@ class ExponentEstimate:
     per_point: np.ndarray = field(repr=False)
     n_truncated: int = 0
     n_discarded: int = 0
+    window: tuple[int, float, int] = (0, 0.0, 0)
 
     def __post_init__(self):
         if self.lambda1 < self.lambda2:
@@ -542,7 +554,8 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     concentrates) are censored and the rest kept.  The first few steps are
     dropped as the QR alignment transient.  Aggregates are means with
     standard errors of the unsorted pairs; only the means are sorted.
-    One log line per call reports the censored and discarded counts.
+    One log line per call reports the censored and discarded counts and
+    the usable window.
     """
     if n_iter < 100:
         raise ValueError("n_iter must be >= 100")
@@ -556,18 +569,22 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
             _qr_accumulate(q[rows], mats)
         length[rows] = k + 1
 
-    per_point = []
+    per_point, kept = [], []
     for i, stop in enumerate(_censored_length(length, n_iter)):
         burn = min(COCYCLE_BURN_CAP, stop // 4) if stop > 0 else 0
         if stop - burn < COCYCLE_MIN_WINDOW:
             continue
         per_point.append(logs[i, burn:stop].mean(axis=0))
+        kept.append(int(stop - burn))
     n_discarded = n - len(per_point)
     n_truncated = int(np.count_nonzero(length < n_iter))
+    window = ((min(kept), float(np.median(kept)), max(kept)) if kept
+              else (0, 0.0, 0))
     logger.info("lyapunov_exponents: %d of %d walker(s) censored at the "
                 "critical tolerance zone, %d discarded with fewer than %d "
-                "usable cocycle steps", n_truncated, n, n_discarded,
-                COCYCLE_MIN_WINDOW)
+                "usable cocycle steps; usable window min %d, median %g, "
+                "max %d of %d", n_truncated, n, n_discarded,
+                COCYCLE_MIN_WINDOW, *window, n_iter)
     if not per_point:
         raise InsufficientDataError(
             "no walker produced %d usable cocycle steps; sample at a "
@@ -584,7 +601,7 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     means, errs = means[order], errs[order]
     return ExponentEstimate(float(means[0]), float(means[1]),
                             float(errs[0]), float(errs[1]), n_iter,
-                            per_point, n_truncated, n_discarded)
+                            per_point, n_truncated, n_discarded, window)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
 from . import green
 from .green import GreenEvaluator
-from .projective import CHART_OTHERS, HomogeneousMap, HomogeneousPoint
+from .projective import CHART_OTHERS, ChartPoint, HomogeneousMap, one_point
 from .sampler import tangent_basis_batch
 
 __all__ = [
@@ -248,18 +248,18 @@ def axis_chart(map_: HomogeneousMap, point,
                domain_radius: float | None = None) -> NormalFormCoordinates:
     """Chart at ``point`` whose frame is the orthonormal tangent basis.
 
-    This is pure geometry -- the two directions are the Fubini-Study
-    tangent basis columns, not dynamically distinguished ones -- so the
-    frame is marked isotropic.  With ``domain_radius=None`` the domain is
-    the same safe fraction of the injectivity radius that dynamical frame
-    charts use.
+    ``point`` is any :func:`~p2dyn.projective.one_point` input; zero or
+    non-finite coordinates raise ``ValueError``.  This is pure geometry --
+    the two directions are the Fubini-Study tangent basis columns, not
+    dynamically distinguished ones -- so the frame is marked isotropic.
+    With ``domain_radius=None`` the domain is the same safe fraction of the
+    injectivity radius that dynamical frame charts use.
     """
-    hp = point if isinstance(point, HomogeneousPoint) \
-        else HomogeneousPoint(point)
-    lift = hp.array / np.linalg.norm(hp.array)
+    arr = one_point(point)[0]
+    lift = arr / np.linalg.norm(arr)
     basis = tangent_basis_batch(lift[None, :])[0]
     frame = OseledecFrame(
-        base=hp.chart_point(),
+        base=ChartPoint.of(arr),
         e1=np.array([1.0, 0.0], dtype=np.complex128),
         e2=np.array([0.0, 1.0], dtype=np.complex128),
         conditioning=1.0,
@@ -531,13 +531,13 @@ def positivity_check(sm: SliceMeasure, sample, *, evaluator: GreenEvaluator,
     if sm.direction not in _DIRECTIONS:
         raise ValueError("positivity_check needs a directional slice "
                          "measure, got %r" % (sm.direction,))
-    points = list(sample.points)
-    if not points:
+    points = sample.points
+    if not len(points):
         raise ValueError("empty measure sample")
     if len(points) > max_points:
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(points), size=max_points, replace=False)
-        points = [points[int(i)] for i in sorted(chosen)]
+        points = points[np.sort(rng.choice(len(points), size=max_points,
+                                           replace=False))]
     fraction_of_domain = sm.grid.radius / float(sm.grid.coords.domain_radius)
     positive = 0
     for point in points:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateMapError, PreimageSolverError
 from .preimages import preimage_batch
-from .projective import HomogeneousMap, HomogeneousPoint
+from .projective import HomogeneousMap
 
 LOG2 = float(np.log(2.0))
 

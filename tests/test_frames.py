@@ -33,7 +33,6 @@ from p2dyn.frames import (
     default_coordinates,
     pullback_scaling_check,
     resonance_detect,
-    transport_frame,
 )
 from p2dyn.green import GreenEvaluator, local_potential
 from p2dyn.projective import (
@@ -213,22 +212,6 @@ class TestComputeFrame:
                                rng=np.random.default_rng(5))
         with pytest.raises(FrameError):
             compute_frame(power, orbit)
-
-
-class TestTransportFrame:
-    def test_transport_lands_on_the_image_point(self, susp_setup):
-        susp, _, _, _, f20, _ = susp_setup
-        moved = transport_frame(susp, f20)
-        image = susp.evaluate(HomogeneousPoint(f20.base_lift))
-        assert float(fs_distance_batch(moved.base_lift,
-                                       image.array)) < 1e-12
-
-    def test_transport_preserves_the_invariant_axis(self, susp_setup):
-        susp, _, _, _, f20, _ = susp_setup
-        moved = transport_frame(susp, f20)
-        _, a_w = axis_directions(moved.base_lift)
-        assert alignment(moved.e1, a_w) > 0.999
-        assert moved.conditioning > 0.9
 
 
 class TestNormalFormCoordinates:

@@ -17,6 +17,7 @@ from p2dyn.projective import (
     HomogeneousPoint,
     fs_distance_batch,
     lift_from_chart,
+    sup_normalize,
 )
 from p2dyn.sampler import _raise_for_stuck, _walker_step, backward_orbit
 
@@ -291,10 +292,9 @@ class TestDeterminismAndSampling:
         f = random_map(2, seed=72)
         target = HomogeneousPoint(np.array([0.1, 0.7 - 0.2j, 1.0]))
         rng = np.random.default_rng(73)
-        branch = backward_orbit(f, target, 1, rng).points[1]
-        img = f.evaluate(branch)
-        assert fs_distance_batch(img.array[None, :],
-                                 target.normalized().array[None, :])[0] < 1e-9
+        branch = backward_orbit(f, target, 1, rng).array[1:]
+        img = f.evaluate_batch(branch)
+        assert fs_distance_batch(img, sup_normalize(target.array))[0] < 1e-9
 
     def test_branch_draws_are_uniform_over_multiplicity(self):
         # 10^4 multiplicity-weighted draws over a shared target hit each

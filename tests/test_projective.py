@@ -19,12 +19,10 @@ from p2dyn.projective import (
     HomogeneousPoint,
     affine_coords,
     c2_norm,
-    chart_differential,
     chart_indices,
     chart_normalize,
     compose,
     dehomogenized_tables,
-    fs_distance,
     fs_distance_batch,
     injectivity_radius,
     lift_from_chart,
@@ -116,15 +114,15 @@ class TestCharts:
 
 class TestProjectiveDistance:
     def test_orthogonal_lines_at_distance_one(self):
-        p = HomogeneousPoint(np.array([1.0, 0.0, 0.0]))
-        q = HomogeneousPoint(np.array([0.0, 1.0, 0.0]))
-        assert fs_distance(p, q) == pytest.approx(1.0)
+        p = np.array([1.0, 0.0, 0.0])
+        q = np.array([0.0, 1.0, 0.0])
+        assert fs_distance_batch(p, q) == pytest.approx(1.0)
 
     def test_sine_of_angle_closed_form(self):
         # dist([1:0:0],[1:1:0]) = sin(pi/4) = 1/sqrt(2), hand-derived
-        p = HomogeneousPoint(np.array([1.0, 0.0, 0.0]))
-        q = HomogeneousPoint(np.array([1.0, 1.0, 0.0]))
-        assert fs_distance(p, q) == pytest.approx(1.0 / np.sqrt(2.0))
+        p = np.array([1.0, 0.0, 0.0])
+        q = np.array([1.0, 1.0, 0.0])
+        assert fs_distance_batch(p, q) == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_scale_invariance_complex_rescaling(self):
         rng = np.random.default_rng(3)
@@ -152,9 +150,9 @@ class TestProjectiveDistance:
 class TestHomogeneousMap:
     def test_power_map_evaluation(self):
         f = power_map(2)
-        img = f.evaluate(HomogeneousPoint(np.array([2.0, 0.0, 1.0])))
+        img = f.evaluate_batch(np.array([[2.0, 0.0, 1.0]]))
         # [2:0:1] -> [4:0:1]
-        coords, charts = affine_coords(img.array[None, :])
+        coords, charts = affine_coords(img)
         assert charts[0] == 0
         np.testing.assert_allclose(coords[0], [0.0, 0.25], atol=1e-15)
 
@@ -260,10 +258,10 @@ class TestSymbolicAlgebra:
 
 def fd_chart_differential(map_, point, h=1e-6):
     """Central-difference oracle for the chart-to-chart derivative."""
-    coords, charts = affine_coords(point.array[None, :])
+    coords, charts = affine_coords(point[None, :])
     chart_in = int(charts[0])
-    image = map_.evaluate(point)
-    chart_out = int(chart_indices(image.array[None, :])[0])
+    image = map_.evaluate_batch(point[None, :])
+    chart_out = int(chart_indices(image)[0])
     out = np.empty((2, 2), dtype=np.complex128)
     for c in range(2):
         plus = coords.copy()
@@ -282,38 +280,37 @@ def fd_chart_differential(map_, point, h=1e-6):
 class TestChartDifferential:
     def test_power_map_diagonal_closed_form(self):
         f = power_map(2)
-        p = HomogeneousPoint(np.array([0.5, 0.25, 1.0]))
-        d = chart_differential(f, p)
-        assert d.chart_in == 2 and d.chart_out == 2
+        p = np.array([0.5, 0.25, 1.0])
+        mats, cin, cout = f.chart_differential_batch(p[None, :])
+        assert cin[0] == 2 and cout[0] == 2
         # (u,v) -> (u^2,v^2): derivative diag(2u, 2v) = diag(1.0, 0.5)
-        np.testing.assert_allclose(d.matrix, np.diag([1.0, 0.5]), atol=1e-12)
-        assert d.det == pytest.approx(0.5)
+        np.testing.assert_allclose(mats[0], np.diag([1.0, 0.5]), atol=1e-12)
+        assert np.linalg.det(mats[0]) == pytest.approx(0.5)
 
     def test_matches_finite_difference_oracle_random_map(self):
         f = random_map(2, seed=17)
         rng = np.random.default_rng(18)
         for _ in range(5):
-            arr = rng.normal(size=3) + 1j * rng.normal(size=3)
-            p = HomogeneousPoint(arr)
-            d = chart_differential(f, p)
+            p = rng.normal(size=3) + 1j * rng.normal(size=3)
+            mats, cin, cout = f.chart_differential_batch(p[None, :])
             oracle, ci, co = fd_chart_differential(f, p)
-            assert (d.chart_in, d.chart_out) == (ci, co)
-            np.testing.assert_allclose(d.matrix, oracle, rtol=1e-5,
+            assert (cin[0], cout[0]) == (ci, co)
+            np.testing.assert_allclose(mats[0], oracle, rtol=1e-5,
                                        atol=1e-7)
 
     def test_critical_point_raises(self):
         f = power_map(2)
         with pytest.raises(CriticalPointError):
-            chart_differential(f, HomogeneousPoint(np.array([0.0, 0.5, 1.0])))
+            injectivity_radius(f, HomogeneousPoint(np.array([0.0, 0.5, 1.0])))
 
     def test_cross_chart_output(self):
         f = power_map(2)
         # [2:0:1] -> [4:0:1]: input chart 0, output chart 0
-        p = HomogeneousPoint(np.array([2.0, 0.5, 1.0]))
-        d = chart_differential(f, p)
-        assert d.chart_in == 0 and d.chart_out == 0
+        p = np.array([2.0, 0.5, 1.0])
+        mats, cin, cout = f.chart_differential_batch(p[None, :])
+        assert cin[0] == 0 and cout[0] == 0
         oracle, _, _ = fd_chart_differential(f, p)
-        np.testing.assert_allclose(d.matrix, oracle, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(mats[0], oracle, rtol=1e-6, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

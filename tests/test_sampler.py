@@ -25,6 +25,7 @@ import pytest
 from p2dyn.errors import OrbitInvariantError
 from p2dyn.projective import HomogeneousPoint, fs_distance_batch, sup_normalize
 from p2dyn.sampler import (
+    COCYCLE_MIN_WINDOW,
     BackwardOrbit,
     ExponentEstimate,
     backward_orbit,
@@ -44,6 +45,7 @@ from p2dyn.zoo import (
     lattes_suspension,
     power_map,
     squaring_factor,
+    standard_zoo,
 )
 
 LOG2 = float(np.log(2.0))
@@ -156,6 +158,18 @@ class TestFsTangentMaps:
         pts = np.array([[1.0, 0.0, 0.0]], dtype=np.complex128)
         assert fs_jacobian_dets(power_map(2), pts)[0] < 1e-15
 
+    def test_closed_form_det_matches_the_qr_factors(self):
+        # fs_tangent_maps builds both tangent bases by QR; it is the
+        # reference for the basis-free |det J| |p|^3 / (d |F(p)|^3)
+        rng = np.random.default_rng(19)
+        pts = rng.normal(size=(2000, 3)) + 1j * rng.normal(size=(2000, 3))
+        for family in standard_zoo():
+            mats, _, ok = fs_tangent_maps(family.map, pts)
+            ref = np.where(ok, np.abs(np.linalg.det(mats)), 0.0)
+            got = fs_jacobian_dets(family.map, pts)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0,
+                                       err_msg=family.name)
+
 
 # ---------------------------------------------------------------------------
 # canonical branch order
@@ -236,7 +250,7 @@ class TestBackwardOrbit:
         orbit = backward_orbit(f, HomogeneousPoint([0.3, 0.4 + 0.2j, 1.0]),
                                4, np.random.default_rng(5))
         points = list(orbit.points)
-        bad = points[2].array + np.array([0.05, 0.0, 0.0])
+        bad = orbit.array[2] + np.array([0.05, 0.0, 0.0])
         points[2] = HomogeneousPoint(bad)
         with pytest.raises(OrbitInvariantError):
             BackwardOrbit(f, tuple(points), orbit.branch_choices)
@@ -338,6 +352,13 @@ class TestLyapunovExponents:
         assert est.n_truncated == 200
         assert est.n_discarded == 0
         assert est.per_point.shape == (200, 2)
+
+    def test_window_is_the_steps_actually_used(self, suspension_estimates):
+        # each walker keeps a dozen or so of its n_iter = 500 steps
+        for est in suspension_estimates:
+            low, median, high = est.window
+            assert COCYCLE_MIN_WINDOW <= low <= median <= high <= est.n_iter
+            assert median < est.n_iter / 10
 
     def test_semi_extremal_exponents_split(self, suspension_estimates):
         est = suspension_estimates[0]

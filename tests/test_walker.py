@@ -30,7 +30,7 @@ def test_batched_walkers_replay_as_single_orbits():
     for k in range(0, 200, 20):
         orbit = backward_orbit(f, start, 25,
                                np.random.default_rng(children[k]))
-        gap = fs_distance_batch(sample.array[k], orbit.points[-1].array)
+        gap = fs_distance_batch(sample.array[k], orbit.array[-1])
         assert gap < 1e-12
 
 
@@ -43,7 +43,7 @@ def test_random_branches_follow_the_walker_draw():
     rows, _, _, _ = _walker_step(f, np.stack([start.array] * 2),
                                  [np.random.default_rng(8),
                                   np.random.default_rng(9)])
-    assert np.array_equal(rows[0], orbit.points[1].array)
+    assert np.array_equal(rows[0], orbit.array[1])
 
 
 def sampler_records(caplog):

@@ -38,8 +38,8 @@ LOG2 = 0.6931471805599453
 class TestConstructors:
     def test_power_map_doubles_example(self):
         f = power_map(2)
-        img = f.evaluate(HomogeneousPoint(np.array([2.0, 1.0, 1.0])))
-        arr = img.array / img.array[2]
+        img = f.evaluate_batch(np.array([[2.0, 1.0, 1.0]]))[0]
+        arr = img / img[2]
         np.testing.assert_allclose(arr, [4.0, 1.0, 1.0], atol=1e-14)
 
     def test_product_of_squares_equals_power_map(self):
