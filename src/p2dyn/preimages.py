@@ -1,23 +1,23 @@
 """All d^2 preimages of a point under an endomorphism of the projective plane.
 
-Pipeline per affine search chart: write the preimage condition as two
-bivariate polynomial equations, eliminate the second variable with a
-Sylvester resultant (evaluated on Fourier nodes and interpolated back to
-coefficients), find the resultant's roots as companion-matrix eigenvalues
-(:func:`polynomial_roots`), back-substitute to recover the second
-coordinate, cluster the candidate pairs into distinct roots with
-multiplicities, refine each root with a damped 2D Newton step, and keep
-the solutions whose own max-modulus chart is the search chart (so the three
-charts partition the preimages).  Root counts are certified against the
-Bezout number d^2; shortfalls trigger up to three deterministic unitary
-changes of coordinates before raising.
+One sweep solves every (target, affine search chart) pair as a row of one
+batch: write the preimage condition as two bivariate polynomial equations,
+eliminate v with a Sylvester resultant (evaluated on Fourier nodes and
+interpolated back), find its roots u as companion-matrix eigenvalues
+(:func:`polynomial_roots`), drop the u outside the unit disk (the bidisk
+gate rejects all their pairs), back-substitute the rest for v, cluster the
+pairs into distinct roots with multiplicities, refine each root with a
+damped 2D Newton step, and keep the roots whose own max-modulus chart is
+the search chart (so the three charts partition the preimages).  Counts
+are certified against the Bezout number d^2; shortfalls trigger up to
+three deterministic unitary changes of coordinates before raising.
 
-Everything is batched over targets, so thousands of simultaneous preimage
-queries (one per backward-orbit walker) cost a handful of vectorized
-passes: one eigensolve per uniform-degree batch of polynomials, and Newton
-loops that drop each row once it has converged.  Every stage works row by
-row, so a target's results do not depend on the rest of its batch.  Each
-chart solve's candidates are padded to ``(B, K)`` slots, and one greedy
+Everything is batched, so thousands of simultaneous preimage queries (one
+per backward-orbit walker) cost a handful of vectorized passes per sweep:
+one eigensolve per degree of the u-polynomials and one per v-degree, and
+Newton loops that drop each row once it has converged.  Every stage works
+row by row, so a target's results do not depend on the rest of its batch.
+Each row's candidates are padded to ``(3B, K)`` slots, and one greedy
 rule (:func:`_greedy_clusters`, a loop over the K slots) forms the
 u-fibres, the distinct v-points of each fibre and the cross-chart merge.
 :func:`preimage_batch` returns a :class:`PreimageBatch` whose ``(B, d^2,
@@ -61,6 +61,10 @@ PAIR_GATE = 1e-5
 #: (looser than CLUSTER_RADIUS: copies of a multiple resultant root spread
 #: by roughly the root-finder's multiple-root accuracy)
 U_FIBER_RADIUS = 1e-6
+
+#: slack of the unit-bidisk gate max(|u|, |v|) <= 1 + slack, which also
+#: drops u-roots outside the disk before back-substitution
+BIDISK_SLACK = 1e-9
 
 #: relative floor below which polynomial coefficients count as zero
 TRIM_REL = 1e-10
@@ -156,23 +160,23 @@ def _trim_degree_rows(coeffs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-(target-chart, search-chart) solve
+# the stacked (target, search chart) solve
 # ---------------------------------------------------------------------------
 
-def _chart_equations(map_: HomogeneousMap, search_chart: int,
-                     targets_norm: np.ndarray, target_chart: int):
-    """Coefficient tensors (B, d+1, d+1) of the two preimage equations.
+def _chart_equations(map_: HomogeneousMap, targets_norm: np.ndarray,
+                     tcharts: np.ndarray, scharts: np.ndarray):
+    """Coefficient tensors (N, d+1, d+1) of the two preimage equations.
 
-    Preimages of tau in the search chart satisfy, for the two indices
-    j != b (b = tau's own chart, tau normalized so tau_b = 1):
-    ``F_j(lift(u, v)) - tau_j F_b(lift(u, v)) = 0``.
+    Preimages of row n's tau in its search chart ``scharts[n]`` satisfy,
+    for the two indices j != b (b = ``tcharts[n]``, tau's own chart, tau
+    normalized so tau_b = 1): ``F_j(lift(u, v)) - tau_j F_b(lift(u, v)) =
+    0``, read from the (search chart, component) stack of tables.
     """
-    mats = dehomogenized_tables(map_, search_chart)
-    j1, j2 = CHART_OTHERS[target_chart]
-    mb = mats[target_chart]
-    g1 = mats[j1][None, :, :] - targets_norm[:, j1][:, None, None] * mb
-    g2 = mats[j2][None, :, :] - targets_norm[:, j2][:, None, None] * mb
-    return g1, g2
+    mats = np.stack([dehomogenized_tables(map_, c) for c in range(3)])
+    js = np.asarray(CHART_OTHERS)[tcharts]
+    tau = np.take_along_axis(targets_norm, js, axis=1)[..., None, None]
+    g = mats[scharts[:, None], js] - tau * mats[scharts, tcharts][:, None]
+    return g[:, 0], g[:, 1]
 
 
 def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
@@ -214,25 +218,24 @@ def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
     """
     direct = (np.minimum(m1_rows, m2_rows) <= 0) \
         & (np.maximum(m1_rows, m2_rows) > 0)
-    rows_out, u_out = [np.empty(0, np.int64)], [np.empty(0, np.complex128)]
+    # rows with both equations free of v (no isolated roots) stay zero
+    res = np.zeros((g1.shape[0], 2 * degree * degree + 1), np.complex128)
     keys = (m1_rows + 1) * (degree + 2) + m2_rows + 1
     for key in np.unique(keys):
         rows = np.flatnonzero(keys == key)
         m1, m2 = int(m1_rows[rows[0]]), int(m2_rows[rows[0]])
-        if m1 <= 0 and m2 <= 0:
-            # both equations free of v: no isolated roots in this chart
-            continue
-        if m1 <= 0 or m2 <= 0:
-            # one equation is univariate in u: use it directly
-            res = (g1 if m1 <= 0 else g2)[rows, :, 0]
-        else:
-            res = _sylvester_resultant_coeffs(
+        if m1 > 0 and m2 > 0:
+            res[rows] = _sylvester_resultant_coeffs(
                 g1[rows], g2[rows], m1, m2, degree)
-        degs = _trim_degree_rows(res)
-        for d_eff in np.unique(degs[degs > 0]):
-            sel = degs == d_eff
-            rows_out.append(np.repeat(rows[sel], d_eff))
-            u_out.append(polynomial_roots(res[sel][:, :d_eff + 1]).ravel())
+        elif max(m1, m2) > 0:
+            # one equation is univariate in u: use it directly
+            res[rows, :degree + 1] = (g1 if m1 <= 0 else g2)[rows, :, 0]
+    degs = _trim_degree_rows(res)  # one eigensolve per effective degree
+    rows_out, u_out = [np.empty(0, np.int64)], [np.empty(0, np.complex128)]
+    for d_eff in np.unique(degs[degs > 0]):
+        sel = np.flatnonzero(degs == d_eff)
+        rows_out.append(np.repeat(sel, d_eff))
+        u_out.append(polynomial_roots(res[sel, :d_eff + 1]).ravel())
     rows, u = np.concatenate(rows_out), np.concatenate(u_out)
     order = np.argsort(rows, kind="stable")
     return rows[order], u[order], direct
@@ -300,23 +303,26 @@ def _greedy_clusters(close: np.ndarray, order: np.ndarray,
 
 
 def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
-                       target_chart: int, search_chart: int):
-    """Roots (home chart == search chart) for every target in the batch.
+                       tcharts: np.ndarray, scharts: np.ndarray):
+    """Roots (home chart == search chart ``scharts[n]``) for every row n.
 
-    Returns flat arrays ``(rows, coords, mults)``: the target row, the
-    (u, v) chart coordinates and the multiplicity of each accepted root,
-    sorted by row.  Every stage (root finding, back-substitution, gating,
-    clustering, Newton, certification) runs on arrays flat or padded over
-    the batch; the only Python loops are over degrees and padded slots.
+    Returns flat arrays ``(rows, lifts, mults)``: the row, the lift (1 in
+    the search chart) and the multiplicity of each accepted root, sorted
+    by row.  u-roots outside the unit disk are dropped before
+    back-substitution: the bidisk gate rejects every pair they give.
+    Every stage runs on arrays flat or padded over the batch; the only
+    Python loops are over degrees and padded slots.
     """
     d = map_.degree
-    g1, g2 = _chart_equations(map_, search_chart, targets_norm, target_chart)
+    g1, g2 = _chart_equations(map_, targets_norm, tcharts, scharts)
     # structural v-degree of each row: that of its largest u-coefficients
     m1_rows = _trim_degree_rows(np.abs(g1).max(axis=1))
     m2_rows = _trim_degree_rows(np.abs(g2).max(axis=1))
     # one entry per (target row, u-root copy); its index is the copy's id
     # in the multiplicity budgets
     flat_rows, flat_u, direct = _u_candidates(g1, g2, m1_rows, m2_rows, d)
+    inside = np.abs(flat_u) <= 1.0 + BIDISK_SLACK
+    flat_rows, flat_u = flat_rows[inside], flat_u[inside]
 
     # batched back-substitution: per row, the equation with larger v-degree
     use_g2 = (m2_rows >= m1_rows)[flat_rows]
@@ -354,19 +360,19 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     u0 = flat_u[cand_flat]
 
     # gate on BOTH chart equations at the raw pair, plus the bidisk /
-    # home-chart partition (boundary ties within 1e-9 are kept in every
+    # home-chart partition (boundary ties within the slack are kept in all
     # adjacent chart and deduplicated across charts later)
     f1 = np.abs(_eval2d(g1[cand_row], u0, v))
     f2 = np.abs(_eval2d(g2[cand_row], u0, v))
     scale1 = np.abs(g1).max(axis=(1, 2))[cand_row]
     scale2 = np.abs(g2).max(axis=(1, 2))[cand_row]
     maxmod = np.maximum(np.abs(u0), np.abs(v))
-    lifts = lift_from_chart(search_chart, np.stack([u0, v], axis=1))
-    home = chart_indices(lifts) == search_chart
-    keep = (f1 <= PAIR_GATE * scale1) & (f2 <= PAIR_GATE * scale2) \
-        & (maxmod <= 1.0 + 1e-9) & (home | (maxmod >= 1.0 - 1e-9))
+    lifts = lift_from_chart(scharts[cand_row], np.stack([u0, v], axis=1))
+    home = chart_indices(lifts) == scharts[cand_row]
+    keep = (f1 <= PAIR_GATE * scale1) & (f2 <= PAIR_GATE * scale2) & (
+        maxmod <= 1.0 + BIDISK_SLACK) & (home | (maxmod >= 1.0 - BIDISK_SLACK))
     if not keep.any():  # spare the map an empty evaluation
-        return cand_row[:0], np.empty((0, 2), complex), cand_row[:0]
+        return cand_row[:0], np.empty((0, 3), complex), cand_row[:0]
 
     # multiplicity bookkeeping on the raw fibers
     rep_row, rep_uv, rep_mult = _chart_roots(
@@ -377,11 +383,11 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     # point to certify as an actual preimage of its target
     refined = _newton_refine(g1[rep_row], g2[rep_row], rep_uv)
     moved = np.max(np.abs(refined - rep_uv), axis=1)
-    lifts = lift_from_chart(search_chart, refined)
+    lifts = lift_from_chart(scharts[rep_row], refined)
     images, ok = map_.evaluate_batch_safe(lifts)
     res = fs_distance_batch(images, targets_norm[rep_row])
     good = ok & (res < RESIDUAL_GATE) & (moved < 1e-3)
-    return rep_row[good], refined[good], rep_mult[good]
+    return rep_row[good], lifts[good], rep_mult[good]
 
 
 def _chart_roots(rows: np.ndarray, uid: np.ndarray, u: np.ndarray,
@@ -467,22 +473,18 @@ def _merge_across_charts(lifts: np.ndarray, mults: np.ndarray) -> np.ndarray:
 
 
 def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
-    """One full 3x3 chart sweep followed by the cross-chart merge.
+    """One stacked chart sweep followed by the cross-chart merge.
 
-    Returns ``(lifts, mults)`` padded to ``(B, K)`` root slots: a target's
-    roots fill its leading slots in search-chart order, each lift has 1 in
-    the chart it was found in, and unused or merged slots have
-    multiplicity 0.
+    Row r of its one :func:`_solve_chart_batch` call is target r // 3 in
+    search chart r % 3.  Returns ``(lifts, mults)`` padded to ``(B, K)``
+    slots: a target's roots (1 in the chart each was found in) fill its
+    leading slots in search-chart order; unused or merged slots have mults 0.
     """
     targets_norm, tcharts = chart_normalize(targets)
-    parts = []
-    for tchart in range(3):
-        idx = np.flatnonzero(tcharts == tchart)
-        for schart in range(3 if idx.size else 0):
-            local, coords, mults = _solve_chart_batch(
-                map_, targets_norm[idx], tchart, schart)
-            parts.append((idx[local], lift_from_chart(schart, coords), mults))
-    rows, lifts, mults = (np.concatenate(p) for p in zip(*parts))
+    rows, lifts, mults = _solve_chart_batch(
+        map_, np.repeat(targets_norm, 3, axis=0), np.repeat(tcharts, 3),
+        np.tile(np.arange(3), targets.shape[0]))
+    rows //= 3
     slot, k = _slots(rows, targets.shape[0])
     padded = np.ones((targets.shape[0], k, 3), dtype=np.complex128)
     padded_mults = np.zeros((targets.shape[0], k), dtype=np.int64)

@@ -134,16 +134,15 @@ def affine_coords(points: np.ndarray, charts: np.ndarray | None = None):
     return coords, charts
 
 
-def lift_from_chart(chart: int, coords: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`affine_coords` for a fixed chart: insert 1."""
-    coords = np.asarray(coords, dtype=np.complex128)
-    if coords.ndim == 1:
-        coords = coords[None, :]
-    out = np.empty((coords.shape[0], 3), dtype=np.complex128)
-    i, j = CHART_OTHERS[chart]
-    out[:, chart] = 1.0
-    out[:, i] = coords[:, 0]
-    out[:, j] = coords[:, 1]
+def lift_from_chart(chart, coords: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`affine_coords`: insert 1 in ``chart``, one chart
+    for all rows (an int) or one per row (an ``(N,)`` array)."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=np.complex128))
+    rows = np.arange(coords.shape[0])
+    chart = np.broadcast_to(chart, rows.shape)
+    out = np.empty((rows.size, 3), dtype=np.complex128)
+    out[rows, chart] = 1.0
+    out[rows[:, None], np.asarray(CHART_OTHERS)[chart]] = coords
     return out
 
 

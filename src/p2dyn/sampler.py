@@ -81,10 +81,10 @@ MAX_FAILURE_FRACTION = 0.01
 COCYCLE_BACKOFF = 12
 #: steps dropped from the start of each series (QR alignment transient)
 COCYCLE_BURN_CAP = 10
-#: minimum usable steps for a walker to contribute an exponent; a depth-n
-#: backward sample starts 2^-n off the support and survives forward for
-#: about n + 43 steps, so depth 25 leaves a dozen usable steps and deeper
-#: samples leave proportionally more
+#: minimum usable steps for a walker to contribute an exponent; the forward
+#: orbit of a depth-n backward sample retraces its backward path, and every
+#: walker stops at the same step, n + 6 or 7: after COCYCLE_BACKOFF and the
+#: burn-in that leaves 19 steps at depth 30, 15 at depth 25, 12 at depth 20
 COCYCLE_MIN_WINDOW = 12
 
 #: fixed generic starting lift for backward walks

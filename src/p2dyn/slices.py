@@ -47,6 +47,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -580,12 +581,13 @@ def _hinge(x: np.ndarray) -> np.ndarray:
     return np.square(np.maximum(x - _HINGE_OFFSET, 0.0))
 
 
+@lru_cache(maxsize=None)
 def _certificate_quadrature(resolution: int):
     """Ghosted node axis of a chart cube, the partition-of-unity weight on
     its cells (zero where ``|z|^2 + |w|^2 >= 3``), and the nodes that the
     densities of the nonzero-weight cells read: the centre, 8 axis and 16
     (Z-axis, W-axis) diagonal neighbours, i.e. the Z-plane 5-point cross
-    grown by the W-plane cross."""
+    grown by the W-plane cross.  Built once per resolution; read-only."""
     h = 2.0 * _CERTIFICATE_EXTENT / resolution
     axis = -_CERTIFICATE_EXTENT + (np.arange(resolution + 2) - 0.5) * h
     interior = axis[1:-1]
@@ -601,6 +603,8 @@ def _certificate_quadrature(resolution: int):
     for plane in ((0, 1), (2, 3)):
         nodes = np.logical_or.reduce(
             [nodes] + [np.roll(nodes, s, ax) for ax in plane for s in (1, -1)])
+    for a in (axis, weight, nodes):
+        a.flags.writeable = False
     return axis, weight, nodes
 
 

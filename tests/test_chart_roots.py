@@ -28,6 +28,7 @@ from p2dyn.preimages import (
     _chart_roots,
     polynomial_roots,
 )
+from p2dyn.zoo import lattes_suspension
 
 # the module itself (the package's ``preimages`` attribute is the function)
 preimages = importlib.import_module("p2dyn.preimages")
@@ -235,6 +236,32 @@ def test_one_eigensolve_resolves_simple_and_multiple_roots(monkeypatch):
         found = got[row][np.argsort(np.abs(got[row] - roots[row, 0]))]
         # a triple root is accurate to about eps^(1/3)
         assert np.abs(found[:3] - roots[row, 0]).max() < 1e-4
+
+
+def test_one_sweep_makes_one_eigensolve_per_degree(monkeypatch):
+    # the sweep solves a target's three search charts as rows of one batch:
+    # one eigensolve per companion degree for the u-roots, then one per
+    # degree for the v-roots, where a loop over the charts made one each
+    calls = count_eigensolver_calls(monkeypatch)
+    u_candidates = preimages._u_candidates
+
+    def marked(*args):
+        out = u_candidates(*args)
+        calls.append("u-roots done")
+        return out
+
+    monkeypatch.setattr(preimages, "_u_candidates", marked)
+    rng = np.random.default_rng(3)
+    target = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
+    batch = preimages.preimage_batch(lattes_suspension(), target)
+    assert batch.rotations.tolist() == [0]  # one sweep
+    assert calls.count("u-roots done") == 1
+    split = calls.index("u-roots done")
+    u_stage, v_stage = calls[:split], calls[split + 1:]
+    assert sum(shape[0] for shape in u_stage) == 3  # one row per chart
+    for stage in (u_stage, v_stage):
+        degrees = [shape[-1] for shape in stage]
+        assert len(degrees) == len(set(degrees)), calls
 
 
 @pytest.mark.parametrize("degree", [2, 4, 7])

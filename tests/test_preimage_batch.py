@@ -27,6 +27,7 @@ from p2dyn.preimages import (
 )
 from p2dyn.projective import (
     HomogeneousMap,
+    chart_indices,
     fs_distance_batch,
     lift_from_chart,
 )
@@ -34,6 +35,7 @@ from p2dyn.zoo import (
     chebyshev_product,
     lattes_suspension,
     mixed_product_family,
+    perturbed_power_family,
     power_map,
 )
 
@@ -253,3 +255,56 @@ def test_each_row_is_independent_of_its_batch(name):
         assert np.array_equal(batch.lifts[i], one.lifts[0])
         assert np.array_equal(batch.root_ids[i], one.root_ids[0])
         assert batch.rotations[i] == one.rotations[0]
+
+
+# ---------------------------------------------------------------------------
+# the stacked sweep: one batch of (target, search chart) rows
+# ---------------------------------------------------------------------------
+
+SWEEP_MAPS = {"power2": power_map(2),
+              "lattes_suspension": lattes_suspension(),
+              "chebyshev_product": chebyshev_product(),
+              "product_mixed": mixed_product_family().map,
+              "perturbed_power": perturbed_power_family().map}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MAPS))
+def test_stacked_rows_match_one_target_solves(name):
+    # a sweep stacks every (target, search chart) pair as a row of one
+    # batch, so a target's roots must not depend on the other rows: each
+    # of 40 targets, in all three target charts, gets bit for bit what it
+    # gets alone; the last target, [0:0:1], needs a rotated retry under the
+    # Chebyshev product
+    f = SWEEP_MAPS[name]
+    rng = np.random.default_rng(41)
+    targets = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    targets[-1] = [0.0, 0.0, 1.0]
+    assert set(chart_indices(targets).tolist()) == {0, 1, 2}
+    batch = preimage_batch(f, targets)
+    if name == "chebyshev_product":
+        assert batch.rotations[-1] > 0
+    for i in range(targets.shape[0]):
+        one = preimage_batch(f, targets[i:i + 1])
+        assert np.array_equal(batch.lifts[i], one.lifts[0])
+        assert np.array_equal(batch.root_ids[i], one.root_ids[0])
+        assert np.array_equal(batch.residuals[i], one.residuals[0])
+        assert batch.rotations[i] == one.rotations[0]
+
+
+@pytest.mark.parametrize("name", ["power2", "lattes_suspension"])
+@pytest.mark.parametrize("p", [[1.0, 0.3 + 0.2j, np.exp(0.7j)],
+                               [1.0, np.exp(0.7j), 0.3 + 0.2j]])
+def test_preimage_on_a_chart_boundary_survives_the_prune(name, p):
+    # p has |p_0| = |p_2| = 1 (or |p_0| = |p_1| = 1) > the third modulus:
+    # in search chart 2 (in both charts 0 and 1) a coordinate u of p lies
+    # on the unit circle, where u-roots are dropped only beyond
+    # 1 + BIDISK_SLACK; under power2 all four preimages of F(p) are such.
+    # The first sweep must find them all: a rotated retry would hide a
+    # prune that drops u-roots on the circle
+    f = SWEEP_MAPS[name]
+    p = np.array([p])
+    batch = preimage_batch(f, f.evaluate_batch(p))
+    assert batch.rotations.tolist() == [0]
+    assert batch.lifts.shape == (1, f.degree ** 2, 3)
+    assert batch.residuals.max() < 1e-9
+    assert fs_distance_batch(batch.lifts[0], p[0]).min() < 1e-9

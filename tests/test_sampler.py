@@ -170,6 +170,20 @@ class TestFsTangentMaps:
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0,
                                        err_msg=family.name)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_form_det_is_exact_on_power_maps(self, d):
+        # F = (x^d, y^d, t^d) has J = d diag(x, y, t)^(d-1), so the FS
+        # factor's |det| is d^2 |xyt|^(d-1) |p|^3 / |F(p)|^3 exactly; the
+        # closed form rounds only a few times, while the QR reference
+        # above is itself off by up to 6e-14 on power3
+        rng = np.random.default_rng(23)
+        pts = rng.normal(size=(2000, 3)) + 1j * rng.normal(size=(2000, 3))
+        norm = np.linalg.norm
+        want = d ** 2 * np.abs(pts.prod(axis=1)) ** (d - 1) \
+            * (norm(pts, axis=1) / norm(pts ** d, axis=1)) ** 3
+        np.testing.assert_allclose(fs_jacobian_dets(power_map(d), pts),
+                                   want, rtol=1e-14, atol=0.0)
+
 
 # ---------------------------------------------------------------------------
 # canonical branch order
