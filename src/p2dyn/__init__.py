@@ -29,7 +29,7 @@ from .frames import (
     PullbackScaling,
     compute_frame,
     default_coordinates,
-    pullback_scaling_check,
+    pullback_scaling,
     resonance_detect,
 )
 from .green import (
@@ -50,11 +50,9 @@ from .projective import (
 )
 from .sampler import (
     BackwardOrbit,
-    ContractionDiagnostic,
     ExponentEstimate,
     MeasureSample,
     backward_orbit,
-    contraction_diagnostic,
     fs_jacobian_dets,
     fs_tangent_maps,
     lyapunov_exponents,
@@ -93,7 +91,6 @@ __all__ = [
     "BackwardOrbit",
     "ChartPoint",
     "ConfigError",
-    "ContractionDiagnostic",
     "CorrectionDomainError",
     "CriticalPointError",
     "DegenerateEvaluationError",
@@ -123,7 +120,6 @@ __all__ = [
     "calibration_mass",
     "certify_nondegenerate",
     "compute_frame",
-    "contraction_diagnostic",
     "default_coordinates",
     "escape_rate",
     "family_by_name",
@@ -139,7 +135,7 @@ __all__ = [
     "positivity_check",
     "preimage_batch",
     "preimages",
-    "pullback_scaling_check",
+    "pullback_scaling",
     "resonance_detect",
     "sample_equilibrium",
     "serialize_map",

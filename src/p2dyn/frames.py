@@ -24,18 +24,12 @@ frame is still returned deterministically but is flagged ``isotropic``
 when the mean per-iterate singular rates of the window products are
 within five percent of each other.
 
-The pullback scaling check follows a cloud of chart points down the
-orbit's recorded inverse branches and reads off the per-depth linear
-scaling factors ``|alpha_n|`` (fast coordinate) and ``|beta_n|`` (slow
-coordinate) of the conjugated inverse branch.  Charts at interior depths
-use the inverse-transported base frame (columns of ``P_k^{-1} [e1 e2]``
-normalized, ``P_k`` the cocycle product along the stored orbit), which is
-the covariant continuation of the base frame and is exact for conformal
-maps; the linear factors are extracted with a fourth-order central
-difference whose error budget (solver noise / step + step^4 curvature)
-stays below 1e-9 in absolute terms, while plain median ratios of
-coordinate moduli at a smaller radius are reported alongside as
-diagnostics, including the off-diagonal leakage of pure-Z test vectors.
+The inverse branches along the orbit's recorded path are read from the
+same cocycle: with ``P_k`` the product over the last ``k`` steps, the
+``k``-fold branch carries ``e1`` and ``e2`` to ``P_k^{-1} e1`` and
+``P_k^{-1} e2``, so in the inverse-transported chart (columns of
+``P_k^{-1} [e1 e2]`` normalized) its derivative is diagonal with entries
+``|P_k^{-1} e1|`` and ``|P_k^{-1} e2|``.
 """
 
 from __future__ import annotations
@@ -45,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .preimages import preimage_batch
+# frames solves no preimages; bench/trace.py wraps this binding by name
+from .preimages import preimage_batch  # noqa: F401
 from .projective import (
     ChartPoint,
     HomogeneousMap,
@@ -82,18 +77,6 @@ FORWARD_CAP = 60
 
 #: minimum usable forward steps for the slow direction
 MIN_FORWARD_STEPS = 8
-
-#: stencil offset and median-test radius as fractions of the test radius,
-#: and the median test points per axis (ring angles seeded with 0)
-STENCIL_FRACTION = 0.15
-MEDIAN_FRACTION = 0.1
-MEDIAN_TEST_POINTS = 16
-
-#: model slack added to each exponent's standard error in the rate bands
-RATE_SLACK = 0.02
-
-#: radius halvings attempted when followed points escape a chart
-SHRINK_RETRIES = 5
 
 #: cosine of the Fubini-Study angle beyond which a point leaves a chart
 CHART_COS_MIN = 0.5
@@ -359,31 +342,20 @@ def resonance_detect(lambda1: float, lambda2: float,
     return None
 
 
-class _ChartEscape(Exception):
-    """Internal: a followed test point left its target chart."""
-
-
 @dataclass(frozen=True, eq=False)
 class PullbackScaling:
-    """Per-depth linear scaling of the inverse branches in frame charts.
+    """Per-depth scaling of the frame directions by the inverse branches.
 
-    ``alpha_abs[i]`` and ``beta_abs[i]`` are the moduli of the diagonal
-    entries of the derivative at the base of the ``depths[i]``-fold
-    inverse branch, conjugated by the frame charts (fourth-order stencil
-    extraction); ``alpha_ratio``/``beta_ratio`` are the plain median
-    ratios of coordinate moduli over a circle of test points, and
-    ``leakage`` is the median off-diagonal share |W|/|Z| of the images of
-    pure-Z test points.  ``radius`` is the test radius actually used
-    after any chart-escape shrinking.
+    ``depths`` is ``1, ..., n``; ``alpha_abs[k-1]`` and ``beta_abs[k-1]``
+    are ``|P_k^{-1} e1|`` and ``|P_k^{-1} e2|``, the moduli of the diagonal
+    entries of the derivative at the base of the recorded ``k``-fold
+    inverse branch, read in the base frame chart and the inverse-transported
+    chart at ``x_{-k}``.
     """
 
     depths: np.ndarray
     alpha_abs: np.ndarray
     beta_abs: np.ndarray
-    alpha_ratio: np.ndarray
-    beta_ratio: np.ndarray
-    leakage: np.ndarray
-    radius: float
 
     @property
     def alpha_rates(self) -> np.ndarray:
@@ -395,153 +367,27 @@ class PullbackScaling:
         return np.log(self.beta_abs) / self.depths
 
 
-def _band_check(rates: np.ndarray, depths: np.ndarray, target: float,
-                stderr: float, label: str) -> None:
-    eps = 3.0 * (stderr + RATE_SLACK)
-    rate = float(rates[-1])
-    if not (-target - eps <= rate <= -target + eps):
-        raise FrameError(
-            "pullback %s rate %.6f at depth %d outside [%.6f, %.6f]"
-            % (label, rate, int(depths[-1]), -target - eps, -target + eps))
+def pullback_scaling(map_: HomogeneousMap, orbit: BackwardOrbit,
+                     frame: OseledecFrame) -> PullbackScaling:
+    """Scaling of ``e1`` and ``e2`` by the orbit's inverse branches.
 
-
-def pullback_scaling_check(map_: HomogeneousMap, orbit: BackwardOrbit,
-                           coords: NormalFormCoordinates,
-                           depths=None, exponents=None) -> PullbackScaling:
-    """Follow chart points down the orbit and measure coordinate scaling.
-
-    A cloud of test points around the base (stencil offsets along each
-    frame axis plus circles of pure-Z and pure-W points) is pulled back
-    step by step, always selecting the preimage closest to the recorded
-    orbit point (the recorded inverse branch); at each requested depth the
-    cloud is read in the inverse-transported frame chart and the linear
-    scaling factors extracted.  Points that escape a chart or whose
-    branch selection becomes ambiguous trigger a radius halving and a
-    full retry (up to :data:`SHRINK_RETRIES`).
-
-    When ``exponents`` is given — an object with ``lambda1``, ``lambda2``,
-    ``stderr1``, ``stderr2`` attributes or a 4-tuple — the deepest mean
-    rates are asserted to lie within ``3 * (stderr + RATE_SLACK)`` of the
-    negated exponents, raising :class:`FrameError` otherwise.
+    ``P_k`` is the Fubini-Study cocycle from ``x_{-k}`` to the base ``x_0``
+    along the stored orbit, a product of the chained factors that
+    :func:`compute_frame` uses, so no preimage is solved.  A depth below 1,
+    or a frame not based at ``x_0``, raises :class:`ValueError`.
     """
     depth = orbit.depth
     if depth < 1:
-        raise ValueError("pullback check needs a backward orbit of depth "
+        raise ValueError("pullback scaling needs a backward orbit of depth "
                          ">= 1")
-    if fs_distance_batch(coords.frame.base_lift,
-                         orbit.array[0]) > 1e-9:
-        raise ValueError("coordinates are not based at the orbit endpoint")
-    if depths is None:
-        depths = np.arange(1, depth + 1)
-    depths = np.asarray(depths, dtype=int)
-    if depths.size == 0 or np.any(depths < 1) or np.any(depths > depth) \
-            or np.any(np.diff(depths) <= 0):
-        raise ValueError("depths must be strictly increasing in [1, %d]"
-                         % depth)
-
-    sup = sup_normalize(orbit.array)            # rows x_0 .. x_-n
-    back = _chained_factors(map_, sup[::-1])    # deepest-first factors
-    units = sup / np.linalg.norm(sup, axis=1)[:, None]
-    bases = tangent_basis_batch(sup)
-    f0 = coords.frame.matrix
-
-    radius = float(coords.domain_radius)
-    last_error = None
-    for _ in range(SHRINK_RETRIES):
-        try:
-            result = _pullback_once(map_, sup, units, bases, back, coords,
-                                    f0, depths, radius)
-            break
-        except _ChartEscape as exc:
-            last_error = exc
-            radius *= 0.5
-    else:
-        raise FrameError(
-            "pullback test points kept escaping the frame charts after "
-            "%d radius halvings (%s)" % (SHRINK_RETRIES, last_error))
-
-    if exponents is not None:
-        if isinstance(exponents, tuple):
-            l1, l2, s1, s2 = exponents
-        else:
-            l1, l2 = exponents.lambda1, exponents.lambda2
-            s1, s2 = exponents.stderr1, exponents.stderr2
-        _band_check(result.alpha_rates, result.depths, l1, s1,
-                    "fast-coordinate")
-        _band_check(result.beta_rates, result.depths, l2, s2,
-                    "slow-coordinate")
-    return result
-
-
-def _pullback_once(map_: HomogeneousMap, sup: np.ndarray, units: np.ndarray,
-                   bases: np.ndarray, back: np.ndarray,
-                   coords: NormalFormCoordinates, f0: np.ndarray,
-                   depths: np.ndarray, radius: float) -> PullbackScaling:
-    n_test = MEDIAN_TEST_POINTS
-    h = STENCIL_FRACTION * radius
-    r_med = MEDIAN_FRACTION * radius
-    rng = np.random.default_rng(0)
-    angles = 2.0 * np.pi * rng.random(n_test)
-    ring = r_med * np.exp(1j * angles)
-
-    xi0 = np.zeros((8 + 2 * n_test, 2), dtype=np.complex128)
-    xi0[0, 0], xi0[1, 0] = h, -h
-    xi0[2, 0], xi0[3, 0] = 2 * h, -2 * h
-    xi0[4, 1], xi0[5, 1] = h, -h
-    xi0[6, 1], xi0[7, 1] = 2 * h, -2 * h
-    xi0[8:8 + n_test, 0] = ring
-    xi0[8 + n_test:, 1] = ring
-
-    current = coords.lift_batch(xi0)
-    n_levels = int(depths[-1])
-    depth_set = {int(d): i for i, d in enumerate(depths)}
-    out = {name: np.empty(depths.size)
-           for name in ("alpha_abs", "beta_abs", "alpha_ratio",
-                        "beta_ratio", "leakage")}
-
+    if fs_distance_batch(frame.base_lift, orbit.array[0]) > 1e-9:
+        raise ValueError("frame is not based at the orbit endpoint")
+    back = _chained_factors(map_, sup_normalize(orbit.array[::-1]))
     prod = np.eye(2, dtype=np.complex128)
-    n_back = back.shape[0]
-    for level in range(1, n_levels + 1):
-        prod = prod @ back[n_back - level]
-        lifts = preimage_batch(map_, current).lifts  # (B, d^2, 3)
-        dist = fs_distance_batch(lifts, sup[level])
-        rows = np.arange(lifts.shape[0])
-        pick = np.argmin(dist, axis=1)
-        current = lifts[rows, pick]
-        separated = fs_distance_batch(lifts, current[:, None]) > 1e-8
-        margin = np.min(np.where(separated, dist, np.inf), axis=1)
-        ambiguous = np.flatnonzero(dist[rows, pick] > 0.25 * margin)
-        if ambiguous.size:
-            i = ambiguous[0]
-            raise _ChartEscape(
-                "branch selection ambiguous at depth %d (%.3g vs %.3g)"
-                % (level, dist[i, pick[i]], margin[i]))
-        idx = depth_set.get(level)
-        if idx is None:
-            continue
-        fk_raw = np.linalg.solve(prod, f0)
-        norms = np.linalg.norm(fk_raw, axis=0)
-        fk = fk_raw / norms[None, :]
-        det = abs(fk[0, 0] * fk[1, 1] - fk[0, 1] * fk[1, 0])
-        if det <= CONDITIONING_TOL:
-            raise FrameError(
-                "inverse-transported frame degenerates at depth %d "
-                "(|det| = %.3g); request shallower depths" % (level, det))
-        offsets, cosine = _chart_offsets(units[level], current)
-        if np.min(cosine) < CHART_COS_MIN:
-            raise _ChartEscape("followed point left the chart at depth %d"
-                               % level)
-        xi = np.linalg.solve(fk, (offsets @ bases[level].conj()).T).T
-        col_z = (8.0 * (xi[0] - xi[1]) - (xi[2] - xi[3])) / (12.0 * h)
-        col_w = (8.0 * (xi[4] - xi[5]) - (xi[6] - xi[7])) / (12.0 * h)
-        ring_z = xi[8:8 + n_test]
-        ring_w = xi[8 + n_test:]
-        out["alpha_abs"][idx] = abs(col_z[0])
-        out["beta_abs"][idx] = abs(col_w[1])
-        out["alpha_ratio"][idx] = float(np.median(np.abs(ring_z[:, 0]))) \
-            / r_med
-        out["beta_ratio"][idx] = float(np.median(np.abs(ring_w[:, 1]))) \
-            / r_med
-        out["leakage"][idx] = float(np.median(
-            np.abs(ring_z[:, 1]) / np.abs(ring_z[:, 0])))
-    return PullbackScaling(depths=depths.copy(), radius=radius, **out)
+    scale = np.empty((depth, 2))
+    for k in range(1, depth + 1):
+        prod = prod @ back[depth - k]
+        scale[k - 1] = np.linalg.norm(np.linalg.solve(prod, frame.matrix),
+                                      axis=0)
+    return PullbackScaling(depths=np.arange(1, depth + 1),
+                           alpha_abs=scale[:, 0], beta_abs=scale[:, 1])

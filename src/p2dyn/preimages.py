@@ -539,7 +539,7 @@ def _rotation_matrix(attempt: int) -> np.ndarray:
 # public API
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreimageBatch:
     """All d^2 preimages of each of B targets, in canonical branch order.
 

@@ -1,4 +1,4 @@
-"""Equilibrium-measure sampling, Lyapunov exponents, and contraction rates.
+"""Equilibrium-measure sampling and Lyapunov exponents.
 
 Backward random walks (one uniformly chosen preimage per step, counted with
 multiplicity) equidistribute toward the measure of maximal entropy; the
@@ -21,8 +21,8 @@ the derivative cocycle factor from p to its image q = F(p) is
 a 2x2 matrix whose singular values are the metric derivative rates.
 Factors compose exactly when consecutive steps share the basis at the
 common point, and |det A| is basis-independent, so the same machinery
-serves exponent estimation, backward-orbit validation, and the
-inverse-branch Lipschitz diagnostic.
+serves exponent estimation, backward-orbit validation and the frames
+of :mod:`p2dyn.frames`.
 
 Concurrency model: walkers are independent; the implementation realizes
 the parallel map over walkers as vectorized batch steps.  One walker step
@@ -499,7 +499,7 @@ def write_csv(sample: MeasureSample, path) -> None:
 # Lyapunov exponents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentEstimate:
     """Lyapunov exponents (nats per iteration) with walker statistics.
 
@@ -603,52 +603,3 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
                             float(errs[0]), float(errs[1]), n_iter,
                             per_point, n_truncated, n_discarded, window)
 
-
-# ---------------------------------------------------------------------------
-# inverse-branch contraction diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContractionDiagnostic:
-    """Per-depth inverse-branch Lipschitz estimates along one orbit.
-
-    ``log_lipschitz[n-1]`` estimates log Lip(f^{-n}) as minus the log of
-    the smallest singular value of the forward cocycle over the orbit's
-    last n steps; ``slope`` is the least-squares rate per step over the
-    deeper half, to be compared with minus the small exponent.
-    """
-
-    depths: np.ndarray
-    log_lipschitz: np.ndarray
-    slope: float
-
-    @property
-    def rates(self) -> np.ndarray:
-        """(1/n) log Lip(f^{-n}) per depth."""
-        return self.log_lipschitz / self.depths
-
-
-def contraction_diagnostic(orbit: BackwardOrbit) -> ContractionDiagnostic:
-    """Fit the contraction rate of inverse branches along a backward orbit."""
-    n = orbit.depth
-    if n < 5:
-        raise ValueError("need orbit depth >= 5")
-    chain = orbit.array[::-1]  # x_{-n}, ..., x_0
-    factors = _chained_factors(orbit.map, chain)
-    log_lip = np.empty(n)
-    prod = np.eye(2, dtype=np.complex128)
-    log_scale = 0.0
-    for k in range(n):
-        # prepend the factor closest to x_0: after k+1 steps the product
-        # is Df(x_{-1}) ... Df(x_{-(k+1)}), the forward cocycle over the
-        # deepest k+1 points
-        prod = prod @ factors[n - 1 - k]
-        norm = np.linalg.norm(prod)
-        prod /= norm
-        log_scale += np.log(norm)
-        sigma_min = np.linalg.svd(prod, compute_uv=False)[-1]
-        log_lip[k] = -(np.log(sigma_min) + log_scale)
-    depths = np.arange(1, n + 1)
-    half = depths >= max(1, n // 2)
-    slope = float(np.polyfit(depths[half], log_lip[half], 1)[0])
-    return ContractionDiagnostic(depths, log_lip, slope)

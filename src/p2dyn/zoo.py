@@ -42,7 +42,7 @@ BIRKHOFF_BURN_IN = 200
 # one-variable maps on the sphere (homogeneous pairs)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalMap1D:
     """Self-map of the Riemann sphere as a homogeneous coefficient pair.
 

@@ -7,12 +7,14 @@ Samples and orbits store that array form directly.  The property tests
 pin invariants of the array kernels themselves.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2dyn.preimages import preimages
+from p2dyn.preimages import preimage_batch, preimages
 from p2dyn.projective import (
     HomogeneousPoint,
     affine_coords,
@@ -22,9 +24,14 @@ from p2dyn.projective import (
     injectivity_radius,
     lift_from_chart,
 )
-from p2dyn.sampler import MeasureSample, backward_orbit, sample_equilibrium
+from p2dyn.sampler import (
+    ExponentEstimate,
+    MeasureSample,
+    backward_orbit,
+    sample_equilibrium,
+)
 from p2dyn.slices import axis_chart
-from p2dyn.zoo import lattes_suspension
+from p2dyn.zoo import lattes_factor, lattes_suspension
 
 POINT = (0.31 + 0.12j, 0.4 - 0.33j, 1.0)
 FORMS = {
@@ -93,6 +100,25 @@ class TestEntryPoints:
         pts = tuple(HomogeneousPoint([0.1 * k, 0.2j, 1.0]) for k in range(3))
         sample = MeasureSample(pts, np.full(3, 1.0 / 3.0), (0, 3, 0))
         assert np.array_equal(sample.points, [p.array for p in pts])
+
+
+_ARRAY_RESULTS = {
+    "ExponentEstimate": lambda: ExponentEstimate(
+        0.7, 0.35, 0.01, 0.01, 100, np.array([[0.7, 0.35], [0.69, 0.36]])),
+    "PreimageBatch": lambda: preimage_batch(F, np.array([POINT])),
+    "RationalMap1D": lattes_factor,
+}
+
+
+@pytest.mark.parametrize("build", _ARRAY_RESULTS.values(),
+                         ids=_ARRAY_RESULTS.keys())
+def test_array_results_compare_by_identity(build):
+    # a generated __eq__ would compare array fields and raise numpy's
+    # ambiguous-truth-value ValueError; __hash__ would raise TypeError
+    obj = build()
+    assert obj == obj
+    assert obj != copy.deepcopy(obj)
+    assert hash(obj) == hash(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Tests for equilibrium sampling, exponents, and contraction diagnostics.
+"""Tests for equilibrium sampling and exponents.
 
 Independent oracles used here:
 
 * squaring map [z^2 : w^2 : t^2]: the invariant measure lives on the unit
   torus |z| = |w| = 1, where the map is conformal with metric derivative
-  exactly 2 in every direction; both exponents equal log 2, cocycle
-  products have singular values 2^n exactly, and inverse branches contract
-  at rate exactly -log 2.
+  exactly 2 in every direction; both exponents equal log 2 and cocycle
+  products have singular values 2^n exactly.
 * Chebyshev product: the invariant set is the real square [-2, 2]^2, and
   the all-positive-square-root branch sequence is the real monotone
   iteration z -> sqrt(z + 2) converging to the fixed point 2.
@@ -29,7 +28,6 @@ from p2dyn.sampler import (
     BackwardOrbit,
     ExponentEstimate,
     backward_orbit,
-    contraction_diagnostic,
     fs_jacobian_dets,
     fs_tangent_maps,
     lyapunov_exponents,
@@ -426,51 +424,3 @@ class TestLyapunovExponents:
             ExponentEstimate(0.1, 0.2, 0.0, 0.0, 100,
                              np.zeros((1, 2)))
 
-
-# ---------------------------------------------------------------------------
-# inverse-branch contraction
-# ---------------------------------------------------------------------------
-
-class TestContractionDiagnostic:
-    def test_exact_rate_along_a_torus_orbit(self):
-        orbit = backward_orbit(power_map(2),
-                               HomogeneousPoint([1.0, 1.0, 1.0]), 10,
-                               np.random.default_rng(4))
-        diag = contraction_diagnostic(orbit)
-        assert np.max(np.abs(diag.log_lipschitz
-                             + diag.depths * LOG2)) < 1e-12
-        assert abs(diag.slope + LOG2) < 1e-12
-        assert np.allclose(diag.rates,
-                           diag.log_lipschitz / diag.depths)
-
-    def test_squaring_map_slope_from_generic_start(self):
-        orbit = backward_orbit(power_map(2),
-                               HomogeneousPoint([0.3 + 0.2j,
-                                                 -0.5 + 0.1j, 1.0]),
-                               20, np.random.default_rng(7))
-        diag = contraction_diagnostic(orbit)
-        assert abs(diag.slope + LOG2) < 0.05 * LOG2
-
-    def test_semi_extremal_slope_matches_small_exponent(self):
-        orbit = backward_orbit(lattes_suspension(),
-                               HomogeneousPoint([0.31 + 0.12j,
-                                                 0.4 - 0.33j, 1.0]),
-                               40, np.random.default_rng(5))
-        diag = contraction_diagnostic(orbit)
-        assert abs(diag.slope + 0.5 * LOG2) < 0.07 * 0.5 * LOG2
-
-    def test_deeper_orbits_converge_to_the_rate(self):
-        f = lattes_suspension()
-        x0 = HomogeneousPoint([0.31 + 0.12j, 0.4 - 0.33j, 1.0])
-        shallow = backward_orbit(f, x0, 8, np.random.default_rng(21))
-        deep = backward_orbit(f, x0, 48, np.random.default_rng(21))
-        err_s = abs(contraction_diagnostic(shallow).slope + 0.5 * LOG2)
-        err_d = abs(contraction_diagnostic(deep).slope + 0.5 * LOG2)
-        assert err_d < err_s
-
-    def test_rejects_shallow_orbits(self):
-        orbit = backward_orbit(power_map(2),
-                               HomogeneousPoint([0.3, 0.4, 1.0]), 4,
-                               np.random.default_rng(2))
-        with pytest.raises(ValueError):
-            contraction_diagnostic(orbit)
