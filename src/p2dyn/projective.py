@@ -181,34 +181,6 @@ class HomogeneousPoint:
     def array(self) -> np.ndarray:
         return np.asarray(self)
 
-    def chart_point(self) -> "ChartPoint":
-        return ChartPoint.of(self)
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """Affine representative: chart index plus the two affine coordinates.
-
-    The affine coordinates are the remaining homogeneous coordinates (in
-    increasing index order) divided by the chart coordinate; on a point's
-    own chart both lie in the closed unit bidisk.
-    """
-
-    chart: int
-    c1: complex
-    c2: complex
-
-    def __post_init__(self):
-        if self.chart not in (0, 1, 2):
-            raise ValueError("chart index must be 0, 1, or 2")
-
-    @classmethod
-    def of(cls, point) -> "ChartPoint":
-        """Own-chart representative of one :func:`one_point` input."""
-        coords, charts = affine_coords(one_point(point))
-        return cls(int(charts[0]), complex(coords[0, 0]),
-                   complex(coords[0, 1]))
-
 
 # ---------------------------------------------------------------------------
 # homogeneous polynomial maps

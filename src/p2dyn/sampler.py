@@ -396,9 +396,13 @@ class MeasureSample:
 
     def __post_init__(self):
         object.__setattr__(self, "points", as_point_array(self.points))
-        if len(self.points) != self.weights.shape[0]:
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if weights.ndim != 1:
+            raise ValueError("weights must be a 1-D array")
+        object.__setattr__(self, "weights", weights)
+        if len(self.points) != len(weights):
             raise ValueError("one weight per point required")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
+        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 
     @property

@@ -55,7 +55,7 @@ from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
 from . import green
 from .green import GreenEvaluator
-from .projective import CHART_OTHERS, ChartPoint, HomogeneousMap, one_point
+from .projective import CHART_OTHERS, HomogeneousMap, affine_coords, one_point
 from .sampler import tangent_basis_batch
 
 __all__ = [
@@ -260,10 +260,8 @@ def axis_chart(map_: HomogeneousMap, point,
     lift = arr / np.linalg.norm(arr)
     basis = tangent_basis_batch(lift[None, :])[0]
     frame = OseledecFrame(
-        base=ChartPoint.of(arr),
         e1=np.array([1.0, 0.0], dtype=np.complex128),
         e2=np.array([0.0, 1.0], dtype=np.complex128),
-        conditioning=1.0,
         isotropic=True,
         base_lift=lift,
         tangent_basis=basis,
@@ -532,6 +530,9 @@ def positivity_check(sm: SliceMeasure, sample, *, evaluator: GreenEvaluator,
     if sm.direction not in _DIRECTIONS:
         raise ValueError("positivity_check needs a directional slice "
                          "measure, got %r" % (sm.direction,))
+    if max_points < 1:
+        raise ValueError("max_points must be at least 1, got %r"
+                         % (max_points,))
     points = sample.points
     if not len(points):
         raise ValueError("empty measure sample")
@@ -714,11 +715,10 @@ def slice_csv(sm: SliceMeasure, path) -> None:
 
 def slice_summary(sm: SliceMeasure) -> dict:
     """JSON-ready summary of a slice measure."""
-    base = sm.grid.coords.frame.base
+    coords, charts = affine_coords(sm.grid.coords.frame.base_lift[None, :])
     return {
-        "base_chart": int(base.chart),
-        "base_coords": [base.c1.real, base.c1.imag,
-                        base.c2.real, base.c2.imag],
+        "base_chart": int(charts[0]),
+        "base_coords": coords[0].view(np.float64).tolist(),
         "clamped_mass": float(sm.clamped_mass),
         "direction": sm.direction,
         "max_cell_mass": float(sm.cell_mass.max(initial=0.0)),

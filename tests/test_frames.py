@@ -141,39 +141,26 @@ class TestOseledecFrameValidation:
     def test_orthonormal_pair_accepted(self):
         lift, basis = self._basis()
         frame = OseledecFrame(
-            base=HomogeneousPoint(lift).chart_point(),
             e1=np.array([1.0, 0.0j]), e2=np.array([0.0j, 1.0]),
-            conditioning=1.0, isotropic=False,
-            base_lift=lift, tangent_basis=basis)
+            isotropic=False, base_lift=lift, tangent_basis=basis)
         assert np.allclose(frame.matrix, np.eye(2))
-        assert np.allclose(frame.ambient_e1, basis[:, 0])
-        assert abs(np.vdot(frame.ambient_e1, lift)) < 1e-12
+        assert frame.conditioning == 1.0
+        ambient_e1 = frame.tangent_basis @ frame.e1
+        assert np.allclose(ambient_e1, basis[:, 0])
+        assert abs(np.vdot(ambient_e1, lift)) < 1e-12
 
     def test_parallel_directions_rejected(self):
         lift, basis = self._basis()
         e = np.array([0.6, 0.8j])
         with pytest.raises(FrameError):
-            OseledecFrame(base=HomogeneousPoint(lift).chart_point(),
-                          e1=e, e2=e * np.exp(0.3j),
-                          conditioning=0.0, isotropic=False,
-                          base_lift=lift, tangent_basis=basis)
-
-    def test_conditioning_must_match_determinant(self):
-        lift, basis = self._basis()
-        with pytest.raises(FrameError):
-            OseledecFrame(base=HomogeneousPoint(lift).chart_point(),
-                          e1=np.array([1.0, 0.0j]),
-                          e2=np.array([0.0j, 1.0]),
-                          conditioning=0.5, isotropic=False,
+            OseledecFrame(e1=e, e2=e * np.exp(0.3j), isotropic=False,
                           base_lift=lift, tangent_basis=basis)
 
     def test_non_unit_direction_rejected(self):
         lift, basis = self._basis()
         with pytest.raises(FrameError):
-            OseledecFrame(base=HomogeneousPoint(lift).chart_point(),
-                          e1=np.array([2.0, 0.0j]),
-                          e2=np.array([0.0j, 1.0]),
-                          conditioning=2.0, isotropic=False,
+            OseledecFrame(e1=np.array([2.0, 0.0j]),
+                          e2=np.array([0.0j, 1.0]), isotropic=False,
                           base_lift=lift, tangent_basis=basis)
 
 

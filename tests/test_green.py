@@ -329,9 +329,8 @@ class TestPshProxy:
         # the complex lines z -> (z, w) and w -> (z, w) through its nodes
         base = np.array([0.31 + 0.07j, 0.22 - 0.11j, 1.0])
         frame = OseledecFrame(
-            base=HomogeneousPoint(base).chart_point(),
             e1=np.array([1.0, 0.0j]), e2=np.array([0.0j, 1.0]),
-            conditioning=1.0, isotropic=True, base_lift=base,
+            isotropic=True, base_lift=base,
             tangent_basis=np.eye(3, 2) / np.linalg.norm(base))
         grid = LocalGrid(coords=NormalFormCoordinates(frame=frame,
                                                       domain_radius=0.25),

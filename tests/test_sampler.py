@@ -27,6 +27,7 @@ from p2dyn.sampler import (
     COCYCLE_MIN_WINDOW,
     BackwardOrbit,
     ExponentEstimate,
+    MeasureSample,
     backward_orbit,
     fs_jacobian_dets,
     fs_tangent_maps,
@@ -344,6 +345,14 @@ class TestSampleEquilibrium:
             sample_equilibrium(power_map(2), depth=0, count=10, seed=1)
         with pytest.raises(ValueError):
             sample_equilibrium(power_map(2), depth=5, count=0, seed=1)
+
+    def test_weights_are_coerced_to_a_float_array(self):
+        points = np.tile([0.3 + 0.2j, -0.5 + 0.1j, 1.0], (20, 1))
+        sample = MeasureSample(points, [0.05] * 20, (1, 20, 1))
+        assert sample.weights.dtype == np.float64
+        assert sample.weights.shape == (20,)
+        with pytest.raises(ValueError, match="1-D"):
+            MeasureSample(points, np.full((20, 1), 0.05), (1, 20, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,17 @@ class TestPositivity:
             positivity_check(trace, equilibrium_sample,
                              evaluator=GreenEvaluator(POWER, depth=6))
 
+    @pytest.mark.parametrize("max_points", [0, -1])
+    def test_requires_a_positive_point_budget(self, torus_grid32,
+                                              equilibrium_sample,
+                                              max_points):
+        grid, values = torus_grid32
+        with pytest.raises(ValueError, match="max_points must be at least 1"):
+            positivity_check(slice_measure(values, grid, "Z"),
+                             equilibrium_sample,
+                             evaluator=GreenEvaluator(POWER, depth=6),
+                             max_points=max_points)
+
 
 class TestMassCertificate:
     def test_fubini_study_baseline(self):

@@ -10,7 +10,10 @@ distance is far above that and far below the distance between branches.
 import logging
 
 import numpy as np
+import pytest
 
+from p2dyn import sampler
+from p2dyn.errors import PreimageSolverError, SamplingError
 from p2dyn.projective import HomogeneousPoint, fs_distance_batch
 from p2dyn.sampler import (
     _clear_start,
@@ -64,3 +67,70 @@ def test_one_summary_line_per_call(caplog):
     assert est.n_truncated == 40
     assert len(records) <= 1
     assert "40 of 40 walker(s) censored" in records[0].getMessage()
+
+
+class TestFailurePath:
+    """A preimage solve that fails for one target costs only its walkers.
+
+    ``preimage_batch`` is patched to raise for any batch holding one
+    blocked point.  Each walker draws from its own stream, so the first k
+    levels of a depth-6 sample are the depth-k sample of the same seed, and
+    the walkers at the blocked level-k position are exactly those the
+    patch can reach at step k + 1.
+    """
+
+    F = power_map(2)
+    COUNT, DEPTH, SEED = 400, 6, 3
+
+    def _block(self, monkeypatch, point):
+        calls = []
+        solve = sampler.preimage_batch
+
+        def patched(map_, targets):
+            hit = bool(np.any(fs_distance_batch(targets, point) < 1e-12))
+            calls.append((len(targets), hit))
+            if hit:
+                raise PreimageSolverError("blocked target")
+            return solve(map_, targets)
+
+        monkeypatch.setattr(sampler, "preimage_batch", patched)
+        return calls
+
+    def _level(self, k):
+        return sample_equilibrium(self.F, k, self.COUNT, self.SEED).array
+
+    def test_failing_target_costs_only_its_walkers(self, monkeypatch):
+        reference = self._level(self.DEPTH)
+        level4 = self._level(4)
+        at_blocked = fs_distance_batch(level4, level4[0]) < 1e-12
+        assert 1 <= np.count_nonzero(at_blocked) <= 4
+        calls = self._block(monkeypatch, level4[0])
+        sample = sample_equilibrium(self.F, self.DEPTH, self.COUNT,
+                                    self.SEED)
+        # the failing batch at step 5 is retried one target at a time, and
+        # only the blocked one of those single-target solves fails
+        failed = next(i for i, (_, hit) in enumerate(calls) if hit)
+        width = calls[failed][0]
+        assert width > 1
+        retries = calls[failed + 1:failed + 1 + width]
+        assert [n for n, _ in retries] == [1] * width
+        assert sum(hit for _, hit in retries) == 1
+        assert sample.n_failures >= np.count_nonzero(at_blocked)
+        # replaced walkers are full depth-6 walks back from the start
+        start = _clear_start(self.F)[None, :]
+        for row in np.flatnonzero(at_blocked):
+            cur = sample.array[row][None, :]
+            for _ in range(self.DEPTH):
+                cur = self.F.evaluate_batch(cur)
+            assert fs_distance_batch(cur, start)[0] < 1e-9
+        # every other walker is the unpatched walker, bit for bit
+        assert np.array_equal(sample.array[~at_blocked],
+                              reference[~at_blocked])
+
+    def test_blocking_a_quarter_of_the_walkers_raises(self, monkeypatch):
+        level1 = self._level(1)
+        share = np.mean(fs_distance_batch(level1, level1[0]) < 1e-12)
+        assert share > sampler.MAX_FAILURE_FRACTION
+        self._block(monkeypatch, level1[0])
+        with pytest.raises(SamplingError, match="walkers aborted"):
+            sample_equilibrium(self.F, self.DEPTH, self.COUNT, self.SEED)
