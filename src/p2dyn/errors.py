@@ -53,9 +53,5 @@ class InsufficientDataError(P2DynError):
     """A statistical estimate has too few samples or radii to be reported."""
 
 
-class CorrectionDomainError(P2DynError):
-    """An epsilon-correction was requested outside its domain of validity."""
-
-
 class ConfigError(P2DynError):
     """Invalid experiment configuration or CLI usage."""

@@ -43,7 +43,7 @@ MAX_DEGREE = 8
 C2_NODES = 8
 C2_SAFETY = 2.0
 
-#: composed coefficients below this share of the largest one are dropped
+#: substituted coefficients below this share of the largest one are dropped
 CLEAN_REL_TOL = 1e-14
 
 
@@ -352,16 +352,6 @@ class HomogeneousMap:
         out[~ok] = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
         return out, ok
 
-    def orbit_batch(self, points: np.ndarray, length: int) -> np.ndarray:
-        """Forward orbits: array (N, length + 1, 3), renormalized each step."""
-        pts = sup_normalize(points)
-        out = np.empty((pts.shape[0], length + 1, 3), dtype=np.complex128)
-        out[:, 0] = pts
-        for k in range(length):
-            pts = self.evaluate_batch(pts)
-            out[:, k + 1] = pts
-        return out
-
     # -- derivatives -------------------------------------------------------
 
     def jacobian_h_batch(self, points: np.ndarray) -> np.ndarray:
@@ -444,14 +434,6 @@ def _substitute(map_: HomogeneousMap, rows, name: str) -> HomogeneousMap:
                 acc[key] = acc.get(key, 0j) + c * val
         comps.append(_clean_table(acc))
     return HomogeneousMap(comps, name=name)
-
-
-def compose(outer: HomogeneousMap, inner: HomogeneousMap,
-            name: str | None = None) -> HomogeneousMap:
-    """Coefficient table of ``outer(inner(.))`` (degree multiplies)."""
-    if name is None:
-        name = "%s.%s" % (outer.name, inner.name)
-    return _substitute(outer, inner.tables, name)
 
 
 def substitute_linear(map_: HomogeneousMap, matrix: np.ndarray,

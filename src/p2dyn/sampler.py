@@ -19,7 +19,7 @@ the derivative cocycle factor from p to its image q = F(p) is
     A = B(q)^H . DF(p) . B(p) * (||p|| / ||F(p)||),
 
 a 2x2 matrix whose singular values are the metric derivative rates.
-Factors compose exactly when consecutive steps share the basis at the
+Factors chain exactly when consecutive steps share the basis at the
 common point, and |det A| is basis-independent, so the same machinery
 serves exponent estimation, backward-orbit validation and the frames
 of :mod:`p2dyn.frames`.
@@ -38,7 +38,6 @@ count+1, ...`` in the order failures are found, by level and then by row
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -55,7 +54,6 @@ from .projective import (
     CHART_OTHERS,
     DEGENERATE_EVAL_TOL,
     HomogeneousMap,
-    affine_coords,
     as_point_array,
     check_row_scale,
     fs_distance_batch,
@@ -489,16 +487,6 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
                          (depth, count, seed), failures)
 
 
-def write_csv(sample: MeasureSample, path) -> None:
-    """Write sample points as chart records: chart, re_z, im_z, re_w, im_w."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chart", "re_z", "im_z", "re_w", "im_w"])
-        coords, charts = affine_coords(sample.points)
-        for chart, row in zip(charts, coords.view(np.float64)):
-            writer.writerow([chart] + ["%.17g" % x for x in row])
-
-
 # ---------------------------------------------------------------------------
 # Lyapunov exponents
 # ---------------------------------------------------------------------------
@@ -565,13 +553,16 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
         raise ValueError("n_iter must be >= 100")
     n = len(sample.points)
     q = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
-    logs = np.zeros((n, n_iter, 2))
+    # one (n, 2) slab per step walked: the walk stops long before n_iter
+    steps = []
     length = np.zeros(n, dtype=np.int64)
     for k, (rows, mats) in enumerate(
             _forward_cocycle(map_, sample.array, n_iter)):
-        q[rows], logs[rows, k, 0], logs[rows, k, 1] = \
+        steps.append(np.zeros((n, 2)))
+        q[rows], steps[k][rows, 0], steps[k][rows, 1] = \
             _qr_accumulate(q[rows], mats)
         length[rows] = k + 1
+    logs = np.stack(steps, axis=1) if steps else np.zeros((n, 0, 2))
 
     per_point, kept = [], []
     for i, stop in enumerate(_censored_length(length, n_iter)):

@@ -19,7 +19,7 @@ bidisk in chart coordinates:
   :func:`mass_certificate` integrate the current against the Fubini-Study
   area form to exactly one.  Slightly negative stencil values are pure
   discretization error (the potentials are plurisubharmonic); they are
-  clamped to zero, logged, and budgeted.
+  clamped to zero, counted on the result, and budgeted.
 * :func:`ball_mass` sums cell masses over a Euclidean ball, weighting
   boundary cells by fractional coverage (2 x 2 x 2 x 2 subsamples).
 * :func:`trace_measure` adds the two directional grids cellwise; its ball
@@ -31,9 +31,7 @@ bidisk in chart coordinates:
   truncation depth; the computed number certifies the quadrature and the
   mass normalization at once.  A chart's weight is nonzero only where
   ``|z|^2 + |w|^2 < 3``; only the nodes its stencils read are evaluated.
-* :func:`positivity_check` measures how often grids centered at
-  equilibrium sample points carry genuine slice mass, and
-  :func:`harmonicity_defect` integrates ``|transverse Laplacian|`` per
+* :func:`harmonicity_defect` integrates ``|transverse Laplacian|`` per
   slice, separating harmonic slice families from mass-bearing ones.
 
 Charts for grids at arbitrary points (no dynamical frame needed) come from
@@ -43,7 +41,6 @@ orthonormal tangent basis itself as the (unit) frame.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -55,7 +52,7 @@ from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
 from . import green
 from .green import GreenEvaluator
-from .projective import CHART_OTHERS, HomogeneousMap, affine_coords, one_point
+from .projective import CHART_OTHERS, HomogeneousMap, one_point
 from .sampler import tangent_basis_batch
 
 __all__ = [
@@ -74,10 +71,7 @@ __all__ = [
     "calibration_mass",
     "harmonicity_defect",
     "mass_certificate",
-    "positivity_check",
-    "slice_csv",
     "slice_measure",
-    "slice_summary",
     "trace_measure",
 ]
 
@@ -96,9 +90,6 @@ CLAMP_BUDGET = 0.01
 NEGATIVITY_FLOOR = 1e-9
 #: A grid "carries mass" when its total exceeds this times the calibration.
 POSITIVITY_SCALE = 1e-8
-#: ... and this many times its own clamped negative mass: symmetric noise
-#: has comparable positive and negative parts, a current does not.
-POSITIVITY_NOISE_FACTOR = 8.0
 #: Depth of the truncated potential used by the mass certificate.
 CERTIFICATE_DEPTH = 3
 #: Quadrature nodes per real axis (per chart) for the mass certificate.
@@ -298,7 +289,8 @@ class SliceMeasure:
     (Z-real, Z-imag, W-real, W-imag); ``direction`` names the area form
     the current was wedged against ('Z', 'W', or their cellwise 'trace').
     ``clamped_mass`` is the total discretization-negative mass that was
-    clamped to zero.
+    clamped to zero, ``n_clamped`` the number of cells clamped and
+    ``worst_clamped`` the largest mass removed from one cell.
     """
 
     grid: LocalGrid
@@ -306,6 +298,8 @@ class SliceMeasure:
     cell_mass: np.ndarray
     total_mass: float
     clamped_mass: float = 0.0
+    n_clamped: int = 0
+    worst_clamped: float = 0.0
 
     def __post_init__(self):
         if self.direction not in _DIRECTIONS + ("trace",):
@@ -368,14 +362,15 @@ def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
 
     ``potential`` must be sampled on the grid's ghosted node cube (shape
     ``(m+2,)*4``).  Negative stencil values are clamped to zero and
-    logged; if the clamped mass exceeds ``clamp_budget`` of the total (and
-    is not floor-level noise) the discretization cannot be trusted and a
-    :class:`ResolutionError` is raised.  Potentials with a genuinely
-    singular transverse part (a point mass on the transverse plane) carry
-    a few percent of discrete negativity next to the singularity; callers
-    knowingly slicing one may widen ``clamp_budget``.  An infinite budget
-    disables the failure entirely (clamping is still applied and
-    reported) for callers that merely classify whether mass is present.
+    counted on the result; if the clamped mass exceeds ``clamp_budget`` of
+    the total (and is not floor-level noise) the discretization cannot be
+    trusted and a :class:`ResolutionError` is raised.  Potentials with a
+    genuinely singular transverse part (a point mass on the transverse
+    plane) carry a few percent of discrete negativity next to the
+    singularity; callers knowingly slicing one may widen ``clamp_budget``.
+    An infinite budget disables the failure entirely (clamping is still
+    applied and reported) for callers that merely classify whether mass is
+    present.
     """
     mass = _raw_stencil(potential, grid, direction)
     mass *= grid.spacing ** 2 * MASS_NORMALIZATION
@@ -399,15 +394,14 @@ def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
                 "%.3g; the transverse Laplacian is not resolved at "
                 "spacing %.3g" % (clamped, 100.0 * clamp_budget, total,
                                   grid.spacing))
-        logger.info("clamped %d negative cells totaling %.3g (total %.3g)",
-                    below.size, clamped, total)
         if max_cell > 0.0 and worst > NEGATIVITY_FLOOR * max_cell:
             logger.warning(
                 "negative cell mass %.3g beyond the discretization floor "
                 "%.3g; treat cell-level values with care", worst,
                 NEGATIVITY_FLOOR * max_cell)
     return SliceMeasure(grid=grid, direction=direction, cell_mass=mass,
-                        total_mass=total, clamped_mass=clamped)
+                        total_mass=total, clamped_mass=clamped,
+                        n_clamped=below.size, worst_clamped=worst)
 
 
 def trace_measure(z_slices: SliceMeasure,
@@ -435,7 +429,9 @@ def trace_measure(z_slices: SliceMeasure,
     return SliceMeasure(
         grid=ga, direction="trace", cell_mass=mass,
         total_mass=float(mass.sum()),
-        clamped_mass=z_slices.clamped_mass + w_slices.clamped_mass)
+        clamped_mass=z_slices.clamped_mass + w_slices.clamped_mass,
+        n_clamped=z_slices.n_clamped + w_slices.n_clamped,
+        worst_clamped=max(z_slices.worst_clamped, w_slices.worst_clamped))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +485,7 @@ def ball_mass(sm: SliceMeasure, center, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# harmonicity and positivity diagnostics
+# harmonicity diagnostic
 # ---------------------------------------------------------------------------
 
 def harmonicity_defect(potential: np.ndarray, grid: LocalGrid,
@@ -507,54 +503,6 @@ def harmonicity_defect(potential: np.ndarray, grid: LocalGrid,
     if direction == "Z":
         return np.abs(raw).sum(axis=(2, 3))
     return np.abs(raw).sum(axis=(0, 1))
-
-
-def positivity_check(sm: SliceMeasure, sample, *, evaluator: GreenEvaluator,
-                     max_points: int = 12, seed: int = 0) -> float:
-    """Fraction of sample points whose centered grid carries slice mass.
-
-    For each (sub-sampled) point of ``sample`` a fresh axis chart and grid
-    with the template measure's relative geometry (same resolution, same
-    radius fraction of the chart domain) is built, the truncated potential
-    of ``evaluator`` is sampled, and the point counts as positive when the
-    directional slice total exceeds ``POSITIVITY_SCALE`` times the
-    calibration mass of its grid *and* a noise guard.  On a grid carrying
-    only rounding/stencil-truncation noise the positive and clamped
-    negative parts have comparable size, while a genuine current keeps
-    the clamped part many orders below the total, so requiring the total
-    to beat several times the clamped mass separates the two regimes at
-    every grid scale.  At equilibrium points the fraction tends to one;
-    far from the support (inside an attracting basin) the potential is
-    pluriharmonic and grids carry only noise.
-    """
-    if sm.direction not in _DIRECTIONS:
-        raise ValueError("positivity_check needs a directional slice "
-                         "measure, got %r" % (sm.direction,))
-    if max_points < 1:
-        raise ValueError("max_points must be at least 1, got %r"
-                         % (max_points,))
-    points = sample.points
-    if not len(points):
-        raise ValueError("empty measure sample")
-    if len(points) > max_points:
-        rng = np.random.default_rng(seed)
-        points = points[np.sort(rng.choice(len(points), size=max_points,
-                                           replace=False))]
-    fraction_of_domain = sm.grid.radius / float(sm.grid.coords.domain_radius)
-    positive = 0
-    for point in points:
-        coords = axis_chart(evaluator.map, point)
-        grid = LocalGrid(coords=coords, resolution=sm.grid.resolution,
-                         radius=fraction_of_domain
-                         * float(coords.domain_radius))
-        potential = grid.sample_green(evaluator)
-        meas = slice_measure(potential, grid, sm.direction,
-                             clamp_budget=math.inf)
-        floor = max(POSITIVITY_SCALE * calibration_mass(grid),
-                    POSITIVITY_NOISE_FACTOR * meas.clamped_mass)
-        if meas.total_mass > floor:
-            positive += 1
-    return positive / len(points)
 
 
 # ---------------------------------------------------------------------------
@@ -694,37 +642,3 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
                            inconclusive=residual > _CERTIFICATE_RESIDUAL_TOL,
                            pullbacks=n, green_depth=int(green_depth),
                            resolution=int(resolution))
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def slice_csv(sm: SliceMeasure, path) -> None:
-    """Write the nonzero cells as CSV rows (four indices, mass)."""
-    idx = np.nonzero(sm.cell_mass)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z_re_cell", "z_im_cell", "w_re_cell",
-                         "w_im_cell", "mass"])
-        masses = sm.cell_mass[idx]
-        for row in zip(*idx, masses):
-            writer.writerow([int(row[0]), int(row[1]), int(row[2]),
-                             int(row[3]), "%.17g" % row[4]])
-
-
-def slice_summary(sm: SliceMeasure) -> dict:
-    """JSON-ready summary of a slice measure."""
-    coords, charts = affine_coords(sm.grid.coords.frame.base_lift[None, :])
-    return {
-        "base_chart": int(charts[0]),
-        "base_coords": coords[0].view(np.float64).tolist(),
-        "clamped_mass": float(sm.clamped_mass),
-        "direction": sm.direction,
-        "max_cell_mass": float(sm.cell_mass.max(initial=0.0)),
-        "nonzero_cells": int(np.count_nonzero(sm.cell_mass)),
-        "radius": float(sm.grid.radius),
-        "resolution": int(sm.grid.resolution),
-        "spacing": float(sm.grid.spacing),
-        "total_mass": float(sm.total_mass),
-    }

@@ -21,7 +21,6 @@ from p2dyn.projective import (
     c2_norm,
     chart_indices,
     chart_normalize,
-    compose,
     dehomogenized_tables,
     fs_distance_batch,
     injectivity_radius,
@@ -184,41 +183,12 @@ class TestHomogeneousMap:
         ratio = img[np.argmax(np.abs(oracle))] / oracle[np.argmax(np.abs(oracle))]
         np.testing.assert_allclose(img, oracle * ratio, rtol=1e-12)
 
-    def test_orbit_batch_double_iterate(self):
-        f = power_map(2)
-        start = np.array([[0.5, 0.25, 1.0]], dtype=complex)
-        orbit = f.orbit_batch(start, 2)
-        assert orbit.shape == (1, 3, 3)
-        coords, charts = affine_coords(orbit[0, 2][None, :])
-        assert charts[0] == 2
-        np.testing.assert_allclose(coords[0], [0.5 ** 4, 0.25 ** 4],
-                                   atol=1e-15)
-
 
 # ---------------------------------------------------------------------------
 # polynomial algebra against sympy
 # ---------------------------------------------------------------------------
 
 class TestSymbolicAlgebra:
-    def test_compose_matches_two_stage_sympy_evaluation(self):
-        outer = random_map(2, seed=7)
-        inner = random_map(2, seed=8)
-        comp = compose(outer, inner)
-        assert comp.degree == 4
-        syms, outer_e = sympy_polys(outer)
-        _, inner_e = sympy_polys(inner)
-        f_outer = sp.lambdify(syms, outer_e, "numpy")
-        f_inner = sp.lambdify(syms, inner_e, "numpy")
-        rng = np.random.default_rng(9)
-        pts = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        got = comp.evaluate_batch(pts, renormalize=False)
-        for row, pt in enumerate(pts):
-            x = pt / np.max(np.abs(pt))
-            mid = np.array(f_inner(*x), dtype=complex)
-            oracle = np.array(f_outer(*mid), dtype=complex)
-            np.testing.assert_allclose(got[row], oracle, rtol=1e-10,
-                                       atol=1e-12)
-
     def test_linear_substitution_matches_pointwise_oracle(self):
         f = random_map(2, seed=11)
         rng = np.random.default_rng(12)

@@ -16,7 +16,8 @@ Independent oracles used here:
   difference quotients of the Fubini-Study distance along curves.
 """
 
-import csv
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from p2dyn.sampler import (
     lyapunov_exponents,
     sample_equilibrium,
     tangent_basis_batch,
-    write_csv,
 )
 from p2dyn.preimages import preimages
 from p2dyn.zoo import (
@@ -324,22 +324,6 @@ class TestSampleEquilibrium:
         assert np.array_equal(a.array, b.array)
         assert not np.array_equal(a.array, c.array)
 
-    def test_csv_export_is_parsable_and_deterministic(self, tmp_path,
-                                                      cheb_sample):
-        path1 = tmp_path / "sample1.csv"
-        path2 = tmp_path / "sample2.csv"
-        write_csv(cheb_sample, path1)
-        write_csv(cheb_sample, path2)
-        assert path1.read_bytes() == path2.read_bytes()
-        with open(path1, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["chart", "re_z", "im_z", "re_w", "im_w"]
-        assert len(rows) == 1 + len(cheb_sample.points)
-        for row in rows[1:]:
-            assert int(row[0]) in (0, 1, 2)
-            vals = [float(x) for x in row[1:]]
-            assert all(np.isfinite(vals))
-
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             sample_equilibrium(power_map(2), depth=0, count=10, seed=1)
@@ -423,6 +407,25 @@ class TestLyapunovExponents:
         assert abs(est.lambda1 - LOG2) < 0.02 * LOG2 + 3 * est.stderr1
         assert abs(est.lambda2 - LOG2) < 0.02 * LOG2 + 3 * est.stderr2
         assert est.lambda1 >= est.lambda2
+
+    def test_memory_follows_the_steps_walked(self):
+        # every walker stops at depth + 6 or 7, so a huge budget changes
+        # nothing; a buffer of n_iter steps would take 192 MB here
+        f = power_map(2)
+        sample = sample_equilibrium(f, depth=25, count=12, seed=3)
+        short = lyapunov_exponents(f, sample, 500)
+        tracemalloc.start()
+        try:
+            long = lyapunov_exponents(f, sample, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert long.n_iter == 10 ** 6
+        for field in dataclasses.fields(ExponentEstimate):
+            if field.name != "n_iter":
+                assert np.array_equal(getattr(long, field.name),
+                                      getattr(short, field.name)), field.name
 
     def test_rejects_short_iteration_budget(self, power_sample):
         with pytest.raises(ValueError):

@@ -16,11 +16,14 @@ Independent oracles used here:
   exactly for every truncation depth -- quadrature is the only error --
   and the depth-0 baseline is the Fubini-Study volume, exactly 1;
 * double resolution: statistics of dynamical grids (slice totals, ball
-  slopes, defect scale, positivity classification) are recomputed at
-  m = 64 and must agree with the m = 32 values.
+  slopes, defect scale) are recomputed at m = 64 and must agree with the
+  m = 32 values;
+* support of the current: walker endpoints sample mu, which lies in the
+  support of T, so grids centred there carry mass; the basin of the
+  attracting point [0:0:1] lies off it, where G is pluriharmonic.
 """
 
-import csv
+import logging
 import math
 from itertools import product
 
@@ -36,7 +39,6 @@ from p2dyn.green import GreenEvaluator, escape_rate, local_potential
 from p2dyn.projective import CHART_OTHERS, HomogeneousPoint
 from p2dyn.sampler import (
     GENERIC_START,
-    MeasureSample,
     backward_orbit,
     sample_equilibrium,
 )
@@ -44,6 +46,8 @@ from p2dyn.slices import (
     CERTIFICATE_DEPTH,
     CERTIFICATE_RESOLUTION,
     DEFAULT_RADIUS_FRACTION,
+    MASS_NORMALIZATION,
+    POSITIVITY_SCALE,
     LocalGrid,
     axis_chart,
     ball_mass,
@@ -51,10 +55,7 @@ from p2dyn.slices import (
     calibration_mass,
     harmonicity_defect,
     mass_certificate,
-    positivity_check,
-    slice_csv,
     slice_measure,
-    slice_summary,
     trace_measure,
 )
 from p2dyn.zoo import lattes_suspension, power_map
@@ -68,6 +69,8 @@ ORIGIN = np.zeros(2, dtype=np.complex128)
 FLAT_BASE = np.array([0.2 + 0.1j, -0.3 + 0.05j, 1.0])
 TORUS_POINT = np.array([np.exp(0.31j), np.exp(1.12j), 1.0])
 BASIN_POINT = np.array([0.15 + 0.10j, 0.20 - 0.05j, 1.0])
+BASIN_POINTS = np.array([[0.1 * k + 0.05j, 0.12 - 0.03j * k, 1.0]
+                         for k in range(1, 4)])
 
 
 def ball_slope(measure, radii=RADII):
@@ -90,6 +93,24 @@ def line_w(Z, W):
 
 def pluriharmonic(Z, W):
     return np.real(Z * W)
+
+
+def carries_mass(evaluator, point):
+    """(Z, W) verdicts: does the m = 32 axis-chart grid at ``point`` carry
+    slice mass?  A total must beat ``POSITIVITY_SCALE`` times the
+    calibration mass and eight times its own clamped mass: rounding noise
+    has comparable positive and negative parts, a current does not.  One
+    sampled grid serves both directions."""
+    grid = LocalGrid.from_coords(axis_chart(POWER, point), resolution=32)
+    values = grid.sample_green(evaluator)
+    verdicts = []
+    for direction in ("Z", "W"):
+        measure = slice_measure(values, grid, direction,
+                                clamp_budget=math.inf)
+        floor = max(POSITIVITY_SCALE * calibration_mass(grid),
+                    8.0 * measure.clamped_mass)
+        verdicts.append(measure.total_mass > floor)
+    return verdicts
 
 
 @pytest.fixture(scope="module")
@@ -137,15 +158,6 @@ def torus_grid64(torus_evaluator, torus_grid32):
 @pytest.fixture(scope="module")
 def equilibrium_sample():
     return sample_equilibrium(POWER, depth=20, count=12, seed=7)
-
-
-@pytest.fixture(scope="module")
-def basin_sample():
-    points = tuple(
-        HomogeneousPoint(np.array([0.1 * k + 0.05j, 0.12 - 0.03j * k, 1.0]))
-        for k in range(1, 4))
-    return MeasureSample(points=points, weights=np.full(3, 1.0 / 3.0),
-                         provenance=(0, 3, 0), n_failures=0)
 
 
 class TestLocalGrid:
@@ -407,6 +419,21 @@ class TestLineCurrent:
         fraction = line_slice.clamped_mass / line_slice.total_mass
         assert 0.03 < fraction < 0.10
 
+    def test_clamped_cells_are_fields(self, line_slice, flat_grid, caplog):
+        raw = slices._raw_stencil(flat_grid.sample_scalar(line_w), flat_grid,
+                                  "Z") * (flat_grid.spacing ** 2
+                                          * MASS_NORMALIZATION)
+        below = raw[raw < 0.0]
+        assert line_slice.n_clamped == below.size > 0
+        assert line_slice.worst_clamped == -below.min()
+        assert line_slice.clamped_mass == -below.sum()
+        # the counts are on the result, so clamping logs no INFO line
+        caplog.set_level(logging.INFO, logger="p2dyn.slices")
+        slice_measure(flat_grid.sample_scalar(line_w), flat_grid, "Z",
+                      clamp_budget=0.10)
+        assert all(r.levelno >= logging.WARNING for r in caplog.records
+                   if r.name == "p2dyn.slices")
+
     def test_slab_concentration(self, line_slice, flat_grid):
         centers = flat_grid.axis_nodes(ghost=False)
         w_dist = np.hypot(centers[:, None], centers[None, :])
@@ -459,6 +486,18 @@ class TestTraceMeasure:
         # both directions carry slope-4 mass and the trace keeps it
         assert abs(slope - 4.0) < 0.05
         assert slope >= 2.0 - 0.15
+
+    def test_trace_pools_the_clamp_fields(self, line_slice, flat_grid):
+        # the W slice of 2 log|Z| clamps the same cells twice as deep
+        w_part = slice_measure(
+            flat_grid.sample_scalar(lambda Z, W: 2.0 * line_w(W, Z)),
+            flat_grid, "W", clamp_budget=0.10)
+        trace = trace_measure(line_slice, w_part)
+        assert trace.n_clamped == line_slice.n_clamped + w_part.n_clamped
+        assert trace.worst_clamped == w_part.worst_clamped \
+            > line_slice.worst_clamped
+        assert trace.clamped_mass == line_slice.clamped_mass \
+            + w_part.clamped_mass
 
     def test_line_trace_keeps_transverse_slope(self, line_slice, flat_grid):
         empty = slice_measure(flat_grid.sample_scalar(line_w),
@@ -573,58 +612,20 @@ class TestEquilibriumGrids:
             # measured: 0.0 (Z) and 1.4e-9 of calibration (W)
             assert measure.total_mass < floor
 
-
-class TestPositivity:
-    def test_equilibrium_fraction_both_directions(self, torus_grid32,
-                                                  equilibrium_sample):
-        grid, values = torus_grid32
+    def test_walker_points_lie_in_the_support(self, equilibrium_sample):
+        picks = np.sort(np.random.default_rng(0).choice(12, size=4,
+                                                        replace=False))
         evaluator = GreenEvaluator(POWER, depth=6)
-        for direction in ("Z", "W"):
-            template = slice_measure(values, grid, direction)
-            fraction = positivity_check(template, equilibrium_sample,
-                                        evaluator=evaluator, max_points=4,
-                                        seed=0)
-            assert fraction > 0.95
+        # measured: totals 45-53 calibration masses, clamped < 1e-9 of them
+        for point in equilibrium_sample.points[picks]:
+            assert carries_mass(evaluator, point) == [True, True]
 
-    def test_basin_fraction_vanishes(self, torus_grid32, basin_sample):
-        grid, values = torus_grid32
+    def test_basin_points_lie_off_the_support(self):
         evaluator = GreenEvaluator(POWER, depth=6)
-        template = slice_measure(values, grid, "Z")
-        fraction = positivity_check(template, basin_sample,
-                                    evaluator=evaluator, max_points=3,
-                                    seed=0)
-        assert fraction < 0.05
-
-    def test_double_resolution_classification(self, torus_grid64,
-                                              equilibrium_sample):
-        grid, values = torus_grid64
-        evaluator = GreenEvaluator(POWER, depth=5)
-        for direction in ("Z", "W"):
-            template = slice_measure(values, grid, direction)
-            fraction = positivity_check(template, equilibrium_sample,
-                                        evaluator=evaluator, max_points=1,
-                                        seed=3)
-            assert fraction == 1.0
-
-    def test_requires_directional_template(self, torus_grid32,
-                                           equilibrium_sample):
-        grid, values = torus_grid32
-        trace = trace_measure(slice_measure(values, grid, "Z"),
-                              slice_measure(values, grid, "W"))
-        with pytest.raises(ValueError):
-            positivity_check(trace, equilibrium_sample,
-                             evaluator=GreenEvaluator(POWER, depth=6))
-
-    @pytest.mark.parametrize("max_points", [0, -1])
-    def test_requires_a_positive_point_budget(self, torus_grid32,
-                                              equilibrium_sample,
-                                              max_points):
-        grid, values = torus_grid32
-        with pytest.raises(ValueError, match="max_points must be at least 1"):
-            positivity_check(slice_measure(values, grid, "Z"),
-                             equilibrium_sample,
-                             evaluator=GreenEvaluator(POWER, depth=6),
-                             max_points=max_points)
+        # measured: totals 5.5e-9 to 1.6e-8 of calibration, each about
+        # equal to its clamped mass, so the noise guard decides the first
+        for point in BASIN_POINTS:
+            assert carries_mass(evaluator, point) == [False, False]
 
 
 class TestMassCertificate:
@@ -759,27 +760,3 @@ class TestMassCertificate:
             assert nodes[tuple((cells + step).T)].all()
         # the mask leaves out about two thirds of the cube
         assert nodes.mean() < 0.36
-
-
-class TestExports:
-    def test_csv_round_trip(self, line_slice, tmp_path):
-        path = tmp_path / "line.csv"
-        slice_csv(line_slice, path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["z_re_cell", "z_im_cell", "w_re_cell",
-                           "w_im_cell", "mass"]
-        body = rows[1:]
-        assert len(body) == int(np.count_nonzero(line_slice.cell_mass))
-        total = sum(float(row[4]) for row in body)
-        assert total == pytest.approx(line_slice.total_mass, rel=1e-12)
-
-    def test_summary_fields(self, calibration_slice):
-        summary = slice_summary(calibration_slice)
-        assert summary["direction"] == "Z"
-        assert summary["resolution"] == 32
-        assert summary["radius"] == pytest.approx(RHO)
-        assert summary["total_mass"] == pytest.approx(
-            calibration_slice.total_mass)
-        assert summary["nonzero_cells"] == 32 ** 4
-        assert summary["clamped_mass"] == 0.0
