@@ -1,25 +1,21 @@
 """All d^2 preimages of a point under an endomorphism of the projective plane.
 
-One sweep solves every (target, affine search chart) pair as a row of one
-batch: write the preimage condition as two bivariate polynomial equations,
-eliminate v with a Sylvester resultant (evaluated on Fourier nodes and
-interpolated back), find its roots u as companion-matrix eigenvalues
-(:func:`polynomial_roots`), drop the u outside the unit disk (the bidisk
-gate rejects all their pairs), back-substitute the rest for v, cluster the
-pairs into distinct roots with multiplicities, refine each root with a
-damped 2D Newton step, and keep the roots whose own max-modulus chart is
-the search chart (so the three charts partition the preimages).  Counts
-are certified against the Bezout number d^2; shortfalls trigger up to
-three deterministic unitary changes of coordinates before raising.
+Each target is solved first in its own (largest-coordinate) chart, which
+holds every preimage under a power map: write the preimage condition as
+two bivariate polynomial equations, eliminate v with a Sylvester resultant
+(:func:`_sylvester_resultant_coeffs`), find its roots u as companion-matrix
+eigenvalues (:func:`polynomial_roots`), back-substitute them for v,
+cluster the pairs into distinct roots with multiplicities, refine each
+with a damped 2D Newton step, and certify the count against the Bezout
+number d^2.  A target left short (a root at infinity of its chart, say)
+gets the three-chart sweep, whose charts partition the preimages, and then
+up to three unitary changes of coordinates.
 
 Everything is batched, so thousands of simultaneous preimage queries (one
-per backward-orbit walker) cost a handful of vectorized passes per sweep:
+per backward-orbit walker) cost a handful of vectorized passes per solve:
 one eigensolve per degree of the u-polynomials and one per v-degree, and
 Newton loops that drop each row once it has converged.  Every stage works
 row by row, so a target's results do not depend on the rest of its batch.
-Each row's candidates are padded to ``(3B, K)`` slots, and one greedy
-rule (:func:`_greedy_clusters`, a loop over the K slots) forms the
-u-fibres, the distinct v-points of each fibre and the cross-chart merge.
 :func:`preimage_batch` returns a :class:`PreimageBatch` whose ``(B, d^2,
 3)`` lifts are in the one canonical branch order that the backward walkers
 draw from.
@@ -186,8 +182,7 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
     Evaluates the Sylvester determinant on K Fourier nodes and interpolates
     back by inverse DFT; exact because the resultant degree is < K.
     """
-    b = g1.shape[0]
-    size = m1 + m2
+    b, size = g1.shape[0], m1 + m2
     k = 2 * degree * degree + 1
     nodes = np.exp(2j * np.pi * np.arange(k) / k)
     vand = _powers(nodes, g1.shape[1] - 1)  # (K, du+1)
@@ -195,12 +190,10 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
     vals1 = np.einsum("baj,ka->bkj", g1[:, :, :m1 + 1], vand)
     vals2 = np.einsum("baj,ka->bkj", g2[:, :, :m2 + 1], vand)
     syl = np.zeros((b, k, size, size), dtype=np.complex128)
-    desc1 = vals1[:, :, ::-1]
-    desc2 = vals2[:, :, ::-1]
     for r in range(m2):
-        syl[:, :, r, r:r + m1 + 1] = desc1
+        syl[:, :, r, r:r + m1 + 1] = vals1[:, :, ::-1]
     for r in range(m1):
-        syl[:, :, m2 + r, r:r + m2 + 1] = desc2
+        syl[:, :, m2 + r, r:r + m2 + 1] = vals2[:, :, ::-1]
     dets = np.linalg.det(syl)  # (B, K)
     # R(e^{2 pi i k / K}) = sum_m c_m e^{+2 pi i m k / K}: the ascending
     # coefficients are the *forward* DFT of the node values over K
@@ -303,15 +296,16 @@ def _greedy_clusters(close: np.ndarray, order: np.ndarray,
 
 
 def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
-                       tcharts: np.ndarray, scharts: np.ndarray):
-    """Roots (home chart == search chart ``scharts[n]``) for every row n.
-
-    Returns flat arrays ``(rows, lifts, mults)``: the row, the lift (1 in
-    the search chart) and the multiplicity of each accepted root, sorted
-    by row.  u-roots outside the unit disk are dropped before
-    back-substitution: the bidisk gate rejects every pair they give.
-    Every stage runs on arrays flat or padded over the batch; the only
-    Python loops are over degrees and padded slots.
+                       tcharts: np.ndarray, scharts: np.ndarray,
+                       partition: bool = True):
+    """Roots in search chart ``scharts[n]`` for every row n (with
+    ``partition``, only those whose home chart it is): flat ``(rows, lifts,
+    mults)``, the row, the lift (1 in the search chart) and the
+    multiplicity of each accepted root, sorted by row.  With
+    ``partition``, u-roots outside the unit disk are dropped before
+    back-substitution: the bidisk gate rejects every pair they give.  Every
+    stage runs on arrays flat or padded over the batch; the only Python
+    loops are over degrees and padded slots.
     """
     d = map_.degree
     g1, g2 = _chart_equations(map_, targets_norm, tcharts, scharts)
@@ -321,8 +315,9 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     # one entry per (target row, u-root copy); its index is the copy's id
     # in the multiplicity budgets
     flat_rows, flat_u, direct = _u_candidates(g1, g2, m1_rows, m2_rows, d)
-    inside = np.abs(flat_u) <= 1.0 + BIDISK_SLACK
-    flat_rows, flat_u = flat_rows[inside], flat_u[inside]
+    if partition:
+        inside = np.abs(flat_u) <= 1.0 + BIDISK_SLACK
+        flat_rows, flat_u = flat_rows[inside], flat_u[inside]
 
     # batched back-substitution: per row, the equation with larger v-degree
     use_g2 = (m2_rows >= m1_rows)[flat_rows]
@@ -361,16 +356,18 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
 
     # gate on BOTH chart equations at the raw pair, plus the bidisk /
     # home-chart partition (boundary ties within the slack are kept in all
-    # adjacent chart and deduplicated across charts later)
+    # adjacent charts and deduplicated across charts later)
     f1 = np.abs(_eval2d(g1[cand_row], u0, v))
     f2 = np.abs(_eval2d(g2[cand_row], u0, v))
     scale1 = np.abs(g1).max(axis=(1, 2))[cand_row]
     scale2 = np.abs(g2).max(axis=(1, 2))[cand_row]
-    maxmod = np.maximum(np.abs(u0), np.abs(v))
-    lifts = lift_from_chart(scharts[cand_row], np.stack([u0, v], axis=1))
-    home = chart_indices(lifts) == scharts[cand_row]
-    keep = (f1 <= PAIR_GATE * scale1) & (f2 <= PAIR_GATE * scale2) & (
-        maxmod <= 1.0 + BIDISK_SLACK) & (home | (maxmod >= 1.0 - BIDISK_SLACK))
+    keep = (f1 <= PAIR_GATE * scale1) & (f2 <= PAIR_GATE * scale2)
+    if partition:
+        maxmod = np.maximum(np.abs(u0), np.abs(v))
+        lifts = lift_from_chart(scharts[cand_row], np.stack([u0, v], axis=1))
+        home = chart_indices(lifts) == scharts[cand_row]
+        keep &= (maxmod <= 1.0 + BIDISK_SLACK) & (
+            home | (maxmod >= 1.0 - BIDISK_SLACK))
     if not keep.any():  # spare the map an empty evaluation
         return cand_row[:0], np.empty((0, 3), complex), cand_row[:0]
 
@@ -448,11 +445,11 @@ def _chart_roots(rows: np.ndarray, uid: np.ndarray, u: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# merging the chart sweeps and the canonical branch order
+# the own-chart pass, the chart sweep and the canonical branch order
 # ---------------------------------------------------------------------------
 
 def _merge_across_charts(lifts: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """Multiplicities ``(B, K)`` after merging near-duplicate boundary roots.
+    """Multiplicities ``(B, K)`` after merging near-duplicate roots.
 
     :func:`_greedy_clusters` visits each target's K root slots in order
     (multiplicity 0 marks an unused slot) on one broadcast FS-distance
@@ -472,24 +469,56 @@ def _merge_across_charts(lifts: np.ndarray, mults: np.ndarray) -> np.ndarray:
     return kept.reshape(b, k)
 
 
-def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
-    """One stacked chart sweep followed by the cross-chart merge.
-
-    Row r of its one :func:`_solve_chart_batch` call is target r // 3 in
-    search chart r % 3.  Returns ``(lifts, mults)`` padded to ``(B, K)``
-    slots: a target's roots (1 in the chart each was found in) fill its
-    leading slots in search-chart order; unused or merged slots have mults 0.
-    """
-    targets_norm, tcharts = chart_normalize(targets)
-    rows, lifts, mults = _solve_chart_batch(
-        map_, np.repeat(targets_norm, 3, axis=0), np.repeat(tcharts, 3),
-        np.tile(np.arange(3), targets.shape[0]))
-    rows //= 3
-    slot, k = _slots(rows, targets.shape[0])
-    padded = np.ones((targets.shape[0], k, 3), dtype=np.complex128)
-    padded_mults = np.zeros((targets.shape[0], k), dtype=np.int64)
+def _merged_slots(rows: np.ndarray, lifts: np.ndarray, mults: np.ndarray,
+                  b: int):
+    """Flat roots padded to ``(b, K)`` slots in their flat order, and the
+    multiplicities after :func:`_merge_across_charts`."""
+    slot, k = _slots(rows, b)
+    padded = np.ones((b, k, 3), dtype=np.complex128)
+    padded_mults = np.zeros((b, k), dtype=np.int64)
     padded[rows, slot], padded_mults[rows, slot] = lifts, mults
     return padded, _merge_across_charts(padded, padded_mults)
+
+
+def _chart_sweep(map_: HomogeneousMap, targets_norm: np.ndarray,
+                 tcharts: np.ndarray):
+    """Flat ``(targets, lifts, mults)`` of the three-chart sweep, one call
+    whose row r is target r // 3 in search chart r % 3."""
+    rows, lifts, mults = _solve_chart_batch(
+        map_, np.repeat(targets_norm, 3, axis=0), np.repeat(tcharts, 3),
+        np.tile(np.arange(3), tcharts.size))
+    return rows // 3, lifts, mults
+
+
+def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
+    """The own-chart pass, then :func:`_chart_sweep` for targets left short.
+
+    Each power-map preimage has the target's largest coordinate, so the
+    target's chart, with nothing to partition, keeps all roots it finds.
+    The sweep is for roots at infinity of it (lattes_suspension [1:0:0]:
+    (0:0:1), double).  Both passes merge near-duplicates, also one chart's
+    (perturbed_power [0:0:1]: fibres split past ``U_FIBER_RADIUS``).
+    Returns ``(lifts, mults, swept)``, roots in ``(B, K)`` slots (1 in
+    their own chart; mults 0 on unused or merged slots).
+    """
+    b = targets.shape[0]
+    targets_norm, tcharts = chart_normalize(targets)
+    rows, lifts, mults = _solve_chart_batch(map_, targets_norm, tcharts,
+                                            tcharts, partition=False)
+    lifts, charts = chart_normalize(lifts)
+    lifts[np.arange(charts.size), charts] = 1.0
+    padded, merged = _merged_slots(rows, lifts, mults, b)
+    swept = merged.sum(axis=1) != map_.degree ** 2
+    redo = np.flatnonzero(swept)
+    if redo.size:
+        s_rows, s_lifts, s_mults = _chart_sweep(map_, targets_norm[redo],
+                                                tcharts[redo])
+        own = ~swept[rows]
+        padded, merged = _merged_slots(
+            np.concatenate([rows[own], redo[s_rows]]),
+            np.concatenate([lifts[own], s_lifts]),
+            np.concatenate([mults[own], s_mults]), b)
+    return padded, merged, swept
 
 
 def _canonical_branches(lifts: np.ndarray, mults: np.ndarray):
@@ -550,24 +579,27 @@ class PreimageBatch:
     root), each root repeated by its multiplicity.  ``root_ids`` ``(B, d^2)``
     numbers each target's distinct roots 0, 1, ... in that order,
     ``residuals`` ``(B, d^2)`` is the FS distance of each lift's image to
-    its target, and ``rotations`` ``(B,)`` counts the coordinate rotations
-    each target needed.
+    its target, ``rotations`` ``(B,)`` counts the coordinate rotations
+    each target needed, and ``swept`` ``(B,)`` flags the targets that
+    needed the three-chart sweep (every rotated target did).
     """
     targets: np.ndarray
     lifts: np.ndarray
     root_ids: np.ndarray
     residuals: np.ndarray
     rotations: np.ndarray
+    swept: np.ndarray
 
 
 def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
     """All preimages of a batch of targets, certified to sum to d^2.
 
-    Targets whose first sweep comes up short are retried under up to three
-    deterministic unitary changes of coordinates U (the roots q found for
-    ``F(U x)`` map back as ``p = U q``); a persistent mismatch raises
-    :class:`PreimageSolverError`.  Residuals come from one batched
-    evaluation of the map at every lift.
+    Each attempt solves every target in its own chart and sweeps all three
+    charts only for the targets left short.  Targets still short are
+    retried under up to three deterministic unitary changes of coordinates
+    U (the roots q found for ``F(U x)`` map back as ``p = U q``); a
+    persistent mismatch raises :class:`PreimageSolverError`.  Residuals
+    come from one batched evaluation of the map at every lift.
     """
     targets = as_point_array(targets)
     b = targets.shape[0]
@@ -575,16 +607,17 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
     lifts = np.empty((b, want, 3), dtype=np.complex128)
     root_ids = np.empty((b, want), dtype=np.int64)
     rotations = np.zeros(b, dtype=np.int64)
+    swept = np.zeros(b, dtype=bool)
     todo = np.arange(b)
     for attempt in range(MAX_ROTATIONS + 1):
         if todo.size == 0:
             break
         if attempt == 0:
-            found, mults = _solve_batch_once(map_, targets[todo])
+            found, mults, short = _solve_batch_once(map_, targets[todo])
         else:
             u = _rotation_matrix(attempt)
-            found, mults = _solve_batch_once(substitute_linear(map_, u),
-                                             targets[todo])
+            found, mults, short = _solve_batch_once(
+                substitute_linear(map_, u), targets[todo])
             # map the roots back, p = U q, with 1 in each one's own chart
             back, charts = chart_normalize((found @ u.T).reshape(-1, 3))
             back[np.arange(charts.size), charts] = 1.0
@@ -594,6 +627,7 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
         lifts[todo[done]] = branches.reshape(-1, want, 3)
         root_ids[todo[done]] = ids.reshape(-1, want)
         rotations[todo[done]] = attempt
+        swept[todo[short]] = True
         todo = todo[~done]
     if todo.size:
         raise PreimageSolverError(
@@ -602,16 +636,14 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
     images = map_.evaluate_batch(lifts.reshape(-1, 3))
     residuals = fs_distance_batch(images, np.repeat(targets, want, axis=0))
     return PreimageBatch(targets, lifts, root_ids,
-                         residuals.reshape(b, want), rotations)
-
+                         residuals.reshape(b, want), rotations, swept)
 
 
 def preimages(map_: HomogeneousMap, target) -> PreimageBatch:
     """The one-row :class:`PreimageBatch` of a single target, given as any
     :func:`~p2dyn.projective.one_point` input.
 
-    The package attribute ``p2dyn.preimages`` is this function rather than
-    the submodule, and the benchmark's own tests check that it is callable;
-    so the function stays although :func:`preimage_batch` does the work.
+    It stays because the package attribute ``p2dyn.preimages`` is this
+    function, and the benchmark's own tests check that it is callable.
     """
     return preimage_batch(map_, one_point(target))

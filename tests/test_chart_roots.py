@@ -239,9 +239,9 @@ def test_one_eigensolve_resolves_simple_and_multiple_roots(monkeypatch):
 
 
 def test_one_sweep_makes_one_eigensolve_per_degree(monkeypatch):
-    # the sweep solves a target's three search charts as rows of one batch:
-    # one eigensolve per companion degree for the u-roots, then one per
-    # degree for the v-roots, where a loop over the charts made one each
+    # a target is solved first as one row in its own chart: one eigensolve
+    # per companion degree for the u-roots, then one per degree for the
+    # v-roots; a target that needs no three-chart sweep makes no more
     calls = count_eigensolver_calls(monkeypatch)
     u_candidates = preimages._u_candidates
 
@@ -254,11 +254,12 @@ def test_one_sweep_makes_one_eigensolve_per_degree(monkeypatch):
     rng = np.random.default_rng(3)
     target = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
     batch = preimages.preimage_batch(lattes_suspension(), target)
-    assert batch.rotations.tolist() == [0]  # one sweep
+    assert batch.rotations.tolist() == [0]
+    assert batch.swept.tolist() == [False]  # one pass
     assert calls.count("u-roots done") == 1
     split = calls.index("u-roots done")
     u_stage, v_stage = calls[:split], calls[split + 1:]
-    assert sum(shape[0] for shape in u_stage) == 3  # one row per chart
+    assert sum(shape[0] for shape in u_stage) == 1  # one row per target
     for stage in (u_stage, v_stage):
         degrees = [shape[-1] for shape in stage]
         assert len(degrees) == len(set(degrees)), calls

@@ -22,12 +22,15 @@ from hypothesis import strategies as st
 from p2dyn.preimages import (
     CLUSTER_RADIUS,
     _canonical_branches,
+    _chart_sweep,
     _merge_across_charts,
+    _merged_slots,
     preimage_batch,
 )
 from p2dyn.projective import (
     HomogeneousMap,
     chart_indices,
+    chart_normalize,
     fs_distance_batch,
     lift_from_chart,
 )
@@ -222,18 +225,55 @@ def test_branch_order_ignores_noise_across_rounding_boundaries(x):
 
 
 def test_target_solved_only_after_a_rotation():
-    # the first sweep of [0:0:1] under the Chebyshev product comes up short
-    # on every chart, so the whole batch is solved in rotated coordinates
-    f = chebyshev_product()
-    target = np.array([[0.0, 0.0, 1.0]], dtype=np.complex128)
-    batch = preimage_batch(f, target)
-    assert batch.rotations.tolist() == [1]
-    assert fs_distance_batch(f.evaluate_batch(batch.lifts[0]),
-                             target[0]).max() < 1e-12
+    # [0:0:1] under the Chebyshev product is solved in its own chart:
     # z^2 - 2 t^2 = w^2 - 2 t^2 = 0 with t = 1: (+-sqrt 2, +-sqrt 2)
-    aff = batch.lifts[0, :, :2] / batch.lifts[0, :, 2:]
+    target = np.array([[0.0, 0.0, 1.0]], dtype=np.complex128)
     s = np.sqrt(2.0)
-    assert np.max(np.abs(aff - [[s, s], [s, -s], [-s, s], [-s, -s]])) < 1e-9
+    # under perturbed_power, z^2 + w^2 / 100 = w^2 + t^2 / 100 = 0:
+    # (+-0.01, +-0.1i); both u-roots are double and their copies split past
+    # U_FIBER_RADIUS, so each copy claims the same v-point and chart 2
+    # finds (0.01, -0.1i) and (-0.01, -0.1i) twice each; the merge drops
+    # the copies, the sweep falls short the same way, and the batch is
+    # solved in rotated coordinates
+    for f, rotations, roots in [
+            (chebyshev_product(), 0, [[s, s], [s, -s], [-s, s], [-s, -s]]),
+            (perturbed_power_family().map, 1,
+             [[0.01, 0.1j], [0.01, -0.1j], [-0.01, 0.1j], [-0.01, -0.1j]])]:
+        batch = preimage_batch(f, target)
+        assert batch.rotations.tolist() == [rotations]
+        assert batch.swept.tolist() == [rotations > 0]
+        assert batch.root_ids.tolist() == [[0, 1, 2, 3]]
+        assert fs_distance_batch(f.evaluate_batch(batch.lifts[0]),
+                                 target[0]).max() < 1e-12
+        aff = batch.lifts[0, :, :2] / batch.lifts[0, :, 2:]
+        assert np.max(np.abs(aff - roots)) < 1e-9
+
+
+def test_double_roots_on_the_line_at_infinity():
+    # product_mixed is (z^2, w^2 - 2 t^2, t^2): [1:1:0] pulls back to
+    # (1:+-1:0), each double; the three-chart sweep and all three rotations
+    # came up short on it, the target's own chart solves it
+    f = mixed_product_family().map
+    batch = preimage_batch(f, np.array([[1.0, 1.0, 0.0]]))
+    assert batch.rotations.tolist() == [0]
+    assert batch.swept.tolist() == [False]
+    assert batch.root_ids.tolist() == [[0, 0, 1, 1]]
+    assert batch.residuals.max() < 1e-12
+    want = np.array([[1, 1, 0], [1, 1, 0], [1, -1, 0], [1, -1, 0]])
+    assert fs_distance_batch(batch.lifts[0], want).max() < 1e-12
+
+
+def test_root_at_infinity_of_the_target_chart_needs_the_sweep():
+    # lattes_suspension [1:0:0] pulls back to (1:0:0) and (0:0:1), each
+    # double; (0:0:1) lies at infinity of chart 0, the target's own chart,
+    # so only the three-chart sweep (not a rotation) finds it
+    f = lattes_suspension()
+    batch = preimage_batch(f, np.array([[1.0, 0.0, 0.0]]))
+    assert batch.rotations.tolist() == [0]
+    assert batch.swept.tolist() == [True]
+    assert batch.root_ids.tolist() == [[0, 0, 1, 1]]
+    want = np.array([[0, 0, 1], [0, 0, 1], [1, 0, 0], [1, 0, 0]])
+    assert fs_distance_batch(batch.lifts[0], want).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["lattes_suspension", "chebyshev_product",
@@ -258,8 +298,15 @@ def test_each_row_is_independent_of_its_batch(name):
 
 
 # ---------------------------------------------------------------------------
-# the stacked sweep: one batch of (target, search chart) rows
+# the own-chart pass and the stacked sweep of (target, search chart) rows
 # ---------------------------------------------------------------------------
+
+def sweep(f, targets):
+    """The three-chart sweep of every target, padded and merged."""
+    targets_norm, tcharts = chart_normalize(targets)
+    return _merged_slots(*_chart_sweep(f, targets_norm, tcharts),
+                         targets.shape[0])
+
 
 SWEEP_MAPS = {"power2": power_map(2),
               "lattes_suspension": lattes_suspension(),
@@ -270,28 +317,37 @@ SWEEP_MAPS = {"power2": power_map(2),
 
 @pytest.mark.parametrize("name", sorted(SWEEP_MAPS))
 def test_stacked_rows_match_one_target_solves(name):
-    # a sweep stacks every (target, search chart) pair as a row of one
-    # batch, so a target's roots must not depend on the other rows: each
-    # of 40 targets, in all three target charts, gets bit for bit what it
-    # gets alone; the last target, [0:0:1], needs a rotated retry under the
-    # Chebyshev product
+    # the own-chart pass solves each target as a row of one batch, and the
+    # sweep each (target, search chart) pair, so a target's roots must not
+    # depend on the other rows: each of 40 targets, in all three target
+    # charts, gets bit for bit what it gets alone, from preimage_batch and
+    # from the sweep called directly; the last target, [0:0:1], needs a
+    # rotated retry under perturbed_power
     f = SWEEP_MAPS[name]
     rng = np.random.default_rng(41)
     targets = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
     targets[-1] = [0.0, 0.0, 1.0]
     assert set(chart_indices(targets).tolist()) == {0, 1, 2}
     batch = preimage_batch(f, targets)
-    if name == "chebyshev_product":
+    if name == "perturbed_power":
         assert batch.rotations[-1] > 0
+    lifts, mults = sweep(f, targets)
     for i in range(targets.shape[0]):
         one = preimage_batch(f, targets[i:i + 1])
         assert np.array_equal(batch.lifts[i], one.lifts[0])
         assert np.array_equal(batch.root_ids[i], one.root_ids[0])
         assert np.array_equal(batch.residuals[i], one.residuals[0])
         assert batch.rotations[i] == one.rotations[0]
+        assert batch.swept[i] == one.swept[0]
+        one_lifts, one_mults = sweep(f, targets[i:i + 1])
+        k = one_mults.shape[1]
+        assert np.array_equal(mults[i, :k], one_mults[0])
+        assert not mults[i, k:].any()
+        assert np.array_equal(lifts[i, :k], one_lifts[0])
 
 
-@pytest.mark.parametrize("name", ["power2", "lattes_suspension"])
+@pytest.mark.parametrize("name", ["power2", "lattes_suspension",
+                                  "perturbed_power"])
 @pytest.mark.parametrize("p", [[1.0, 0.3 + 0.2j, np.exp(0.7j)],
                                [1.0, np.exp(0.7j), 0.3 + 0.2j]])
 def test_preimage_on_a_chart_boundary_survives_the_prune(name, p):
@@ -299,12 +355,20 @@ def test_preimage_on_a_chart_boundary_survives_the_prune(name, p):
     # in search chart 2 (in both charts 0 and 1) a coordinate u of p lies
     # on the unit circle, where u-roots are dropped only beyond
     # 1 + BIDISK_SLACK; under power2 all four preimages of F(p) are such.
-    # The first sweep must find them all: a rotated retry would hide a
-    # prune that drops u-roots on the circle
+    # The first attempt must find them all: a rotated retry would hide a
+    # prune that drops u-roots on the circle.  The own-chart pass, which
+    # has no prune, solves these targets, so the sweep is also called
+    # directly; under perturbed_power it still loses a boundary root
+    # (CHANGES.md FOUND), and only the own-chart pass finds all four
     f = SWEEP_MAPS[name]
     p = np.array([p])
     batch = preimage_batch(f, f.evaluate_batch(p))
     assert batch.rotations.tolist() == [0]
+    assert batch.swept.tolist() == [False]
     assert batch.lifts.shape == (1, f.degree ** 2, 3)
     assert batch.residuals.max() < 1e-9
     assert fs_distance_batch(batch.lifts[0], p[0]).min() < 1e-9
+    if name != "perturbed_power":
+        lifts, mults = sweep(f, f.evaluate_batch(p))
+        assert mults.sum() == f.degree ** 2
+        assert fs_distance_batch(lifts[0][mults[0] > 0], p[0]).min() < 1e-9

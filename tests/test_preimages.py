@@ -64,7 +64,7 @@ def match_sets(points_a: np.ndarray, points_b: np.ndarray, tol: float):
 # univariate stage
 # ---------------------------------------------------------------------------
 
-class TestAberth:
+class TestEigensolveRoots:
     @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8])
     def test_matches_companion_matrix_roots(self, degree):
         rng = np.random.default_rng(100 + degree)
