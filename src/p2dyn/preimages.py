@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import PreimageSolverError
 from .projective import (
-    CHART_OTHERS,
+    CHART_OTHERS_INDEX,
+    MAX_DEGREE,
     HomogeneousMap,
     as_point_array,
     chart_indices,
     chart_normalize,
-    dehomogenized_tables,
     fs_distance_batch,
     lift_from_chart,
     one_point,
@@ -80,16 +80,6 @@ NEWTON_STOP = 1e-9
 # univariate roots
 # ---------------------------------------------------------------------------
 
-def _horner_batch(coeffs: np.ndarray, x: np.ndarray):
-    """Values and derivatives (p, dp) of the rows of ascending-coefficient
-    polynomials ``coeffs`` (B, D+1), each at its own point ``x`` (B,)."""
-    p, dp = coeffs[:, -1].copy(), np.zeros_like(x)
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        dp = dp * x + p
-        p = p * x + coeffs[:, k]
-    return p, dp
-
-
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of each row of ascending-coefficient polynomials.
 
@@ -104,19 +94,19 @@ def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
     b, deg = coeffs.shape[0], coeffs.shape[1] - 1
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise ValueError("non-finite coefficient in polynomial_roots")
     if deg == 0:
         return np.empty((b, 0), dtype=np.complex128)
     lead = coeffs[:, -1]
-    if np.any(lead == 0):
+    if not lead.all():
         raise ValueError("zero leading coefficient in polynomial_roots")
     monic = coeffs / lead[:, None]
     if deg == 1:
         return -monic[:, :1]
     companion = np.zeros((b, deg, deg), dtype=np.complex128)
     companion[:, 0] = -monic[:, -2::-1]
-    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    companion.reshape(b, -1)[:, deg::deg + 1] = 1.0  # the subdiagonal
     return np.linalg.eigvals(companion)
 
 
@@ -132,47 +122,28 @@ def _powers(x: np.ndarray, deg: int) -> np.ndarray:
     return out
 
 
-def _eval2d(c: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Evaluate batched 2D polynomials at batched points (same lead shape)."""
-    return np.einsum("...ab,...a,...b->...", c, _powers(u, c.shape[-2] - 1),
-                     _powers(v, c.shape[-1] - 1))
-
-
-def _d_du(c: np.ndarray) -> np.ndarray:
-    return c[..., 1:, :] * np.arange(1, c.shape[-2])[:, None]
-
-
-def _d_dv(c: np.ndarray) -> np.ndarray:
-    return c[..., :, 1:] * np.arange(1, c.shape[-1])[None, :]
+def _eval2d(c: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """Batched 2D polynomials at points given by (a prefix of) their powers."""
+    return np.einsum("...ab,...a,...b->...", c, pu[..., :c.shape[-2]],
+                     pv[..., :c.shape[-1]])
 
 
 def _trim_degree_rows(coeffs: np.ndarray) -> np.ndarray:
     """Effective degree of each row of an ascending-coefficient array."""
     mags = np.abs(coeffs)
-    floor = mags.max(axis=1, keepdims=True) * TRIM_REL
-    nz = mags > floor
-    return np.where(nz.any(axis=1), coeffs.shape[1] - 1 -
-                    np.argmax(nz[:, ::-1], axis=1), -1)
+    nz = mags > mags.max(axis=1, keepdims=True) * TRIM_REL
+    return np.where(nz.any(axis=1),
+                    coeffs.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), -1)
 
 
 # ---------------------------------------------------------------------------
 # the stacked (target, search chart) solve
 # ---------------------------------------------------------------------------
 
-def _chart_equations(map_: HomogeneousMap, targets_norm: np.ndarray,
-                     tcharts: np.ndarray, scharts: np.ndarray):
-    """Coefficient tensors (N, d+1, d+1) of the two preimage equations.
-
-    Preimages of row n's tau in its search chart ``scharts[n]`` satisfy,
-    for the two indices j != b (b = ``tcharts[n]``, tau's own chart, tau
-    normalized so tau_b = 1): ``F_j(lift(u, v)) - tau_j F_b(lift(u, v)) =
-    0``, read from the (search chart, component) stack of tables.
-    """
-    mats = np.stack([dehomogenized_tables(map_, c) for c in range(3)])
-    js = np.asarray(CHART_OTHERS)[tcharts]
-    tau = np.take_along_axis(targets_norm, js, axis=1)[..., None, None]
-    g = mats[scharts[:, None], js] - tau * mats[scharts, tcharts][:, None]
-    return g[:, 0], g[:, 1]
+#: per degree d, powers (K, d+1) of the resultant's K = 2 d^2 + 1 nodes
+_FOURIER = {d: _powers(np.exp(2j * np.pi * np.arange(2 * d * d + 1)
+                              / (2 * d * d + 1)), d)
+            for d in range(2, MAX_DEGREE + 1)}
 
 
 def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
@@ -183,9 +154,7 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
     back by inverse DFT; exact because the resultant degree is < K.
     """
     b, size = g1.shape[0], m1 + m2
-    k = 2 * degree * degree + 1
-    nodes = np.exp(2j * np.pi * np.arange(k) / k)
-    vand = _powers(nodes, g1.shape[1] - 1)  # (K, du+1)
+    vand, k = _FOURIER[degree], 2 * degree * degree + 1  # (K, du+1), K
     # values of the v-coefficient polynomials at the nodes
     vals1 = np.einsum("baj,ka->bkj", g1[:, :, :m1 + 1], vand)
     vals2 = np.einsum("baj,ka->bkj", g2[:, :, :m2 + 1], vand)
@@ -214,9 +183,9 @@ def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
     # rows with both equations free of v (no isolated roots) stay zero
     res = np.zeros((g1.shape[0], 2 * degree * degree + 1), np.complex128)
     keys = (m1_rows + 1) * (degree + 2) + m2_rows + 1
-    for key in np.unique(keys):
-        rows = np.flatnonzero(keys == key)
-        m1, m2 = int(m1_rows[rows[0]]), int(m2_rows[rows[0]])
+    for key in np.bincount(keys).nonzero()[0]:
+        rows = (keys == key).nonzero()[0]
+        m1, m2 = (int(m) - 1 for m in divmod(key, degree + 2))
         if m1 > 0 and m2 > 0:
             res[rows] = _sylvester_resultant_coeffs(
                 g1[rows], g2[rows], m1, m2, degree)
@@ -224,14 +193,15 @@ def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
             # one equation is univariate in u: use it directly
             res[rows, :degree + 1] = (g1 if m1 <= 0 else g2)[rows, :, 0]
     degs = _trim_degree_rows(res)  # one eigensolve per effective degree
-    rows_out, u_out = [np.empty(0, np.int64)], [np.empty(0, np.complex128)]
-    for d_eff in np.unique(degs[degs > 0]):
-        sel = np.flatnonzero(degs == d_eff)
-        rows_out.append(np.repeat(sel, d_eff))
-        u_out.append(polynomial_roots(res[sel, :d_eff + 1]).ravel())
-    rows, u = np.concatenate(rows_out), np.concatenate(u_out)
-    order = np.argsort(rows, kind="stable")
-    return rows[order], u[order], direct
+    count = np.maximum(degs, 0)
+    rows = np.repeat(np.arange(degs.size), count)
+    u = np.empty(rows.size, dtype=np.complex128)
+    at = count.cumsum() - count  # each row's first entry
+    for d_eff in np.bincount(degs[degs > 0]).nonzero()[0]:
+        sel = (degs == d_eff).nonzero()[0]
+        u[at[sel, None] + np.arange(d_eff)] = polynomial_roots(
+            res[sel, :d_eff + 1])
+    return rows, u, direct
 
 
 def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
@@ -246,21 +216,26 @@ def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
     while C max(1, |u|, |v|) < 200.  A multiple root runs to the cap.
     """
     out, live = uv.copy(), np.arange(uv.shape[0])
-    gs = (g1, g2, _d_du(g1), _d_dv(g1), _d_du(g2), _d_dv(g2))
+    out_u, out_v = out[:, 0], out[:, 1]
+    k = np.arange(1, g1.shape[-1])  # d/du and d/dv factors (du = dv)
+    gs = (g1, g2, g1[..., 1:, :] * k[:, None], g1[..., 1:] * k,
+          g2[..., 1:, :] * k[:, None], g2[..., 1:] * k)
     for _ in range(NEWTON_STEPS):
-        if not live.size:
-            break
-        u, v = out[live, 0], out[live, 1]
-        f1, f2, a, bq, c, dq = (_eval2d(g, u, v) for g in gs)
+        u, v = out_u[live], out_v[live]
+        pu, pv = _powers(u, k.size), _powers(v, k.size)
+        f1, f2, a, bq, c, dq = (_eval2d(g, pu, pv) for g in gs)
         det = a * dq - bq * c
         det = np.where(np.abs(det) < 1e-300, 1e-300, det)
         du = (f1 * dq - f2 * bq) / det
         dv = (a * f2 - c * f1) / det
         step = np.maximum(np.abs(du), np.abs(dv))
         damp = np.where(step > 0.5, 0.5 / np.maximum(step, 1e-300), 1.0)
-        out[live, 0], out[live, 1] = u - du * damp, v - dv * damp
+        out_u[live], out_v[live] = u - du * damp, v - dv * damp
         go = step > NEWTON_STOP * np.abs(out[live]).max(axis=1, initial=1.0)
-        live, gs = live[go], tuple(g[go] for g in gs)
+        live = live[go]
+        if not live.size:
+            break
+        gs = tuple(g[go] for g in gs)
     return out
 
 
@@ -268,7 +243,8 @@ def _slots(rows: np.ndarray, b: int):
     """Each flat entry's slot in its row, keeping the flat order, and the
     width K of the padded ``(b, K)`` array they fill by ``[rows, slot]``."""
     counts = np.bincount(rows, minlength=b)
-    rank = np.argsort(np.argsort(rows, kind="stable"))
+    rank = np.empty_like(rows)
+    rank[np.argsort(rows, kind="stable")] = np.arange(rows.size)
     return rank - (counts.cumsum() - counts)[rows], int(counts.max(initial=0))
 
 
@@ -276,23 +252,24 @@ def _greedy_clusters(close: np.ndarray, order: np.ndarray,
                      valid: np.ndarray) -> np.ndarray:
     """The one greedy clustering rule, looping over K slots of B rows.
 
-    Slots are visited in ``order`` ``(B, K)``; a ``valid`` slot unclaimed
-    when visited seeds a cluster that claims every unclaimed valid slot it
-    is ``close`` ``(B, K, K)`` to, itself included (``close`` holds on the
-    diagonal).  Returns each slot's cluster label, the step at which its
-    seed was visited (-1 for invalid slots).
+    Slots are visited in ``order`` ``(B, K)`` or ``(1, K)``; a ``valid``
+    slot unclaimed when visited seeds a cluster that claims every unclaimed
+    valid slot it is ``close`` ``(B, K, K)`` to, itself included (``close``
+    holds on the diagonal).  Returns each slot's cluster label, the step at
+    which its seed was visited (-1 for invalid slots).
     """
     b, k = valid.shape
-    rows = np.arange(b)
-    labels = np.full((b, k), -1, dtype=np.int64)
+    # each step's seed as a flat slot index, and its row of close
+    seeds = (np.arange(b)[:, None] * k + order).T
+    near = close.reshape(b * k, k)[seeds]
+    claims = np.empty((k + 1, b, k), dtype=bool)  # slots claimed per step
+    claims[k] = True  # a sentinel step: argmax needs one when K = 0
     free = valid.copy()
     for t in range(k):
-        seed = order[:, t]
-        live = free[rows, seed]
-        claim = close[rows, seed] & free & live[:, None]
-        labels[claim] = t
-        free &= ~claim
-    return labels
+        claim = np.logical_and(near[t], free, out=claims[t])
+        claim &= free.reshape(-1)[seeds[t, :, None]]  # the seed is free
+        free ^= claim
+    return np.where(valid, claims.argmax(axis=0), -1)
 
 
 def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
@@ -308,10 +285,18 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     loops are over degrees and padded slots.
     """
     d = map_.degree
-    g1, g2 = _chart_equations(map_, targets_norm, tcharts, scharts)
-    # structural v-degree of each row: that of its largest u-coefficients
-    m1_rows = _trim_degree_rows(np.abs(g1).max(axis=1))
-    m2_rows = _trim_degree_rows(np.abs(g2).max(axis=1))
+    # the two preimage equations (N, 2, d+1, d+1) of row n: in its search
+    # chart, F_j(lift(u, v)) - tau_j F_b(lift(u, v)) = 0 for the two j != b
+    # (b = tcharts[n], tau normalized so tau_b = 1)
+    js = CHART_OTHERS_INDEX[tcharts]
+    tau = targets_norm[np.arange(js.shape[0])[:, None], js][..., None, None]
+    mats = map_.chart_tables  # [search chart, component]
+    g = mats[scharts[:, None], js] - tau * mats[scharts, tcharts][:, None]
+    g1, g2 = g[:, 0], g[:, 1]
+    mag = np.abs(g).max(axis=2)  # (N, 2, d+1): largest over u-powers
+    # structural v-degree of each equation: that of its largest u-coefficients
+    m_rows = _trim_degree_rows(mag.reshape(-1, d + 1))
+    m1_rows, m2_rows = m_rows[0::2], m_rows[1::2]
     # one entry per (target row, u-root copy); its index is the copy's id
     # in the multiplicity budgets
     flat_rows, flat_u, direct = _u_candidates(g1, g2, m1_rows, m2_rows, d)
@@ -320,19 +305,18 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
         flat_rows, flat_u = flat_rows[inside], flat_u[inside]
 
     # batched back-substitution: per row, the equation with larger v-degree
-    use_g2 = (m2_rows >= m1_rows)[flat_rows]
-    back = np.where(use_g2[:, None, None], g2[flat_rows], g1[flat_rows])
-    pu = _powers(flat_u, back.shape[1] - 1)
-    vcoeffs = np.einsum("nab,na->nb", back, pu)
+    which = (m2_rows >= m1_rows).astype(np.intp)
+    vcoeffs = np.einsum("nab,na->nb", g[flat_rows, which[flat_rows]],
+                        _powers(flat_u, d))
     vdegs = _trim_degree_rows(vcoeffs)
 
     # expand to (u, v) candidate pairs, batched over uniform v-degrees;
     # cand_flat indexes the flat u-copy arrays
     cand_flat, v = [np.empty(0, dtype=np.int64)], [flat_u[:0]]
-    for d_eff in np.unique(vdegs[vdegs > 0]):
-        sel = np.flatnonzero(vdegs == d_eff)
-        cand_flat.append(np.tile(sel, d_eff))
-        v.append(polynomial_roots(vcoeffs[sel][:, :d_eff + 1]).T.ravel())
+    for d_eff in np.bincount(vdegs[vdegs > 0]).nonzero()[0]:
+        sel = (vdegs == d_eff).nonzero()[0]
+        cand_flat.append(np.repeat(sel[None], d_eff, axis=0).ravel())
+        v.append(polynomial_roots(vcoeffs[sel, :d_eff + 1]).T.ravel())
     cand_flat, v = np.concatenate(cand_flat), np.concatenate(v)
 
     # polish v along its own fiber (u held fixed) so every candidate stays
@@ -341,15 +325,20 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     # multiplicity budgets; rows stop as in _newton_refine
     vc, live = vcoeffs[cand_flat], np.arange(v.size)
     for _ in range(12):
+        vl = v[live]
+        p, dp = vc[:, -1].copy(), np.zeros_like(vl)  # Horner: p(v), p'(v)
+        for c in vc.T[-2::-1]:
+            dp, p = dp * vl + p, p * vl + c
+        step = p / np.where(np.abs(dp) < 1e-300, 1e-300, dp)
+        mag_step = np.abs(step)
+        vl -= step * np.where(mag_step > 0.5,
+                              0.5 / np.maximum(mag_step, 1e-300), 1.0)
+        v[live] = vl
+        go = mag_step > NEWTON_STOP * np.maximum(1.0, np.abs(vl))
+        live = live[go]
         if not live.size:
             break
-        p, dp = _horner_batch(vc, v[live])
-        step = p / np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-        mag = np.abs(step)
-        v[live] -= step * np.where(mag > 0.5, 0.5 / np.maximum(mag, 1e-300),
-                                   1.0)
-        go = mag > NEWTON_STOP * np.maximum(1.0, np.abs(v[live]))
-        live, vc = live[go], vc[go]
+        vc = vc[go]
 
     cand_row = flat_rows[cand_flat]
     u0 = flat_u[cand_flat]
@@ -357,18 +346,16 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     # gate on BOTH chart equations at the raw pair, plus the bidisk /
     # home-chart partition (boundary ties within the slack are kept in all
     # adjacent charts and deduplicated across charts later)
-    f1 = np.abs(_eval2d(g1[cand_row], u0, v))
-    f2 = np.abs(_eval2d(g2[cand_row], u0, v))
-    scale1 = np.abs(g1).max(axis=(1, 2))[cand_row]
-    scale2 = np.abs(g2).max(axis=(1, 2))[cand_row]
-    keep = (f1 <= PAIR_GATE * scale1) & (f2 <= PAIR_GATE * scale2)
+    f = _eval2d(g[cand_row], _powers(u0, d)[:, None], _powers(v, d)[:, None])
+    keep = (np.abs(f) <= PAIR_GATE * mag.max(axis=2)[cand_row]).all(axis=1)
     if partition:
         maxmod = np.maximum(np.abs(u0), np.abs(v))
         lifts = lift_from_chart(scharts[cand_row], np.stack([u0, v], axis=1))
         home = chart_indices(lifts) == scharts[cand_row]
         keep &= (maxmod <= 1.0 + BIDISK_SLACK) & (
             home | (maxmod >= 1.0 - BIDISK_SLACK))
-    if not keep.any():  # spare the map an empty evaluation
+    keep = keep.nonzero()[0]
+    if not keep.size:  # spare the map an empty evaluation
         return cand_row[:0], np.empty((0, 3), complex), cand_row[:0]
 
     # multiplicity bookkeeping on the raw fibers
@@ -379,7 +366,7 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     # only now refine the representatives in 2D, and require the refined
     # point to certify as an actual preimage of its target
     refined = _newton_refine(g1[rep_row], g2[rep_row], rep_uv)
-    moved = np.max(np.abs(refined - rep_uv), axis=1)
+    moved = np.abs(refined - rep_uv).max(axis=1)
     lifts = lift_from_chart(scharts[rep_row], refined)
     images, ok = map_.evaluate_batch_safe(lifts)
     res = fs_distance_batch(images, targets_norm[rep_row])
@@ -417,29 +404,31 @@ def _chart_roots(rows: np.ndarray, uid: np.ndarray, u: np.ndarray,
 
     # members grouped by cluster, in slot order; means over (clusters,
     # size) blocks, whose rows numpy sums in the order it sums one cluster
-    key = (rows * k + cluster[rows, slot]) * k + slot
-    members = np.argsort(key)
-    start = np.flatnonzero(np.diff(key[members] // k, prepend=-1))
-    size = np.diff(start, append=rows.size)
+    cid = rows * k + cluster[rows, slot]
+    members = np.argsort(cid * k + slot)
+    size = np.bincount(cid)
+    start = (size.cumsum() - size)[size > 0]  # each cluster's first member
+    head, size = members[start], size[size > 0]
     mean = np.empty((start.size, 2), dtype=np.complex128)
-    for n in np.unique(size):
-        at = members[start[size == n, None] + np.arange(n)]
-        mean[size == n] = np.stack([u[at].mean(axis=1), v[at].mean(axis=1)],
-                                   axis=1)
+    for n in np.bincount(size).nonzero()[0]:
+        sel = size == n
+        at = members[start[sel, None] + np.arange(n)]
+        mean[sel, 0] = np.add.reduce(u[at], axis=1) / n
+        mean[sel, 1] = np.add.reduce(v[at], axis=1) / n
 
     # fiber budgets: distinct u-copies k_f and distinct v-points r_f; rank
-    # within a fiber by size (resultant path only), then seed order
-    row, seed, cfid = (a[members[start]] for a in (rows, key // k % k, fid))
-    n_uid = uid.max(initial=0) + 1
-    copies = np.unique(fid * n_uid + uid) // n_uid
-    k_f = np.bincount(copies, minlength=b * k)[cfid]
-    r_f = np.bincount(cfid, minlength=b * k)[cfid]
+    # within a fiber by size (resultant path only), then seed order.  The
+    # copies of one u-copy share their u exactly, hence their fiber
+    row, seed, cfid = rows[head], cid[head] % k, fid[head]
+    fiber_of = np.zeros(uid.max(initial=0) + 1, dtype=np.int64)
+    fiber_of[uid] = fid + 1  # 0: a u-copy with no candidate left
+    k_f = np.bincount(fiber_of, minlength=b * k + 1)[cfid + 1]
+    r_f = np.bincount(cfid, minlength=b * k)
     order = np.lexsort((seed, np.where(direct[row], 0, -size), cfid))
-    first = np.flatnonzero(np.diff(cfid[order], prepend=-1))
-    rank = np.arange(order.size) - np.repeat(first, np.diff(
-        first, append=order.size))
-    base, extra = np.divmod(k_f[order], r_f[order])
-    mult = np.where(direct[row[order]], size[order], base + (rank < extra))
+    rank = np.arange(order.size) - (r_f.cumsum() - r_f)[cfid[order]]
+    k_f, r_f = k_f[order], r_f[cfid[order]]
+    mult = np.where(direct[row[order]], size[order],
+                    k_f // r_f + (rank < k_f % r_f))
     keep = order[mult > 0]
     return row[keep], mean[keep], mult[mult > 0]
 
@@ -461,8 +450,7 @@ def _merge_across_charts(lifts: np.ndarray, mults: np.ndarray) -> np.ndarray:
     close = fs_distance_batch(lifts[:, :, None], lifts[:, None]) \
         < CLUSTER_RADIUS
     valid = mults > 0
-    labels = _greedy_clusters(close, np.broadcast_to(np.arange(k), (b, k)),
-                              valid)
+    labels = _greedy_clusters(close, np.arange(k)[None], valid)
     kept = np.zeros(b * k, dtype=np.int64)
     np.maximum.at(kept, (np.arange(b)[:, None] * k + labels)[valid],
                   mults[valid])
@@ -505,11 +493,10 @@ def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
     targets_norm, tcharts = chart_normalize(targets)
     rows, lifts, mults = _solve_chart_batch(map_, targets_norm, tcharts,
                                             tcharts, partition=False)
-    lifts, charts = chart_normalize(lifts)
-    lifts[np.arange(charts.size), charts] = 1.0
+    lifts = chart_normalize(lifts)[0]
     padded, merged = _merged_slots(rows, lifts, mults, b)
     swept = merged.sum(axis=1) != map_.degree ** 2
-    redo = np.flatnonzero(swept)
+    redo = swept.nonzero()[0]
     if redo.size:
         s_rows, s_lifts, s_mults = _chart_sweep(map_, targets_norm[redo],
                                                 tcharts[redo])
@@ -537,24 +524,27 @@ def _canonical_branches(lifts: np.ndarray, mults: np.ndarray):
     distinct roots 0, 1, ... in that order.
     """
     b, k = mults.shape
-    sup = np.abs(lifts).max(axis=-1)
-    finite = np.abs(lifts[..., 2]) > 1e-12 * sup
+    mag = np.abs(lifts)
+    sup = mag.max(axis=-1)
+    finite = mag[..., 2] > 1e-12 * sup
     aff = lifts[..., :2] / np.where(finite, lifts[..., 2], sup)[..., None]
-    # tie classes, refined key by key (unused slots last)
-    group = np.where(mults == 0, 2, ~finite)
-    for key in -np.stack([aff[..., 0].real, aff[..., 0].imag,
-                          aff[..., 1].real, aff[..., 1].imag]):
-        order = np.lexsort((key, group), axis=-1)
-        g, x = (np.take_along_axis(a, order, axis=1) for a in (group, key))
-        tol = CLUSTER_RADIUS * np.maximum(1, np.abs(x[:, 1:]))
-        new = np.zeros((b, k), dtype=np.int64)
-        new[:, 1:] = (g[:, 1:] != g[:, :-1]) | (x[:, 1:] - x[:, :-1] > tol)
-        np.put_along_axis(group, order, new.cumsum(axis=1), axis=1)
-    ranked = np.argsort(group, axis=1, kind="stable")
-    count = np.take_along_axis(mults, ranked, axis=1).ravel()
-    branch = np.repeat((ranked + k * np.arange(b)[:, None]).ravel(), count)
-    ids = np.repeat(np.tile(np.arange(k), b), count)
-    return lifts.reshape(-1, 3)[branch], ids
+    # the four keys (re, im of both coordinates), each flat over (B, K)
+    keys = -aff.view(np.float64).reshape(-1, 4).T
+    tols = CLUSTER_RADIUS * np.maximum(1, np.abs(keys))
+    # tie classes, flat and increasing row by row, refined key by key
+    # (unused slots last in their row)
+    group = (np.where(mults == 0, 2, ~finite)
+             + 3 * np.arange(b)[:, None]).ravel()
+    new = np.zeros(b * k, dtype=np.int64)
+    for key, tol in zip(keys, tols):
+        order = np.lexsort((key, group))
+        g, x = group[order], key[order]
+        new[1:] = (g[1:] != g[:-1]) | (x[1:] - x[:-1] > tol[order[1:]])
+        group[order] = new.cumsum()
+    branch = np.argsort(group, kind="stable")
+    count = mults.ravel()[branch]
+    ids = np.arange(b * k) % k  # each sorted slot's rank in its target
+    return lifts.reshape(-1, 3)[branch.repeat(count)], ids.repeat(count)
 
 
 def _rotation_matrix(attempt: int) -> np.ndarray:
@@ -619,24 +609,23 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
             found, mults, short = _solve_batch_once(
                 substitute_linear(map_, u), targets[todo])
             # map the roots back, p = U q, with 1 in each one's own chart
-            back, charts = chart_normalize((found @ u.T).reshape(-1, 3))
-            back[np.arange(charts.size), charts] = 1.0
-            found = back.reshape(found.shape)
+            found = chart_normalize((found @ u.T).reshape(-1, 3))[0].reshape(
+                found.shape)
         done = mults.sum(axis=1) == want
         branches, ids = _canonical_branches(found[done], mults[done])
-        lifts[todo[done]] = branches.reshape(-1, want, 3)
-        root_ids[todo[done]] = ids.reshape(-1, want)
-        rotations[todo[done]] = attempt
+        fixed = todo[done]
+        lifts[fixed] = branches.reshape(-1, want, 3)
+        root_ids[fixed], rotations[fixed] = ids.reshape(-1, want), attempt
         swept[todo[short]] = True
         todo = todo[~done]
     if todo.size:
         raise PreimageSolverError(
             "could not account for %d preimages of %d target(s) "
             "after %d rotations" % (want, todo.size, MAX_ROTATIONS))
-    images = map_.evaluate_batch(lifts.reshape(-1, 3))
-    residuals = fs_distance_batch(images, np.repeat(targets, want, axis=0))
+    images = map_.evaluate_batch(lifts.reshape(-1, 3)).reshape(b, want, 3)
     return PreimageBatch(targets, lifts, root_ids,
-                         residuals.reshape(b, want), rotations, swept)
+                         fs_distance_batch(images, targets[:, None]),
+                         rotations, swept)
 
 
 def preimages(map_: HomogeneousMap, target) -> PreimageBatch:

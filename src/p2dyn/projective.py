@@ -29,6 +29,9 @@ from .errors import (
 
 #: indices of the two affine coordinates for each chart, in increasing order
 CHART_OTHERS = ((1, 2), (0, 2), (0, 1))
+#: the same as a read-only ``(3, 2)`` index array
+CHART_OTHERS_INDEX = np.array(CHART_OTHERS)
+CHART_OTHERS_INDEX.flags.writeable = False
 
 #: evaluations whose sup-norm falls below this (on sup-normalized input)
 #: count as degenerate
@@ -83,7 +86,7 @@ def check_row_scale(scale: np.ndarray) -> None:
     ``scale`` holds one norm per row; a NaN or infinite coordinate makes
     the row's norm NaN or infinite, so this one check covers both.
     """
-    if not np.all((scale > 0.0) & (scale < np.inf)):
+    if not ((scale > 0.0) & (scale < np.inf)).all():
         raise ValueError("zero or non-finite vector is not a projective "
                          "point")
 
@@ -110,28 +113,29 @@ def sup_normalize(points: np.ndarray) -> np.ndarray:
 
 def chart_indices(points: np.ndarray) -> np.ndarray:
     """Index of the largest-modulus coordinate per row (ties -> lowest)."""
-    return np.argmax(np.abs(as_point_array(points)), axis=1)
+    return np.abs(as_point_array(points)).argmax(axis=1)
 
 
 def chart_normalize(points: np.ndarray, charts: np.ndarray | None = None):
     """Divide each row by its chart coordinate.
 
     Returns ``(normalized, charts)`` where the chart coordinate of each
-    normalized row equals exactly 1.
+    normalized row equals exactly 1 (written: z / z can miss it by an ulp).
     """
     arr = as_point_array(points)
     if charts is None:
         charts = chart_indices(arr)
-    pivot = np.take_along_axis(arr, charts[:, None], axis=1)[:, 0]
-    return arr / pivot[:, None], charts
+    rows = np.arange(arr.shape[0])
+    out = arr / arr[rows, charts][:, None]
+    out[rows, charts] = 1.0
+    return out, charts
 
 
 def affine_coords(points: np.ndarray, charts: np.ndarray | None = None):
     """Affine coordinates ``(N, 2)`` in each row's own chart."""
     norm, charts = chart_normalize(points, charts)
-    others = np.asarray(CHART_OTHERS)[charts]  # (N, 2)
-    coords = np.take_along_axis(norm, others, axis=1)
-    return coords, charts
+    others = CHART_OTHERS_INDEX[charts]
+    return norm[np.arange(norm.shape[0])[:, None], others], charts
 
 
 def lift_from_chart(chart, coords: np.ndarray) -> np.ndarray:
@@ -139,10 +143,9 @@ def lift_from_chart(chart, coords: np.ndarray) -> np.ndarray:
     for all rows (an int) or one per row (an ``(N,)`` array)."""
     coords = np.atleast_2d(np.asarray(coords, dtype=np.complex128))
     rows = np.arange(coords.shape[0])
-    chart = np.broadcast_to(chart, rows.shape)
     out = np.empty((rows.size, 3), dtype=np.complex128)
     out[rows, chart] = 1.0
-    out[rows[:, None], np.asarray(CHART_OTHERS)[chart]] = coords
+    out[rows[:, None], CHART_OTHERS_INDEX[chart]] = coords
     return out
 
 
@@ -150,14 +153,16 @@ def fs_distance_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Fubini-Study chordal distance |p ^ q| / (|p| |q|), broadcastable.
 
     This is the sine of the Fubini-Study angle: 0 on equal projective
-    points, 1 on orthogonal ones.
+    points, 1 on orthogonal ones.  The components of p ^ q are the 2x2
+    minors of (p, q), in the order and arithmetic of ``np.cross``.
     """
     p = np.asarray(p, dtype=np.complex128)
     q = np.asarray(q, dtype=np.complex128)
-    cross = np.cross(p, q)
-    num = np.linalg.norm(cross, axis=-1)
-    den = np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1)
-    return np.minimum(num / den, 1.0)
+    i, j = [1, 2, 0], [2, 0, 1]
+    minors = p[..., i] * q[..., j] - p[..., j] * q[..., i]
+    num, pp, qq = (np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1))
+                   for z in (minors, p, q))
+    return np.minimum(num / (pp * qq), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,10 @@ class HomogeneousMap:
     evaluation they are compiled into one ``(M, 3)`` coefficient matrix over
     the union of the components' monomial supports (M = 3 for the power
     maps, at most (d+1)(d+2)/2), and the nine first partials into a second
-    matrix over the union of the derivative supports.
+    matrix over the union of the derivative supports.  For the preimage
+    solver, read-only ``chart_tables[c, k, a, b]`` is the coefficient of
+    u^a v^b in component k once coordinate c is set to 1, (u, v) the other
+    two in increasing order.
     """
 
     def __init__(self, components, name: str = "map"):
@@ -297,6 +305,13 @@ class HomogeneousMap:
         self._partials = _SupportKernel(
             [_partial_table(t, var) for t in terms for var in range(3)])
         self._c2_cache: float | None = None
+        tables = np.zeros((3, 3, degree + 1, degree + 1), dtype=np.complex128)
+        for comp, table in enumerate(terms):
+            for key, val in table.items():
+                for chart, (i1, i2) in enumerate(CHART_OTHERS):
+                    tables[chart, comp, key[i1], key[i2]] = val
+        tables.flags.writeable = False
+        self.chart_tables = tables
 
     # -- evaluation --------------------------------------------------------
 
@@ -324,7 +339,7 @@ class HomogeneousMap:
         """
         out = self._values(sup_normalize(points))
         scale = sup_norms(out)
-        if np.any(scale <= DEGENERATE_EVAL_TOL):
+        if (scale <= DEGENERATE_EVAL_TOL).any():
             raise DegenerateEvaluationError(
                 "map %r collapsed a point to ~0 (common-zero locus hit)"
                 % self.name)
@@ -349,7 +364,7 @@ class HomogeneousMap:
         scale = sup_norms(out)
         ok = usable & (scale > DEGENERATE_EVAL_TOL)
         divide_rows(out, np.where(ok, scale, 1.0))
-        out[~ok] = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+        out[~ok] = 1.0, 0.0, 0.0
         return out, ok
 
     # -- derivatives -------------------------------------------------------
@@ -448,22 +463,9 @@ def substitute_linear(map_: HomogeneousMap, matrix: np.ndarray,
     return _substitute(map_, rows, name)
 
 
-def dehomogenized_tables(map_: HomogeneousMap, chart: int) -> list[np.ndarray]:
-    """Dense 2D coefficient matrices of each component on one chart.
-
-    Entry ``[a, b]`` of matrix ``c`` is the coefficient of ``u^a v^b`` in
-    component ``c`` after setting the chart coordinate to 1, where (u, v)
-    are the chart's affine coordinates in increasing index order.
-    """
-    d = map_.degree
-    i1, i2 = CHART_OTHERS[chart]
-    out = []
-    for table in map_.tables:
-        mat = np.zeros((d + 1, d + 1), dtype=np.complex128)
-        for exps, coeff in table.items():
-            mat[exps[i1], exps[i2]] += coeff
-        out.append(mat)
-    return out
+def dehomogenized_tables(map_: HomogeneousMap, chart: int) -> np.ndarray:
+    """The map's ``(3, d+1, d+1)`` chart tables on one chart (read-only)."""
+    return map_.chart_tables[chart]
 
 
 # ---------------------------------------------------------------------------

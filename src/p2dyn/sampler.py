@@ -268,21 +268,26 @@ def _walker_step(map_: HomogeneousMap, pts: np.ndarray,
     """One backward step for every row of ``pts``, each with its own RNG.
 
     Rows are deduplicated on their sup-normalized coordinates rounded to 12
-    decimals, and the distinct targets solved in one :func:`preimage_batch`
-    call; if that raises, they are solved one at a time so that only the
-    failing targets are lost.  Each row then draws a canonical branch index
-    uniformly among its d^2 preimages counted with multiplicity.  A branch
-    whose FS Jacobian is below ``CRITICAL_DET_TOL`` is re-drawn, excluding
-    every copy of its root, at most ``BRANCH_RETRIES`` times.
+    decimals (a stable lexsort: distinct rows in sorted order, each at its
+    first index), and the distinct targets solved in one
+    :func:`preimage_batch` call; if that raises, they are solved one at a
+    time so that only the failing targets are lost.  Each row then draws a
+    canonical branch index uniformly among its d^2 preimages counted with
+    multiplicity.  A branch whose FS Jacobian is below ``CRITICAL_DET_TOL``
+    is re-drawn, excluding every copy of its root, at most
+    ``BRANCH_RETRIES`` times.
 
     Returns ``(lifts, picks, rotated, worst)``: the chosen lifts (rows that
     could not move keep their point), the branch indices (``_UNSOLVED`` or
     ``_STUCK`` for those rows), the number of distinct targets that needed
     coordinate rotations, and the worst preimage residual.
     """
-    keys = np.round(sup_normalize(pts), 12).view(np.float64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
+    keys = sup_normalize(pts).round(12).view(np.float64)
+    order = np.lexsort(keys.T[::-1])
+    new = np.concatenate(([True],
+                          (keys[order[1:]] != keys[order[:-1]]).any(axis=1)))
+    first, inverse = order[new], np.empty_like(order)
+    inverse[order] = new.cumsum() - 1
     try:
         found = [(slice(None), preimage_batch(map_, pts[first]))]
     except PreimageSolverError:
@@ -385,12 +390,16 @@ class MeasureSample:
 
     ``points`` (alias ``array``) is the (N, 3) array of lifts, coerced by
     :func:`~p2dyn.projective.as_point_array` (so a tuple of points works).
+    Of the level steps, ``n_rotated`` counts targets that needed coordinate
+    rotations and ``worst_residual`` is the largest preimage residual.
     """
 
     points: np.ndarray
     weights: np.ndarray
     provenance: tuple[int, int, int]  # (depth, count, seed)
     n_failures: int = 0
+    n_rotated: int = 0
+    worst_residual: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "points", as_point_array(self.points))
@@ -428,10 +437,9 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
     walker positions), and each walker draws branches from its own seeded
     stream.  A walker whose solve or clearance re-draws fail is aborted and,
     after the last level, replaced by a fresh-seeded full walk; more than
-    ``MAX_FAILURE_FRACTION`` aborts raise ``SamplingError``.  Aborts are
-    counted in ``n_failures``; one log line per call reports them with the
-    number of targets that needed coordinate rotations and the worst
-    preimage residual of the level steps.
+    ``MAX_FAILURE_FRACTION`` aborts raise ``SamplingError``.  The result
+    counts aborts, rotated targets and the worst residual (see
+    :class:`MeasureSample`); one log line per call reports them.
     """
     if depth < 1 or count < 1:
         raise ValueError("depth and count must be >= 1")
@@ -484,7 +492,7 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
                 "preimage residual %.3g", failures, len(replacement_rows),
                 rotated, worst)
     return MeasureSample(pos, np.full(count, 1.0 / count),
-                         (depth, count, seed), failures)
+                         (depth, count, seed), failures, rotated, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,15 @@ class TestCharts:
         out = sup_normalize(pts)
         assert abs(np.max(np.abs(out)) - 1.0) < 1e-15
 
+    def test_chart_coordinate_exactly_one_on_random_rows(self):
+        # complex division of a coordinate by itself misses 1 by an ulp on
+        # about a fifth of random rows, so the 1 is written, not divided
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(100_000, 3)) \
+            + 1j * rng.normal(size=(100_000, 3))
+        norm, charts = chart_normalize(pts)
+        assert np.all(norm[np.arange(len(pts)), charts] == 1.0)
+
 
 # ---------------------------------------------------------------------------
 # projective distance
@@ -140,6 +149,28 @@ class TestProjectiveDistance:
         np.testing.assert_allclose(d1, d2, atol=1e-14)
         assert np.all(d1 >= 0.0) and np.all(d1 <= 1.0)
         assert fs_distance_batch(p, p) == pytest.approx(0.0, abs=1e-15)
+
+    def test_minors_match_the_cross_product_formula(self):
+        # the np.cross / np.linalg.norm form of |p ^ q| / (|p| |q|), on
+        # 10,000 pairs broadcast as in the cross-chart merge, (B, K, 1, 3)
+        # against (B, 1, K, 3), with near-duplicate roots; each target's
+        # rows are scaled by 1e150, 1 or 1e-150 on one side and by the
+        # inverse on the other, so that no squared modulus overflows
+        def reference(p, q):
+            num = np.linalg.norm(np.cross(p, q), axis=-1)
+            den = np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1)
+            return np.minimum(num / den, 1.0)
+
+        rng = np.random.default_rng(18)
+        b, k = 625, 4
+        lifts = rng.normal(size=(b, k, 3)) + 1j * rng.normal(size=(b, k, 3))
+        lifts[:, 1] = (0.3 - 0.7j) * lifts[:, 0] \
+            + 1e-9 * rng.normal(size=(b, 3))
+        scale = 10.0 ** (150 * rng.integers(-1, 2, size=(b, 1, 1)))
+        p, q = (lifts * scale)[:, :, None], (lifts / scale)[:, None]
+        got, want = fs_distance_batch(p, q), reference(p, q)
+        assert got.shape == (b, k, k)
+        assert np.all(np.abs(got - want) <= np.maximum(1e-15 * want, 1e-30))
 
 
 # ---------------------------------------------------------------------------

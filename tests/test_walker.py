@@ -14,6 +14,7 @@ import pytest
 
 from p2dyn import sampler
 from p2dyn.errors import PreimageSolverError, SamplingError
+from p2dyn.preimages import RESIDUAL_GATE
 from p2dyn.projective import HomogeneousPoint, fs_distance_batch
 from p2dyn.sampler import (
     _clear_start,
@@ -22,7 +23,7 @@ from p2dyn.sampler import (
     lyapunov_exponents,
     sample_equilibrium,
 )
-from p2dyn.zoo import lattes_suspension, power_map
+from p2dyn.zoo import chebyshev_product, lattes_suspension, power_map
 
 
 def test_batched_walkers_replay_as_single_orbits():
@@ -47,6 +48,44 @@ def test_random_branches_follow_the_walker_draw():
                                  [np.random.default_rng(8),
                                   np.random.default_rng(9)])
     assert np.array_equal(rows[0], orbit.array[1])
+
+
+def test_walker_step_solves_each_position_once(monkeypatch):
+    # the dedup key is the sup-normalized row rounded to 12 decimals: real
+    # positive multiples share it, a complex phase does not, and neither
+    # does a difference below the rounding
+    f = power_map(2)
+    a = np.array([0.3 + 0.2j, -0.5 + 0.1j, 1.0])
+    b = np.array([0.25 + 0.5j, -0.125, 1.0])
+    rows = np.stack([a, 2.0 * a, b, 1j * a, b + [1e-14, 0.0, 0.0], 0.5 * a])
+    widths = []
+    solve = sampler.preimage_batch
+
+    def spy(map_, targets):
+        widths.append(len(targets))
+        return solve(map_, targets)
+
+    monkeypatch.setattr(sampler, "preimage_batch", spy)
+    lifts, picks, _, _ = _walker_step(
+        f, rows, [np.random.default_rng(seed) for seed in (1, 1, 2, 3, 2, 1)])
+    assert widths == [3]
+    for i, j in [(0, 1), (0, 5), (2, 4)]:
+        assert picks[i] == picks[j]
+        assert np.array_equal(lifts[i], lifts[j])
+
+
+def test_sample_records_rotations_and_worst_residual(caplog):
+    f = chebyshev_product()
+    caplog.set_level(logging.INFO, logger="p2dyn.sampler")
+    first = sample_equilibrium(f, depth=6, count=40, seed=2)
+    message = sampler_records(caplog)[0].getMessage()
+    again = sample_equilibrium(f, depth=6, count=40, seed=2)
+    assert first.n_rotated > 0
+    assert 0.0 < first.worst_residual < RESIDUAL_GATE
+    assert "%d preimage target(s) needed coordinate rotations" \
+        % first.n_rotated in message
+    assert (again.n_rotated, again.worst_residual) \
+        == (first.n_rotated, first.worst_residual)
 
 
 def sampler_records(caplog):
