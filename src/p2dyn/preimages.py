@@ -3,22 +3,28 @@
 Each target is solved first in its own (largest-coordinate) chart, which
 holds every preimage under a power map: write the preimage condition as
 two bivariate polynomial equations, eliminate v with a Sylvester resultant
-(:func:`_sylvester_resultant_coeffs`), find its roots u as companion-matrix
-eigenvalues (:func:`polynomial_roots`), back-substitute them for v,
-cluster the pairs into distinct roots with multiplicities, refine each
-with a damped 2D Newton step, and certify the count against the Bezout
-number d^2.  A target left short (a root at infinity of its chart, say)
-gets the three-chart sweep, whose charts partition the preimages, and then
-up to three unitary changes of coordinates.
+(:func:`_sylvester_resultant_coeffs`), find its roots u
+(:func:`polynomial_roots`), back-substitute them for v, cluster the pairs
+into distinct roots with multiplicities, refine each with a damped 2D
+Newton step, and certify the count against the Bezout number d^2.  A
+target left short (a root at infinity of its chart, say) gets the
+three-chart sweep, whose charts partition the preimages, and then up to
+three unitary changes of coordinates.
 
 Everything is batched, so thousands of simultaneous preimage queries (one
 per backward-orbit walker) cost a handful of vectorized passes per solve:
-one eigensolve per degree of the u-polynomials and one per v-degree, and
-Newton loops that drop each row once it has converged.  Every stage works
-row by row, so a target's results do not depend on the rest of its batch.
-:func:`preimage_batch` returns a :class:`PreimageBatch` whose ``(B, d^2,
-3)`` lifts are in the one canonical branch order that the backward walkers
-draw from.
+one root solve per degree of the u-polynomials and one per v-degree, and
+Newton loops that drop each row once it has converged.  Roots of degree
+at most 2 (the v back-substitution of every quadratic map) and the
+resultant of two quadratics, or of a pair with one equation linear in v,
+are closed forms evaluated for the whole batch at once: LAPACK works one
+small matrix at a time, and at these sizes its per-matrix dispatch, not
+the arithmetic, dominated those stages.  Higher degrees take one batched
+companion eigensolve or LU per stage, where closed forms would be longer
+or less stable.  Every stage works row by row, so a target's results do
+not depend on the rest of its batch.  :func:`preimage_batch` returns a
+:class:`PreimageBatch` whose ``(B, d^2, 3)`` lifts are in the one
+canonical branch order that the backward walkers draw from.
 """
 
 from __future__ import annotations
@@ -83,11 +89,16 @@ NEWTON_STOP = 1e-9
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of each row of ascending-coefficient polynomials.
 
-    Rows share one degree D; returns a (B, D) array.  The roots are the
+    Rows share one degree D; returns a (B, D) array.  Quadratics have
+    closed-form roots, a few vectorized passes for the whole batch where
+    LAPACK takes one call per 2x2 matrix: of the monic x^2 + p x + q,
+    r1 = -(p + s sqrt(p^2 - 4 q)) / 2 with the sign s = +-1 that makes
+    Re(conj(p) s sqrt(.)) >= 0, so the sum never cancels, and r2 = q / r1
+    (0 when q = 0).  Higher degrees take the
     eigenvalues of the monic companion matrices, all B of them in one
     batched ``np.linalg.eigvals`` call (LAPACK ``geev``, which balances
-    each matrix first).  The QR iteration is backward stable, so a simple
-    root is accurate to about eps times its condition number and a root of
+    each matrix first).  Both are backward stable, so a simple root is
+    accurate to about eps times its condition number and a root of
     multiplicity m to about eps^(1/m).  Each row is solved on its own, so
     a row's roots do not depend on the other rows of the batch.  A zero
     leading coefficient or a non-finite coefficient raises ``ValueError``.
@@ -104,6 +115,21 @@ def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     monic = coeffs / lead[:, None]
     if deg == 1:
         return -monic[:, :1]
+    if deg == 2:
+        q, p = monic[:, 0], monic[:, 1]
+        # r1 from x / 2^e, 2^e the binade of max(|p|, |q|^(1/2)) kept
+        # normal: the scaling is exact, and p^2 neither overflows nor
+        # underflows; r2 from the unscaled q, as |r1| >= |q|^(1/2) is normal
+        # unless q = 0 (then r2 = 0)
+        e = np.frexp(np.maximum(np.abs(p), np.sqrt(np.abs(q))))[1]
+        inv = np.ldexp(1.0, np.minimum(np.maximum(-e, -1020), 1020))
+        ps, qs = p * inv, q * inv * inv
+        root = np.sqrt(ps * ps - 4.0 * qs)
+        root *= np.copysign(1.0, (ps.conj() * root).real)
+        out = np.empty((b, 2), dtype=np.complex128)
+        big = np.divide(-0.5 * (ps + root), inv, out=out[:, 0])
+        np.divide(q, np.where(q != 0, big, 1.0), out=out[:, 1])
+        return out
     companion = np.zeros((b, deg, deg), dtype=np.complex128)
     companion[:, 0] = -monic[:, -2::-1]
     companion.reshape(b, -1)[:, deg::deg + 1] = 1.0  # the subdiagonal
@@ -123,9 +149,11 @@ def _powers(x: np.ndarray, deg: int) -> np.ndarray:
 
 
 def _eval2d(c: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Batched 2D polynomials at points given by (a prefix of) their powers."""
-    return np.einsum("...ab,...a,...b->...", c, pu[..., :c.shape[-2]],
-                     pv[..., :c.shape[-1]])
+    """Batched 2D polynomials at points given by (a prefix of) their powers,
+    contracted over v and then u (two products beat one three-operand
+    einsum on candidate batches)."""
+    inner = np.einsum("...ab,...b->...a", c, pv[..., :c.shape[-1]])
+    return np.einsum("...a,...a->...", inner, pu[..., :c.shape[-2]])
 
 
 def _trim_degree_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -151,19 +179,36 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
     """Coefficients in u of Res_v(g1, g2) for a batch with fixed v-degrees.
 
     Evaluates the Sylvester determinant on K Fourier nodes and interpolates
-    back by inverse DFT; exact because the resultant degree is < K.
+    back by inverse DFT; exact because the resultant degree is < K.  With
+    a_j, b_j the v-coefficients of g1, g2 at a node, the determinant is a
+    closed form for two quadratics, (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)
+    (a1 b0 - a0 b1), and for one equation linear in v: the other one's
+    coefficients against the linear one's root, sum_j a_j b0^j (-b1)^(m1-j)
+    when g2 is linear, sum_j b_j (-a0)^j a1^(m2-j) when g1 is.  Other
+    shapes take ``np.linalg.det``, one LU per node.
     """
-    b, size = g1.shape[0], m1 + m2
     vand, k = _FOURIER[degree], 2 * degree * degree + 1  # (K, du+1), K
     # values of the v-coefficient polynomials at the nodes
     vals1 = np.einsum("baj,ka->bkj", g1[:, :, :m1 + 1], vand)
     vals2 = np.einsum("baj,ka->bkj", g2[:, :, :m2 + 1], vand)
-    syl = np.zeros((b, k, size, size), dtype=np.complex128)
-    for r in range(m2):
-        syl[:, :, r, r:r + m1 + 1] = vals1[:, :, ::-1]
-    for r in range(m1):
-        syl[:, :, m2 + r, r:r + m2 + 1] = vals2[:, :, ::-1]
-    dets = np.linalg.det(syl)  # (B, K)
+    if m1 == m2 == 2:
+        (a0, a1, a2), (b0, b1, b2) = vals1.T, vals2.T
+        outer = a2 * b0 - a0 * b2
+        dets = (outer * outer - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)).T
+    elif min(m1, m2) == 1:
+        if m2 == 1:
+            coef, m, x, y = vals1, m1, vals2[..., 0], -vals2[..., 1]
+        else:
+            coef, m, x, y = vals2, m2, -vals1[..., 0], vals1[..., 1]
+        dets = (coef * _powers(x, m) * _powers(y, m)[..., ::-1]).sum(axis=-1)
+    else:
+        size = m1 + m2
+        syl = np.zeros((g1.shape[0], k, size, size), dtype=np.complex128)
+        for r in range(m2):
+            syl[:, :, r, r:r + m1 + 1] = vals1[:, :, ::-1]
+        for r in range(m1):
+            syl[:, :, m2 + r, r:r + m2 + 1] = vals2[:, :, ::-1]
+        dets = np.linalg.det(syl)  # (B, K)
     # R(e^{2 pi i k / K}) = sum_m c_m e^{+2 pi i m k / K}: the ascending
     # coefficients are the *forward* DFT of the node values over K
     return np.fft.fft(dets, axis=1) / k
@@ -218,12 +263,17 @@ def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
     out, live = uv.copy(), np.arange(uv.shape[0])
     out_u, out_v = out[:, 0], out[:, 1]
     k = np.arange(1, g1.shape[-1])  # d/du and d/dv factors (du = dv)
-    gs = (g1, g2, g1[..., 1:, :] * k[:, None], g1[..., 1:] * k,
-          g2[..., 1:, :] * k[:, None], g2[..., 1:] * k)
+    # (N, 3, 2, du+1, dv+1): (g1, g2), their d/du and their d/dv, the
+    # derivatives zero-padded, so one evaluation per step takes all six
+    gs = np.zeros((uv.shape[0], 3, 2) + g1.shape[1:], dtype=np.complex128)
+    gs[:, 0, 0], gs[:, 0, 1] = g1, g2
+    gs[:, 1, :, :-1] = gs[:, 0, :, 1:] * k[:, None]
+    gs[:, 2, :, :, :-1] = gs[:, 0, :, :, 1:] * k
     for _ in range(NEWTON_STEPS):
         u, v = out_u[live], out_v[live]
         pu, pv = _powers(u, k.size), _powers(v, k.size)
-        f1, f2, a, bq, c, dq = (_eval2d(g, pu, pv) for g in gs)
+        (f1, f2), (a, c), (bq, dq) = np.moveaxis(
+            _eval2d(gs, pu[:, None, None], pv[:, None, None]), 0, -1)
         det = a * dq - bq * c
         det = np.where(np.abs(det) < 1e-300, 1e-300, det)
         du = (f1 * dq - f2 * bq) / det
@@ -235,7 +285,7 @@ def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
         live = live[go]
         if not live.size:
             break
-        gs = tuple(g[go] for g in gs)
+        gs = gs[go]
     return out
 
 

@@ -115,9 +115,10 @@ def tangent_basis_batch(points) -> np.ndarray:
 
 
 def _raw_images(map_: HomogeneousMap, pts: np.ndarray):
-    """Unnormalized images of sup-normalized rows plus a validity mask;
-    images collapsing below ``DEGENERATE_EVAL_TOL`` read ``[1, 0, 0]``."""
-    raw = map_.polynomial_batch(sup_normalize(pts))
+    """Unnormalized images of rows the caller has sup-normalized, plus a
+    validity mask; images collapsing below ``DEGENERATE_EVAL_TOL`` read
+    ``[1, 0, 0]``."""
+    raw = map_.polynomial_batch(pts)
     ok = sup_norms(raw) > DEGENERATE_EVAL_TOL
     raw[~ok] = 1.0, 0.0, 0.0
     return raw, ok
@@ -311,11 +312,14 @@ def _walker_step(map_: HomogeneousMap, pts: np.ndarray,
     picks = np.where(solved[inverse], 0, _UNSOLVED)
     pending = np.flatnonzero(solved[inverse])
     blocked = np.zeros((pts.shape[0], want), dtype=bool)
-    for _attempt in range(BRANCH_RETRIES + 1):
-        for row in pending:
-            allowed = np.flatnonzero(~blocked[row])
-            picks[row] = (allowed[int(rngs[row].integers(0, allowed.size))]
-                          if allowed.size else _STUCK)
+    for attempt in range(BRANCH_RETRIES + 1):
+        if not attempt:  # nothing blocked yet: draw among all d^2 directly
+            picks[pending] = [rngs[row].integers(0, want) for row in pending]
+        else:
+            for row in pending:
+                allowed = np.flatnonzero(~blocked[row])
+                picks[row] = (allowed[int(rngs[row].integers(0, allowed.size))]
+                              if allowed.size else _STUCK)
         pending = pending[picks[pending] >= 0]
         if pending.size == 0:
             break

@@ -19,7 +19,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p2dyn.preimages import (
@@ -272,11 +272,110 @@ def test_one_eigensolve_matches_numpy_on_simple_roots(degree, monkeypatch):
         + 1j * rng.normal(size=(50, degree + 1))
     calls = count_eigensolver_calls(monkeypatch)
     got = polynomial_roots(coeffs)
-    assert calls == [(50, degree, degree)]
+    # quadratics are solved in closed form, without an eigensolve
+    assert calls == ([] if degree == 2 else [(50, degree, degree)])
     for row in range(coeffs.shape[0]):
         want = np.sort_complex(np.roots(coeffs[row, ::-1]))
         np.testing.assert_allclose(np.sort_complex(got[row]), want,
                                    rtol=1e-9, atol=1e-9)
+
+
+# the closed-form quadratic: roots of modulus at most 10, coefficients
+# scaled by a common factor of modulus 1e-8 to 1e8
+_quadratic_root = st.complex_numbers(max_magnitude=10.0)
+_coefficient_scale = st.builds(
+    lambda exponent, phase: 10.0 ** exponent * np.exp(1j * phase),
+    st.floats(-8.0, 8.0), st.floats(0.0, 2 * np.pi))
+
+
+def quadratic_coeffs(r1, r2, scale):
+    """Ascending coefficients of scale (x - r1)(x - r2), one row."""
+    return scale * np.array([[r1 * r2, -(r1 + r2), 1.0]])
+
+
+def paired_error(got, want):
+    """Largest distance between two root pairs, matched the better way."""
+    return min(np.abs(got - want).max(), np.abs(got - want[::-1]).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadratic_root, _quadratic_root, _coefficient_scale)
+def test_quadratic_roots_match_numpy_on_simple_roots(r1, r2, scale):
+    # with coefficients rounded to eps relative, a root moves by at most
+    # about 400 eps / |r1 - r2| here: below 1e-11 at the separation assumed
+    size = max(1.0, abs(r1), abs(r2))
+    assume(abs(r1 - r2) >= 1e-2 * size)
+    coeffs = quadratic_coeffs(r1, r2, scale)
+    got = polynomial_roots(coeffs)[0]
+    assert paired_error(got, np.roots(coeffs[0, ::-1])) <= 1e-10 * size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadratic_root, st.one_of(st.just(0.0), st.floats(-14.0, -8.0)),
+       st.floats(0.0, 2 * np.pi), _coefficient_scale)
+@example(2.225073858507e-311, 0.0, 0.0, 1.0)  # q underflows, p subnormal
+def test_quadratic_roots_resolve_double_and_near_double_roots(
+        root, gap_exponent, gap_phase, scale):
+    # an exact double root (gap 0) or two roots 1e-14 to 1e-8 apart: both
+    # are found to about eps^(1/2), the double-root bound of the eigensolve
+    gap = 10.0 ** gap_exponent * np.exp(1j * gap_phase) if gap_exponent \
+        else 0.0
+    size = max(1.0, abs(root))
+    coeffs = quadratic_coeffs(root, root + gap, scale)
+    got = polynomial_roots(coeffs)[0]
+    assert np.abs(got - root).max() <= 1e-6 * size
+    assert paired_error(got, np.roots(coeffs[0, ::-1])) <= 1e-6 * size
+
+
+@pytest.mark.parametrize("r1, r2", [
+    (-1e200, -1e-200),          # q = 1 and p = 1e200: p^2 overflows
+    (1e154 * (1 + 1j), 2.0),    # p^2 overflows
+    (1e-170, 0.0),              # p^2 underflows, q = 0
+    (3e-311, 0.0),              # p subnormal, q = 0
+])
+def test_quadratic_roots_keep_relative_accuracy_across_the_range(r1, r2):
+    # with coefficients rounded to eps relative, each root of these well
+    # separated pairs is determined to a few eps of its own modulus
+    got = polynomial_roots(quadratic_coeffs(r1, r2, 1.0))[0]
+    assert np.isfinite(got).all()
+    for r in (r1, r2):
+        assert np.abs(got - r).min() <= 4 * np.finfo(float).eps * abs(r)
+
+
+# ---------------------------------------------------------------------------
+# resultant: closed-form node values against the Sylvester determinant
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m1, m2, degree", [
+    (2, 2, 2), (2, 1, 2), (1, 2, 2), (1, 1, 2), (3, 1, 3), (1, 3, 3),
+    (2, 2, 3)])
+def test_resultant_closed_forms_equal_sylvester_determinants(
+        m1, m2, degree, monkeypatch):
+    rng = np.random.default_rng(10 * m1 + m2)
+    shape = (6, degree + 1, degree + 1)
+    g1, g2 = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+              for _ in range(2))
+    g1[..., m1 + 1:], g2[..., m2 + 1:] = 0.0, 0.0
+    k = 2 * degree * degree + 1
+    nodes = np.exp(2j * np.pi * np.arange(k) / k)
+    # Sylvester matrices (6, K, m1 + m2, m1 + m2): m2 shifted rows of g1's
+    # descending v-coefficients, then m1 rows of g2's, at each node
+    a = np.einsum("bij,ki->bkj", g1, nodes[:, None] ** np.arange(degree + 1))
+    b = np.einsum("bij,ki->bkj", g2, nodes[:, None] ** np.arange(degree + 1))
+    syl = np.zeros((6, k, m1 + m2, m1 + m2), dtype=np.complex128)
+    for r in range(m2):
+        syl[:, :, r, r:r + m1 + 1] = a[:, :, m1::-1]
+    for r in range(m1):
+        syl[:, :, m2 + r, r:r + m2 + 1] = b[:, :, m2::-1]
+    want = np.linalg.det(syl)
+    calls = []
+    monkeypatch.setattr(preimages.np.linalg, "det",
+                        lambda m: calls.append(m.shape))
+    coeffs = preimages._sylvester_resultant_coeffs(g1, g2, m1, m2, degree)
+    assert calls == []  # no LU at all for these shapes
+    got = k * np.fft.ifft(coeffs, axis=1)  # back to the node values
+    rel = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert rel.max() <= 1e-13
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
