@@ -30,7 +30,8 @@ bidisk in chart coordinates:
   pairing is cohomological, so the exact value is ``d^n`` for *every*
   truncation depth; the computed number certifies the quadrature and the
   mass normalization at once.  A chart's weight is nonzero only where
-  ``|z|^2 + |w|^2 < 3``; only the nodes its stencils read are evaluated.
+  ``|z|^2 + |w|^2 < 3``; only the nodes its stencils read are evaluated,
+  at lifts cached per resolution, into one buffer shared by the charts.
 * :func:`harmonicity_defect` integrates ``|transverse Laplacian|`` per
   slice, separating harmonic slice families from mass-bearing ones.
 
@@ -52,7 +53,7 @@ from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
 from . import green
 from .green import GreenEvaluator
-from .projective import CHART_OTHERS, HomogeneousMap, one_point
+from .projective import HomogeneousMap, one_point
 from .sampler import tangent_basis_batch
 
 __all__ = [
@@ -196,43 +197,24 @@ class LocalGrid:
 
 
 def _cube_potential(ev: GreenEvaluator, axis: np.ndarray, base: np.ndarray,
-                    c: np.ndarray, depth: int | None = None,
-                    norm: str = "sup", also: int | None = None,
-                    nodes: np.ndarray | None = None) -> np.ndarray:
+                    c: np.ndarray) -> np.ndarray:
     """Escape rate at the lifts ``base + Z c[:, 0] + W c[:, 1]``, ``Z`` and
     ``W`` over ``axis + i axis``: each block of Z-slabs of the node cube
-    is one broadcast sum of Z-parts (base included) and W-parts.  With
-    ``also`` the result stacks the depth and ``also`` truncations of one
-    escape-rate pass as a ``(2, n, n, n, n)`` cube.  With a boolean node
-    cube ``nodes``, only its true nodes are gathered and evaluated; the
-    others hold 0.0."""
+    is one broadcast sum of Z-parts (base included) and W-parts."""
     n = axis.size
     plane = (axis[:, None] + 1j * axis[None, :]).ravel()
     zpart = base + plane[:, None] * c[:, 0]
     wpart = plane[:, None] * c[:, 1]
-    shape = (n,) * 4 if also is None else (2,) + (n,) * 4
-    # looked up at call time, so a wrapped green.escape_rate is seen
-    if nodes is not None:
-        out = np.zeros(shape)
-        rows = out.reshape(-1, nodes.size)
-        picked = np.flatnonzero(nodes)
-        for a in range(0, picked.size, 1 << 16):
-            idx = picked[a:a + (1 << 16)]
-            zi, wi = np.divmod(idx, plane.size)
-            lifts = np.take(zpart, zi, 0) + np.take(wpart, wi, 0)
-            vals = green.escape_rate(ev, lifts, depth, norm, also=also)
-            rows[:, idx] = np.reshape(vals, (len(rows), -1))
-        return out
-    out = np.empty(shape)
+    out = np.empty((n,) * 4)
     slabs = max(1, (1 << 16) // (n * plane.size))
     lifts = np.empty((slabs * n, plane.size, 3), dtype=np.complex128)
     for a in range(0, n, slabs):
         k = min(slabs, n - a)
         block = np.add(zpart[a * n:(a + k) * n, None], wpart,
                        out=lifts[:k * n])
-        vals = green.escape_rate(ev, block.reshape(-1, 3), depth, norm,
-                                 also=also)
-        out[..., a:a + k, :, :, :] = np.reshape(vals, (-1, k, n, n, n))
+        # looked up at call time, so a wrapped green.escape_rate is seen
+        vals = green.escape_rate(ev, block.reshape(-1, 3))
+        out[a:a + k] = np.reshape(vals, (k, n, n, n))
     return out
 
 
@@ -557,6 +539,20 @@ def _certificate_quadrature(resolution: int):
     return axis, weight, nodes
 
 
+@lru_cache(maxsize=None)
+def _certificate_lifts(resolution: int) -> np.ndarray:
+    """Read-only ``(2, K)`` chart coordinates ``(Z, W)`` of the ``K`` true
+    nodes of :func:`_certificate_quadrature` in C order, which each chart
+    permutes into lifts ``(1, Z, W)``.  32 K bytes: 4.5 MiB at resolution 24,
+    30.4 MiB at 40, below the potential buffer's 7.0 and 47.5 MiB."""
+    axis, _, nodes = _certificate_quadrature(resolution)
+    plane = axis[:, None] + 1j * axis[None, :]
+    i = np.nonzero(nodes)
+    zw = np.stack((plane[i[:2]], plane[i[2:]]))
+    zw.flags.writeable = False
+    return zw
+
+
 def _mixed_differences(values: np.ndarray):
     """``A = D0 D2 + D1 D3`` and ``B = D0 D3 - D1 D2`` at interior nodes,
     ``D_a`` the unnormalized central difference along axis ``a``."""
@@ -572,24 +568,27 @@ def _mixed_differences(values: np.ndarray):
 def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
                           resolution: int) -> float:
     """Three-chart partition-of-unity quadrature of the wedge density,
-    evaluated at the nodes of :func:`_certificate_quadrature` only.  With
-    ``P`` the unnormalized plane stencils, ``h^4`` times the density
+    evaluated at the nodes of :func:`_certificate_quadrature` only, by one
+    escape-rate call per chart on :func:`_certificate_lifts` into one
+    potential buffer that the three charts share.  With ``P`` the
+    unnormalized plane stencils, ``h^4`` times the density
     ``u_ZZbar v_WWbar + u_WWbar v_ZZbar - 2 Re(u_ZWbar conj(v_ZWbar))`` is
     ``(P_Z u P_W v + P_W u P_Z v) / 16 - (A_u A_v + B_u B_v) / 128`` (see
     :func:`_mixed_differences`), summed over blocks of Z-slabs with a
     one-node halo."""
-    axis, weight, nodes = _certificate_quadrature(resolution)
+    _, weight, nodes = _certificate_quadrature(resolution)
+    zw = _certificate_lifts(resolution)
     slabs = max(1, (1 << 16) // resolution ** 3)
     total = 0.0
-    unit = np.eye(3, dtype=np.complex128)
+    potential = np.zeros((2,) + nodes.shape)  # off-mask nodes stay 0
+    u, v = potential if depth >= n else potential[::-1]
     for chart in range(3):
-        # 2-norm truncations keep every integral exactly cohomological;
-        # one pass gives the deeper one and, on the way, the shallower
-        c = unit[:, CHART_OTHERS[chart]]
-        deep, shallow = _cube_potential(ev, axis, unit[chart], c,
-                                        max(depth, n), "2",
-                                        also=min(depth, n), nodes=nodes)
-        u, v = (deep, shallow) if depth >= n else (shallow, deep)
+        # lifts (1, Z, W) permuted, as (3, K) columns; 2-norm truncations
+        # keep every integral exactly cohomological; one pass gives both
+        for cube, vals in zip(potential, green.escape_rate(
+                ev, np.insert(zw, chart, 1.0, axis=0).T, max(depth, n), "2",
+                also=min(depth, n))):
+            cube[nodes] = vals
         for a in range(0, resolution, slabs):
             # cells past the block's (radial, centred) nonzero range add 0
             lo = int(np.argmax(weight[a:a + slabs].any(axis=(0, 2, 3))))
@@ -621,8 +620,9 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
     inconclusive.  A chart's weight is nonzero only where ``|z|^2 + |w|^2
     < 3``, and only the nodes read by those cells' stencils (about a third
     of each cube) take the escape-rate pass, to the larger of
-    ``green_depth`` and ``n``, which also returns the smaller truncation;
-    one evaluator serves both resolutions.
+    ``green_depth`` and ``n``, which also returns the smaller truncation.
+    The nodes' lifts are cached per resolution, an integral's three charts
+    share one potential buffer, and one evaluator serves both resolutions.
     """
     if n not in (0, 1):
         raise ValueError("the global quadrature certificate supports "

@@ -25,6 +25,7 @@ Independent oracles used here:
 
 import logging
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -760,3 +761,67 @@ class TestMassCertificate:
             assert nodes[tuple((cells + step).T)].all()
         # the mask leaves out about two thirds of the cube
         assert nodes.mean() < 0.36
+
+    @pytest.mark.parametrize("resolution", [8, 24])
+    def test_one_call_per_chart_on_cached_lifts(self, monkeypatch,
+                                                resolution):
+        # each chart makes one escape-rate call on every masked node, at
+        # the lift (1, z, w) with its coordinates permuted, in C order;
+        # resolution 24 has more masked nodes (148,608) than 2^16
+        axis, _, nodes = slices._certificate_quadrature(resolution)
+        calls = []
+
+        def recording(ev, lifts, *args, **kwargs):
+            calls.append(np.array(lifts))
+            return escape_rate(ev, lifts, *args, **kwargs)
+
+        monkeypatch.setattr(green, "escape_rate", recording)
+        slices._certificate_integral(GreenEvaluator(POWER), 1, 3, resolution)
+        idx = np.argwhere(nodes)
+        z = axis[idx[:, 0]] + 1j * axis[idx[:, 1]]
+        w = axis[idx[:, 2]] + 1j * axis[idx[:, 3]]
+        assert len(calls) == 3
+        for chart, lifts in enumerate(calls):
+            assert lifts.shape == (nodes.sum(), 3)
+            expected = np.zeros_like(lifts)
+            expected[:, chart] = 1.0
+            expected[:, CHART_OTHERS[chart][0]] = z
+            expected[:, CHART_OTHERS[chart][1]] = w
+            np.testing.assert_array_equal(lifts, expected)
+
+    def test_cached_lifts_are_shared_and_read_only(self):
+        zw = slices._certificate_lifts(8)
+        assert slices._certificate_lifts(8) is zw
+        assert zw.shape == (2, slices._certificate_quadrature(8)[2].sum())
+        with pytest.raises(ValueError):
+            zw[0, 0] = 0.0
+
+    def test_integral_holds_one_potential_buffer(self):
+        # Once a warm-up call has cached the quadrature and the lifts, the
+        # call must hold, in bytes: the (2, (m+2)^4) float potential buffer
+        # that the three charts share; one chart's (3, K) complex lifts;
+        # the two (K,) float escape-rate outputs; and one block of stencil
+        # temporaries, the mixed differences of v formed while those of u
+        # are held, at most two halo-block differences and five cell
+        # blocks.  The bound adds 25 % slack.  A second potential cube
+        # alive at once (2 x 7.3 MB at m = 24) takes the peak past it.
+        ev = GreenEvaluator(lattes_suspension())
+        m = 24
+        slices._certificate_integral(ev, 1, 3, m)
+        k = int(slices._certificate_quadrature(m)[2].sum())
+        slabs = max(1, (1 << 16) // m ** 3)
+        held = 8 * (2 * (m + 2) ** 4 + 2 * 3 * k + 2 * k
+                    + 2 * (slabs + 2) * (m + 2) ** 3 + 5 * slabs * m ** 3)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            slices._certificate_integral(ev, 1, 3, m)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # measured 20.3 MB against a bound of 25.9 MB
+        assert peak < 1.25 * held
