@@ -34,7 +34,8 @@ class PreimageSolverError(P2DynError):
 
 
 class SamplingError(P2DynError):
-    """Too many backward walkers failed to produce a valid sample."""
+    """Too many backward walkers failed to produce a valid sample, or a
+    sample's exponents break the Briend-Duval bound of the measure."""
 
 
 class OrbitInvariantError(P2DynError):

@@ -8,7 +8,9 @@ slowly-expanded direction ``e2`` (the second right-singular vector of the
 forward cocycle started at the point, which converges to the slow
 invariant direction at rate ``exp(-m (l1 - l2))`` in the window length
 ``m``).  Both directions are stabilized by phase-aligned averaging over
-the last five window depths.
+the last five window depths.  No stored path holds the point's future, so
+the frame iterates its forward orbit itself, stores it, and reads both
+cocycles through the same chained factors of :mod:`p2dyn.sampler`.
 
 The pair spans an affine chart ``p -> (Z, W)``: offsets from the base
 point are computed in the Fubini-Study orthonormal tangent basis (project
@@ -49,10 +51,10 @@ from .projective import (
     sup_normalize,
 )
 from .sampler import (
+    CRITICAL_DET_TOL,
     BackwardOrbit,
-    _censored_length,
-    _chained_factors,
-    _forward_cocycle,
+    chained_factors,
+    fs_jacobian_dets,
     tangent_basis_batch,
 )
 
@@ -73,6 +75,11 @@ DOMAIN_FRACTION = 0.05
 
 #: cap on live forward steps used to estimate the slow direction
 FORWARD_CAP = 60
+
+#: forward steps dropped before the stop of an orbit that stopped early;
+#: the off-support contamination halves per dropped step, so 12 steps
+#: shrink it below 1e-3 of a single step's value
+FORWARD_BACKOFF = 12
 
 #: minimum usable forward steps for the slow direction
 MIN_FORWARD_STEPS = 8
@@ -100,22 +107,26 @@ def _phase_aligned_mean(directions: list[np.ndarray]) -> np.ndarray:
 
 
 def _forward_factors(map_: HomogeneousMap, lift: np.ndarray) -> np.ndarray:
-    """The first :data:`FORWARD_CAP` chained factors along a lift's orbit.
+    """Chained factors along a lift's stored forward orbit.
 
-    Walked and censored by the exponent estimator's rule
-    (:func:`~p2dyn.sampler._forward_cocycle`,
-    :func:`~p2dyn.sampler._censored_length`); fewer than
+    The orbit stops at its first point with FS Jacobian below
+    ``CRITICAL_DET_TOL`` (0 where the image collapses), or after
+    :data:`FORWARD_CAP` steps; one stopped early lost the support, so its
+    last :data:`FORWARD_BACKOFF` factors are dropped.  Fewer than
     :data:`MIN_FORWARD_STEPS` usable factors raise :class:`FrameError`.
     """
-    factors = [mats[0] for _, mats in
-               _forward_cocycle(map_, lift, FORWARD_CAP)]
-    usable = _censored_length(len(factors), FORWARD_CAP)
+    orbit = [sup_normalize(lift)]
+    while len(orbit) <= FORWARD_CAP and \
+            fs_jacobian_dets(map_, orbit[-1])[0] >= CRITICAL_DET_TOL:
+        orbit.append(map_.evaluate_batch(orbit[-1]))
+    steps = len(orbit) - 1
+    usable = steps - FORWARD_BACKOFF * (steps < FORWARD_CAP)
     if usable < MIN_FORWARD_STEPS:
         raise FrameError(
             "only %d usable forward cocycle steps at the base point (need "
             ">= %d; use backward-walk endpoints, whose forward horizon is "
             "deep)" % (max(usable, 0), MIN_FORWARD_STEPS))
-    return np.asarray(factors[:usable])
+    return chained_factors(map_, np.concatenate(orbit))[:usable]
 
 
 def _window_lengths(n: int) -> list[int]:
@@ -220,15 +231,15 @@ def compute_frame(map_: HomogeneousMap, orbit: BackwardOrbit
     The fast direction is the image at ``x_0`` of the leading
     right-singular vector of the cocycle along the orbit; the slow
     direction is the second right-singular vector of the forward cocycle
-    started at ``x_0`` (censored near critical degeneracy like the
-    exponent estimator).  Each is averaged over the last
+    started at ``x_0``, backed off where that orbit reaches critical
+    degeneracy.  Each is averaged over the last
     :data:`DIRECTION_WINDOW` window depths with phase alignment.
     """
     if orbit.depth < MIN_FRAME_DEPTH:
         raise ValueError("frame estimation needs a backward orbit of depth "
                          ">= %d, got %d" % (MIN_FRAME_DEPTH, orbit.depth))
     chain = sup_normalize(orbit.array[::-1])
-    back = _chained_factors(map_, chain)
+    back = chained_factors(map_, chain)
     e1, gap_back = _fast_direction(back)
     e2, gap_fwd = _slow_direction(_forward_factors(map_, orbit.array[0]))
     base_lift = chain[-1]
@@ -369,7 +380,7 @@ def pullback_scaling(map_: HomogeneousMap, orbit: BackwardOrbit,
                          ">= 1")
     if fs_distance_batch(frame.base_lift, orbit.array[0]) > 1e-9:
         raise ValueError("frame is not based at the orbit endpoint")
-    back = _chained_factors(map_, sup_normalize(orbit.array[::-1]))
+    back = chained_factors(map_, sup_normalize(orbit.array[::-1]))
     prod = np.eye(2, dtype=np.complex128)
     scale = np.empty((depth, 2))
     for k in range(1, depth + 1):

@@ -3,14 +3,14 @@
 Backward random walks (one uniformly chosen preimage per step, counted with
 multiplicity) equidistribute toward the measure of maximal entropy; the
 walk is also numerically stable because inverse branches contract toward
-the measure's support.  Forward orbits on that support are expanding, so a
-float64 forward orbit loses the support after roughly ``52 / log2(e^l1)``
-steps (representation error grows like ``e^{n l1}``).  The one forward
-cocycle walk, :func:`_forward_cocycle`, stops each row at the critical
-degeneracy detector and :func:`_censored_length` drops a fixed number of
-steps before that stop, removing the exponentially concentrated end of
-track contamination; this one rule serves both the exponent estimator and
-the slow direction of :mod:`p2dyn.frames`.
+the measure's support.  :func:`sample_equilibrium` keeps every walker's
+path, and :func:`lyapunov_exponents` reads the derivative cocycle along
+those stored points, forward in time from each path's deep end.  It drops
+``PATH_BURN_IN`` steps at the deep end (the QR alignment transient) and
+``PATH_START_SKIP`` levels next to the generic start (not yet on the
+support).  No forward orbit is iterated: one would leave the expanding
+support within about ``52 / log2(e^l1)`` steps of float64 rounding and
+then measure whatever attracts it.
 
 All tangent-space computations use Fubini-Study orthonormal frames: at a
 lift p the tangent plane is the hermitian orthogonal complement of p, and
@@ -73,17 +73,11 @@ BRANCH_RETRIES = 5
 #: aborted-walker budget before sampling gives up
 MAX_FAILURE_FRACTION = 0.01
 
-#: cocycle steps dropped before a walker's degeneracy event; the
-#: off-support contamination halves per dropped step, so 12 steps shrink
-#: it below 1e-3 of a single step's value
-COCYCLE_BACKOFF = 12
-#: steps dropped from the start of each series (QR alignment transient)
-COCYCLE_BURN_CAP = 10
-#: minimum usable steps for a walker to contribute an exponent; the forward
-#: orbit of a depth-n backward sample retraces its backward path, and every
-#: walker stops at the same step, n + 6 or 7: after COCYCLE_BACKOFF and the
-#: burn-in that leaves 19 steps at depth 30, 15 at depth 25, 12 at depth 20
-COCYCLE_MIN_WINDOW = 12
+#: levels dropped at the deep end of each stored path (QR alignment
+#: transient) and next to the generic start (off the support); derived in
+#: :func:`lyapunov_exponents`
+PATH_BURN_IN = 6
+PATH_START_SKIP = 8
 
 #: fixed generic starting lift for backward walks
 GENERIC_START = (0.4371 + 0.2913j, -0.1718 + 0.8842j, 1.0 + 0.0j)
@@ -165,49 +159,25 @@ def fs_jacobian_dets(map_: HomogeneousMap, points) -> np.ndarray:
     return np.where(ok, dets / map_.degree, 0.0)
 
 
-def _chained_factors(map_: HomogeneousMap, pts: np.ndarray) -> np.ndarray:
-    """Composable factors along a stored orbit pts[0] -> pts[-1].
+def chained_factors(map_: HomogeneousMap, pts) -> np.ndarray:
+    """Composable factors along stored orbits pts[0] -> pts[-1].
 
-    Both bases of each factor are built from the *stored* representatives,
-    so products telescope exactly; the stored image agrees with the true
-    one within the orbit consistency tolerance.
+    ``pts`` is one orbit, (L, 3), or n orbits level by level, (L, n, 3);
+    factor k, of the (L - 1, 2, 2) or (L - 1, n, 2, 2) result, maps level
+    k to level k + 1.  Both bases of each factor are built from the
+    *stored* representatives, so products telescope exactly; the stored
+    image agrees with the true one within the orbit consistency tolerance.
     """
-    sup = sup_normalize(pts)
+    pts = np.asarray(pts, dtype=np.complex128)
+    width = pts[0].size // 3
+    sup = sup_normalize(pts.reshape(-1, 3))
     bases = tangent_basis_batch(sup)
-    raw, ok = _raw_images(map_, sup[:-1])
+    raw, ok = _raw_images(map_, sup[:-width])
     if not np.all(ok):
         raise OrbitInvariantError("orbit point evaluation collapsed")
-    return _factor_from_bases(map_, sup[:-1], raw, bases[:-1], bases[1:])
-
-
-def _forward_cocycle(map_: HomogeneousMap, points, steps: int):
-    """Chained FS cocycle factors along the forward orbits of rows.
-
-    Yields ``(rows, mats)`` per step: the rows still walking and their
-    factors.  A row stops at its first image collapse or its first factor
-    with |det| below ``CRITICAL_DET_TOL``, which is not yielded.
-    """
-    p = sup_normalize(points)
-    basis = tangent_basis_batch(p)
-    rows = np.arange(p.shape[0])
-    for _ in range(steps):
-        raw, ok = _raw_images(map_, p)
-        basis_out = tangent_basis_batch(raw)
-        mats = _factor_from_bases(map_, p, raw, basis, basis_out)
-        dets = np.abs(mats[:, 0, 0] * mats[:, 1, 1]
-                      - mats[:, 0, 1] * mats[:, 1, 0])
-        live = ok & (dets >= CRITICAL_DET_TOL)
-        rows, mats = rows[live], mats[live]
-        if rows.size == 0:
-            return
-        yield rows, mats
-        p, basis = sup_normalize(raw[live]), basis_out[live]
-
-
-def _censored_length(length, steps: int):
-    """Usable steps of a series that ran ``length`` of ``steps`` steps,
-    less ``COCYCLE_BACKOFF`` when the detector stopped it early."""
-    return length - COCYCLE_BACKOFF * (length < steps)
+    mats = _factor_from_bases(map_, sup[:-width], raw, bases[:-width],
+                              bases[width:])
+    return mats.reshape((len(pts) - 1,) + pts.shape[1:-1] + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +366,11 @@ class MeasureSample:
     :func:`~p2dyn.projective.as_point_array` (so a tuple of points works).
     Of the level steps, ``n_rotated`` counts targets that needed coordinate
     rotations and ``worst_residual`` is the largest preimage residual.
+    ``paths`` is the (N, depth + 1, 3) array of the walkers' backward
+    orbits, each ordered like :attr:`BackwardOrbit.points` (``paths[:, 0]``
+    is the start, ``paths[:, -1]`` equals ``points``), or ``None`` for a
+    sample built without them; it takes 48 N (depth + 1) bytes, 0.3 MB for
+    200 walkers at depth 30.
     """
 
     points: np.ndarray
@@ -404,6 +379,7 @@ class MeasureSample:
     n_failures: int = 0
     n_rotated: int = 0
     worst_residual: float = 0.0
+    paths: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", as_point_array(self.points))
@@ -415,6 +391,9 @@ class MeasureSample:
             raise ValueError("one weight per point required")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
+        if self.paths is not None and \
+                np.shape(self.paths)[::2] != (len(weights), 3):
+            raise ValueError("paths must be an (N, depth + 1, 3) array")
 
     @property
     def array(self) -> np.ndarray:
@@ -434,15 +413,16 @@ def _clear_start(map_: HomogeneousMap) -> np.ndarray:
 
 def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
                        count: int = 2000, seed: int = 0) -> MeasureSample:
-    """Endpoints of ``count`` depth-n backward random walks.
+    """Endpoints and paths of ``count`` depth-n backward random walks.
 
     Walks run level-synchronously: each depth level is one walker step
     (:func:`_walker_step`, one batched preimage solve over the distinct
     walker positions), and each walker draws branches from its own seeded
     stream.  A walker whose solve or clearance re-draws fail is aborted and,
     after the last level, replaced by a fresh-seeded full walk; more than
-    ``MAX_FAILURE_FRACTION`` aborts raise ``SamplingError``.  The result
-    counts aborts, rotated targets and the worst residual (see
+    ``MAX_FAILURE_FRACTION`` aborts raise ``SamplingError``.  Every
+    walker's path is kept, a replaced walker's from its replacement orbit.
+    The result counts aborts, rotated targets and the worst residual (see
     :class:`MeasureSample`); one log line per call reports them.
     """
     if depth < 1 or count < 1:
@@ -450,7 +430,7 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
     ss = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(c) for c in ss.spawn(count)]
     start = _clear_start(map_)
-    pos = np.tile(start, (count, 1))
+    paths = np.tile(start, (count, depth + 1, 1))
     active = np.ones(count, dtype=bool)
     failures = 0
     rotated, worst = 0, 0.0
@@ -459,12 +439,10 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
         return failures <= MAX_FAILURE_FRACTION * count
 
     replacement_rows = []
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        pos[rows], picks, step_rotated, step_worst = _walker_step(
-            map_, pos[rows], [rngs[row] for row in rows])
+        paths[rows, level], picks, step_rotated, step_worst = _walker_step(
+            map_, paths[rows, level - 1], [rngs[row] for row in rows])
         rotated += step_rotated
         worst = max(worst, step_worst)
         lost = rows[picks < 0]
@@ -482,7 +460,7 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
             fresh = np.random.default_rng(ss.spawn(1)[0])
             try:
                 orbit = backward_orbit(map_, start, depth, fresh)
-                pos[row] = orbit.points[-1]
+                paths[row] = orbit.points
                 done = True
             except (PreimageSolverError, OrbitInvariantError):
                 failures += 1
@@ -495,8 +473,9 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
                 "preimage target(s) needed coordinate rotations; worst "
                 "preimage residual %.3g", failures, len(replacement_rows),
                 rotated, worst)
-    return MeasureSample(pos, np.full(count, 1.0 / count),
-                         (depth, count, seed), failures, rotated, worst)
+    return MeasureSample(paths[:, -1].copy(), np.full(count, 1.0 / count),
+                         (depth, count, seed), failures, rotated, worst,
+                         paths)
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +486,11 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
 class ExponentEstimate:
     """Lyapunov exponents (nats per iteration) with walker statistics.
 
-    ``per_point`` holds each contributing walker's finite-time pair in QR
-    column order, unsorted; ``n_truncated`` counts walkers whose series was
-    censored at the degeneracy detector (numerical loss of the expanding
-    support), ``n_discarded`` those with too little usable data.
-    ``window`` is the (min, median, max) number of steps the contributing
-    walkers kept, which is what the estimate rests on rather than ``n_iter``.
+    ``per_point`` holds each walker's finite-time pair in QR column order,
+    unsorted; ``window`` is the (min, median, max) number of path steps
+    the walkers read, one common count.  Nothing is censored or discarded
+    any more, so ``n_truncated`` and ``n_discarded`` read 0; they stay for
+    callers that read them.
     """
 
     lambda1: float
@@ -547,66 +525,74 @@ def _qr_accumulate(q: np.ndarray, mats: np.ndarray):
 
 def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
                        n_iter: int) -> ExponentEstimate:
-    """Forward QR cocycle statistics over the sample's walkers.
+    """QR cocycle statistics along the sample's stored backward paths.
 
-    Each sample point is iterated forward up to ``n_iter`` steps; the FS
-    derivative factor feeds a per-walker QR accumulation.  A walker whose
-    FS Jacobian falls below ``CRITICAL_DET_TOL`` is stopped there and
-    counted in ``n_truncated``: on an expanding support this fires when
-    accumulated rounding has carried the computed orbit off the support,
-    so the walker's last ``COCYCLE_BACKOFF`` steps (where the contamination
-    concentrates) are censored and the rest kept.  The first few steps are
-    dropped as the QR alignment transient.  Aggregates are means with
-    standard errors of the unsorted pairs; only the means are sorted.
-    One log line per call reports the censored and discarded counts and
-    the usable window.
+    Each path is read forward in time, from its deep end toward the start,
+    one level of all walkers per QR step of :func:`chained_factors`
+    factors; its inverse branches contracted toward the support, so the
+    stored points cannot drift off it as a forward orbit does.  The first
+    ``PATH_BURN_IN`` steps (QR alignment) and the last ``PATH_START_SKIP``
+    levels (next to the start) are dropped; at most ``n_iter`` steps are
+    read in between.
+
+    Both counts come from a sweep over 2,000 paths (seeds 500-509, 200
+    walkers each) on lattes_suspension, whose exponents differ.  The fast
+    column's mean step read 0.127, 0.137, 0.088, 0.074, 0.051, 0.032 and
+    0.020 below log 2 at steps 0-6 from the deep end, then shrank about
+    0.6-fold per step, and QR moves the same amount onto the slow column.
+    What is left past 6 steps biases a depth-30 lambda2 by +0.86 %, the
+    first burn-in under half the 2 % band (5 steps leave +1.4 %).  The
+    basis-free mean log |det| of the step onto level j from the start sat
+    0.29, -0.12, 0.18, 0.068, 0.026, 0.021 and 0.021 off l1 + l2 for j =
+    0-6, each at least 2.3 standard errors, and within 2 from j = 7 on;
+    one level of margin gives 8.
+
+    Aggregates are means with standard errors of the unsorted pairs; only
+    the means are sorted.  One log line per call reports the steps read.
+
+    Briend and Duval (Acta Math. 182, 1999) give lambda2 >= (log d) / 2
+    for the equilibrium measure.  The estimate is a mean over independent
+    walkers, nearly normal with standard deviation ``stderr2``, so a value
+    on the bound reads over 3 standard errors below it with probability
+    0.13 %: such a reading raises :class:`SamplingError`.  A sample without
+    paths, or too shallow to leave a step, raises InsufficientDataError.
     """
     if n_iter < 100:
         raise ValueError("n_iter must be >= 100")
-    n = len(sample.points)
-    q = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
-    # one (n, 2) slab per step walked: the walk stops long before n_iter
-    steps = []
-    length = np.zeros(n, dtype=np.int64)
-    for k, (rows, mats) in enumerate(
-            _forward_cocycle(map_, sample.array, n_iter)):
-        steps.append(np.zeros((n, 2)))
-        q[rows], steps[k][rows, 0], steps[k][rows, 1] = \
-            _qr_accumulate(q[rows], mats)
-        length[rows] = k + 1
-    logs = np.stack(steps, axis=1) if steps else np.zeros((n, 0, 2))
-
-    per_point, kept = [], []
-    for i, stop in enumerate(_censored_length(length, n_iter)):
-        burn = min(COCYCLE_BURN_CAP, stop // 4) if stop > 0 else 0
-        if stop - burn < COCYCLE_MIN_WINDOW:
-            continue
-        per_point.append(logs[i, burn:stop].mean(axis=0))
-        kept.append(int(stop - burn))
-    n_discarded = n - len(per_point)
-    n_truncated = int(np.count_nonzero(length < n_iter))
-    window = ((min(kept), float(np.median(kept)), max(kept)) if kept
-              else (0, 0.0, 0))
-    logger.info("lyapunov_exponents: %d of %d walker(s) censored at the "
-                "critical tolerance zone, %d discarded with fewer than %d "
-                "usable cocycle steps; usable window min %d, median %g, "
-                "max %d of %d", n_truncated, n, n_discarded,
-                COCYCLE_MIN_WINDOW, *window, n_iter)
-    if not per_point:
+    if sample.paths is None:
+        raise InsufficientDataError("the sample carries no backward paths")
+    # level-major, deepest level first: the direction of the dynamics
+    chain = sample.paths.transpose(1, 0, 2)[::-1]
+    steps = min(len(chain) - 1 - PATH_BURN_IN - PATH_START_SKIP, n_iter)
+    if steps < 1:
         raise InsufficientDataError(
-            "no walker produced %d usable cocycle steps; sample at a "
-            "larger depth to extend the forward-stable horizon"
-            % COCYCLE_MIN_WINDOW)
-    per_point = np.asarray(per_point)
-    m = per_point.shape[0]
+            "paths of depth %d leave no cocycle step after dropping %d + %d "
+            "levels" % (len(chain) - 1, PATH_BURN_IN, PATH_START_SKIP))
+    n = chain.shape[1]
+    q = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
+    per_point = np.zeros((n, 2))
+    for k in range(PATH_BURN_IN + steps):
+        q, log_r11, log_r22 = _qr_accumulate(
+            q, chained_factors(map_, chain[k:k + 2])[0])
+        if k >= PATH_BURN_IN:
+            per_point += np.stack([log_r11, log_r22], axis=1)
+    per_point /= steps
+    logger.info("lyapunov_exponents: %d walker(s) read %d path step(s) "
+                "each, of depth-%d paths (cap %d)", n, steps, len(chain) - 1,
+                n_iter)
     means = per_point.mean(axis=0)
-    if m > 1:
-        errs = per_point.std(axis=0, ddof=1) / np.sqrt(m)
+    if n > 1:
+        errs = per_point.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         errs = np.full(2, np.inf)
     order = np.argsort(-means, kind="stable")
     means, errs = means[order], errs[order]
+    floor = 0.5 * np.log(map_.degree)
+    if means[1] < floor - 3.0 * errs[1]:
+        raise SamplingError(
+            "lambda2 = %.6g +- %.2g lies below the Briend-Duval bound "
+            "(log d) / 2 = %.6g by more than 3 standard errors"
+            % (means[1], errs[1], floor))
     return ExponentEstimate(float(means[0]), float(means[1]),
                             float(errs[0]), float(errs[1]), n_iter,
-                            per_point, n_truncated, n_discarded, window)
-
+                            per_point, window=(steps, float(steps), steps))

@@ -1,17 +1,22 @@
-"""The forward FS cocycle's edges: masked images, censoring, bad input.
+"""The FS cocycle's edges: masked images, missing paths, bad input.
 
-Every forward cocycle factor comes from images that are masked where the
-map collapses a row, and a walker whose orbit reaches the critical set is
-censored away; these tests pin what the callers see in those cases, and
-that malformed input is rejected with ``ValueError`` before any work.
+Every cocycle factor comes from images that are masked where the map
+collapses a row, the exponent estimator needs stored paths that lie on the
+support of the measure, and malformed input is rejected with
+``ValueError`` before any work; these tests pin what the callers see.
 """
 
 import numpy as np
 import pytest
 
-from p2dyn.errors import InsufficientDataError
-from p2dyn.projective import HomogeneousMap, HomogeneousPoint
+from p2dyn.errors import InsufficientDataError, SamplingError
+from p2dyn.projective import (
+    HomogeneousMap,
+    HomogeneousPoint,
+    fs_distance_batch,
+)
 from p2dyn.sampler import (
+    CRITICAL_DET_TOL,
     MeasureSample,
     backward_orbit,
     fs_jacobian_dets,
@@ -19,7 +24,7 @@ from p2dyn.sampler import (
     lyapunov_exponents,
     tangent_basis_batch,
 )
-from p2dyn.zoo import power_map
+from p2dyn.zoo import perturbed_power_family, power_map
 
 #: [x^2 : xy : z^2] vanishes at [0:1:0], so it is not an endomorphism
 COMMON_ZERO_MAP = HomogeneousMap([{(2, 0, 0): 1}, {(1, 1, 0): 1},
@@ -36,15 +41,31 @@ def test_collapsed_rows_are_masked_without_touching_the_others():
     np.testing.assert_allclose(mats[1], single[0], rtol=1e-13, atol=1e-15)
 
 
-def test_estimator_raises_typed_error_when_every_walker_is_censored():
-    # each start lies in the basin of the critical fixed point [0:0:1]
+def test_estimator_raises_typed_error_on_a_sample_without_paths():
     points = tuple(
         HomogeneousPoint(np.array([0.1 * k + 0.05j, 0.12 - 0.03j * k, 1.0]))
         for k in range(1, 4))
     sample = MeasureSample(points=points, weights=np.full(3, 1.0 / 3.0),
                            provenance=(0, 3, 0), n_failures=0)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError, match="no backward paths"):
         lyapunov_exponents(power_map(2), sample, 100)
+
+
+def test_estimator_raises_below_the_briend_duval_bound():
+    # perturbed_power attracts [0 : 0.01 : 1] to a fixed point near
+    # [0 : 0.0101 : 1] that is not critical; a forward walk from points in
+    # its basin read negative exponents there and raised nothing
+    f = perturbed_power_family().map
+    fixed = np.array([[0.0, 0.01, 1.0]], dtype=np.complex128)
+    for _ in range(60):
+        fixed = f.evaluate_batch(fixed)
+    assert fs_distance_batch(f.evaluate_batch(fixed), fixed)[0] < 1e-15
+    assert fs_jacobian_dets(f, fixed)[0] >= CRITICAL_DET_TOL
+    paths = np.tile(fixed, (4, 31, 1))
+    sample = MeasureSample(paths[:, -1], np.full(4, 0.25), (30, 4, 0),
+                           paths=paths)
+    with pytest.raises(SamplingError, match="Briend-Duval"):
+        lyapunov_exponents(f, sample, 500)
 
 
 @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0],

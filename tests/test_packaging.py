@@ -90,3 +90,16 @@ def test_export_lists_resolve():
         missing = [attr for attr in module.__all__
                    if not hasattr(module, attr)]
         assert not missing, (name, missing)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a name shared between modules of the package is public in its home
+    # module, so no module of src/p2dyn reaches for another's _name
+    private = []
+    for path in sorted((ROOT / "src" / "p2dyn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += ["%s: %s" % (path.name, alias.name)
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, private

@@ -25,10 +25,13 @@ import pytest
 from p2dyn.errors import OrbitInvariantError
 from p2dyn.projective import HomogeneousPoint, fs_distance_batch, sup_normalize
 from p2dyn.sampler import (
-    COCYCLE_MIN_WINDOW,
+    ORBIT_CONSISTENCY_TOL,
+    PATH_BURN_IN,
+    PATH_START_SKIP,
     BackwardOrbit,
     ExponentEstimate,
     MeasureSample,
+    _clear_start,
     backward_orbit,
     fs_jacobian_dets,
     fs_tangent_maps,
@@ -42,6 +45,7 @@ from p2dyn.zoo import (
     chebyshev_product,
     lattes_factor,
     lattes_suspension,
+    perturbed_power_family,
     power_map,
     squaring_factor,
     standard_zoo,
@@ -82,6 +86,17 @@ def suspension_estimates(suspension_samples):
     f = lattes_suspension()
     a, b = suspension_samples
     return lyapunov_exponents(f, a, 500), lyapunov_exponents(f, b, 500)
+
+
+def assert_jacobian_identity(f, sample, est):
+    """Birkhoff's theorem for the determinant cocycle: the sample's mean
+    log FS Jacobian is lambda1 + lambda2, within 3 combined standard
+    errors of the two means."""
+    logs = np.log(fs_jacobian_dets(f, sample.array))
+    sums = est.per_point.sum(axis=1)
+    combined = np.hypot(logs.std(ddof=1) / np.sqrt(logs.size),
+                        sums.std(ddof=1) / np.sqrt(sums.size))
+    assert abs(logs.mean() - (est.lambda1 + est.lambda2)) < 3 * combined
 
 
 def affine_coords(sample):
@@ -330,6 +345,22 @@ class TestSampleEquilibrium:
         with pytest.raises(ValueError):
             sample_equilibrium(power_map(2), depth=5, count=0, seed=1)
 
+    @pytest.mark.parametrize("which", ["power", "suspension"])
+    def test_paths_are_the_walkers_backward_orbits(
+            self, which, power_sample, suspension_samples):
+        f, sample = {"power": (power_map(2), power_sample),
+                     "suspension": (lattes_suspension(),
+                                    suspension_samples[0])}[which]
+        depth, count, _ = sample.provenance
+        paths = sample.paths
+        assert paths.shape == (count, depth + 1, 3)
+        assert np.array_equal(paths[:, -1], sample.array)
+        assert np.array_equal(paths[:, 0],
+                              np.tile(_clear_start(f), (count, 1)))
+        images = f.evaluate_batch(paths[:, 1:].reshape(-1, 3))
+        gaps = fs_distance_batch(images, paths[:, :-1].reshape(-1, 3))
+        assert np.max(gaps) < ORBIT_CONSISTENCY_TOL
+
     def test_weights_are_coerced_to_a_float_array(self):
         points = np.tile([0.3 + 0.2j, -0.5 + 0.1j, 1.0], (20, 1))
         sample = MeasureSample(points, [0.05] * 20, (1, 20, 1))
@@ -352,18 +383,18 @@ class TestLyapunovExponents:
         assert est.stderr1 >= 0 and np.isfinite(est.stderr1)
         assert est.stderr2 >= 0 and np.isfinite(est.stderr2)
         assert est.n_iter == 300
-        # every walker eventually loses the expanding support in float64
-        # and is censored at the degeneracy detector, none fatally
-        assert est.n_truncated == 200
+        # every walker reads its stored path; none is censored
+        assert est.n_truncated == 0
         assert est.n_discarded == 0
         assert est.per_point.shape == (200, 2)
 
     def test_window_is_the_steps_actually_used(self, suspension_estimates):
-        # each walker keeps a dozen or so of its n_iter = 500 steps
+        # every walker reads the same levels of its depth-30 path, far
+        # fewer than its n_iter = 500 cap
+        steps = 30 - PATH_BURN_IN - PATH_START_SKIP
         for est in suspension_estimates:
-            low, median, high = est.window
-            assert COCYCLE_MIN_WINDOW <= low <= median <= high <= est.n_iter
-            assert median < est.n_iter / 10
+            assert est.window == (steps, steps, steps)
+            assert steps < est.n_iter / 10
 
     def test_semi_extremal_exponents_split(self, suspension_estimates):
         est = suspension_estimates[0]
@@ -391,6 +422,21 @@ class TestLyapunovExponents:
             assert 2 * LOG2 / est.lambda1 <= 2 * LOG2 / bound
             assert 2 * LOG2 / est.lambda2 <= 2 * LOG2 / bound
 
+    def test_jacobian_average_matches_the_exponent_sum(
+            self, suspension_samples, suspension_estimates):
+        assert_jacobian_identity(lattes_suspension(), suspension_samples[0],
+                                 suspension_estimates[0])
+
+    def test_perturbed_power_meets_the_bound_and_the_jacobian_identity(self):
+        # no closed form here, but every endomorphism obeys both checks; a
+        # forward walk from these points fell into a non-critical attracting
+        # fixed point and read lambda1 ~ -3.5, lambda2 ~ -11.9
+        f = perturbed_power_family().map
+        sample = sample_equilibrium(f, depth=30, count=200, seed=0)
+        est = lyapunov_exponents(f, sample, 500)
+        assert est.lambda2 >= 0.5 * LOG2 - 3 * est.stderr2
+        assert_jacobian_identity(f, sample, est)
+
     def test_disjoint_samples_agree_within_three_stderr(
             self, suspension_estimates):
         a, b = suspension_estimates
@@ -409,8 +455,8 @@ class TestLyapunovExponents:
         assert est.lambda1 >= est.lambda2
 
     def test_memory_follows_the_steps_walked(self):
-        # every walker stops at depth + 6 or 7, so a huge budget changes
-        # nothing; a buffer of n_iter steps would take 192 MB here
+        # the estimator reads 11 steps of a depth-25 path, so a huge budget
+        # changes nothing; a buffer of n_iter steps would take 192 MB here
         f = power_map(2)
         sample = sample_equilibrium(f, depth=25, count=12, seed=3)
         short = lyapunov_exponents(f, sample, 500)

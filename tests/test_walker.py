@@ -102,10 +102,10 @@ def test_one_summary_line_per_call(caplog):
     caplog.clear()
     est = lyapunov_exponents(f, sample, 300)
     records = sampler_records(caplog)
-    # every walker of the squaring map is censored (see test_sampler.py)
-    assert est.n_truncated == 40
+    # every walker reads the same 11 steps of its depth-25 path
+    assert est.n_truncated == 0
     assert len(records) <= 1
-    assert "40 of 40 walker(s) censored" in records[0].getMessage()
+    assert "40 walker(s) read 11 path step(s)" in records[0].getMessage()
 
 
 class TestFailurePath:
@@ -162,6 +162,14 @@ class TestFailurePath:
             for _ in range(self.DEPTH):
                 cur = self.F.evaluate_batch(cur)
             assert fs_distance_batch(cur, start)[0] < 1e-9
+        # each replaced walker carries its replacement orbit's path, drawn
+        # from the next unused child of the seed sequence, in row order
+        children = np.random.SeedSequence(self.SEED).spawn(
+            self.COUNT + np.count_nonzero(at_blocked))[self.COUNT:]
+        for row, child in zip(np.flatnonzero(at_blocked), children):
+            orbit = backward_orbit(self.F, start, self.DEPTH,
+                                   np.random.default_rng(child))
+            assert np.array_equal(sample.paths[row], orbit.points)
         # every other walker is the unpatched walker, bit for bit
         assert np.array_equal(sample.array[~at_blocked],
                               reference[~at_blocked])
