@@ -509,7 +509,7 @@ class ExponentEstimate:
 
 
 def _qr_accumulate(q: np.ndarray, mats: np.ndarray):
-    """One batched 2x2 QR step: returns (new Q, log r11, log r22)."""
+    """One batched 2x2 QR step: returns new Q and (n, 2) [log r11, log r22]."""
     a = mats @ q
     a1 = a[:, :, 0]
     a2 = a[:, :, 1]
@@ -520,7 +520,7 @@ def _qr_accumulate(q: np.ndarray, mats: np.ndarray):
     u = a2 - q1 * r12[:, None]
     r22 = np.maximum(np.linalg.norm(u, axis=1), 1e-300)
     q2 = u / r22[:, None]
-    return np.stack([q1, q2], axis=2), np.log(r11), np.log(r22)
+    return np.stack([q1, q2], axis=2), np.log(np.stack([r11, r22], axis=1))
 
 
 def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
@@ -572,10 +572,9 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     q = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
     per_point = np.zeros((n, 2))
     for k in range(PATH_BURN_IN + steps):
-        q, log_r11, log_r22 = _qr_accumulate(
-            q, chained_factors(map_, chain[k:k + 2])[0])
+        q, logs = _qr_accumulate(q, chained_factors(map_, chain[k:k + 2])[0])
         if k >= PATH_BURN_IN:
-            per_point += np.stack([log_r11, log_r22], axis=1)
+            per_point += logs
     per_point /= steps
     logger.info("lyapunov_exponents: %d walker(s) read %d path step(s) "
                 "each, of depth-%d paths (cap %d)", n, steps, len(chain) - 1,
