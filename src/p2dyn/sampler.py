@@ -571,8 +571,9 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     n = chain.shape[1]
     q = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
     per_point = np.zeros((n, 2))
-    for k in range(PATH_BURN_IN + steps):
-        q, logs = _qr_accumulate(q, chained_factors(map_, chain[k:k + 2])[0])
+    factors = chained_factors(map_, chain[:PATH_BURN_IN + steps + 1])
+    for k, factor in enumerate(factors):
+        q, logs = _qr_accumulate(q, factor)
         if k >= PATH_BURN_IN:
             per_point += logs
     per_point /= steps

@@ -31,7 +31,7 @@ bidisk in chart coordinates:
   truncation depth; the computed number certifies the quadrature and the
   mass normalization at once.  A chart's weight is nonzero only where
   ``|z|^2 + |w|^2 < 3``; only the nodes its stencils read are evaluated,
-  at lifts cached per resolution, into one buffer shared by the charts.
+  at lifts cached per resolution, a few Z-slabs at a time.
 * :func:`harmonicity_defect` integrates ``|transverse Laplacian|`` per
   slice, separating harmonic slice families from mass-bearing ones.
 
@@ -53,7 +53,7 @@ from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
 from . import green
 from .green import GreenEvaluator
-from .projective import HomogeneousMap, one_point
+from .projective import CHART_OTHERS, HomogeneousMap, one_point
 from .sampler import tangent_basis_batch
 
 __all__ = [
@@ -353,6 +353,13 @@ def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
     An infinite budget disables the failure entirely (clamping is still
     applied and reported) for callers that merely classify whether mass is
     present.
+
+    A clamped cell logs a WARNING past ``NEGATIVITY_FLOOR`` times the
+    largest cell and the rounding floor ``32 eps S h^2 MASS_NORMALIZATION``,
+    ``S = max(|potential|, 1)``: node values (sums of order-one logs, as the
+    escape rate's ``e_k log 2``) are off by up to ``eps S``, the weights (1,
+    1, 1, 1, -4) carry 8 such errors and 4 sums round partials up to ``8 S``
+    by ``eps / 2``: 24, taken up to 32.  Massless basin grids read 2.3-2.6.
     """
     mass = _raw_stencil(potential, grid, direction)
     mass *= grid.spacing ** 2 * MASS_NORMALIZATION
@@ -376,11 +383,13 @@ def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
                 "%.3g; the transverse Laplacian is not resolved at "
                 "spacing %.3g" % (clamped, 100.0 * clamp_budget, total,
                                   grid.spacing))
-        if max_cell > 0.0 and worst > NEGATIVITY_FLOOR * max_cell:
+        scale = max(float(np.max(potential)), -float(np.min(potential)), 1.0)
+        floor = max(NEGATIVITY_FLOOR * max_cell, 32.0 * np.finfo(float).eps
+                    * scale * grid.spacing ** 2 * MASS_NORMALIZATION)
+        if max_cell > 0.0 and worst > floor:
             logger.warning(
                 "negative cell mass %.3g beyond the discretization floor "
-                "%.3g; treat cell-level values with care", worst,
-                NEGATIVITY_FLOOR * max_cell)
+                "%.3g; treat cell-level values with care", worst, floor)
     return SliceMeasure(grid=grid, direction=direction, cell_mass=mass,
                         total_mass=total, clamped_mass=clamped,
                         n_clamped=below.size, worst_clamped=worst)
@@ -524,16 +533,19 @@ def _certificate_quadrature(resolution: int):
     interior = axis[1:-1]
     abs_z2 = (np.square(interior[:, None])
               + np.square(interior[None, :]))
-    s_z = abs_z2[:, :, None, None]
-    s_w = abs_z2[None, None, :, :]
-    denom = 1.0 + s_z + s_w
-    weight = _hinge(1.0 / denom)
-    weight = weight / (weight + _hinge(s_z / denom) + _hinge(s_w / denom))
+    s_w = abs_z2[None, :, :]
+    weight = np.empty((resolution,) * 4)
+    for s_z, w in zip(abs_z2[:, :, None, None], weight):
+        denom = 1.0 + s_z + s_w
+        w[...] = _hinge(1.0 / denom)
+        w /= w + _hinge(s_z / denom) + _hinge(s_w / denom)
     nodes = np.pad(weight > 0.0, 1)
     # the ghost ring stays empty along the rolled axes, so nothing wraps
     for plane in ((0, 1), (2, 3)):
-        nodes = np.logical_or.reduce(
-            [nodes] + [np.roll(nodes, s, ax) for ax in plane for s in (1, -1)])
+        grown = nodes.copy()
+        for ax in plane:
+            grown |= np.roll(nodes, 1, ax) | np.roll(nodes, -1, ax)
+        nodes = grown
     for a in (axis, weight, nodes):
         a.flags.writeable = False
     return axis, weight, nodes
@@ -542,13 +554,17 @@ def _certificate_quadrature(resolution: int):
 @lru_cache(maxsize=None)
 def _certificate_lifts(resolution: int) -> np.ndarray:
     """Read-only ``(2, K)`` chart coordinates ``(Z, W)`` of the ``K`` true
-    nodes of :func:`_certificate_quadrature` in C order, which each chart
-    permutes into lifts ``(1, Z, W)``.  32 K bytes: 4.5 MiB at resolution 24,
-    30.4 MiB at 40, below the potential buffer's 7.0 and 47.5 MiB."""
+    nodes of :func:`_certificate_quadrature` in C order, built and read
+    one contiguous Z-slab run at a time, each chart permuting them into
+    lifts ``(1, Z, W)``.  32 K bytes: 4.5 MiB at resolution 24, 30.4 at 40."""
     axis, _, nodes = _certificate_quadrature(resolution)
     plane = axis[:, None] + 1j * axis[None, :]
-    i = np.nonzero(nodes)
-    zw = np.stack((plane[i[:2]], plane[i[2:]]))
+    zw = np.empty((2, np.count_nonzero(nodes)), dtype=np.complex128)
+    start = 0
+    for z_row, slab in zip(plane, nodes):
+        b, c, d = np.nonzero(slab)
+        zw[:, start:start + b.size] = z_row[b], plane[c, d]
+        start += b.size
     zw.flags.writeable = False
     return zw
 
@@ -567,35 +583,49 @@ def _mixed_differences(values: np.ndarray):
 
 def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
                           resolution: int) -> float:
-    """Three-chart partition-of-unity quadrature of the wedge density,
-    evaluated at the nodes of :func:`_certificate_quadrature` only, by one
-    escape-rate call per chart on :func:`_certificate_lifts` into one
-    potential buffer that the three charts share.  With ``P`` the
-    unnormalized plane stencils, ``h^4`` times the density
+    """Three-chart partition-of-unity quadrature of the wedge density at
+    the nodes of :func:`_certificate_quadrature` only.  Each chart streams
+    its node cube through a window of ``slabs + 2`` Z-slabs: per block of
+    ``slabs`` cell slabs the two halo slabs move down and one escape-rate
+    call evaluates the new node slabs, at lifts from their run of
+    :func:`_certificate_lifts`.  With ``P`` the unnormalized plane
+    stencils, ``h^4`` times the density
     ``u_ZZbar v_WWbar + u_WWbar v_ZZbar - 2 Re(u_ZWbar conj(v_ZWbar))`` is
     ``(P_Z u P_W v + P_W u P_Z v) / 16 - (A_u A_v + B_u B_v) / 128`` (see
-    :func:`_mixed_differences`), summed over blocks of Z-slabs with a
-    one-node halo."""
+    :func:`_mixed_differences`), summed over the blocks."""
     _, weight, nodes = _certificate_quadrature(resolution)
     zw = _certificate_lifts(resolution)
-    slabs = max(1, (1 << 16) // resolution ** 3)
+    slabs = min(max(1, (1 << 16) // resolution ** 3), resolution)
+    offsets = [0] + np.cumsum(np.count_nonzero(nodes, axis=(1, 2, 3))).tolist()
+    rows = max(offsets[min(a + slabs, resolution) + 2]
+               - offsets[a + 2 * (a > 0)] for a in range(0, resolution, slabs))
     total = 0.0
-    potential = np.zeros((2,) + nodes.shape)  # off-mask nodes stay 0
-    u, v = potential if depth >= n else potential[::-1]
+    # one allocation per integral, none per block: the largest block's lifts,
+    # then the window (zeroed once; stale off-mask nodes meet zero weights)
+    scratch = np.zeros(6 * rows + 2 * (slabs + 2) * (resolution + 2) ** 3)
+    room = scratch[:6 * rows].view(np.complex128).reshape(rows, 3)
+    window = scratch[6 * rows:].reshape((2, slabs + 2) + nodes.shape[1:])
+    u, v = window if depth >= n else window[::-1]
     for chart in range(3):
-        # lifts (1, Z, W) permuted, as (3, K) columns; 2-norm truncations
-        # keep every integral exactly cohomological; one pass gives both
-        for cube, vals in zip(potential, green.escape_rate(
-                ev, np.insert(zw, chart, 1.0, axis=0).T, max(depth, n), "2",
-                also=min(depth, n))):
-            cube[nodes] = vals
         for a in range(0, resolution, slabs):
+            k = min(slabs, resolution - a)
+            fresh = 2 if a else 0
+            for i in range(fresh):  # halo down, a slab at a time: may overlap
+                window[:, i] = window[:, slabs + i]
+            start, stop = offsets[a + fresh], offsets[a + k + 2]
+            # lifts (1, Z, W) permuted; 2-norm truncations keep every
+            # integral exactly cohomological; one pass gives both
+            lifts = room[:stop - start]
+            lifts[:, chart] = 1.0
+            lifts[:, CHART_OTHERS[chart]] = zw[:, start:stop].T
+            for cube, vals in zip(window, green.escape_rate(
+                    ev, lifts, max(depth, n), "2", also=min(depth, n))):
+                cube[fresh:k + 2][nodes[a + fresh:a + k + 2]] = vals
             # cells past the block's (radial, centred) nonzero range add 0
-            lo = int(np.argmax(weight[a:a + slabs].any(axis=(0, 2, 3))))
+            lo = int(np.argmax(weight[a:a + k].any(axis=(0, 2, 3))))
             ic, kn = slice(lo, resolution - lo), slice(lo, resolution + 2 - lo)
-            w = weight[a:a + slabs, ic, ic, ic]
-            us = u[a:a + slabs + 2, kn, kn, kn]
-            vs = v[a:a + slabs + 2, kn, kn, kn]
+            w = weight[a:a + k, ic, ic, ic]
+            us, vs = u[:k + 2, kn, kn, kn], v[:k + 2, kn, kn, kn]
             (au, bu), (av, bv) = _mixed_differences(us), _mixed_differences(vs)
             total += (np.vdot(w * _plane_stencil(us, 0), _plane_stencil(vs, 1))
                       + np.vdot(w * _plane_stencil(us, 1),
@@ -621,8 +651,8 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
     < 3``, and only the nodes read by those cells' stencils (about a third
     of each cube) take the escape-rate pass, to the larger of
     ``green_depth`` and ``n``, which also returns the smaller truncation.
-    The nodes' lifts are cached per resolution, an integral's three charts
-    share one potential buffer, and one evaluator serves both resolutions.
+    Node coordinates are cached per resolution, a chart's cube streams
+    through a few Z-slabs, and one evaluator serves both resolutions.
     """
     if n not in (0, 1):
         raise ValueError("the global quadrature certificate supports "

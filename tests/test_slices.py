@@ -435,6 +435,15 @@ class TestLineCurrent:
         assert all(r.levelno >= logging.WARNING for r in caplog.records
                    if r.name == "p2dyn.slices")
 
+    def test_clamped_line_slice_still_warns(self, flat_grid, caplog):
+        # 3-10 % of the line slice's mass is clamped, its worst cell far
+        # past both warning floors
+        caplog.set_level(logging.WARNING, logger="p2dyn.slices")
+        slice_measure(flat_grid.sample_scalar(line_w), flat_grid, "Z",
+                      clamp_budget=0.10)
+        assert [r for r in caplog.records if r.name == "p2dyn.slices"
+                and r.levelno == logging.WARNING]
+
     def test_slab_concentration(self, line_slice, flat_grid):
         centers = flat_grid.axis_nodes(ghost=False)
         w_dist = np.hypot(centers[:, None], centers[None, :])
@@ -628,6 +637,16 @@ class TestEquilibriumGrids:
         for point in BASIN_POINTS:
             assert carries_mass(evaluator, point) == [False, False]
 
+    def test_basin_rounding_noise_logs_no_warning(self, caplog):
+        # the basin grids' worst clamped cells read 2.3-2.6 eps S h^2 / 2 pi
+        # (S = max(|potential|, 1)), below slice_measure's rounding floor
+        # of 32 of those; NEGATIVITY_FLOOR times the largest cell is ~1e-34
+        caplog.set_level(logging.WARNING, logger="p2dyn.slices")
+        evaluator = GreenEvaluator(POWER, depth=6)
+        for point in BASIN_POINTS:
+            carries_mass(evaluator, point)
+        assert not [r for r in caplog.records if r.name == "p2dyn.slices"]
+
 
 class TestMassCertificate:
     def test_fubini_study_baseline(self):
@@ -763,12 +782,15 @@ class TestMassCertificate:
         assert nodes.mean() < 0.36
 
     @pytest.mark.parametrize("resolution", [8, 24])
-    def test_one_call_per_chart_on_cached_lifts(self, monkeypatch,
+    def test_block_calls_stream_each_chart_once(self, monkeypatch,
                                                 resolution):
-        # each chart makes one escape-rate call on every masked node, at
-        # the lift (1, z, w) with its coordinates permuted, in C order;
-        # resolution 24 has more masked nodes (148,608) than 2^16
+        # concatenated in order, each chart's escape-rate calls are every
+        # masked node once, at the lift (1, z, w) with its coordinates
+        # permuted, in C order; a call carries the new node slabs of one
+        # block: the first block's slabs + 2 (its halo too), later blocks'
+        # slabs.  At resolution 24 a chart takes six calls, at 8 one.
         axis, _, nodes = slices._certificate_quadrature(resolution)
+        slabs = min(max(1, (1 << 16) // resolution ** 3), resolution)
         calls = []
 
         def recording(ev, lifts, *args, **kwargs):
@@ -778,16 +800,26 @@ class TestMassCertificate:
         monkeypatch.setattr(green, "escape_rate", recording)
         slices._certificate_integral(GreenEvaluator(POWER), 1, 3, resolution)
         idx = np.argwhere(nodes)
+        k = idx.shape[0]
         z = axis[idx[:, 0]] + 1j * axis[idx[:, 1]]
         w = axis[idx[:, 2]] + 1j * axis[idx[:, 3]]
-        assert len(calls) == 3
-        for chart, lifts in enumerate(calls):
-            assert lifts.shape == (nodes.sum(), 3)
-            expected = np.zeros_like(lifts)
-            expected[:, chart] = 1.0
-            expected[:, CHART_OTHERS[chart][0]] = z
-            expected[:, CHART_OTHERS[chart][1]] = w
-            np.testing.assert_array_equal(lifts, expected)
+        expected = np.zeros((3 * k, 3), dtype=np.complex128)
+        for chart in range(3):
+            rows = slice(chart * k, (chart + 1) * k)
+            expected[rows, chart] = 1.0
+            expected[rows, CHART_OTHERS[chart][0]] = z
+            expected[rows, CHART_OTHERS[chart][1]] = w
+        np.testing.assert_array_equal(np.concatenate(calls), expected)
+        start = 0
+        for lifts in calls:
+            first = start % k
+            assert first + len(lifts) <= k  # no call spans two charts
+            held = idx[first:first + len(lifts), 0]
+            if held.size:
+                width = slabs + 2 if first == 0 else slabs
+                assert held[-1] - held[0] < width
+            start += len(lifts)
+        assert len(calls) == 3 * -(-resolution // slabs)
 
     def test_cached_lifts_are_shared_and_read_only(self):
         zw = slices._certificate_lifts(8)
@@ -796,32 +828,67 @@ class TestMassCertificate:
         with pytest.raises(ValueError):
             zw[0, 0] = 0.0
 
-    def test_integral_holds_one_potential_buffer(self):
-        # Once a warm-up call has cached the quadrature and the lifts, the
-        # call must hold, in bytes: the (2, (m+2)^4) float potential buffer
-        # that the three charts share; one chart's (3, K) complex lifts;
-        # the two (K,) float escape-rate outputs; and one block of stencil
-        # temporaries, the mixed differences of v formed while those of u
-        # are held, at most two halo-block differences and five cell
-        # blocks.  The bound adds 25 % slack.  A second potential cube
-        # alive at once (2 x 7.3 MB at m = 24) takes the peak past it.
-        ev = GreenEvaluator(lattes_suspension())
-        m = 24
-        slices._certificate_integral(ev, 1, 3, m)
-        k = int(slices._certificate_quadrature(m)[2].sum())
-        slabs = max(1, (1 << 16) // m ** 3)
-        held = 8 * (2 * (m + 2) ** 4 + 2 * 3 * k + 2 * k
-                    + 2 * (slabs + 2) * (m + 2) ** 3 + 5 * slabs * m ** 3)
+    @staticmethod
+    def integral_budget(m):
+        """Bytes one m-resolution integral must hold once its caches are
+        built: the (2, slabs + 2, (m+2)^3) float window; the largest
+        block's (rows, 3) complex lifts and two (rows,) float escape-rate
+        outputs; and one block of stencil temporaries, the mixed
+        differences of v formed while those of u are held, at most two
+        halo-block differences and five cell blocks."""
+        nodes = slices._certificate_quadrature(m)[2]
+        slabs = min(max(1, (1 << 16) // m ** 3), m)
+        counts = nodes.sum(axis=(1, 2, 3))
+        rows = max(counts[a + (2 if a else 0):a + slabs + 2].sum()
+                   for a in range(0, m, slabs))
+        window = 2 * (slabs + 2) * (m + 2) ** 3
+        return 8 * (window + 8 * rows + window + 5 * slabs * m ** 3)
+
+    @staticmethod
+    def traced_peak(call):
+        """Traced bytes ``call()`` adds at its peak over what was live."""
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            slices._certificate_integral(ev, 1, 3, m)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
-        # measured 20.3 MB against a bound of 25.9 MB
-        assert peak < 1.25 * held
+
+    def test_integral_holds_one_potential_buffer(self):
+        # Once a warm-up call has cached the quadrature and the lifts, the
+        # call holds the arrays of integral_budget; the bound adds 25 %
+        # slack.  One full potential cube (2 x (m+2)^4 floats, 7.3 MB at
+        # m = 24) or one chart's (3, K) lifts (7.1 MB) takes the peak past
+        # it.
+        ev = GreenEvaluator(lattes_suspension())
+        m = 24
+        slices._certificate_integral(ev, 1, 3, m)
+        peak = self.traced_peak(lambda: slices._certificate_integral(
+            ev, 1, 3, m))
+        # measured 9.5 MB against a bound of 10.0 MB
+        assert peak < 1.25 * self.integral_budget(m)
+
+    def test_cold_integral_peaks_near_what_it_keeps(self):
+        # From cold caches the integral also builds, and keeps, the float
+        # weight (m^4), the boolean node mask ((m+2)^4) and the (2, K)
+        # complex lifts; each build's temporaries stay below the
+        # integral's own arrays, so the peak is what the caches keep plus
+        # integral_budget, with 25 % slack.  Building the weight or the
+        # lifts over the whole cube at once takes it past.
+        ev = GreenEvaluator(lattes_suspension())
+        m = 24
+        slices._certificate_quadrature.cache_clear()
+        slices._certificate_lifts.cache_clear()
+        peak = self.traced_peak(lambda: slices._certificate_integral(
+            ev, 1, 3, m))
+        _, weight, nodes = slices._certificate_quadrature(m)
+        kept = weight.nbytes + nodes.nbytes \
+            + slices._certificate_lifts(m).nbytes
+        # measured 17.3 MB against a bound of 19.8 MB; whole-cube builds
+        # and buffers read 28.2 MB
+        assert peak < 1.25 * (kept + self.integral_budget(m))
