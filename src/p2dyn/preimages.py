@@ -14,17 +14,17 @@ three unitary changes of coordinates.
 Everything is batched, so thousands of simultaneous preimage queries (one
 per backward-orbit walker) cost a handful of vectorized passes per solve:
 one root solve per degree of the u-polynomials and one per v-degree, and
-Newton loops that drop each row once it has converged.  Roots of degree
-at most 2 (the v back-substitution of every quadratic map) and the
-resultant of two quadratics, or of a pair with one equation linear in v,
-are closed forms evaluated for the whole batch at once: LAPACK works one
-small matrix at a time, and at these sizes its per-matrix dispatch, not
-the arithmetic, dominated those stages.  Higher degrees take one batched
-companion eigensolve or LU per stage, where closed forms would be longer
-or less stable.  Every stage works row by row, so a target's results do
-not depend on the rest of its batch.  :func:`preimage_batch` returns a
-:class:`PreimageBatch` whose ``(B, d^2, 3)`` lifts are in the one
-canonical branch order that the backward walkers draw from.
+Newton loops that drop each row once it has converged.  Roots of degree 1,
+2 (the v back-substitution of every quadratic map) and 4 (its u-resultant,
+certified row by row) and the resultant of two quadratics, or of a pair
+with one equation linear in v, are closed forms evaluated for the whole
+batch at once: LAPACK works one small matrix at a time, and at these sizes
+its per-matrix dispatch dominated those stages.  Other degrees and
+rejected quartic rows take one batched companion eigensolve, other
+resultants one batched LU.  Every stage works row by row, so a target's
+results do not depend on the rest of its batch.  :func:`preimage_batch`
+returns a :class:`PreimageBatch` whose ``(B, d^2, 3)`` lifts are in the
+one canonical branch order that the backward walkers draw from.
 """
 
 from __future__ import annotations
@@ -89,19 +89,16 @@ NEWTON_STOP = 1e-9
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of each row of ascending-coefficient polynomials.
 
-    Rows share one degree D; returns a (B, D) array.  Quadratics have
-    closed-form roots, a few vectorized passes for the whole batch where
-    LAPACK takes one call per 2x2 matrix: of the monic x^2 + p x + q,
-    r1 = -(p + s sqrt(p^2 - 4 q)) / 2 with the sign s = +-1 that makes
-    Re(conj(p) s sqrt(.)) >= 0, so the sum never cancels, and r2 = q / r1
-    (0 when q = 0).  Higher degrees take the
-    eigenvalues of the monic companion matrices, all B of them in one
-    batched ``np.linalg.eigvals`` call (LAPACK ``geev``, which balances
-    each matrix first).  Both are backward stable, so a simple root is
-    accurate to about eps times its condition number and a root of
-    multiplicity m to about eps^(1/m).  Each row is solved on its own, so
-    a row's roots do not depend on the other rows of the batch.  A zero
-    leading coefficient or a non-finite coefficient raises ``ValueError``.
+    Rows share one degree D; returns a (B, D) array.  Degrees 1, 2 and 4
+    have closed forms, a few vectorized passes for the whole batch: of the
+    monic x^2 + p x + q, r1 = :func:`_larger_root` and r2 = q / r1 (0 if
+    q = 0); quartics by :func:`_quartic_roots`.  Other degrees and the
+    quartic rows its certificate rejects take the eigenvalues of the monic
+    companion matrices in one ``np.linalg.eigvals`` call (LAPACK ``geev``
+    balances each first).  All are backward stable: a simple root is
+    accurate to about eps times its condition number, a root of
+    multiplicity m to about eps^(1/m).  Each row is solved on its own.  A
+    zero leading or a non-finite coefficient raises ``ValueError``.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
     b, deg = coeffs.shape[0], coeffs.shape[1] - 1
@@ -112,6 +109,8 @@ def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     lead = coeffs[:, -1]
     if not lead.all():
         raise ValueError("zero leading coefficient in polynomial_roots")
+    if deg == 4:
+        return _quartic_roots(coeffs)
     monic = coeffs / lead[:, None]
     if deg == 1:
         return -monic[:, :1]
@@ -123,17 +122,81 @@ def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
         # unless q = 0 (then r2 = 0)
         e = np.frexp(np.maximum(np.abs(p), np.sqrt(np.abs(q))))[1]
         inv = np.ldexp(1.0, np.minimum(np.maximum(-e, -1020), 1020))
-        ps, qs = p * inv, q * inv * inv
-        root = np.sqrt(ps * ps - 4.0 * qs)
-        root *= np.copysign(1.0, (ps.conj() * root).real)
         out = np.empty((b, 2), dtype=np.complex128)
-        big = np.divide(-0.5 * (ps + root), inv, out=out[:, 0])
+        out[:, 0] = big = _larger_root(p * inv, q * inv * inv) / inv
         np.divide(q, np.where(q != 0, big, 1.0), out=out[:, 1])
         return out
+    return _companion_roots(monic)
+
+
+def _companion_roots(monic: np.ndarray) -> np.ndarray:
+    b, deg = monic.shape[0], monic.shape[1] - 1
     companion = np.zeros((b, deg, deg), dtype=np.complex128)
     companion[:, 0] = -monic[:, -2::-1]
     companion.reshape(b, -1)[:, deg::deg + 1] = 1.0  # the subdiagonal
     return np.linalg.eigvals(companion)
+
+
+def _larger_root(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """-(p + s sqrt(p^2 - 4 q)) / 2, the larger root of x^2 + p x + q, with
+    s = +-1 such that Re(conj(p) s sqrt(.)) >= 0: the sum never cancels."""
+    root = np.sqrt(p * p - 4.0 * q)
+    root *= np.copysign(1.0, (p.conj() * root).real)
+    return -0.5 * (p + root)
+
+
+#: cube roots of unity; 4 - j for j < 4; j - 4 for j <= 4
+_CUBE_ROOTS = np.exp(2j * np.pi / 3 * np.arange(3))
+_CODEGREE, _DEGREE_GAP = np.arange(4, 0, -1), np.arange(-4, 1)
+
+
+def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of (B, 5) quartic rows by a certified split into quadratics.
+
+    x = 2^e y, e = max_j ceil((E_j - E_4) / (4 - j)) over nonzero c_j (E
+    binary exponents), is exact, forms no overflowing ratio and makes
+    |a_j| < 2, a_j = c_j 2^(e (j - 4)) / c_4.  With y = z - a_3 / 4, z^4 +
+    p z^2 + q z + r = (z^2 - w z + h + g) (z^2 + w z + h - g), h = (p +
+    s) / 2, g = q / 2w, s = w^2 the largest of Cardano's roots of s^3 + 2
+    p s^2 + (p^2 - 4 r) s - q^2.  kappa: Horner rounds a_j y^j through at
+    most 4 complex products (2 sqrt(2) u each, Higham Lemma 3.5) and 4
+    sums (u each), by 4 (2 sqrt(2) + 1) u = 7.7 eps of sum_j |a_j| |y|^j at
+    most; kappa = 16 passes every backward error |P(y)| / sum_j |a_j| |y|^j
+    below 8 eps, none above 24 eps.  The factors' product misses the
+    quartic only in its constant term, the residual at every root: a row
+    passing at all four roots is the root set of one nearby quartic.
+    """
+    mags = np.abs(coeffs)
+    exps = np.frexp(mags)[1]
+    rel = (exps[:, :4] - exps[:, 4:] + _CODEGREE - 1) // _CODEGREE
+    e = np.maximum.reduce(np.where(mags[:, :4] > 0, rel, -1100), axis=1)
+    shift = _DEGREE_GAP * e[:, None] - exps[:, 4:]
+    scaled = np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
+    scaled /= scaled[:, 4:]
+    a0, a1, a2, a3, _ = scaled.T
+    c, c2 = 0.25 * a3, 0.0625 * a3 * a3
+    p = a2 - 6.0 * c2
+    q = a1 - c * (2.0 * a2 - 8.0 * c2)
+    r = a0 - c * (a1 - c * (a2 - 3.0 * c2))
+    p3 = -(p * p / 9.0 + 4.0 / 3.0 * r)
+    u = np.power(_larger_root(p * (8.0 / 3.0 * r - 2.0 / 27.0 * p * p)
+                              - q * q, -p3 * p3 * p3), 1.0 / 3.0)
+    s = (u[:, None] * _CUBE_ROOTS - (p3 / (u + (u == 0)))[:, None]
+         * _CUBE_ROOTS.conj() - (2.0 / 3.0) * p[:, None])
+    s = s[np.arange(len(s)), np.abs(s).argmax(axis=1)]
+    w = np.sqrt(s)  # 0 only if p = q = r = 0
+    h, g = 0.5 * (p + s), 0.5 * q / (w + (w == 0))
+    lin, const = w[:, None] * [-1.0, 1.0], h[:, None] + g[:, None] * [1, -1]
+    big = _larger_root(lin, const)
+    y = np.concatenate([big, const / (big + (big == 0))], axis=1) - c[:, None]
+    ay, ascaled, val, scale = np.abs(y), np.abs(scaled), 1.0, 1.0
+    for j in (3, 2, 1, 0):
+        val = val * y + scaled[:, j:j + 1]
+        scale = scale * ay + ascaled[:, j:j + 1]
+    bad = ~(np.abs(val) <= 16 * 2.220446049250313e-16 * scale).all(axis=1)
+    if bad.any():
+        y[bad] = _companion_roots(scaled[bad])
+    return y * np.ldexp(1.0, e)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +300,7 @@ def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
         elif max(m1, m2) > 0:
             # one equation is univariate in u: use it directly
             res[rows, :degree + 1] = (g1 if m1 <= 0 else g2)[rows, :, 0]
-    degs = _trim_degree_rows(res)  # one eigensolve per effective degree
+    degs = _trim_degree_rows(res)  # one root solve per effective degree
     count = np.maximum(degs, 0)
     rows = np.repeat(np.arange(degs.size), count)
     u = np.empty(rows.size, dtype=np.complex128)

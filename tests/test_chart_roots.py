@@ -16,6 +16,7 @@ about eps^(1/m) times a modest constant (double roots: 1e-6).
 """
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -195,19 +196,30 @@ def test_double_fiber_budget_is_split_over_its_v_points():
 # ---------------------------------------------------------------------------
 
 def count_eigensolver_calls(monkeypatch):
-    """Record the matrix shapes of the eigenvalue solves of
+    """Record the matrices of the eigenvalue solves of
     :func:`polynomial_roots`; a batched solve is one ``eigvals`` call on
     the ``(B, D, D)`` stack of companion matrices, whatever the
-    multiplicities."""
+    multiplicities.  Quartics call it only for the rows their residual
+    certificate rejects."""
     calls = []
     eigvals = np.linalg.eigvals
 
     def spy(a):
-        calls.append(a.shape)
+        calls.append(np.array(a))
         return eigvals(a)
 
     monkeypatch.setattr(preimages.np.linalg, "eigvals", spy)
     return calls
+
+
+def companion(coeffs):
+    """The companion matrix of one ascending-coefficient row, made monic."""
+    monic = coeffs / coeffs[-1]
+    deg = monic.size - 1
+    out = np.zeros((deg, deg), dtype=np.complex128)
+    out[0] = -monic[-2::-1]
+    out[1:, :-1] = np.eye(deg - 1)
+    return out
 
 
 def test_one_eigensolve_resolves_simple_and_multiple_roots(monkeypatch):
@@ -221,7 +233,10 @@ def test_one_eigensolve_resolves_simple_and_multiple_roots(monkeypatch):
     coeffs = np.array([np.poly(r)[::-1] for r in roots])
     calls = count_eigensolver_calls(monkeypatch)
     got = polynomial_roots(coeffs)
-    assert calls == [(30, 4, 4)]
+    # quartics are split in closed form; the certificate rejects none of
+    # these rows, double and triple roots included, so nothing is left for
+    # the eigensolve
+    assert calls == []
     for row in range(simple.shape[0]):
         want = np.sort_complex(np.roots(coeffs[row, ::-1]))
         np.testing.assert_allclose(np.sort_complex(got[row]), want,
@@ -239,30 +254,40 @@ def test_one_eigensolve_resolves_simple_and_multiple_roots(monkeypatch):
 
 
 def test_one_sweep_makes_one_eigensolve_per_degree(monkeypatch):
-    # a target is solved first as one row in its own chart: one eigensolve
-    # per companion degree for the u-roots, then one per degree for the
-    # v-roots; a target that needs no three-chart sweep makes no more
-    calls = count_eigensolver_calls(monkeypatch)
-    u_candidates = preimages._u_candidates
+    # a target is solved first as one row in its own chart: one root solve
+    # per degree for the u-roots (the quartic resultant), then one per
+    # degree for the v-roots; a target that needs no three-chart sweep
+    # makes no more, and its quartic row passes the certificate, so no
+    # eigensolve runs at all
+    eigensolves = count_eigensolver_calls(monkeypatch)
+    solves = []
+    roots, u_candidates = preimages.polynomial_roots, preimages._u_candidates
+
+    def spy(coeffs):
+        solves.append(np.shape(coeffs))
+        return roots(coeffs)
 
     def marked(*args):
         out = u_candidates(*args)
-        calls.append("u-roots done")
+        solves.append("u-roots done")
         return out
 
+    monkeypatch.setattr(preimages, "polynomial_roots", spy)
     monkeypatch.setattr(preimages, "_u_candidates", marked)
     rng = np.random.default_rng(3)
     target = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
     batch = preimages.preimage_batch(lattes_suspension(), target)
     assert batch.rotations.tolist() == [0]
     assert batch.swept.tolist() == [False]  # one pass
-    assert calls.count("u-roots done") == 1
-    split = calls.index("u-roots done")
-    u_stage, v_stage = calls[:split], calls[split + 1:]
-    assert sum(shape[0] for shape in u_stage) == 1  # one row per target
+    assert solves.count("u-roots done") == 1
+    split = solves.index("u-roots done")
+    u_stage, v_stage = solves[:split], solves[split + 1:]
+    assert u_stage == [(1, 5)]  # one row per target, one quartic
+    assert v_stage and all(shape[1] == 3 for shape in v_stage)
     for stage in (u_stage, v_stage):
-        degrees = [shape[-1] for shape in stage]
-        assert len(degrees) == len(set(degrees)), calls
+        degrees = [shape[1] - 1 for shape in stage]
+        assert len(degrees) == len(set(degrees)), solves
+    assert eigensolves == []
 
 
 @pytest.mark.parametrize("degree", [2, 4, 7])
@@ -272,12 +297,35 @@ def test_one_eigensolve_matches_numpy_on_simple_roots(degree, monkeypatch):
         + 1j * rng.normal(size=(50, degree + 1))
     calls = count_eigensolver_calls(monkeypatch)
     got = polynomial_roots(coeffs)
-    # quadratics are solved in closed form, without an eigensolve
-    assert calls == ([] if degree == 2 else [(50, degree, degree)])
+    # quadratics and quartics are solved in closed form; every row of
+    # these random quartics passes the certificate
+    shapes = [a.shape for a in calls]
+    assert shapes == ([] if degree in (2, 4) else [(50, degree, degree)])
     for row in range(coeffs.shape[0]):
         want = np.sort_complex(np.roots(coeffs[row, ::-1]))
         np.testing.assert_allclose(np.sort_complex(got[row]), want,
                                    rtol=1e-9, atol=1e-9)
+
+
+def test_rejected_quartic_rows_take_one_eigensolve(monkeypatch):
+    # x^4 + x^2 + 1e-8 has roots near +-i and +-1e-4 i: the split loses
+    # the small pair's relative accuracy, its residual reads about 18,000
+    # times the certificate's bound, and only that row of the batch goes
+    # to the companion eigensolve, in one call
+    rng = np.random.default_rng(23)
+    coeffs = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    coeffs[3] = [1e-8, 0.0, 1.0, 0.0, 1.0]
+    calls = count_eigensolver_calls(monkeypatch)
+    got = polynomial_roots(coeffs)
+    assert len(calls) == 1 and calls[0].shape == (1, 4, 4)
+    # its scale 2^e is 1, so the matrix is the row's own companion
+    np.testing.assert_array_equal(calls[0][0], companion(coeffs[3]))
+    np.testing.assert_array_equal(
+        got[3], np.linalg.eigvals(companion(coeffs[3])[None])[0])
+    for row in set(range(7)) - {3}:
+        want = np.sort_complex(np.roots(coeffs[row, ::-1]))
+        np.testing.assert_allclose(np.sort_complex(got[row]), want,
+                                   rtol=0, atol=1e-10)
 
 
 # the closed-form quadratic: roots of modulus at most 10, coefficients
@@ -340,6 +388,78 @@ def test_quadratic_roots_keep_relative_accuracy_across_the_range(r1, r2):
     assert np.isfinite(got).all()
     for r in (r1, r2):
         assert np.abs(got - r).min() <= 4 * np.finfo(float).eps * abs(r)
+
+
+# the closed-form quartic, on the same roots and coefficient scales
+def quartic_coeffs(roots, scale):
+    """Ascending coefficients of scale (x - r_1) ... (x - r_4), one row."""
+    return scale * np.poly(np.asarray(roots, dtype=np.complex128))[None, ::-1]
+
+
+def matched_error(got, want):
+    """Largest distance between two root sets, matched the best way."""
+    return min(np.abs(got[list(perm)] - want).max()
+               for perm in itertools.permutations(range(want.size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_quadratic_root, min_size=4, max_size=4), _coefficient_scale)
+def test_quartic_roots_match_numpy_on_simple_roots(roots, scale):
+    # both solvers are backward stable to a few eps of the coefficients;
+    # a root moves by the backward error times sum_j |c_j| |r|^j / |p'(r)|,
+    # at most 16 size^4 / (1e-2 size)^3 = 1.6e7 size at this separation,
+    # but only when three roots crowd within 2e-2 size: over 23,000 draws
+    # the worst disagreement read 1.8e-12 size
+    size = max(1.0, *map(abs, roots))
+    assume(min(abs(a - b) for a, b in itertools.combinations(roots, 2))
+           >= 1e-2 * size)
+    coeffs = quartic_coeffs(roots, scale)
+    got = polynomial_roots(coeffs)[0]
+    assert matched_error(got, np.roots(coeffs[0, ::-1])) <= 1e-10 * size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4]), _quadratic_root,
+       st.lists(_quadratic_root, min_size=2, max_size=2), _coefficient_scale)
+def test_quartic_roots_resolve_multiple_roots(mult, root, others, scale):
+    # a root of multiplicity m moves by (eta sum_j |c_j| |r|^j / |rest|)^(1/m)
+    # for a backward error eta (<= 24 eps where the certificate passes);
+    # with every other root at least size / 2 away, |rest| >= (size /
+    # 2)^(4-m), that is at most (384 eps 2^(4-m))^(1/m) size: 5.8e-7,
+    # 5.5e-5 and 5.4e-4 for m = 2, 3, 4, inside the eigensolve's bounds
+    # (over 13,000 draws: 5.8e-8, 1.8e-5, 2.3e-4)
+    others = others[:4 - mult]
+    size = max(1.0, abs(root), *map(abs, others))
+    assume(all(abs(other - root) >= 0.5 * size for other in others))
+    assume(len(others) < 2 or abs(others[0] - others[1]) >= 1e-2 * size)
+    got = polynomial_roots(quartic_coeffs([root] * mult + others, scale))[0]
+    bound = {2: 1e-6, 3: 1e-4, 4: 1e-3}[mult]
+    assert np.sort(np.abs(got - root))[:mult].max() <= bound * size
+
+
+@pytest.mark.parametrize("lead, big", [(1e-300, 1e150), (1e300, 1e-150)])
+def test_quartic_roots_keep_relative_accuracy_across_the_range(lead, big):
+    # lead (x - big r_1) ... (x - big r_4): the monic coefficients would
+    # overflow (underflow) before any scaling, but each root of this well
+    # separated set is determined to a few eps of its own modulus
+    roots = np.array([1.0, -2.0, 1j, 0.5 + 0.5j])
+    coeffs = lead * np.poly(roots)[::-1]
+    for k in range(1, 5):  # c_j times big^(4 - j), without overflow
+        coeffs[:5 - k] *= big
+    got = polynomial_roots(coeffs[None])[0]
+    assert np.isfinite(got).all()
+    for r in big * roots:
+        assert np.abs(got - r).min() <= 8 * np.finfo(float).eps * abs(r)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_non_finite_quartic_coefficients_are_rejected(bad):
+    coeffs = np.array([[1.0, 2.0, 1.0, 0.5, 1.0],
+                       [1.0, bad, 1.0, 0.5, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        polynomial_roots(coeffs)
+    with pytest.raises(ValueError, match="non-finite"):
+        polynomial_roots(coeffs[:, ::-1])  # in the leading coefficient
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ support of the measure, and malformed input is rejected with
 ``ValueError`` before any work; these tests pin what the callers see.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from p2dyn.projective import (
 from p2dyn.sampler import (
     CRITICAL_DET_TOL,
     MeasureSample,
+    _guard_margin,
     backward_orbit,
     fs_jacobian_dets,
     fs_tangent_maps,
@@ -66,6 +69,25 @@ def test_estimator_raises_below_the_briend_duval_bound():
                            paths=paths)
     with pytest.raises(SamplingError, match="Briend-Duval"):
         lyapunov_exponents(f, sample, 500)
+
+
+#: Phi(-3), the one-sided normal tail of the Briend-Duval guard
+TAIL = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("walkers, want", [
+    (2, math.tan(math.pi * (0.5 - TAIL))),  # Cauchy quantile
+    (3, (1 - 2 * TAIL) / math.sqrt(2 * TAIL * (1 - TAIL))),
+    # Student's t quantiles at Phi(-3) from an independent routine
+    # (scipy.stats.t.isf(scipy.stats.norm.sf(3), dof)), dof = walkers - 1
+    (12, 3.8499364281584865),
+    (200, 3.0381278926104676),
+])
+def test_briend_duval_margin_is_the_student_t_quantile(walkers, want):
+    # a mean over n walkers on the bound reads below it by more than the
+    # margin with chance Phi(-3) = 0.135 % at every n; a fixed 3 standard
+    # errors does so with 0.60 % at 12 walkers
+    assert abs(_guard_margin(walkers - 1) / want - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0],

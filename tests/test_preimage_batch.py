@@ -14,6 +14,8 @@ one-target solve agrees with the batched one (every row is solved on its
 own, so they are bit-identical), well under 1e-12.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from p2dyn.preimages import (
     _chart_sweep,
     _merge_across_charts,
     _merged_slots,
+    polynomial_roots,
     preimage_batch,
 )
 from p2dyn.projective import (
@@ -41,6 +44,9 @@ from p2dyn.zoo import (
     perturbed_power_family,
     power_map,
 )
+
+# the module itself (the package's ``preimages`` attribute is the function)
+preimages = importlib.import_module("p2dyn.preimages")
 
 
 def reference_merge(lifts, mults):
@@ -344,6 +350,36 @@ def test_stacked_rows_match_one_target_solves(name):
         assert np.array_equal(mults[i, :k], one_mults[0])
         assert not mults[i, k:].any()
         assert np.array_equal(lifts[i, :k], one_lifts[0])
+
+
+def companion_roots(coeffs):
+    """:func:`polynomial_roots` with quartics sent to the companion
+    eigensolve, as every quartic row was solved before the closed form."""
+    coeffs = np.atleast_2d(coeffs)
+    if coeffs.shape[1] != 5:
+        return polynomial_roots(coeffs)
+    companion = np.zeros((coeffs.shape[0], 4, 4), dtype=np.complex128)
+    companion[:, 0] = -(coeffs / coeffs[:, -1:])[:, -2::-1]
+    companion[:, 1:, :3] = np.eye(3)
+    return np.linalg.eigvals(companion)
+
+
+@pytest.mark.parametrize("name", ["lattes_suspension", "chebyshev_product"])
+def test_quartic_closed_form_matches_the_companion_path(name, monkeypatch):
+    # both maps send their targets through quartic u-resultants; the
+    # closed form and the eigensolve are both backward stable, and the
+    # 2D Newton polish then refines both to the same roots: same distinct
+    # roots in the same branch order, lifts within rounding
+    f = SWEEP_MAPS[name]
+    rng = np.random.default_rng(3)
+    targets = rng.normal(size=(200, 3)) + 1j * rng.normal(size=(200, 3))
+    batch = preimage_batch(f, targets)
+    monkeypatch.setattr(preimages, "polynomial_roots", companion_roots)
+    before = preimage_batch(f, targets)
+    assert np.array_equal(batch.root_ids, before.root_ids)
+    assert np.array_equal(batch.rotations, before.rotations)
+    assert fs_distance_batch(batch.lifts.reshape(-1, 3),
+                             before.lifts.reshape(-1, 3)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["power2", "lattes_suspension",
