@@ -31,7 +31,7 @@ bidisk in chart coordinates:
   truncation depth; the computed number certifies the quadrature and the
   mass normalization at once.  A chart's weight is nonzero only where
   ``|z|^2 + |w|^2 < 3``; only the nodes its stencils read are evaluated,
-  at lifts cached per resolution, a few Z-slabs at a time.
+  at lifts from plane indices cached per resolution, a few Z-slabs at a time.
 * :func:`harmonicity_defect` integrates ``|transverse Laplacian|`` per
   slice, separating harmonic slice families from mass-bearing ones.
 
@@ -163,11 +163,9 @@ class LocalGrid:
 
     def axis_nodes(self, ghost: bool = True) -> np.ndarray:
         """Per-axis node coordinates, optionally with the ghost ring."""
-        m = self.resolution
-        h = self.spacing
-        if ghost:
-            return -self.radius + (np.arange(m + 2) - 0.5) * h
-        return -self.radius + (np.arange(m) + 0.5) * h
+        m, h = self.resolution, self.spacing
+        ax = -self.radius + (np.arange(m + 2) - 0.5) * h
+        return ax if ghost else ax[1:-1]
 
     def sample_scalar(self, fn) -> np.ndarray:
         """Sample ``fn(Z, W)`` on the ghosted node cube.
@@ -177,12 +175,10 @@ class LocalGrid:
         ``n = resolution + 2`` and must return a real broadcastable array.
         """
         ax = self.axis_nodes()
-        n = ax.size
-        zz = (ax[:, None] + 1j * ax[None, :])[:, :, None, None]
-        ww = (ax[:, None] + 1j * ax[None, :])[None, None, :, :]
-        vals = np.asarray(fn(zz, ww), dtype=np.float64)
-        return np.ascontiguousarray(
-            np.broadcast_to(vals, (n, n, n, n)))
+        plane = ax[:, None] + 1j * ax[None, :]
+        vals = np.asarray(fn(plane[:, :, None, None], plane[None, None]),
+                          dtype=np.float64)
+        return np.ascontiguousarray(np.broadcast_to(vals, (ax.size,) * 4))
 
     def sample_green(self, evaluator: GreenEvaluator) -> np.ndarray:
         """Truncated potential on the ghosted node cube.
@@ -200,20 +196,22 @@ def _cube_potential(ev: GreenEvaluator, axis: np.ndarray, base: np.ndarray,
                     c: np.ndarray) -> np.ndarray:
     """Escape rate at the lifts ``base + Z c[:, 0] + W c[:, 1]``, ``Z`` and
     ``W`` over ``axis + i axis``: each block of Z-slabs of the node cube
-    is one broadcast sum of Z-parts (base included) and W-parts."""
+    is one broadcast sum of ``(3, n^2)`` Z-parts (base included) and
+    W-parts, the block's lift columns."""
     n = axis.size
     plane = (axis[:, None] + 1j * axis[None, :]).ravel()
-    zpart = base + plane[:, None] * c[:, 0]
-    wpart = plane[:, None] * c[:, 1]
+    # plane on the left: numpy's complex product is not bit-commutative
+    zpart = base[:, None] + plane * c[:, :1]
+    wpart = plane * c[:, 1:]
     out = np.empty((n,) * 4)
     slabs = max(1, (1 << 16) // (n * plane.size))
-    lifts = np.empty((slabs * n, plane.size, 3), dtype=np.complex128)
+    lifts = np.empty((3, slabs * n, plane.size), dtype=np.complex128)
     for a in range(0, n, slabs):
         k = min(slabs, n - a)
-        block = np.add(zpart[a * n:(a + k) * n, None], wpart,
-                       out=lifts[:k * n])
+        block = np.add(zpart[:, a * n:(a + k) * n, None], wpart[:, None],
+                       out=lifts[:, :k * n])
         # looked up at call time, so a wrapped green.escape_rate is seen
-        vals = green.escape_rate(ev, block.reshape(-1, 3))
+        vals = green.escape_rate(ev, block.reshape(3, -1).T)
         out[a:a + k] = np.reshape(vals, (k, n, n, n))
     return out
 
@@ -553,17 +551,16 @@ def _certificate_quadrature(resolution: int):
 
 @lru_cache(maxsize=None)
 def _certificate_lifts(resolution: int) -> np.ndarray:
-    """Read-only ``(2, K)`` chart coordinates ``(Z, W)`` of the ``K`` true
-    nodes of :func:`_certificate_quadrature` in C order, built and read
-    one contiguous Z-slab run at a time, each chart permuting them into
-    lifts ``(1, Z, W)``.  32 K bytes: 4.5 MiB at resolution 24, 30.4 at 40."""
-    axis, _, nodes = _certificate_quadrature(resolution)
-    plane = axis[:, None] + 1j * axis[None, :]
-    zw = np.empty((2, np.count_nonzero(nodes)), dtype=np.complex128)
+    """Read-only ``(2, K)`` int32 ``(Z, W)`` of the ``K`` true nodes of
+    :func:`_certificate_quadrature` in C order, as indices into the ghosted
+    plane ``(axis[:, None] + 1j * axis[None, :]).ravel()``, built one
+    Z-slab at a time.  8 K bytes: 1.1 MiB at resolution 24, 7.6 at 40."""
+    _, _, nodes = _certificate_quadrature(resolution)
+    zw = np.empty((2, np.count_nonzero(nodes)), dtype=np.int32)
     start = 0
-    for z_row, slab in zip(plane, nodes):
-        b, c, d = np.nonzero(slab)
-        zw[:, start:start + b.size] = z_row[b], plane[c, d]
+    for a, slab in enumerate(nodes):
+        b, w = np.nonzero(slab.reshape(len(slab), -1))
+        zw[:, start:start + b.size] = a * len(slab) + b, w
         start += b.size
     zw.flags.writeable = False
     return zw
@@ -587,13 +584,14 @@ def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
     the nodes of :func:`_certificate_quadrature` only.  Each chart streams
     its node cube through a window of ``slabs + 2`` Z-slabs: per block of
     ``slabs`` cell slabs the two halo slabs move down and one escape-rate
-    call evaluates the new node slabs, at lifts from their run of
-    :func:`_certificate_lifts`.  With ``P`` the unnormalized plane
+    call evaluates the new node slabs, at lift columns gathered by their
+    run of :func:`_certificate_lifts`.  With ``P`` the unnormalized plane
     stencils, ``h^4`` times the density
     ``u_ZZbar v_WWbar + u_WWbar v_ZZbar - 2 Re(u_ZWbar conj(v_ZWbar))`` is
     ``(P_Z u P_W v + P_W u P_Z v) / 16 - (A_u A_v + B_u B_v) / 128`` (see
     :func:`_mixed_differences`), summed over the blocks."""
-    _, weight, nodes = _certificate_quadrature(resolution)
+    axis, weight, nodes = _certificate_quadrature(resolution)
+    plane = (axis[:, None] + 1j * axis[None, :]).ravel()
     zw = _certificate_lifts(resolution)
     slabs = min(max(1, (1 << 16) // resolution ** 3), resolution)
     offsets = [0] + np.cumsum(np.count_nonzero(nodes, axis=(1, 2, 3))).tolist()
@@ -603,7 +601,7 @@ def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
     # one allocation per integral, none per block: the largest block's lifts,
     # then the window (zeroed once; stale off-mask nodes meet zero weights)
     scratch = np.zeros(6 * rows + 2 * (slabs + 2) * (resolution + 2) ** 3)
-    room = scratch[:6 * rows].view(np.complex128).reshape(rows, 3)
+    room = scratch[:6 * rows].view(np.complex128).reshape(3, rows)
     window = scratch[6 * rows:].reshape((2, slabs + 2) + nodes.shape[1:])
     u, v = window if depth >= n else window[::-1]
     for chart in range(3):
@@ -615,11 +613,13 @@ def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
             start, stop = offsets[a + fresh], offsets[a + k + 2]
             # lifts (1, Z, W) permuted; 2-norm truncations keep every
             # integral exactly cohomological; one pass gives both
-            lifts = room[:stop - start]
-            lifts[:, chart] = 1.0
-            lifts[:, CHART_OTHERS[chart]] = zw[:, start:stop].T
+            lifts = room[:, :stop - start]
+            lifts[chart] = 1.0
+            # in-range indices: "wrap" skips the buffered copy "raise" makes
+            for ax, idx in zip(CHART_OTHERS[chart], zw[:, start:stop]):
+                np.take(plane, idx, out=lifts[ax], mode="wrap")
             for cube, vals in zip(window, green.escape_rate(
-                    ev, lifts, max(depth, n), "2", also=min(depth, n))):
+                    ev, lifts.T, max(depth, n), "2", also=min(depth, n))):
                 cube[fresh:k + 2][nodes[a + fresh:a + k + 2]] = vals
             # cells past the block's (radial, centred) nonzero range add 0
             lo = int(np.argmax(weight[a:a + k].any(axis=(0, 2, 3))))
@@ -651,7 +651,7 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
     < 3``, and only the nodes read by those cells' stencils (about a third
     of each cube) take the escape-rate pass, to the larger of
     ``green_depth`` and ``n``, which also returns the smaller truncation.
-    Node coordinates are cached per resolution, a chart's cube streams
+    Node plane indices are cached per resolution, a chart's cube streams
     through a few Z-slabs, and one evaluator serves both resolutions.
     """
     if n not in (0, 1):

@@ -821,12 +821,37 @@ class TestMassCertificate:
             start += len(lifts)
         assert len(calls) == 3 * -(-resolution // slabs)
 
-    def test_cached_lifts_are_shared_and_read_only(self):
-        zw = slices._certificate_lifts(8)
-        assert slices._certificate_lifts(8) is zw
-        assert zw.shape == (2, slices._certificate_quadrature(8)[2].sum())
+    @pytest.mark.parametrize("resolution", [8, 24])
+    def test_cached_lifts_are_shared_and_read_only(self, resolution):
+        # int32 indices into the ghosted plane, 8 bytes a node, which
+        # gather to the (Z, W) coordinates of the true nodes in C order
+        axis, _, nodes = slices._certificate_quadrature(resolution)
+        zw = slices._certificate_lifts(resolution)
+        assert slices._certificate_lifts(resolution) is zw
+        k = int(nodes.sum())
+        assert zw.shape == (2, k)
+        assert zw.dtype == np.int32 and zw.nbytes == 8 * k
         with pytest.raises(ValueError):
-            zw[0, 0] = 0.0
+            zw[0, 0] = 0
+        plane = (axis[:, None] + 1j * axis[None, :]).ravel()
+        idx = np.argwhere(nodes)
+        expected = np.stack([axis[idx[:, 0]] + 1j * axis[idx[:, 1]],
+                             axis[idx[:, 2]] + 1j * axis[idx[:, 3]]])
+        assert plane[zw].tobytes() == expected.tobytes()
+
+    def test_certificate_is_independent_of_cache_state(self):
+        # cold caches, warm caches, and caches that another resolution's
+        # certificate has just grown give the same bits
+        def run():
+            cert = mass_certificate(lattes_suspension(), 1, resolution=16)
+            return cert.value.hex(), cert.coarse_value.hex()
+
+        slices._certificate_quadrature.cache_clear()
+        slices._certificate_lifts.cache_clear()
+        cold = run()
+        assert run() == cold
+        mass_certificate(lattes_suspension(), 1, resolution=24)
+        assert run() == cold
 
     @staticmethod
     def integral_budget(m):
@@ -876,7 +901,7 @@ class TestMassCertificate:
     def test_cold_integral_peaks_near_what_it_keeps(self):
         # From cold caches the integral also builds, and keeps, the float
         # weight (m^4), the boolean node mask ((m+2)^4) and the (2, K)
-        # complex lifts; each build's temporaries stay below the
+        # int32 lift indices; each build's temporaries stay below the
         # integral's own arrays, so the peak is what the caches keep plus
         # integral_budget, with 25 % slack.  Building the weight or the
         # lifts over the whole cube at once takes it past.
@@ -889,6 +914,6 @@ class TestMassCertificate:
         _, weight, nodes = slices._certificate_quadrature(m)
         kept = weight.nbytes + nodes.nbytes \
             + slices._certificate_lifts(m).nbytes
-        # measured 17.3 MB against a bound of 19.8 MB; whole-cube builds
-        # and buffers read 28.2 MB
+        # measured 13.8 MB against a bound of 15.4 MB; whole-cube builds
+        # and buffers, with complex lifts, read 28.2 MB
         assert peak < 1.25 * (kept + self.integral_budget(m))
