@@ -1,16 +1,20 @@
 """Expansion-adapted local frames and affine normal-form coordinates.
 
 At a point carrying a backward orbit, two tangent directions organize the
-local dynamics: the fastest-expanded direction ``e1`` (the image under the
-cocycle along the orbit of its leading right-singular vector, i.e. the
-leading left-singular direction of the backward-depth cocycle) and the
-slowly-expanded direction ``e2`` (the second right-singular vector of the
-forward cocycle started at the point, which converges to the slow
-invariant direction at rate ``exp(-m (l1 - l2))`` in the window length
-``m``).  Both directions are stabilized by phase-aligned averaging over
-the last five window depths.  No stored path holds the point's future, so
-the frame iterates its forward orbit itself, stores it, and reads both
-cocycles through the same chained factors of :mod:`p2dyn.sampler`.
+local dynamics: the fastest-expanded direction ``e1`` and the
+slowly-expanded direction ``e2``, the two covariant Lyapunov vectors of
+the Fubini-Study cocycle.  Both are read with the QR step of
+:func:`p2dyn.sampler.lyapunov_exponents`, the covariant-vector
+construction of Ginelli et al. (PRL 99, 130601, 2007) in two dimensions:
+``e1`` is the first QR column after the backward orbit's factors run from
+its deep end to the point, and ``e2`` the second QR column after the
+forward factors' adjoints run from the far end back to the point.  The
+first is the image of a generic vector under the backward product, the
+second is orthogonal to ``F^H e_1`` for the forward product ``F``, and
+both converge at rate ``exp(-m (l1 - l2))`` in the run length ``m``.  No
+stored path holds the point's future, so the frame iterates its forward
+orbit itself, stores it, and reads both cocycles through the same chained
+factors of :mod:`p2dyn.sampler`.
 
 The pair spans an affine chart ``p -> (Z, W)``: offsets from the base
 point are computed in the Fubini-Study orthonormal tangent basis (project
@@ -21,10 +25,10 @@ with lower constant 1/2 and upper constant at most 2 / conditioning,
 where ``conditioning = |det [e1 e2]|``.
 
 For maps whose two exponents coincide (conformal cocycles) the
-singular directions of any finite window are fluctuation artifacts; the
-frame is still returned deterministically but is flagged ``isotropic``
-when the mean per-iterate singular rates of the window products are
-within five percent of each other.
+directions of any finite run are fluctuation artifacts; the frame is
+still returned deterministically but is flagged ``isotropic`` when each
+run's mean per-step rates ``log r11`` and ``log r22`` are within five
+percent of each other.
 
 The inverse branches along the orbit's recorded path are read from the
 same cocycle: with ``P_k`` the product over the last ``k`` steps, the
@@ -55,19 +59,17 @@ from .sampler import (
     BackwardOrbit,
     chained_factors,
     fs_jacobian_dets,
+    qr_step,
     tangent_basis_batch,
 )
 
 #: minimum backward-orbit depth accepted by :func:`compute_frame`
 MIN_FRAME_DEPTH = 20
 
-#: number of trailing window depths averaged into each frame direction
-DIRECTION_WINDOW = 5
-
 #: frames with |det [e1 e2]| at or below this are rejected as degenerate
 CONDITIONING_TOL = 1e-6
 
-#: per-iterate singular-rate gap below which a cocycle counts as isotropic
+#: per-step QR rate gap below which a cocycle counts as isotropic
 ISOTROPY_TOL = 0.05
 
 #: fraction of the local injectivity radius used as the chart domain
@@ -86,24 +88,6 @@ MIN_FORWARD_STEPS = 8
 
 #: cosine of the Fubini-Study angle beyond which a point leaves a chart
 CHART_COS_MIN = 0.5
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise FrameError("zero vector cannot define a frame direction")
-    return v / n
-
-
-def _phase_aligned_mean(directions: list[np.ndarray]) -> np.ndarray:
-    """Average unit vectors after rotating each to match the last's phase."""
-    ref = directions[-1]
-    acc = np.zeros_like(ref)
-    for vec in directions:
-        overlap = complex(np.vdot(ref, vec))
-        phase = 1.0 if overlap == 0 else overlap.conjugate() / abs(overlap)
-        acc += vec * phase
-    return _unit(acc)
 
 
 def _forward_factors(map_: HomogeneousMap, lift: np.ndarray) -> np.ndarray:
@@ -129,51 +113,15 @@ def _forward_factors(map_: HomogeneousMap, lift: np.ndarray) -> np.ndarray:
     return chained_factors(map_, np.concatenate(orbit))[:usable]
 
 
-def _window_lengths(n: int) -> list[int]:
-    return list(range(max(1, n - DIRECTION_WINDOW + 1), n + 1))
-
-
-def _fast_direction(back_factors: np.ndarray) -> tuple[np.ndarray, float]:
-    """Leading left-singular direction of the deepest windows, averaged.
-
-    ``back_factors[j]`` maps depth ``n - j`` to depth ``n - j - 1`` below
-    the base (factors ordered deepest first, so the product over the last
-    ``k`` entries is the cocycle over the ``k`` steps ending at the base).
-    Returns the averaged direction and the per-iterate log singular gap
-    of the deepest window.
-    """
-    n = back_factors.shape[0]
-    wanted = set(_window_lengths(n))
-    prod = np.eye(2, dtype=np.complex128)
-    directions = []
+def _qr_run(factors: np.ndarray) -> tuple[np.ndarray, float]:
+    """QR frame after :func:`qr_step` runs through ``factors`` in order,
+    and the run's mean per-step gap ``log r11 - log r22``."""
+    q = np.eye(2, dtype=np.complex128)[None]
     gap = 0.0
-    for k in range(1, n + 1):
-        prod = prod @ back_factors[n - k]
-        prod /= np.linalg.norm(prod)
-        if k in wanted:
-            u, s, _ = np.linalg.svd(prod)
-            directions.append(_unit(u[:, 0]))
-            if k == n:
-                gap = float(np.log(s[0]) - np.log(s[1])) / k
-    return _phase_aligned_mean(directions), gap
-
-
-def _slow_direction(fwd_factors: np.ndarray) -> tuple[np.ndarray, float]:
-    """Second right-singular direction of the deepest windows, averaged."""
-    m = fwd_factors.shape[0]
-    wanted = set(_window_lengths(m))
-    prod = np.eye(2, dtype=np.complex128)
-    directions = []
-    gap = 0.0
-    for k in range(1, m + 1):
-        prod = fwd_factors[k - 1] @ prod
-        prod /= np.linalg.norm(prod)
-        if k in wanted:
-            _, s, vh = np.linalg.svd(prod)
-            directions.append(_unit(vh[1, :].conj()))
-            if k == m:
-                gap = float(np.log(s[0]) - np.log(s[1])) / k
-    return _phase_aligned_mean(directions), gap
+    for factor in factors:
+        q, logs = qr_step(q, factor[None])
+        gap += logs[0, 0] - logs[0, 1]
+    return q[0], float(gap) / len(factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +133,10 @@ class OseledecFrame:
     ``base_lift`` (so ``tangent_basis @ e1`` is ``e1`` as an ambient
     3-vector).  ``conditioning``, derived as ``|det [e1 e2]|``, measures
     their angular separation and must exceed :data:`CONDITIONING_TOL`.
-    ``isotropic`` marks cocycles whose per-iterate singular rates are
-    within :data:`ISOTROPY_TOL` of each other, in which case the
-    directions are finite-window fluctuation artifacts (deterministic but
-    not dynamically distinguished).
+    ``isotropic`` marks cocycles whose QR runs grow both columns at
+    per-step rates within :data:`ISOTROPY_TOL` of each other, in which
+    case the directions are finite-run fluctuation artifacts
+    (deterministic but not dynamically distinguished).
     """
 
     e1: np.ndarray
@@ -228,20 +176,21 @@ def compute_frame(map_: HomogeneousMap, orbit: BackwardOrbit
                   ) -> OseledecFrame:
     """Fast/slow frame at the endpoint ``x_0`` of a backward orbit.
 
-    The fast direction is the image at ``x_0`` of the leading
-    right-singular vector of the cocycle along the orbit; the slow
-    direction is the second right-singular vector of the forward cocycle
-    started at ``x_0``, backed off where that orbit reaches critical
-    degeneracy.  Each is averaged over the last
-    :data:`DIRECTION_WINDOW` window depths with phase alignment.
+    The fast direction is the first QR column after the orbit's factors
+    run from ``x_{-n}`` to ``x_0``; the slow direction is the second QR
+    column after the adjoints of the forward factors from ``x_0`` (backed
+    off where that orbit reaches critical degeneracy) run from the far end
+    back to ``x_0``.  These are the covariant Lyapunov vectors of Ginelli
+    et al. (PRL 99, 130601, 2007) in two dimensions.
     """
     if orbit.depth < MIN_FRAME_DEPTH:
         raise ValueError("frame estimation needs a backward orbit of depth "
                          ">= %d, got %d" % (MIN_FRAME_DEPTH, orbit.depth))
     chain = sup_normalize(orbit.array[::-1])
-    back = chained_factors(map_, chain)
-    e1, gap_back = _fast_direction(back)
-    e2, gap_fwd = _slow_direction(_forward_factors(map_, orbit.array[0]))
+    q_back, gap_back = _qr_run(chained_factors(map_, chain))
+    fwd = _forward_factors(map_, orbit.array[0])
+    q_fwd, gap_fwd = _qr_run(fwd[::-1].conj().transpose(0, 2, 1))
+    e1, e2 = q_back[:, 0], q_fwd[:, 1]
     base_lift = chain[-1]
     basis = tangent_basis_batch(base_lift[None, :])[0]
     isotropic = max(np.exp(gap_back), np.exp(gap_fwd)) <= 1.0 + ISOTROPY_TOL

@@ -463,11 +463,6 @@ def substitute_linear(map_: HomogeneousMap, matrix: np.ndarray,
     return _substitute(map_, rows, name)
 
 
-def dehomogenized_tables(map_: HomogeneousMap, chart: int) -> np.ndarray:
-    """The map's ``(3, d+1, d+1)`` chart tables on one chart (read-only)."""
-    return map_.chart_tables[chart]
-
-
 # ---------------------------------------------------------------------------
 # geometry of local charts: second-derivative norm and injectivity radius
 # ---------------------------------------------------------------------------

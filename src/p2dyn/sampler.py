@@ -509,8 +509,13 @@ class ExponentEstimate:
             raise ValueError("exponents must be sorted descending")
 
 
-def _qr_accumulate(q: np.ndarray, mats: np.ndarray):
-    """One batched 2x2 QR step: returns new Q and (n, 2) [log r11, log r22]."""
+def qr_step(q: np.ndarray, mats: np.ndarray):
+    """One batched 2x2 QR step: returns new Q and (n, 2) [log r11, log r22].
+
+    Q's first column follows the leading growth of the products of
+    ``mats`` applied so far, and its second the complement; the frames of
+    :mod:`p2dyn.frames` read their directions from the same step.
+    """
     a = mats @ q
     a1 = a[:, :, 0]
     a2 = a[:, :, 1]
@@ -596,7 +601,7 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     per_point = np.zeros((n, 2))
     factors = chained_factors(map_, chain[:PATH_BURN_IN + steps + 1])
     for k, factor in enumerate(factors):
-        q, logs = _qr_accumulate(q, factor)
+        q, logs = qr_step(q, factor)
         if k >= PATH_BURN_IN:
             per_point += logs
     per_point /= steps

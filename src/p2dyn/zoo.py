@@ -73,13 +73,17 @@ class RationalMap1D:
     def degree(self) -> int:
         return self.numerator.size - 1
 
-    def evaluate_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """Apply to (N, 2) homogeneous pairs, sup-normalizing the output."""
+    def _powers(self, pairs: np.ndarray):
+        """Columns z^k, t^(d-k) and the monomials z^k t^(d-k), k = 0..d."""
         z, t = pairs[:, 0], pairs[:, 1]
         d = self.degree
         zp = np.stack([z ** k for k in range(d + 1)], axis=1)
         tp = np.stack([t ** (d - k) for k in range(d + 1)], axis=1)
-        basis = zp * tp
+        return zp, tp, zp * tp
+
+    def evaluate_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        """Apply to (N, 2) homogeneous pairs, sup-normalizing the output."""
+        basis = self._powers(pairs)[2]
         out = np.stack([basis @ self.numerator,
                         basis @ self.denominator], axis=1)
         scale = np.max(np.abs(out), axis=1)
@@ -96,9 +100,7 @@ class RationalMap1D:
         """
         z, t = pairs[:, 0], pairs[:, 1]
         d = self.degree
-        zp = np.stack([z ** k for k in range(d + 1)], axis=1)
-        tp = np.stack([t ** (d - k) for k in range(d + 1)], axis=1)
-        basis = zp * tp
+        zp, tp, basis = self._powers(pairs)
         nval = basis @ self.numerator
         dval = basis @ self.denominator
         k = np.arange(d + 1)

@@ -17,6 +17,10 @@ Oracles used here:
 * One-variable factor exponents: the semi-extremal family contracts its
   slow coordinate at the Lattes factor rate log(2)/2 and its fast
   coordinate at the squaring rate log 2 per inverse step.
+* Covariant-vector identities: ``e1`` is the direction of the first
+  column of the full backward product and ``e2`` is orthogonal to
+  ``F^H e_1`` for the full forward product ``F``, both to rounding, since
+  the QR reader renormalizes every step of the same products.
 * Linear algebra: the frame chart is built from an orthonormal tangent
   basis followed by the [e1 e2] change of basis, giving the bi-Lipschitz
   sandwich d/2 <= |dxi| <= beta * d with beta <= 2 / conditioning, and an
@@ -31,6 +35,7 @@ from p2dyn.frames import (
     CONDITIONING_TOL,
     NormalFormCoordinates,
     OseledecFrame,
+    _forward_factors,
     compute_frame,
     default_coordinates,
     pullback_scaling,
@@ -48,12 +53,15 @@ from p2dyn.sampler import (
     GENERIC_START,
     BackwardOrbit,
     backward_orbit,
+    chained_factors,
+    sample_equilibrium,
     tangent_basis_batch,
 )
 from p2dyn.zoo import (
     chebyshev_product,
     family_by_name,
     lattes_suspension,
+    perturbed_power_family,
     power_map,
 )
 
@@ -204,6 +212,36 @@ class TestComputeFrame:
                                rng=np.random.default_rng(5))
         with pytest.raises(ValueError):
             compute_frame(power, orbit)
+
+    def test_forward_window_off_the_support_still_frames(self):
+        # this point's forward orbit retraces its path to the generic start
+        # at step 30 and falls into the attracting fixed point [0 : 0.0101
+        # : 1] by step 40, so a 60-step product of the forward factors
+        # underflows its second singular value; QR renormalizes every step
+        f = perturbed_power_family().map
+        s = sample_equilibrium(f, depth=30, count=16, seed=12)
+        orbit = backward_orbit(f, s.points[7], 30,
+                               rng=np.random.default_rng([12, 7]))
+        frame = compute_frame(f, orbit)
+        assert frame.conditioning > CONDITIONING_TOL
+
+    @pytest.mark.parametrize("family", ["lattes_suspension",
+                                        "chebyshev_product", "power2"])
+    def test_directions_are_the_full_products_covariant_vectors(
+            self, family, power_setup, susp_setup, product_frames):
+        if family == "power2":
+            map_, orbit, frame, _ = power_setup
+        elif family == "lattes_suspension":
+            map_, _, _, orbit, _, frame = susp_setup
+        else:
+            map_, orbit, frame = product_frames[family]
+        back = chained_factors(map_, sup_normalize(orbit.array[::-1]))
+        column = np.linalg.multi_dot(back[::-1])[:, 0]
+        assert 1.0 - alignment(frame.e1, column / np.linalg.norm(column)) \
+            < 1e-12
+        fwd = np.linalg.multi_dot(_forward_factors(map_, orbit.array[0])[::-1])
+        row = fwd[0].conj()
+        assert alignment(frame.e2, row / np.linalg.norm(row)) < 1e-12
 
     def test_transient_base_rejected(self):
         # the forward orbit of a generic (off-measure) start collapses

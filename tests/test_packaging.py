@@ -103,3 +103,52 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                             for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, private
+
+
+def _module_level_names(tree):
+    """Names bound by a module's top-level defs, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                names |= {n.id for n in ast.walk(target)
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+def _referenced_names(tree):
+    """Names a module reads: loads, attributes, imports, string literals."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_private_and_constant_names_are_used():
+    # a module-level _private or ALL_CAPS name of src/p2dyn that no code in
+    # src/, tests/ or bench/ reads is dead: a deleted helper's constant or
+    # a leftover private function
+    defined = {}
+    for path in sorted((ROOT / "src" / "p2dyn").glob("*.py")):
+        for name in _module_level_names(ast.parse(path.read_text())):
+            if (name.startswith("_") and not name.startswith("__")) \
+                    or re.fullmatch(r"[A-Z][A-Z0-9_]*", name):
+                defined[name] = path.name
+    used = set()
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _referenced_names(ast.parse(path.read_text()))
+    dead = sorted("%s: %s" % (home, name) for name, home in defined.items()
+                  if name not in used)
+    assert not dead, dead

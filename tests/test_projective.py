@@ -21,7 +21,6 @@ from p2dyn.projective import (
     c2_norm,
     chart_indices,
     chart_normalize,
-    dehomogenized_tables,
     fs_distance_batch,
     injectivity_radius,
     lift_from_chart,
@@ -237,7 +236,7 @@ class TestSymbolicAlgebra:
 
     def test_dehomogenized_tables_reproduce_map_on_chart(self):
         f = random_map(3, seed=13)
-        tables = dehomogenized_tables(f, chart=2)
+        tables = f.chart_tables[2]
         rng = np.random.default_rng(14)
         uv = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         lifts = lift_from_chart(2, uv)
