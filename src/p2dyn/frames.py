@@ -3,18 +3,17 @@
 At a point carrying a backward orbit, two tangent directions organize the
 local dynamics: the fastest-expanded direction ``e1`` and the
 slowly-expanded direction ``e2``, the two covariant Lyapunov vectors of
-the Fubini-Study cocycle.  Both are read with the QR step of
-:func:`p2dyn.sampler.lyapunov_exponents`, the covariant-vector
+the Fubini-Study cocycle.  Both are read with :func:`p2dyn.sampler.qr_run`,
+the run whose log rates give the exponents, in the covariant-vector
 construction of Ginelli et al. (PRL 99, 130601, 2007) in two dimensions:
-``e1`` is the first QR column after the backward orbit's factors run from
-its deep end to the point, and ``e2`` the second QR column after the
-forward factors' adjoints run from the far end back to the point.  The
-first is the image of a generic vector under the backward product, the
-second is orthogonal to ``F^H e_1`` for the forward product ``F``, and
-both converge at rate ``exp(-m (l1 - l2))`` in the run length ``m``.  No
+``e1`` is Q's first column after the backward orbit's factors run from
+its deep end to the point, and ``e2`` Q's second column after the forward
+factors' adjoints run from the far end back to the point.  The first is
+the backward product applied to the run's start column ``v``, the second
+is orthogonal to ``F^H v`` for the forward product ``F``, and both
+converge at rate ``exp(-m (l1 - l2))`` in the run length ``m``.  No
 stored path holds the point's future, so the frame iterates its forward
-orbit itself, stores it, and reads both cocycles through the same chained
-factors of :mod:`p2dyn.sampler`.
+orbit itself and reads it through the same chained factors.
 
 The pair spans an affine chart ``p -> (Z, W)``: offsets from the base
 point are computed in the Fubini-Study orthonormal tangent basis (project
@@ -59,7 +58,7 @@ from .sampler import (
     BackwardOrbit,
     chained_factors,
     fs_jacobian_dets,
-    qr_step,
+    qr_run,
     tangent_basis_batch,
 )
 
@@ -93,35 +92,27 @@ CHART_COS_MIN = 0.5
 def _forward_factors(map_: HomogeneousMap, lift: np.ndarray) -> np.ndarray:
     """Chained factors along a lift's stored forward orbit.
 
-    The orbit stops at its first point with FS Jacobian below
-    ``CRITICAL_DET_TOL`` (0 where the image collapses), or after
-    :data:`FORWARD_CAP` steps; one stopped early lost the support, so its
-    last :data:`FORWARD_BACKOFF` factors are dropped.  Fewer than
+    The orbit is iterated :data:`FORWARD_CAP` steps and stops at its first
+    point with FS Jacobian below ``CRITICAL_DET_TOL`` (0 where the image
+    collapses), found with one batched check over the stored points; one
+    that stopped early lost the support, so its last
+    :data:`FORWARD_BACKOFF` factors are dropped.  Fewer than
     :data:`MIN_FORWARD_STEPS` usable factors raise :class:`FrameError`.
     """
     orbit = [sup_normalize(lift)]
-    while len(orbit) <= FORWARD_CAP and \
-            fs_jacobian_dets(map_, orbit[-1])[0] >= CRITICAL_DET_TOL:
-        orbit.append(map_.evaluate_batch(orbit[-1]))
-    steps = len(orbit) - 1
+    for _ in range(FORWARD_CAP):
+        orbit.append(map_.evaluate_batch_safe(orbit[-1])[0])
+    orbit = np.concatenate(orbit)
+    critical = np.flatnonzero(
+        fs_jacobian_dets(map_, orbit[:-1]) < CRITICAL_DET_TOL)
+    steps = critical[0] if critical.size else FORWARD_CAP
     usable = steps - FORWARD_BACKOFF * (steps < FORWARD_CAP)
     if usable < MIN_FORWARD_STEPS:
         raise FrameError(
             "only %d usable forward cocycle steps at the base point (need "
             ">= %d; use backward-walk endpoints, whose forward horizon is "
             "deep)" % (max(usable, 0), MIN_FORWARD_STEPS))
-    return chained_factors(map_, np.concatenate(orbit))[:usable]
-
-
-def _qr_run(factors: np.ndarray) -> tuple[np.ndarray, float]:
-    """QR frame after :func:`qr_step` runs through ``factors`` in order,
-    and the run's mean per-step gap ``log r11 - log r22``."""
-    q = np.eye(2, dtype=np.complex128)[None]
-    gap = 0.0
-    for factor in factors:
-        q, logs = qr_step(q, factor[None])
-        gap += logs[0, 0] - logs[0, 1]
-    return q[0], float(gap) / len(factors)
+    return chained_factors(map_, orbit[:steps + 1])[:usable]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,24 +167,24 @@ def compute_frame(map_: HomogeneousMap, orbit: BackwardOrbit
                   ) -> OseledecFrame:
     """Fast/slow frame at the endpoint ``x_0`` of a backward orbit.
 
-    The fast direction is the first QR column after the orbit's factors
-    run from ``x_{-n}`` to ``x_0``; the slow direction is the second QR
-    column after the adjoints of the forward factors from ``x_0`` (backed
-    off where that orbit reaches critical degeneracy) run from the far end
-    back to ``x_0``.  These are the covariant Lyapunov vectors of Ginelli
-    et al. (PRL 99, 130601, 2007) in two dimensions.
+    Two single-row QR runs, as the module docstring derives: ``e1`` from
+    the orbit's factors from ``x_{-n}`` to ``x_0``, ``e2`` from the
+    adjoints of :func:`_forward_factors` run back to ``x_0``; the
+    isotropy gap is each run's mean ``log r11 - log r22``.
     """
     if orbit.depth < MIN_FRAME_DEPTH:
         raise ValueError("frame estimation needs a backward orbit of depth "
                          ">= %d, got %d" % (MIN_FRAME_DEPTH, orbit.depth))
     chain = sup_normalize(orbit.array[::-1])
-    q_back, gap_back = _qr_run(chained_factors(map_, chain))
+    q_back, logs_back = qr_run(chained_factors(map_, chain[:, None]))
     fwd = _forward_factors(map_, orbit.array[0])
-    q_fwd, gap_fwd = _qr_run(fwd[::-1].conj().transpose(0, 2, 1))
-    e1, e2 = q_back[:, 0], q_fwd[:, 1]
+    q_fwd, logs_fwd = qr_run(fwd[::-1, None].conj().transpose(0, 1, 3, 2))
+    e1, e2 = q_back[0, :, 0], q_fwd[0, :, 1]
     base_lift = chain[-1]
     basis = tangent_basis_batch(base_lift[None, :])[0]
-    isotropic = max(np.exp(gap_back), np.exp(gap_fwd)) <= 1.0 + ISOTROPY_TOL
+    gap = max(np.mean(logs[:, 0, 0] - logs[:, 0, 1])
+              for logs in (logs_back, logs_fwd))
+    isotropic = np.exp(gap) <= 1.0 + ISOTROPY_TOL
     return OseledecFrame(e1=e1, e2=e2, isotropic=bool(isotropic),
                          base_lift=base_lift, tangent_basis=basis)
 

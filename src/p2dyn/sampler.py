@@ -1,16 +1,10 @@
-"""Equilibrium-measure sampling and Lyapunov exponents.
+"""Equilibrium-measure sampling, the QR cocycle and Lyapunov exponents.
 
 Backward random walks (one uniformly chosen preimage per step, counted with
 multiplicity) equidistribute toward the measure of maximal entropy; the
 walk is also numerically stable because inverse branches contract toward
 the measure's support.  :func:`sample_equilibrium` keeps every walker's
-path, and :func:`lyapunov_exponents` reads the derivative cocycle along
-those stored points, forward in time from each path's deep end.  It drops
-``PATH_BURN_IN`` steps at the deep end (the QR alignment transient) and
-``PATH_START_SKIP`` levels next to the generic start (not yet on the
-support).  No forward orbit is iterated: one would leave the expanding
-support within about ``52 / log2(e^l1)`` steps of float64 rounding and
-then measure whatever attracts it.
+path.
 
 All tangent-space computations use Fubini-Study orthonormal frames: at a
 lift p the tangent plane is the hermitian orthogonal complement of p, and
@@ -20,9 +14,17 @@ the derivative cocycle factor from p to its image q = F(p) is
 
 a 2x2 matrix whose singular values are the metric derivative rates.
 Factors chain exactly when consecutive steps share the basis at the
-common point, and |det A| is basis-independent, so the same machinery
-serves exponent estimation, backward-orbit validation and the frames
-of :mod:`p2dyn.frames`.
+common point (:func:`chained_factors`), and |det A| is basis-independent.
+
+One batched QR run, :func:`qr_run`, reads every chain of factors: its
+per-step log rates give the exponents, and its final Q the frames of
+:mod:`p2dyn.frames`.  :func:`lyapunov_exponents` runs it along the stored
+paths, forward in time from each path's deep end, and drops
+``PATH_BURN_IN`` steps at the deep end (the QR alignment transient) and
+``PATH_START_SKIP`` levels next to the generic start (not yet on the
+support).  No forward orbit is iterated for the exponents: one would leave
+the expanding support within about ``52 / log2(e^l1)`` steps of float64
+rounding and then measure whatever attracts it.
 
 Concurrency model: walkers are independent; the implementation realizes
 the parallel map over walkers as vectorized batch steps.  One walker step
@@ -489,9 +491,9 @@ class ExponentEstimate:
 
     ``per_point`` holds each walker's finite-time pair in QR column order,
     unsorted; ``window`` is the (min, median, max) number of path steps
-    the walkers read, one common count.  Nothing is censored or discarded
-    any more, so ``n_truncated`` and ``n_discarded`` read 0; they stay for
-    callers that read them.
+    the walkers read, one common count.  Every walker reads every step,
+    so ``n_truncated`` and ``n_discarded`` read 0; they stay for callers
+    that read them.
     """
 
     lambda1: float
@@ -509,24 +511,27 @@ class ExponentEstimate:
             raise ValueError("exponents must be sorted descending")
 
 
-def qr_step(q: np.ndarray, mats: np.ndarray):
-    """One batched 2x2 QR step: returns new Q and (n, 2) [log r11, log r22].
+def qr_run(factors: np.ndarray):
+    """QR cocycle over an (L, n, 2, 2) stack of factors applied in order.
 
-    Q's first column follows the leading growth of the products of
-    ``mats`` applied so far, and its second the complement; the frames of
-    :mod:`p2dyn.frames` read their directions from the same step.
+    Returns the final (n, 2, 2) Q and the (L, n, 2) per-step
+    ``[log r11, log r22]``.  Q's first column follows the leading growth
+    of the products of the factors applied so far, and its second the
+    complement: the exponents sum the logs, and the frames of
+    :mod:`p2dyn.frames` read their directions from Q.
     """
-    a = mats @ q
-    a1 = a[:, :, 0]
-    a2 = a[:, :, 1]
-    r11 = np.linalg.norm(a1, axis=1)
-    r11 = np.maximum(r11, 1e-300)
-    q1 = a1 / r11[:, None]
-    r12 = np.sum(q1.conj() * a2, axis=1)
-    u = a2 - q1 * r12[:, None]
-    r22 = np.maximum(np.linalg.norm(u, axis=1), 1e-300)
-    q2 = u / r22[:, None]
-    return np.stack([q1, q2], axis=2), np.log(np.stack([r11, r22], axis=1))
+    q = np.tile(np.eye(2, dtype=np.complex128), (factors.shape[1], 1, 1))
+    logs = np.empty(factors.shape[:2] + (2,))
+    for k, mats in enumerate(factors):
+        a = mats @ q
+        a1, a2 = a[:, :, 0], a[:, :, 1]
+        r11 = np.maximum(np.linalg.norm(a1, axis=1), 1e-300)
+        q1 = a1 / r11[:, None]
+        u = a2 - q1 * np.sum(q1.conj() * a2, axis=1)[:, None]
+        r22 = np.maximum(np.linalg.norm(u, axis=1), 1e-300)
+        q = np.stack([q1, u / r22[:, None]], axis=2)
+        logs[k] = np.log(np.stack([r11, r22], axis=1))
+    return q, logs
 
 
 def _guard_margin(dof: int) -> float:
@@ -597,14 +602,8 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
             "paths of depth %d leave no cocycle step after dropping %d + %d "
             "levels" % (len(chain) - 1, PATH_BURN_IN, PATH_START_SKIP))
     n = chain.shape[1]
-    q = np.tile(np.eye(2, dtype=np.complex128), (n, 1, 1))
-    per_point = np.zeros((n, 2))
-    factors = chained_factors(map_, chain[:PATH_BURN_IN + steps + 1])
-    for k, factor in enumerate(factors):
-        q, logs = qr_step(q, factor)
-        if k >= PATH_BURN_IN:
-            per_point += logs
-    per_point /= steps
+    _, logs = qr_run(chained_factors(map_, chain[:PATH_BURN_IN + steps + 1]))
+    per_point = logs[PATH_BURN_IN:].sum(axis=0) / steps
     logger.info("lyapunov_exponents: %d walker(s) read %d path step(s) "
                 "each, of depth-%d paths (cap %d)", n, steps, len(chain) - 1,
                 n_iter)
