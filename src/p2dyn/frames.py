@@ -103,9 +103,8 @@ def _forward_factors(map_: HomogeneousMap, lift: np.ndarray) -> np.ndarray:
     for _ in range(FORWARD_CAP):
         orbit.append(map_.evaluate_batch_safe(orbit[-1])[0])
     orbit = np.concatenate(orbit)
-    critical = np.flatnonzero(
-        fs_jacobian_dets(map_, orbit[:-1]) < CRITICAL_DET_TOL)
-    steps = critical[0] if critical.size else FORWARD_CAP
+    clear = fs_jacobian_dets(map_, orbit[:-1]) >= CRITICAL_DET_TOL
+    steps = FORWARD_CAP if clear.all() else int(np.argmin(clear))
     usable = steps - FORWARD_BACKOFF * (steps < FORWARD_CAP)
     if usable < MIN_FORWARD_STEPS:
         raise FrameError(

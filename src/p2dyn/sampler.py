@@ -85,6 +85,13 @@ PATH_START_SKIP = 8
 #: fixed generic starting lift for backward walks
 GENERIC_START = (0.4371 + 0.2913j, -0.1718 + 0.8842j, 1.0 + 0.0j)
 
+#: every QR run starts from the unitary factor of this matrix.  Not the
+#: identity: column 0 of :func:`tangent_basis_batch` moves one homogeneous
+#: coordinate alone, and a run started on it stays on that line field,
+#: fast or slow, under any product map.  Any fixed frame is invariant for
+#: some map.
+QR_START = np.array([[1.0, 0.618 + 0.3j], [0.414 - 0.7j, 1.0]])
+
 
 # ---------------------------------------------------------------------------
 # Fubini-Study tangent frames and cocycle factors
@@ -514,13 +521,13 @@ class ExponentEstimate:
 def qr_run(factors: np.ndarray):
     """QR cocycle over an (L, n, 2, 2) stack of factors applied in order.
 
-    Returns the final (n, 2, 2) Q and the (L, n, 2) per-step
-    ``[log r11, log r22]``.  Q's first column follows the leading growth
-    of the products of the factors applied so far, and its second the
-    complement: the exponents sum the logs, and the frames of
-    :mod:`p2dyn.frames` read their directions from Q.
+    Every run starts from the unitary factor of :data:`QR_START`.
+    Returns the final (n, 2, 2) Q and the (L, n, 2) per-step ``[log r11,
+    log r22]``.  Q's first column follows the leading growth of the
+    products applied so far, and its second the complement: the exponents
+    sum the logs, and the frames of :mod:`p2dyn.frames` read Q.
     """
-    q = np.tile(np.eye(2, dtype=np.complex128), (factors.shape[1], 1, 1))
+    q = np.tile(np.linalg.qr(QR_START)[0], (factors.shape[1], 1, 1))
     logs = np.empty(factors.shape[:2] + (2,))
     for k, mats in enumerate(factors):
         a = mats @ q
@@ -570,12 +577,13 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     read in between.
 
     Both counts come from a sweep over 2,000 paths (seeds 500-509, 200
-    walkers each) on lattes_suspension, whose exponents differ.  The fast
-    column's mean step read 0.127, 0.137, 0.088, 0.074, 0.051, 0.032 and
-    0.020 below log 2 at steps 0-6 from the deep end, then shrank about
-    0.6-fold per step, and QR moves the same amount onto the slow column.
-    What is left past 6 steps biases a depth-30 lambda2 by +0.86 %, the
-    first burn-in under half the 2 % band (5 steps leave +1.4 %).  The
+    walkers each) on lattes_suspension, whose exponents differ, read from
+    ``QR_START``.  The fast column's mean step read 0.111, 0.112, 0.080,
+    0.056, 0.047, 0.026 and 0.017 below log 2 at steps 0-6 from the deep
+    end, then about halved per step, and QR moves the same amount onto the
+    slow column.  Past 6 steps the pooled depth-30 lambda2 reads +0.70 %
+    (standard error 0.25 %), the first burn-in under half the 2 % band
+    (5 steps leave +1.27 %, 4 leave +1.85 %).  The
     basis-free mean log |det| of the step onto level j from the start sat
     0.29, -0.12, 0.18, 0.068, 0.026, 0.021 and 0.021 off l1 + l2 for j =
     0-6, each at least 2.3 standard errors, and within 2 from j = 7 on;

@@ -11,16 +11,17 @@ Oracles used here:
   checked against finite differences of test points pulled back through
   the preimage solver, which shares no code with the cocycle.
 * Product invariance: for product endomorphisms the two coordinate line
-  fields are invariant, so the fast direction of a window with separated
-  growth must align with one of the projected coordinate axes; on the
-  fibered semi-extremal family the fast (fiber) axis is deterministic.
+  fields are invariant, so on the product of z^2 - 3 and w^2 + 1, whose z
+  factor has the larger exponent, the fast direction is the projected z
+  axis; on the fibered semi-extremal family it is the fiber axis.
 * One-variable factor exponents: the semi-extremal family contracts its
   slow coordinate at the Lattes factor rate log(2)/2 and its fast
   coordinate at the squaring rate log 2 per inverse step.
-* Covariant-vector identities: ``e1`` is the direction of the first
-  column of the full backward product and ``e2`` is orthogonal to
-  ``F^H e_1`` for the full forward product ``F``, both to rounding, since
-  the QR reader renormalizes every step of the same products.
+* Covariant-vector identities: with ``s`` the first column of the QR
+  start frame, ``e1`` is the direction of the full backward product
+  applied to ``s`` and ``e2`` is orthogonal to ``F^H s`` for the full
+  forward product ``F``, both to rounding, since the QR reader
+  renormalizes every step of the same products.
 * Linear algebra: the frame chart is built from an orthonormal tangent
   basis followed by the [e1 e2] change of basis, giving the bi-Lipschitz
   sandwich d/2 <= |dxi| <= beta * d with beta <= 2 / conditioning, and an
@@ -51,6 +52,7 @@ from p2dyn.projective import (
 )
 from p2dyn.sampler import (
     GENERIC_START,
+    QR_START,
     BackwardOrbit,
     backward_orbit,
     chained_factors,
@@ -58,11 +60,11 @@ from p2dyn.sampler import (
     tangent_basis_batch,
 )
 from p2dyn.zoo import (
-    chebyshev_product,
     family_by_name,
     lattes_suspension,
     perturbed_power_family,
     power_map,
+    product_map,
 )
 
 LOG2 = float(np.log(2.0))
@@ -195,16 +197,19 @@ class TestComputeFrame:
         assert angle_degrees(f20.e2, f40.e2) < 2.0
 
     def test_product_frame_aligns_with_an_axis(self):
-        cheb = chebyshev_product()
-        warm = backward_orbit(cheb, GENERIC, 25,
-                              rng=np.random.default_rng(64))
-        orbit = backward_orbit(cheb, warm.points[-1], 40,
-                               rng=np.random.default_rng(65))
-        frame = compute_frame(cheb, orbit)
-        a_z, a_w = axis_directions(frame.base_lift)
-        assert max(alignment(frame.e1, a_z),
-                   alignment(frame.e1, a_w)) > 0.999
-        assert not frame.isotropic
+        # the product of z^2 - 3 and w^2 + 1 expands its z axis at 1.1300
+        # and its w axis at 0.8968 per step, so e1 is the z axis; a QR run
+        # started on the identity kept column 0 on whichever axis it began
+        # and read 0.57-0.72 on the z axis at these four points
+        f = product_map([-3, 0, 1], [1, 0, 1])
+        sample = sample_equilibrium(f, depth=30, count=5, seed=2)
+        for k in range(1, 5):
+            orbit = backward_orbit(f, sample.points[k], 30,
+                                   rng=np.random.default_rng([2, k]))
+            frame = compute_frame(f, orbit)
+            a_z, _ = axis_directions(frame.base_lift)
+            assert alignment(frame.e1, a_z) > 0.999
+            assert not frame.isotropic
 
     def test_shallow_orbit_rejected(self, power_setup):
         power, _, _, _ = power_setup
@@ -235,12 +240,13 @@ class TestComputeFrame:
             map_, _, _, orbit, _, frame = susp_setup
         else:
             map_, orbit, frame = product_frames[family]
+        start = QR_START[:, 0]
         back = chained_factors(map_, sup_normalize(orbit.array[::-1]))
-        column = np.linalg.multi_dot(back[::-1])[:, 0]
+        column = np.linalg.multi_dot(back[::-1]) @ start
         assert 1.0 - alignment(frame.e1, column / np.linalg.norm(column)) \
             < 1e-12
         fwd = np.linalg.multi_dot(_forward_factors(map_, orbit.array[0])[::-1])
-        row = fwd[0].conj()
+        row = fwd.conj().T @ start
         assert alignment(frame.e2, row / np.linalg.norm(row)) < 1e-12
 
     def test_transient_base_rejected(self):

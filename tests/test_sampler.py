@@ -47,6 +47,7 @@ from p2dyn.zoo import (
     lattes_suspension,
     perturbed_power_family,
     power_map,
+    product_map,
     squaring_factor,
     standard_zoo,
 )
@@ -453,6 +454,47 @@ class TestLyapunovExponents:
         assert abs(est.lambda1 - LOG2) < 0.02 * LOG2 + 3 * est.stderr1
         assert abs(est.lambda2 - LOG2) < 0.02 * LOG2 + 3 * est.stderr2
         assert est.lambda1 >= est.lambda2
+
+    def test_cantor_product_exponents_follow_manning_przytycki(self):
+        """Both exponents of (z^2 - 3, w^2 + 1) within the bench band.
+
+        For p_c(z) = z^2 + c with the critical point 0 escaping, the
+        exponent is log 2 + G_c(0) (Manning, Ann. Math. 119, 1984;
+        Przytycki, Invent. Math. 80, 1985), G_c = lim 2^-k log|p_c^k| the
+        escape rate.  With z_k = p_c^k(0), log|z_(k+1)| = 2 log|z_k| +
+        log|1 + c / z_k^2|, so 2^-k log|z_k| moves by 2^-(k+1) log|1 + c
+        / z_k^2| per step, and by less than 2^-k |c| 1e-200 in all once
+        |z_k| > 1e100: there it is G_c(0) to rounding.  The product's
+        cocycle is diagonal on the z and w axes, so its exponents are the
+        factors', 1.1300 and 0.8968.  A QR run started on the identity
+        stays on whichever axis it began and read 1.0612 / 0.9704 here.
+        """
+        def exponent(c):
+            z, k = 0j, 0
+            while abs(z) <= 1e100:
+                z, k = z * z + c, k + 1
+            return LOG2 + np.log(abs(z)) / 2 ** k
+
+        f = product_map([-3, 0, 1], [1, 0, 1])
+        est = lyapunov_exponents(
+            f, sample_equilibrium(f, depth=60, count=200, seed=1), 500)
+        for value, err, ref in ((est.lambda1, est.stderr1, exponent(-3)),
+                                (est.lambda2, est.stderr2, exponent(1))):
+            assert abs(value - ref) < 0.02 * ref + 3 * err
+
+    def test_walkers_are_read_independently(self):
+        # each walker's QR run reads only its own path, so a sample of
+        # walkers 50-89 alone gives their rows of the full call; the bound
+        # leaves room for a batched kernel that rounds a row differently
+        # by its place in the batch (they read bit-identical)
+        f = lattes_suspension()
+        full = sample_equilibrium(f, depth=30, count=200, seed=0)
+        rows = slice(50, 90)
+        part = MeasureSample(full.points[rows], np.full(40, 1 / 40),
+                             full.provenance, paths=full.paths[rows])
+        expected = lyapunov_exponents(f, full, 500).per_point[rows]
+        got = lyapunov_exponents(f, part, 500).per_point
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
     def test_memory_follows_the_steps_walked(self):
         # the estimator reads 11 steps of a depth-25 path, so a huge budget
