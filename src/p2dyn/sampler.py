@@ -445,8 +445,11 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
     failures = 0
     rotated, worst = 0, 0.0
 
-    def fail_budget_ok() -> bool:
-        return failures <= MAX_FAILURE_FRACTION * count
+    def check_budget() -> None:
+        if failures > MAX_FAILURE_FRACTION * count:
+            raise SamplingError(
+                "%d of %d walkers aborted (> %.0f%%)"
+                % (failures, count, 100 * MAX_FAILURE_FRACTION))
 
     replacement_rows = []
     for level in range(1, depth + 1):
@@ -459,25 +462,17 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
         active[lost] = False
         replacement_rows.extend(lost.tolist())
         failures += lost.size
-        if not fail_budget_ok():
-            raise SamplingError(
-                "%d of %d walkers aborted (> %.0f%%)"
-                % (failures, count, 100 * MAX_FAILURE_FRACTION))
+        check_budget()
 
     for row in replacement_rows:
-        done = False
-        while fail_budget_ok() and not done:
+        while True:
+            check_budget()
             fresh = np.random.default_rng(ss.spawn(1)[0])
             try:
-                orbit = backward_orbit(map_, start, depth, fresh)
-                paths[row] = orbit.points
-                done = True
+                paths[row] = backward_orbit(map_, start, depth, fresh).points
+                break
             except (PreimageSolverError, OrbitInvariantError):
                 failures += 1
-        if not done:
-            raise SamplingError(
-                "%d of %d walkers aborted (> %.0f%%)"
-                % (failures, count, 100 * MAX_FAILURE_FRACTION))
 
     logger.info("sample_equilibrium: %d walker(s) aborted, %d replaced; %d "
                 "preimage target(s) needed coordinate rotations; worst "
@@ -616,10 +611,8 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
                 "each, of depth-%d paths (cap %d)", n, steps, len(chain) - 1,
                 n_iter)
     means = per_point.mean(axis=0)
-    if n > 1:
-        errs = per_point.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        errs = np.full(2, np.inf)
+    errs = (per_point.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
+            else np.full(2, np.inf))
     order = np.argsort(-means, kind="stable")
     means, errs = means[order], errs[order]
     floor = 0.5 * np.log(map_.degree)

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMapError, PreimageSolverError
+from .errors import (ConfigError, DegenerateMapError, PreimageSolverError,
+                     SamplingError)
 from .preimages import preimage_batch
 from .projective import HomogeneousMap
 
@@ -166,7 +167,9 @@ def birkhoff_exponent(factor: RationalMap1D, seed: int,
     Chebyshev-like factors start on the invariant interval (2 cos of a
     uniform angle), monomials on the unit circle (with the radial rounding
     drift projected out -- the circle is invariant), everything else at
-    generic points whose orbits equidistribute after burn-in.
+    generic points whose orbits equidistribute after burn-in.  Orbits
+    that reach a zero of the spherical derivative (z^2 - 3 escapes to
+    infinity) do not sample the measure: :class:`SamplingError`.
     """
     rng = np.random.default_rng(seed)
     poly = not np.any(factor.denominator[1:])
@@ -197,7 +200,11 @@ def birkhoff_exponent(factor: RationalMap1D, seed: int,
     for _ in range(BIRKHOFF_BURN_IN):
         pairs = step(pairs)
     for k in range(n_per):
-        logs[k] = np.log(factor.spherical_derivative(pairs))
+        derivs = factor.spherical_derivative(pairs)
+        if not np.all(derivs > 0):
+            raise SamplingError("an orbit of %r reached a zero of the "
+                                "spherical derivative" % factor.name)
+        logs[k] = np.log(derivs)
         pairs = step(pairs)
     per_orbit = logs.mean(axis=0)
     return float(per_orbit.mean()), \

@@ -1,6 +1,7 @@
 """Packaging metadata points only at code that exists."""
 
 import ast
+import builtins
 import importlib
 import importlib.metadata
 import re
@@ -152,3 +153,55 @@ def test_private_and_constant_names_are_used():
     dead = sorted("%s: %s" % (home, name) for name, home in defined.items()
                   if name not in used)
     assert not dead, dead
+
+
+_CROSS_REFERENCE = re.compile(
+    r":(?:func|class|meth|attr|data|mod):`~?([\w.]+?)(?:\(\))?`")
+
+
+def _has_path(obj, parts):
+    """True when ``obj.parts[0].parts[1]...`` exists; a dataclass field
+    without a default counts as the last part."""
+    for k, part in enumerate(parts):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            fields = getattr(obj, "__dataclass_fields__", {})
+            return part in fields and k == len(parts) - 1
+    return True
+
+
+def _module_path(target):
+    """True when ``target`` is a loaded module plus an existing path."""
+    parts = target.split(".")
+    for k in range(len(parts), 0, -1):
+        module = sys.modules.get(".".join(parts[:k]))
+        if module is not None:
+            return _has_path(module, parts[k:])
+    return False
+
+
+def test_docstring_cross_references_resolve():
+    # a :func:, :class:, :meth:, :attr:, :data: or :mod: reference in the
+    # docstrings and #: comments of src/p2dyn names a p2dyn path, a name of
+    # its own module, a builtin, or a method or dataclass field of a class
+    # of that module; a docstring naming a deleted function fails here
+    paths = sorted((ROOT / "src" / "p2dyn").glob("*.py"))
+    modules = [importlib.import_module(
+        "p2dyn" + ("" if path.stem == "__init__" else "." + path.stem))
+        for path in paths]
+    broken = []
+    for path, module in zip(paths, modules):
+        members = set()
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                members |= set(dir(obj))
+                members |= set(getattr(obj, "__dataclass_fields__", {}))
+        for target in _CROSS_REFERENCE.findall(path.read_text()):
+            head, *rest = target.split(".")
+            if not (head == "p2dyn" and _module_path(target)
+                    or _has_path(module, [head] + rest)
+                    or _has_path(builtins, [head] + rest)
+                    or not rest and head in members):
+                broken.append("%s: %s" % (path.name, target))
+    assert not broken, broken

@@ -8,7 +8,7 @@ spherical derivatives.
 import numpy as np
 import pytest
 
-from p2dyn.errors import ConfigError, DegenerateMapError
+from p2dyn.errors import ConfigError, DegenerateMapError, SamplingError
 from p2dyn.preimages import preimages
 from p2dyn.projective import HomogeneousMap, HomogeneousPoint
 from p2dyn.zoo import (
@@ -110,6 +110,14 @@ class TestFactorOracles:
         est, err = birkhoff_exponent(lattes_factor(), seed=5)
         assert abs(est - 0.5 * LOG2) < 0.01 * 0.5 * LOG2
         assert err < 0.01
+
+    def test_escaping_orbits_raise_a_typed_error(self):
+        # z^2 - 3 sends the generic starts to infinity, a superattracting
+        # point with spherical derivative 0, whose log numpy would only
+        # warn about
+        with pytest.raises(SamplingError):
+            birkhoff_exponent(polynomial_factor([-3, 0, 1]), seed=5,
+                              n_steps=1000)
 
     def test_polynomial_factor_validation(self):
         with pytest.raises(DegenerateMapError):
