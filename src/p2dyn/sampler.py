@@ -87,9 +87,9 @@ GENERIC_START = (0.4371 + 0.2913j, -0.1718 + 0.8842j, 1.0 + 0.0j)
 
 #: every QR run starts from the unitary factor of this matrix.  Not the
 #: identity: column 0 of :func:`tangent_basis_batch` moves one homogeneous
-#: coordinate alone, and a run started on it stays on that line field,
-#: fast or slow, under any product map.  Any fixed frame is invariant for
-#: some map.
+#: coordinate alone, product maps preserve that line field, and a run
+#: started on it keeps column 0 there, fast or slow.  Any fixed frame is
+#: invariant for some map.
 QR_START = np.array([[1.0, 0.618 + 0.3j], [0.414 - 0.7j, 1.0]])
 
 
@@ -572,8 +572,8 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     read in between.
 
     Both counts come from a sweep over 2,000 paths (seeds 500-509, 200
-    walkers each) on lattes_suspension, whose exponents differ, read from
-    ``QR_START``.  The fast column's mean step read 0.111, 0.112, 0.080,
+    walkers each) on lattes_suspension, whose exponents differ, from
+    :data:`QR_START`.  The fast column's mean step read 0.111, 0.112, 0.080,
     0.056, 0.047, 0.026 and 0.017 below log 2 at steps 0-6 from the deep
     end, then about halved per step, and QR moves the same amount onto the
     slow column.  Past 6 steps the pooled depth-30 lambda2 reads +0.70 %
@@ -611,8 +611,10 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
                 "each, of depth-%d paths (cap %d)", n, steps, len(chain) - 1,
                 n_iter)
     means = per_point.mean(axis=0)
-    errs = (per_point.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
-            else np.full(2, np.inf))
+    if n > 1:
+        errs = per_point.std(axis=0, ddof=1) / np.sqrt(n)
+    else:
+        errs = np.full(2, np.inf)
     order = np.argsort(-means, kind="stable")
     means, errs = means[order], errs[order]
     floor = 0.5 * np.log(map_.degree)
