@@ -15,7 +15,8 @@ d^(-k-1) log||F(u_k)|| with u_k the orbit rescaled to unit norm -- so each
 step adds a bounded term and the truncation error after depth N is at most
 B d^(-N) / (d-1), where B bounds |log ||F|| | on the sup-norm unit sphere.
 :func:`escape_rate` computes G_N in the sup norm or in the 2-norm (they
-differ by at most d^(-N) log sqrt(3)), rescaling by exact powers of two.
+differ by at most d^(-N) log sqrt(3)), rescaling by exact powers of two once
+per span of steps the coefficients and the degeneracy rule keep in range.
 Its ``also`` argument returns a shallower truncation G_M (M <= N) from the
 same pass: the partial sum at step M is bit-identical to a depth-M call.
 """
@@ -46,23 +47,6 @@ _SPHERE_SAMPLE_SEED = 524287
 _SPHERE_SAMPLE_COUNT = 4096
 
 
-def _norm_growth_constants(map_: HomogeneousMap) -> tuple[float, float]:
-    """(min, max) of ||F(v)||_sup over the sup-norm unit sphere.
-
-    The max is the rigorous coefficient bound max_i sum |c_ij|; the min is
-    a seeded sample minimum with a 2x safety margin (adequate for an error
-    *estimate*; tests check the implied bound empirically).
-    """
-    upper = max(float(np.sum(np.abs(list(table.values()))))
-                for table in map_.tables)
-    rng = np.random.default_rng(_SPHERE_SAMPLE_SEED)
-    n = _SPHERE_SAMPLE_COUNT
-    pts = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    values = map_.evaluate_batch(pts, renormalize=False)
-    lower = 0.5 * float(np.min(np.max(np.abs(values), axis=1)))
-    return lower, upper
-
-
 @dataclass(frozen=True)
 class GreenEvaluator:
     """Escape-rate evaluator at a fixed truncation depth."""
@@ -75,10 +59,33 @@ class GreenEvaluator:
             raise ValueError("depth must be >= 1")
 
     @cached_property
+    def growth_bound(self) -> float:
+        """U = max_i sum_j |c_ij|, so ||F(v)||_sup <= U ||v||_sup^d."""
+        return max(float(np.sum(np.abs(list(table.values()))))
+                   for table in self.map.tables)
+
+    @cached_property
     def step_bound(self) -> float:
-        """B with |log ||F(v)||_sup| <= B for sup-normalized v."""
-        lower, upper = _norm_growth_constants(self.map)
-        return max(abs(np.log(lower)), abs(np.log(upper)))
+        """B with |log ||F(v)||_sup| <= B for sup-normalized v: U above, and
+        below half the least image of a seeded sample of the unit sphere
+        (adequate for an error *estimate*; tests check it empirically)."""
+        rng = np.random.default_rng(_SPHERE_SAMPLE_SEED)
+        re, im = rng.normal(size=(2, _SPHERE_SAMPLE_COUNT, 3))
+        images = self.map.evaluate_batch(re + 1j * im, renormalize=False)
+        lower = 0.5 * float(np.min(np.max(np.abs(images), axis=1)))
+        return max(abs(np.log(lower)), abs(np.log(self.growth_bound)))
+
+    @cached_property
+    def rescale_spans(self) -> dict[str, int]:
+        """Steps per rescale in :func:`escape_rate` by norm, derived there."""
+        d, down, spans = self.map.degree, np.log2(DEGENERATE_EVAL_TOL), {}
+        for norm, (_, k, limit) in _COLUMN_NORMS.items():
+            up = np.log2(max(k * self.growth_bound, 1.0))
+            hi, lo, span = up, down - d, 1  # log2 bounds on |v_1|
+            while d * hi + up <= limit and d * lo + down >= -limit:
+                hi, lo, span = d * hi + up, d * lo + down, span + 1
+            spans[norm] = span
+        return spans
 
     def truncation_bound(self, depth: int | None = None) -> float:
         """|G - G_N| <= B d^(-N) / (d-1): geometric in the depth."""
@@ -87,10 +94,12 @@ class GreenEvaluator:
         return self.step_bound * d ** (-float(n)) / (d - 1.0)
 
 
-#: norms of (3, N) columns accepted by :func:`escape_rate`
+#: norms of (3, N) columns for :func:`escape_rate`, with K (||F(v)|| <= K U
+#: ||v||^d) and the log2 range where each reads to rounding (squares normal)
 _COLUMN_NORMS = {
-    "sup": lambda cols: np.max(np.abs(cols), axis=0),
-    "2": lambda cols: np.sqrt(np.sum(cols.real ** 2 + cols.imag ** 2, axis=0)),
+    "sup": (lambda cols: np.max(np.abs(cols), axis=0), 1.0, 1000.0),
+    "2": (lambda cols: np.sqrt(np.sum(cols.real ** 2 + cols.imag ** 2,
+                                      axis=0)), np.sqrt(3.0), 500.0),
 }
 
 
@@ -102,16 +111,20 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     The one truncated Green function ``d^(-N) log |F^N(p)|`` in the chosen
     norm (``"sup"``, or ``"2"`` for the Hermitian norm); the slice grids use
     the sup norm, the mass certificate the 2-norm, whose truncations are
-    smooth.  With ``|v_k| = m_k 2^(e_k)``, ``m_k`` in [1/2, 1), it iterates
-    ``v_0 = p``, ``v_(k+1) = F(2^(-e_k) v_k)``: a power of two rescales
-    exactly, and by homogeneity G_N telescopes to ``log 2 sum_{k<N} d^(-k)
-    e_k + d^(-N) log |v_N|``, one ``log`` per point.
+    smooth.  It iterates ``v_0 = p``, ``v_(k+1) = F(2^(-e_k) v_k)`` with
+    ``|v_k| = m_k 2^(e_k)``, ``m_k`` in [1/2, 1), at steps k divisible by
+    ``span = ev.rescale_spans[norm]`` and ``e_k = 0`` between: by homogeneity
+    G_N telescopes to ``log 2 sum_{k<N} d^(-k) e_k + d^(-N) log |v_N|``.
+    ``span`` is the largest j (at least 1) keeping j steps from a norm in
+    [1/2, 1) in the norm's range: above by ``|F(v)| <= K U |v|^d``, below by
+    the degeneracy rule (4 for degree-2 zoo maps and 3 for power3 in the
+    sup norm, 3 and 2 in the 2-norm, whose squares must stay normal).
 
-    Zero or non-finite lifts raise ``ValueError``; a step where the image
-    of the unit-norm point ``2^(-e_k) v_k / m_k`` has norm at most
-    ``DEGENERATE_EVAL_TOL`` (``|v_(k+1)| <= tol m_k^d``) raises
-    :class:`DegenerateEvaluationError`.  Blocks of ``_BLOCK_ROWS`` points
-    run as (3, b) columns in one power table, where the map writes F.
+    Zero or non-finite lifts raise ``ValueError``; a step with ``|v_(k+1)|
+    <= DEGENERATE_EVAL_TOL |w|^d``, w the point F is applied to (norm m_k
+    after a rescale), raises :class:`DegenerateEvaluationError`.  Blocks of
+    ``_BLOCK_ROWS`` points run as (3, b) columns in one power table, where
+    the map writes F; no row's value depends on its block.
 
     With ``also = M`` (an integer, 0 <= M <= N) the result is the pair
     ``(G_N, G_M)``: G_M is the partial sum the loop holds after M steps,
@@ -121,12 +134,12 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     """
     if norm not in _COLUMN_NORMS:
         raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
-    col_norm = _COLUMN_NORMS[norm]
+    col_norm, span = _COLUMN_NORMS[norm][0], ev.rescale_spans[norm]
     n = ev.depth if depth is None else depth
     if also is not None and (int(also) != also or not 0 <= also <= n):
         raise ValueError("also must be an integer in [0, %d], got %r"
                          % (n, also))
-    d = ev.map.degree
+    d, tol = ev.map.degree, DEGENERATE_EVAL_TOL
     squeeze = np.ndim(lifts) == 1
     pts = as_point_array(lifts)
     total = np.empty(pts.shape[0], dtype=np.float64)
@@ -150,14 +163,16 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
         for step in range(n):
             if step == also:
                 shallow[rows] = np.log(2.0) * exps + factor * np.log(norms)
-            mant, e = np.frexp(norms)
-            exps += factor * e
-            v *= np.ldexp(1.0, -e)
+            ref = norms
+            if step % span == 0:
+                ref, e = np.frexp(norms)
+                exps += factor * e
+                v *= np.ldexp(1.0, -e)
             ev.map.polynomial_columns(table)
             norms = col_norm(v)
-            # m_k < 1, so the cheap screen passes every degenerate row
-            if norms.min() <= DEGENERATE_EVAL_TOL and np.any(
-                    norms <= DEGENERATE_EVAL_TOL * mant ** d):
+            # the block screen passes every degenerate row
+            if norms.min() <= tol * ref.max() ** d and np.any(
+                    norms <= tol * ref ** d):
                 raise DegenerateEvaluationError(
                     "map %r collapsed a point to ~0 (common-zero locus hit)"
                     % ev.map.name)

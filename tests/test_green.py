@@ -399,3 +399,74 @@ class TestNormArgument:
         ev = GreenEvaluator(power_map(2))
         with pytest.raises(ValueError):
             escape_rate(ev, np.ones(3), norm="inf")
+
+
+class TestRescaleSpan:
+    """The depth loop rescales once per span of steps derived from the map:
+    degeneracy, overflow and row independence between rescales."""
+
+    # (zw, wt, tz) vanishes at the three coordinate points; its image of a
+    # unit-norm point has norm (second largest |coordinate|) / (largest)
+    CYCLIC = HomogeneousMap([{(1, 1, 0): 1.0}, {(0, 1, 1): 1.0},
+                             {(1, 0, 1): 1.0}], name="cyclic-monomial")
+
+    def test_collapse_on_a_step_that_does_not_rescale(self):
+        # [1:1:0] -> [1:0:0] -> 0: step 1 lies inside the first span
+        ev = GreenEvaluator(self.CYCLIC, depth=12)
+        assert min(ev.rescale_spans.values()) > 1
+        for norm in ("sup", "2"):
+            with pytest.raises(DegenerateEvaluationError):
+                escape_rate(ev, np.array([1.0, 1.0, 0.0]), norm=norm)
+            near = escape_rate(ev, np.array([1.0, 1.0, 1e-13]), norm=norm)
+            assert np.isfinite(near)
+
+    @pytest.mark.parametrize("norm", ["sup", "2"])
+    def test_a_chain_of_near_collapses_reads_its_closed_form(self, norm):
+        # on the z-cone [a : 1 : 1] is fixed and every step shrinks the norm
+        # by r = a (sup) or a / sqrt(2 + a^2) (2), just above the tolerance,
+        # so a span's iterates fall as far as the degeneracy rule lets them;
+        # G_N = log |p| + (1 - 2^-N) log r
+        a, depth = 2e-14, 8
+        ev = GreenEvaluator(TestDegeneracy.MAP, depth=depth)
+        lift = np.array([a, 1.0, 1.0])
+        r = a if norm == "sup" else a / math.sqrt(2.0 + a * a)
+        size = 1.0 if norm == "sup" else float(np.linalg.norm(lift))
+        want = math.log(size) + (1.0 - 2.0 ** -depth) * math.log(r)
+        assert escape_rate(ev, lift, norm=norm) == pytest.approx(
+            want, rel=1e-15)
+
+    @pytest.mark.parametrize("c", [2.0 ** 60, 2.0 ** 300])
+    def test_scaled_power_map_reads_its_closed_form(self, c):
+        # F^N(p) = c^(2^N - 1) p^(2^N), so in the sup norm
+        # G_N = log |p|_sup + (1 - 2^-N) log c; the 2-norm adds
+        # 2^-(N+1) log sum_i (|p_i| / |p|_sup)^(2^(N+1)).  Iterates grow
+        # by c per step: with c = 2^300 a span of 3 steps would overflow
+        n = 8
+        map_ = HomogeneousMap([{(2, 0, 0): c}, {(0, 2, 0): c},
+                               {(0, 0, 2): c}], name="scaled-power")
+        ev = GreenEvaluator(map_, depth=n)
+        lifts = random_lifts(np.random.default_rng(27), 200)
+        size = np.abs(lifts)
+        sup = np.max(size, axis=1)
+        want = np.log(sup) + (1.0 - 2.0 ** -n) * math.log(c)
+        extra = np.log(np.sum((size / sup[:, None]) ** 2.0 ** (n + 1), axis=1))
+        for norm, shift in (("sup", 0.0), ("2", 2.0 ** -(n + 1) * extra)):
+            got = escape_rate(ev, lifts, norm=norm)
+            assert np.all(np.abs(got - want - shift)
+                          <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("norm", ["sup", "2"])
+    def test_rows_do_not_depend_on_their_block(self, norm):
+        # one block of lifts from 1e-170 to 1e160 (the pre-loop rescale),
+        # coordinates spread over eight decades (fast escape) and rows
+        # near [1 : 1 : 0] (images near the tolerance)
+        ev = GreenEvaluator(self.CYCLIC, depth=5)
+        rng = np.random.default_rng(34)
+        n = 1 << 13
+        lifts = random_lifts(rng, n) * 10.0 ** rng.uniform(-4, 4, (n, 3))
+        lifts[::5] = np.exp(2j * np.pi * rng.uniform(size=(n // 5 + 1, 3))) * [
+            1.0, 1.0, 1e-13]
+        lifts *= 10.0 ** rng.uniform(-170, 160, (n, 1))
+        block = escape_rate(ev, lifts, norm=norm)
+        alone = np.array([escape_rate(ev, row, norm=norm) for row in lifts])
+        assert np.array_equal(block, alone)
