@@ -24,7 +24,8 @@ rejected quartic rows take one batched companion eigensolve, other
 resultants one batched LU.  Every stage works row by row, so a target's
 results do not depend on the rest of its batch.  :func:`preimage_batch`
 returns a :class:`PreimageBatch` whose ``(B, d^2, 3)`` lifts are in the
-one canonical branch order that the backward walkers draw from.
+one canonical branch order that the backward walkers draw from.  Resultant
+node values are one stacked matrix product per equation and pair of v-degrees.
 """
 
 from __future__ import annotations
@@ -242,8 +243,10 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
     """Coefficients in u of Res_v(g1, g2) for a batch with fixed v-degrees.
 
     Evaluates the Sylvester determinant on K Fourier nodes and interpolates
-    back by inverse DFT; exact because the resultant degree is < K.  With
-    a_j, b_j the v-coefficients of g1, g2 at a node, the determinant is a
+    back by inverse DFT; exact because the resultant degree is < K.  The
+    v-coefficients a_j, b_j of g1, g2 at the nodes are the node powers
+    times each row's coefficients, one small product per row, so a row's
+    values do not depend on its batch.  At a node the determinant is a
     closed form for two quadratics, (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)
     (a1 b0 - a0 b1), and for one equation linear in v: the other one's
     coefficients against the linear one's root, sum_j a_j b0^j (-b1)^(m1-j)
@@ -251,9 +254,8 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
     shapes take ``np.linalg.det``, one LU per node.
     """
     vand, k = _FOURIER[degree], 2 * degree * degree + 1  # (K, du+1), K
-    # values of the v-coefficient polynomials at the nodes
-    vals1 = np.einsum("baj,ka->bkj", g1[:, :, :m1 + 1], vand)
-    vals2 = np.einsum("baj,ka->bkj", g2[:, :, :m2 + 1], vand)
+    # values (B, K, m + 1) of the v-coefficient polynomials at the nodes
+    vals1, vals2 = vand @ g1[:, :, :m1 + 1], vand @ g2[:, :, :m2 + 1]
     if m1 == m2 == 2:
         (a0, a1, a2), (b0, b1, b2) = vals1.T, vals2.T
         outer = a2 * b0 - a0 * b2

@@ -15,6 +15,8 @@ the derivative cocycle factor from p to its image q = F(p) is
 a 2x2 matrix whose singular values are the metric derivative rates.
 Factors chain exactly when consecutive steps share the basis at the
 common point (:func:`chained_factors`), and |det A| is basis-independent.
+B(p) is LAPACK's Householder QR basis in closed form; bases, factors and
+|det| are elementwise over the batch, with no LAPACK call per matrix.
 
 One batched QR run, :func:`qr_run`, reads every chain of factors: its
 per-step log rates give the exponents, and its final Q the frames of
@@ -40,6 +42,7 @@ count+1, ...`` in the order failures are found, by level and then by row
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -54,10 +57,10 @@ from .errors import (
 )
 from .preimages import preimage_batch
 from .projective import (
-    CHART_OTHERS,
     DEGENERATE_EVAL_TOL,
     HomogeneousMap,
     as_point_array,
+    chart_indices,
     check_row_scale,
     fs_distance_batch,
     one_point,
@@ -93,6 +96,13 @@ GENERIC_START = (0.4371 + 0.2913j, -0.1718 + 0.8842j, 1.0 + 0.0j)
 QR_START = np.array([[1.0, 0.618 + 0.3j], [0.414 - 0.7j, 1.0]])
 
 
+@functools.cache
+def _start_q() -> np.ndarray:
+    """The unitary factor of :data:`QR_START`, made on first use: a LAPACK
+    call at import raised every workload's peak RSS by about 1 MB."""
+    return np.linalg.qr(QR_START)[0]
+
+
 # ---------------------------------------------------------------------------
 # Fubini-Study tangent frames and cocycle factors
 # ---------------------------------------------------------------------------
@@ -100,22 +110,50 @@ QR_START = np.array([[1.0, 0.618 + 0.3j], [0.414 - 0.7j, 1.0]])
 def tangent_basis_batch(points) -> np.ndarray:
     """(N, 3, 2) orthonormal bases of the hermitian complements of rows.
 
-    Columns come from a QR factorization of [p_unit, e_i, e_j] where e_i,
-    e_j are the standard vectors away from each row's largest coordinate,
-    so the triple is always nonsingular and the result deterministic.
+    Columns 1, 2 of the unitary Q of LAPACK's Householder QR (``zgeqrf``,
+    ``zungqr``) of [p, e_i, e_j], e_i, e_j the standard vectors off the
+    row's largest coordinate (the first of ties).  It must stay this basis:
+    :data:`QR_START`, the frames' ``e1``, ``e2`` and chart axes are
+    coordinates in it.  Q = H1 H2 H3, row by row: H1 = I + z z^H / (b
+    conj(w)) sends p to b e0, b = -sign(Re p0) |p|, z = p - b e0, w = p0 -
+    b; H2 does so on coordinates 1, 2 for c = H1^H e_i, and is I where c2
+    = 0 and c1 is real (``zlarfg``'s tau = 0); H3 = diag(1, 1, h) makes a
+    = (H2^H H1^H e_j)_2 real: h = -a / (sign(Re a) |a|), 1 if a is real.
+    Rows are sup-normalized first (exact for power-of-two scales); a row's
+    bits do not depend on its batch.  Q is LAPACK's to rounding, but a
+    column may flip sign where a pivot is real in exact arithmetic and not
+    under LAPACK's fused multiply-adds (p = [2, 0, 1 + i], say).
     """
     pts = as_point_array(points)
-    check_row_scale(sup_norms(pts))
-    unit = pts / np.linalg.norm(pts, axis=1)[:, None]
-    n = pts.shape[0]
-    others = np.asarray(CHART_OTHERS)[np.argmax(np.abs(pts), axis=1)]
-    m = np.zeros((n, 3, 3), dtype=np.complex128)
-    m[:, :, 0] = unit
-    rows = np.arange(n)
-    m[rows, others[:, 0], 1] = 1.0
-    m[rows, others[:, 1], 2] = 1.0
-    q = np.linalg.qr(m)[0]
-    return q[:, :, 1:]
+    scale = sup_norms(pts)
+    check_row_scale(scale)
+    top, n = chart_indices(pts), pts.shape[0]
+    p0, p1, p2 = sup = np.divide(pts.T, scale, out=np.empty((3, n), complex))
+    # H1: b, w, and g = 1 / (b w), so that H1^H = I + z z^H g
+    b = -np.copysign(np.linalg.norm(sup, axis=0), p0.real)
+    w = p0 - b
+    g = 1.0 / (b * w)
+    # c = H1^H e_i, d = H1^H e_j: i = 0 unless top = 0, j = 2 unless top = 2
+    zi = np.where(top == 0, p1, w).conj() * g
+    zj = np.where(top == 2, p1, p2).conj() * g
+    c1, c2 = (top == 0) + p1 * zi, p2 * zi
+    d1, d2 = (top == 2) + p1 * zj, (top != 2) + p2 * zj
+    # H2 the same for (c1, c2), g2 = 0 where it is I; then the pivot a
+    plain = (c2 == 0) & (c1.imag == 0)
+    b2 = np.where(plain, c1.real,
+                  -np.copysign(np.linalg.norm((c1, c2), axis=0), c1.real))
+    w2 = c1 - b2
+    g2 = np.divide(1.0, b2 * w2, out=np.zeros(n, complex), where=~plain)
+    a = d2 + c2 * (w2.conj() * d1 + c2.conj() * d2) * g2
+    h = np.where(a.imag == 0, 1.0, -a / np.copysign(np.abs(a), a.real))
+    # columns 1 and 2 of H2 H3, then H1 applied to each
+    h2 = g2.conj() * h
+    cols = (c1 / b2, c2 / b2), (w2 * c2.conj() * h2, h + abs(c2) ** 2 * h2)
+    out = np.empty((3, 2, n), dtype=np.complex128)
+    for col, (y1, y2) in enumerate(cols):
+        t = (p1.conj() * y1 + p2.conj() * y2) * g.conj()
+        out[:, col] = w * t, y1 + p1 * t, y2 + p2 * t
+    return out.transpose(2, 0, 1)
 
 
 def _raw_images(map_: HomogeneousMap, pts: np.ndarray):
@@ -129,14 +167,19 @@ def _raw_images(map_: HomogeneousMap, pts: np.ndarray):
 
 
 def _factor_from_bases(map_: HomogeneousMap, pts: np.ndarray,
-                       raw: np.ndarray, basis_in: np.ndarray,
+                       ok: np.ndarray, basis_in: np.ndarray,
                        basis_out: np.ndarray) -> np.ndarray:
-    """FS cocycle factors B_out^H . DF(p) . B_in * (||p|| / ||F(p)||)."""
-    jac = map_.jacobian_h_batch(pts)
-    a = np.einsum("nij,njk,nkl->nil", basis_out.conj().transpose(0, 2, 1),
-                  jac, basis_in)
-    scale = np.linalg.norm(pts, axis=1) / np.linalg.norm(raw, axis=1)
-    return a * scale[:, None, None]
+    """FS cocycle factors B_out^H . DF(p) . B_in * (||p|| / ||F(p)||),
+    summed term by term on (3, ., N) views with F(p) = DF(p) p / d (Euler),
+    so a row's bits do not depend on its batch; |F(p)| = 1 where not ok."""
+    jac = map_.jacobian_h_batch(pts).transpose(1, 2, 0)
+    b_in, b_out = basis_in.transpose(1, 2, 0), basis_out.transpose(1, 2, 0)
+    jb = sum(jac[:, k, None] * b_in[k] for k in range(3))
+    a = sum(b_out[k, :, None].conj() * jb[k] for k in range(3))
+    d, image = map_.degree, sum(jac[:, k] * pts[:, k] for k in range(3))
+    scale = d * np.linalg.norm(pts, axis=1) / np.where(
+        ok, np.linalg.norm(image, axis=0), d)
+    return (a * scale).transpose(2, 0, 1)
 
 
 def fs_tangent_maps(map_: HomogeneousMap, points):
@@ -148,7 +191,7 @@ def fs_tangent_maps(map_: HomogeneousMap, points):
     """
     pts = sup_normalize(points)
     raw, ok = _raw_images(map_, pts)
-    mats = _factor_from_bases(map_, pts, raw, tangent_basis_batch(pts),
+    mats = _factor_from_bases(map_, pts, ok, tangent_basis_batch(pts),
                               tangent_basis_batch(raw))
     return mats, raw, ok
 
@@ -161,11 +204,16 @@ def fs_jacobian_dets(map_: HomogeneousMap, points) -> np.ndarray:
     is (d |q| / |p|, 0, 0).  So |det J| = d (|q| / |p|) |det B(q)^H J B(p)|,
     and the factor of :func:`fs_tangent_maps`, scaled by |p| / |q| in each
     of two dimensions, has |det| = |det J| |p|^3 / (d |q|^3): no bases.
+    det J is its cofactor expansion along the first row, row by row.
     """
     pts = sup_normalize(points)
     raw, ok = _raw_images(map_, pts)
     ratio = np.linalg.norm(pts, axis=1) / np.linalg.norm(raw, axis=1)
-    dets = np.abs(np.linalg.det(map_.jacobian_h_batch(pts))) * ratio ** 3
+    j = map_.jacobian_h_batch(pts).transpose(1, 2, 0)
+    det = (j[0, 0] * (j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1])
+           - j[0, 1] * (j[1, 0] * j[2, 2] - j[1, 2] * j[2, 0])
+           + j[0, 2] * (j[1, 0] * j[2, 1] - j[1, 1] * j[2, 0]))
+    dets = np.abs(det) * ratio ** 3
     return np.where(ok, dets / map_.degree, 0.0)
 
 
@@ -182,10 +230,10 @@ def chained_factors(map_: HomogeneousMap, pts) -> np.ndarray:
     width = pts[0].size // 3
     sup = sup_normalize(pts.reshape(-1, 3))
     bases = tangent_basis_batch(sup)
-    raw, ok = _raw_images(map_, sup[:-width])
+    _, ok = _raw_images(map_, sup[:-width])
     if not np.all(ok):
         raise OrbitInvariantError("orbit point evaluation collapsed")
-    mats = _factor_from_bases(map_, sup[:-width], raw, bases[:-width],
+    mats = _factor_from_bases(map_, sup[:-width], ok, bases[:-width],
                               bases[width:])
     return mats.reshape((len(pts) - 1,) + pts.shape[1:-1] + (2, 2))
 
@@ -522,7 +570,7 @@ def qr_run(factors: np.ndarray):
     products applied so far, and its second the complement: the exponents
     sum the logs, and the frames of :mod:`p2dyn.frames` read Q.
     """
-    q = np.tile(np.linalg.qr(QR_START)[0], (factors.shape[1], 1, 1))
+    q = np.tile(_start_q(), (factors.shape[1], 1, 1))
     logs = np.empty(factors.shape[:2] + (2,))
     for k, mats in enumerate(factors):
         a = mats @ q

@@ -53,7 +53,7 @@ from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
 from . import green
 from .green import GreenEvaluator
-from .projective import CHART_OTHERS, HomogeneousMap, one_point
+from .projective import CHART_OTHERS, HomogeneousMap, one_point, sup_normalize
 from .sampler import tangent_basis_batch
 
 __all__ = [
@@ -227,7 +227,7 @@ def axis_chart(map_: HomogeneousMap, point,
     With ``domain_radius=None`` the domain is the same safe fraction of the
     injectivity radius that dynamical frame charts use.
     """
-    arr = one_point(point)[0]
+    arr = sup_normalize(one_point(point))[0]  # a 2-norm of it cannot overflow
     lift = arr / np.linalg.norm(arr)
     basis = tangent_basis_batch(lift[None, :])[0]
     frame = OseledecFrame(
