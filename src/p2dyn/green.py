@@ -170,8 +170,10 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
                 v *= np.ldexp(1.0, -e)
             ev.map.polynomial_columns(table)
             norms = col_norm(v)
-            # the block screen passes every degenerate row
-            if norms.min() <= tol * ref.max() ** d and np.any(
+            # the block screen passes every degenerate row; a rescaled ref
+            # holds mantissas, all below 1
+            top = 1.0 if step % span == 0 else ref.max()
+            if norms.min() <= tol * top ** d and np.any(
                     norms <= tol * ref ** d):
                 raise DegenerateEvaluationError(
                     "map %r collapsed a point to ~0 (common-zero locus hit)"

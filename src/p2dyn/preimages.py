@@ -21,11 +21,14 @@ with one equation linear in v, are closed forms evaluated for the whole
 batch at once: LAPACK works one small matrix at a time, and at these sizes
 its per-matrix dispatch dominated those stages.  Other degrees and
 rejected quartic rows take one batched companion eigensolve, other
-resultants one batched LU.  Every stage works row by row, so a target's
-results do not depend on the rest of its batch.  :func:`preimage_batch`
-returns a :class:`PreimageBatch` whose ``(B, d^2, 3)`` lifts are in the
-one canonical branch order that the backward walkers draw from.  Resultant
-node values are one stacked matrix product per equation and pair of v-degrees.
+resultants one batched LU.  Resultant node values are one stacked matrix
+product per equation and pair of v-degrees; every other bivariate
+polynomial goes through the batch-last Horner helper :func:`_horner`.
+Each root's residual is measured once, at its gate, and travels with it.
+Every stage works row by row, so a target's results do not depend on the
+rest of its batch.  :func:`preimage_batch` returns a :class:`PreimageBatch`
+whose ``(B, d^2, 3)`` lifts are in the one canonical branch order that the
+backward walkers draw from.
 """
 
 from __future__ import annotations
@@ -212,12 +215,17 @@ def _powers(x: np.ndarray, deg: int) -> np.ndarray:
     return out
 
 
-def _eval2d(c: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Batched 2D polynomials at points given by (a prefix of) their powers,
-    contracted over v and then u (two products beat one three-operand
-    einsum on candidate batches)."""
-    inner = np.einsum("...ab,...b->...a", c, pv[..., :c.shape[-1]])
-    return np.einsum("...a,...a->...", inner, pu[..., :c.shape[-2]])
+def _horner(c: np.ndarray, x: np.ndarray, slope: bool = False):
+    """sum_j c[j] x^j over the first axis of ``c`` (batch last), and with
+    ``slope`` its x-derivative; elementwise and out of place, so a row's
+    bits do not depend on its batch.  A bivariate ``(dv+1, du+1, ..., N)``
+    c takes a v-pass, then a u-pass of the result (and of its slope)."""
+    val, der = c[-1], None
+    for cj in c[-2::-1]:
+        if slope:
+            der = val if der is None else der * x + val
+        val = val * x + cj
+    return (val, der) if slope else val
 
 
 def _trim_degree_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -279,7 +287,7 @@ def _sylvester_resultant_coeffs(g1: np.ndarray, g2: np.ndarray,
     return np.fft.fft(dets, axis=1) / k
 
 
-def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
+def _u_candidates(g, m1_rows, m2_rows, degree):
     """Flat root candidates in u, via the resultant or a direct solve.
 
     Returns ``(rows, u, direct)``: the row and value of every u-root copy
@@ -291,17 +299,17 @@ def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
     direct = (np.minimum(m1_rows, m2_rows) <= 0) \
         & (np.maximum(m1_rows, m2_rows) > 0)
     # rows with both equations free of v (no isolated roots) stay zero
-    res = np.zeros((g1.shape[0], 2 * degree * degree + 1), np.complex128)
+    res = np.zeros((g.shape[0], 2 * degree * degree + 1), np.complex128)
     keys = (m1_rows + 1) * (degree + 2) + m2_rows + 1
     for key in np.bincount(keys).nonzero()[0]:
         rows = (keys == key).nonzero()[0]
         m1, m2 = (int(m) - 1 for m in divmod(key, degree + 2))
         if m1 > 0 and m2 > 0:
             res[rows] = _sylvester_resultant_coeffs(
-                g1[rows], g2[rows], m1, m2, degree)
+                g[rows, 0], g[rows, 1], m1, m2, degree)
         elif max(m1, m2) > 0:
             # one equation is univariate in u: use it directly
-            res[rows, :degree + 1] = (g1 if m1 <= 0 else g2)[rows, :, 0]
+            res[rows, :degree + 1] = g[rows, int(m1 > 0), :, 0]
     degs = _trim_degree_rows(res)  # one root solve per effective degree
     count = np.maximum(degs, 0)
     rows = np.repeat(np.arange(degs.size), count)
@@ -314,31 +322,25 @@ def _u_candidates(g1, g2, m1_rows, m2_rows, degree):
     return rows, u, direct
 
 
-def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
+def _newton_refine(g: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """Damped Newton on per-candidate 2x2 polynomial systems.
 
-    ``g1``/``g2`` are (N, du+1, dv+1) coefficient tensors (one system per
-    candidate), ``uv`` is (N, 2).  A row stops after ``NEWTON_STEPS``
-    steps or after its first step s (largest coordinate) with ``s <=
-    NEWTON_STOP * max(1, |u|, |v|)``: near a simple root the error left
-    after a step is about C s^2 (C = |J^-1 H| / 2), here at most 1e-18 C
-    max(1, |u|, |v|)^2, below the coordinates' rounding (2.2e-16, relative)
-    while C max(1, |u|, |v|) < 200.  A multiple root runs to the cap.
+    ``g`` (N, 2, du+1, dv+1) holds both equations of each candidate, ``uv``
+    is (N, 2); three :func:`_horner` passes give a step both values and all
+    four partials.  A row stops after ``NEWTON_STEPS`` steps or after its
+    first step s (largest coordinate) with ``s <= NEWTON_STOP * max(1, |u|,
+    |v|)``: near a simple root the error left after a step is about C s^2
+    (C = |J^-1 H| / 2), here at most 1e-18 C max(1, |u|, |v|)^2, below the
+    coordinates' rounding (2.2e-16, relative) while C max(1, |u|, |v|) <
+    200.  A multiple root runs to the cap.
     """
-    out, live = uv.copy(), np.arange(uv.shape[0])
+    out, live, coef = uv.copy(), np.arange(uv.shape[0]), g.T  # batch last
     out_u, out_v = out[:, 0], out[:, 1]
-    k = np.arange(1, g1.shape[-1])  # d/du and d/dv factors (du = dv)
-    # (N, 3, 2, du+1, dv+1): (g1, g2), their d/du and their d/dv, the
-    # derivatives zero-padded, so one evaluation per step takes all six
-    gs = np.zeros((uv.shape[0], 3, 2) + g1.shape[1:], dtype=np.complex128)
-    gs[:, 0, 0], gs[:, 0, 1] = g1, g2
-    gs[:, 1, :, :-1] = gs[:, 0, :, 1:] * k[:, None]
-    gs[:, 2, :, :, :-1] = gs[:, 0, :, :, 1:] * k
     for _ in range(NEWTON_STEPS):
         u, v = out_u[live], out_v[live]
-        pu, pv = _powers(u, k.size), _powers(v, k.size)
-        (f1, f2), (a, c), (bq, dq) = np.moveaxis(
-            _eval2d(gs, pu[:, None, None], pv[:, None, None]), 0, -1)
+        at_v, slope_v = _horner(coef, v, slope=True)
+        (f1, f2), (a, c) = _horner(at_v, u, slope=True)
+        bq, dq = _horner(slope_v, u)
         det = a * dq - bq * c
         det = np.where(np.abs(det) < 1e-300, 1e-300, det)
         du = (f1 * dq - f2 * bq) / det
@@ -350,7 +352,7 @@ def _newton_refine(g1, g2, uv: np.ndarray) -> np.ndarray:
         live = live[go]
         if not live.size:
             break
-        gs = gs[go]
+        coef = coef[..., go]
     return out
 
 
@@ -392,8 +394,8 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
                        partition: bool = True):
     """Roots in search chart ``scharts[n]`` for every row n (with
     ``partition``, only those whose home chart it is): flat ``(rows, lifts,
-    mults)``, the row, the lift (1 in the search chart) and the
-    multiplicity of each accepted root, sorted by row.  With
+    mults)``, the row, the lift (1 in the search chart, its residual in a
+    fourth column) and the multiplicity of each accepted root, by row.  With
     ``partition``, u-roots outside the unit disk are dropped before
     back-substitution: the bidisk gate rejects every pair they give.  Every
     stage runs on arrays flat or padded over the batch; the only Python
@@ -407,23 +409,22 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     tau = targets_norm[np.arange(js.shape[0])[:, None], js][..., None, None]
     mats = map_.chart_tables  # [search chart, component]
     g = mats[scharts[:, None], js] - tau * mats[scharts, tcharts][:, None]
-    g1, g2 = g[:, 0], g[:, 1]
     mag = np.abs(g).max(axis=2)  # (N, 2, d+1): largest over u-powers
     # structural v-degree of each equation: that of its largest u-coefficients
     m_rows = _trim_degree_rows(mag.reshape(-1, d + 1))
     m1_rows, m2_rows = m_rows[0::2], m_rows[1::2]
     # one entry per (target row, u-root copy); its index is the copy's id
     # in the multiplicity budgets
-    flat_rows, flat_u, direct = _u_candidates(g1, g2, m1_rows, m2_rows, d)
+    flat_rows, flat_u, direct = _u_candidates(g, m1_rows, m2_rows, d)
     if partition:
         inside = np.abs(flat_u) <= 1.0 + BIDISK_SLACK
         flat_rows, flat_u = flat_rows[inside], flat_u[inside]
 
-    # batched back-substitution: per row, the equation with larger v-degree
+    # back-substitution, batch last: per row, the equation of larger v-degree
     which = (m2_rows >= m1_rows).astype(np.intp)
-    vcoeffs = np.einsum("nab,na->nb", g[flat_rows, which[flat_rows]],
-                        _powers(flat_u, d))
-    vdegs = _trim_degree_rows(vcoeffs)
+    vcoeffs = _horner(g[flat_rows, which[flat_rows]].transpose(1, 2, 0),
+                      flat_u)
+    vdegs = _trim_degree_rows(vcoeffs.T)
 
     # expand to (u, v) candidate pairs, batched over uniform v-degrees;
     # cand_flat indexes the flat u-copy arrays
@@ -431,19 +432,17 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     for d_eff in np.bincount(vdegs[vdegs > 0]).nonzero()[0]:
         sel = (vdegs == d_eff).nonzero()[0]
         cand_flat.append(np.repeat(sel[None], d_eff, axis=0).ravel())
-        v.append(polynomial_roots(vcoeffs[sel, :d_eff + 1]).T.ravel())
+        v.append(polynomial_roots(vcoeffs[:d_eff + 1, sel].T).T.ravel())
     cand_flat, v = np.concatenate(cand_flat), np.concatenate(v)
 
     # polish v along its own fiber (u held fixed) so every candidate stays
     # attached to the u-copy that produced it: 2D refinement here would let
     # spurious pairings migrate onto other genuine roots and corrupt the
     # multiplicity budgets; rows stop as in _newton_refine
-    vc, live = vcoeffs[cand_flat], np.arange(v.size)
+    vc, live = vcoeffs[:, cand_flat], np.arange(v.size)
     for _ in range(12):
         vl = v[live]
-        p, dp = vc[:, -1].copy(), np.zeros_like(vl)  # Horner: p(v), p'(v)
-        for c in vc.T[-2::-1]:
-            dp, p = dp * vl + p, p * vl + c
+        p, dp = _horner(vc, vl, slope=True)
         step = p / np.where(np.abs(dp) < 1e-300, 1e-300, dp)
         mag_step = np.abs(step)
         vl -= step * np.where(mag_step > 0.5,
@@ -453,7 +452,7 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
         live = live[go]
         if not live.size:
             break
-        vc = vc[go]
+        vc = vc[:, go]
 
     cand_row = flat_rows[cand_flat]
     u0 = flat_u[cand_flat]
@@ -461,8 +460,8 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
     # gate on BOTH chart equations at the raw pair, plus the bidisk /
     # home-chart partition (boundary ties within the slack are kept in all
     # adjacent charts and deduplicated across charts later)
-    f = _eval2d(g[cand_row], _powers(u0, d)[:, None], _powers(v, d)[:, None])
-    keep = (np.abs(f) <= PAIR_GATE * mag.max(axis=2)[cand_row]).all(axis=1)
+    f = _horner(_horner(g[cand_row].T, v), u0)
+    keep = (np.abs(f) <= PAIR_GATE * mag.max(axis=2)[cand_row].T).all(axis=0)
     if partition:
         maxmod = np.maximum(np.abs(u0), np.abs(v))
         lifts = lift_from_chart(scharts[cand_row], np.stack([u0, v], axis=1))
@@ -470,8 +469,6 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
         keep &= (maxmod <= 1.0 + BIDISK_SLACK) & (
             home | (maxmod >= 1.0 - BIDISK_SLACK))
     keep = keep.nonzero()[0]
-    if not keep.size:  # spare the map an empty evaluation
-        return cand_row[:0], np.empty((0, 3), complex), cand_row[:0]
 
     # multiplicity bookkeeping on the raw fibers
     rep_row, rep_uv, rep_mult = _chart_roots(
@@ -480,13 +477,13 @@ def _solve_chart_batch(map_: HomogeneousMap, targets_norm: np.ndarray,
 
     # only now refine the representatives in 2D, and require the refined
     # point to certify as an actual preimage of its target
-    refined = _newton_refine(g1[rep_row], g2[rep_row], rep_uv)
+    refined = _newton_refine(g[rep_row], rep_uv)
     moved = np.abs(refined - rep_uv).max(axis=1)
     lifts = lift_from_chart(scharts[rep_row], refined)
     images, ok = map_.evaluate_batch_safe(lifts)
     res = fs_distance_batch(images, targets_norm[rep_row])
     good = ok & (res < RESIDUAL_GATE) & (moved < 1e-3)
-    return rep_row[good], lifts[good], rep_mult[good]
+    return rep_row[good], np.column_stack((lifts, res))[good], rep_mult[good]
 
 
 def _chart_roots(rows: np.ndarray, uid: np.ndarray, u: np.ndarray,
@@ -574,13 +571,13 @@ def _merge_across_charts(lifts: np.ndarray, mults: np.ndarray) -> np.ndarray:
 
 def _merged_slots(rows: np.ndarray, lifts: np.ndarray, mults: np.ndarray,
                   b: int):
-    """Flat roots padded to ``(b, K)`` slots in their flat order, and the
-    multiplicities after :func:`_merge_across_charts`."""
+    """Flat roots in ``(b, K)`` slots, flat order kept, extra columns too,
+    and the multiplicities after :func:`_merge_across_charts`."""
     slot, k = _slots(rows, b)
-    padded = np.ones((b, k, 3), dtype=np.complex128)
+    padded = np.ones((b, k, lifts.shape[1]), dtype=np.complex128)
     padded_mults = np.zeros((b, k), dtype=np.int64)
     padded[rows, slot], padded_mults[rows, slot] = lifts, mults
-    return padded, _merge_across_charts(padded, padded_mults)
+    return padded, _merge_across_charts(padded[..., :3], padded_mults)
 
 
 def _chart_sweep(map_: HomogeneousMap, targets_norm: np.ndarray,
@@ -602,13 +599,13 @@ def _solve_batch_once(map_: HomogeneousMap, targets: np.ndarray):
     (0:0:1), double).  Both passes merge near-duplicates, also one chart's
     (perturbed_power [0:0:1]: fibres split past ``U_FIBER_RADIUS``).
     Returns ``(lifts, mults, swept)``, roots in ``(B, K)`` slots (1 in
-    their own chart; mults 0 on unused or merged slots).
+    their own chart, then the residual; mults 0 on unused or merged slots).
     """
     b = targets.shape[0]
     targets_norm, tcharts = chart_normalize(targets)
     rows, lifts, mults = _solve_chart_batch(map_, targets_norm, tcharts,
                                             tcharts, partition=False)
-    lifts = chart_normalize(lifts)[0]
+    lifts[:, :3] = chart_normalize(lifts[:, :3])[0]
     padded, merged = _merged_slots(rows, lifts, mults, b)
     swept = merged.sum(axis=1) != map_.degree ** 2
     redo = swept.nonzero()[0]
@@ -627,7 +624,8 @@ def _canonical_branches(lifts: np.ndarray, mults: np.ndarray):
     """Lifts in branch order and root ids, flat over ``(B, d^2)``.
 
     Takes padded ``(B, K)`` roots whose multiplicities sum to d^2 per
-    target.  Roots sort by descending real, then imaginary, part of their
+    target; columns past the three coordinates travel with their lift.
+    Roots sort by descending real, then imaginary, part of their
     affine coordinates in the standard chart (t = 1), roots at infinity of
     that chart last and sorted on their sup-normalized coordinates; ties
     keep the solve order.  Keys adjacent in sorted order within
@@ -639,7 +637,7 @@ def _canonical_branches(lifts: np.ndarray, mults: np.ndarray):
     distinct roots 0, 1, ... in that order.
     """
     b, k = mults.shape
-    mag = np.abs(lifts)
+    mag = np.abs(lifts[..., :3])
     sup = mag.max(axis=-1)
     finite = mag[..., 2] > 1e-12 * sup
     aff = lifts[..., :2] / np.where(finite, lifts[..., 2], sup)[..., None]
@@ -659,7 +657,8 @@ def _canonical_branches(lifts: np.ndarray, mults: np.ndarray):
     branch = np.argsort(group, kind="stable")
     count = mults.ravel()[branch]
     ids = np.arange(b * k) % k  # each sorted slot's rank in its target
-    return lifts.reshape(-1, 3)[branch.repeat(count)], ids.repeat(count)
+    flat = lifts.reshape(-1, lifts.shape[-1])
+    return flat[branch.repeat(count)], ids.repeat(count)
 
 
 def _rotation_matrix(attempt: int) -> np.ndarray:
@@ -683,10 +682,13 @@ class PreimageBatch:
     real Chebyshev product target is the coordinatewise positive square
     root), each root repeated by its multiplicity.  ``root_ids`` ``(B, d^2)``
     numbers each target's distinct roots 0, 1, ... in that order,
-    ``residuals`` ``(B, d^2)`` is the FS distance of each lift's image to
-    its target, ``rotations`` ``(B,)`` counts the coordinate rotations
-    each target needed, and ``swept`` ``(B,)`` flags the targets that
-    needed the three-chart sweep (every rotated target did).
+    ``residuals`` ``(B, d^2)`` is the FS distance of each root's image to
+    its target as the solve's ``RESIDUAL_GATE`` measured it (the map,
+    rotated for a rotated attempt, at the lift with 1 in its search chart;
+    a fresh evaluation at ``lifts`` differs by rounding), ``rotations``
+    ``(B,)`` counts the coordinate rotations each target needed, and
+    ``swept`` ``(B,)`` flags the targets that needed the three-chart sweep
+    (every rotated target did).
     """
     targets: np.ndarray
     lifts: np.ndarray
@@ -703,13 +705,13 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
     charts only for the targets left short.  Targets still short are
     retried under up to three deterministic unitary changes of coordinates
     U (the roots q found for ``F(U x)`` map back as ``p = U q``); a
-    persistent mismatch raises :class:`PreimageSolverError`.  Residuals
-    come from one batched evaluation of the map at every lift.
+    persistent mismatch raises :class:`PreimageSolverError`.  Each root
+    keeps the residual its solve measured.
     """
     targets = as_point_array(targets)
     b = targets.shape[0]
     want = map_.degree ** 2
-    lifts = np.empty((b, want, 3), dtype=np.complex128)
+    lifts = np.empty((b, want, 4), dtype=np.complex128)  # and residuals
     root_ids = np.empty((b, want), dtype=np.int64)
     rotations = np.zeros(b, dtype=np.int64)
     swept = np.zeros(b, dtype=bool)
@@ -724,12 +726,12 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
             found, mults, short = _solve_batch_once(
                 substitute_linear(map_, u), targets[todo])
             # map the roots back, p = U q, with 1 in each one's own chart
-            found = chart_normalize((found @ u.T).reshape(-1, 3))[0].reshape(
-                found.shape)
+            back = chart_normalize(found[..., :3].reshape(-1, 3) @ u.T)[0]
+            found[..., :3] = back.reshape(found.shape[:-1] + (3,))
         done = mults.sum(axis=1) == want
         branches, ids = _canonical_branches(found[done], mults[done])
         fixed = todo[done]
-        lifts[fixed] = branches.reshape(-1, want, 3)
+        lifts[fixed] = branches.reshape(-1, want, 4)
         root_ids[fixed], rotations[fixed] = ids.reshape(-1, want), attempt
         swept[todo[short]] = True
         todo = todo[~done]
@@ -737,10 +739,8 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
         raise PreimageSolverError(
             "could not account for %d preimages of %d target(s) "
             "after %d rotations" % (want, todo.size, MAX_ROTATIONS))
-    images = map_.evaluate_batch(lifts.reshape(-1, 3)).reshape(b, want, 3)
-    return PreimageBatch(targets, lifts, root_ids,
-                         fs_distance_batch(images, targets[:, None]),
-                         rotations, swept)
+    return PreimageBatch(targets, lifts[..., :3].copy(), root_ids,
+                         lifts[..., 3].real.copy(), rotations, swept)
 
 
 def preimages(map_: HomogeneousMap, target) -> PreimageBatch:

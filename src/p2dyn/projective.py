@@ -7,7 +7,7 @@ bidisk.  Maps are triples of homogeneous polynomials of a common degree d
 with 2 <= d <= 8.  A map keeps its coefficient tables as given and compiles
 them into one coefficient matrix over the union of its components' monomial
 supports (and one more for its first partial derivatives), so every
-evaluation is a single monomial gather and matrix product.
+evaluation is a single monomial gather and one sum of products.
 
 Points are ``(N, 3)`` complex arrays of homogeneous triples, and every
 kernel takes and returns them.  :class:`HomogeneousPoint` is one validated
@@ -223,7 +223,11 @@ class _SupportKernel:
 
     Holds the ``(M, K)`` coefficient matrix.  :meth:`monomials` builds the
     powers of the three coordinates once and multiplies the M monomials
-    from them; a call sums them with one ``(N, M) @ (M, K)`` product.
+    from them.  A call adds each column's nonzero coefficient-times-monomial
+    products in monomial order, one pass over the batch per term, so a row
+    gets the same bits alone as in any batch (a BLAS product rounds a row
+    by its place in the batch); its ``(N, K)`` rows view the ``(K, N)``
+    sums.
     """
 
     def __init__(self, tables):
@@ -239,6 +243,8 @@ class _SupportKernel:
                 self.matrix[row[key], col] = val
         self.real_t = (None if self.matrix.imag.any()
                        else self.matrix.T.real.copy())
+        self.terms = [(m, k, self.matrix[m, k])
+                      for m, k in zip(*self.matrix.nonzero())]
         self.top = max(max(key) for key in support)
         # x_var^e sits in row (e - 1) * 3 + var of the flattened powers
         factors = [[(e - 1) * 3 + var for var, e in enumerate(key) if e]
@@ -254,14 +260,22 @@ class _SupportKernel:
         flat = table.reshape(3 * len(table), -1)
         first, second, third = self.factors
         mono = flat[first]
-        mono[:second.size] *= flat[second]
-        mono[:third.size] *= flat[third]
+        for factor in (flat[second], flat[third]):
+            # not in place: numpy rounds a one-element complex product into
+            # an operand without the fused multiply-add of its vector loop;
+            # named: numpy may swap a large temporary in as the output, and
+            # complex products are not bitwise commutative
+            mono[:len(factor)] = mono[:len(factor)] * factor
         return mono
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         table = np.empty((self.top, 3, points.shape[0]), dtype=np.complex128)
         table[0] = points.T
-        return self.monomials(table).T @ self.matrix
+        mono = self.monomials(table)
+        out = np.zeros((self.matrix.shape[1], points.shape[0]), complex)
+        for m, k, coef in self.terms:
+            out[k] += coef * mono[m]
+        return out.T
 
 
 class HomogeneousMap:
@@ -337,7 +351,7 @@ class HomogeneousMap:
         Rows whose image collapses below the degeneracy threshold raise
         :class:`DegenerateEvaluationError`.
         """
-        out = self._values(sup_normalize(points))
+        out = self._values(sup_normalize(points)).copy()
         scale = sup_norms(out)
         if (scale <= DEGENERATE_EVAL_TOL).any():
             raise DegenerateEvaluationError(
@@ -360,7 +374,7 @@ class HomogeneousMap:
         usable = (scale > 0.0) & (scale < np.inf)
         pts = divide_rows(np.where(usable[:, None], pts, 1.0),
                           np.where(usable, scale, 1.0))
-        out = self._values(pts)
+        out = self._values(pts).copy()
         scale = sup_norms(out)
         ok = usable & (scale > DEGENERATE_EVAL_TOL)
         divide_rows(out, np.where(ok, scale, 1.0))

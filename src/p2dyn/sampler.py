@@ -568,20 +568,24 @@ def qr_run(factors: np.ndarray):
     Returns the final (n, 2, 2) Q and the (L, n, 2) per-step ``[log r11,
     log r22]``.  Q's first column follows the leading growth of the
     products applied so far, and its second the complement: the exponents
-    sum the logs, and the frames of :mod:`p2dyn.frames` read Q.
+    sum the logs, and the frames of :mod:`p2dyn.frames` read Q.  A step
+    works on (2, 2, n) arrays, walkers last: its product and the sums over
+    its 2-long axes are written out term by term.
     """
-    q = np.tile(_start_q(), (factors.shape[1], 1, 1))
+    q = np.repeat(_start_q()[:, :, None], factors.shape[1], axis=2)
     logs = np.empty(factors.shape[:2] + (2,))
-    for k, mats in enumerate(factors):
-        a = mats @ q
-        a1, a2 = a[:, :, 0], a[:, :, 1]
-        r11 = np.maximum(np.linalg.norm(a1, axis=1), 1e-300)
-        q1 = a1 / r11[:, None]
-        u = a2 - q1 * np.sum(q1.conj() * a2, axis=1)[:, None]
-        r22 = np.maximum(np.linalg.norm(u, axis=1), 1e-300)
-        q = np.stack([q1, u / r22[:, None]], axis=2)
-        logs[k] = np.log(np.stack([r11, r22], axis=1))
-    return q, logs
+    for m, r in zip(factors.transpose(0, 2, 3, 1), logs.transpose(0, 2, 1)):
+        a = m[:, :1] * q[0] + m[:, 1:] * q[1]  # m @ q, term by term
+        q = np.empty_like(a)
+        for j in (0, 1):
+            if j:  # the second column less its part along the first
+                dots = q[:, 0].conj() * a[:, 1]
+                along = dots[0] + dots[1]
+                a[:, 1] -= q[:, 0] * along
+            mods = np.abs(a[:, j])
+            np.maximum(np.hypot(mods[0], mods[1]), 1e-300, out=r[j])
+            np.divide(a[:, j], r[j], out=q[:, j])
+    return q.transpose(2, 0, 1), np.log(logs, out=logs)
 
 
 def _guard_margin(dof: int) -> float:

@@ -19,6 +19,7 @@ import importlib
 import itertools
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -505,3 +506,52 @@ def test_non_finite_coefficients_are_rejected(bad):
         polynomial_roots(coeffs)
     with pytest.raises(ValueError, match="non-finite"):
         polynomial_roots(coeffs[:, ::-1])  # in the leading coefficient
+
+
+# ---------------------------------------------------------------------------
+# the Horner helper behind every bivariate evaluation of the solve
+# ---------------------------------------------------------------------------
+
+def horner_2d(c, u, v):
+    """Value and both partials of c[n, a, b] u^a v^b at each row n, the way
+    the Newton step reads them: a pass over v with its slope, one over u
+    with its slope, one over u of the v-slopes."""
+    at_v, slope_v = preimages._horner(c.transpose(2, 1, 0), v, slope=True)
+    value, d_u = preimages._horner(at_v, u, slope=True)
+    return value, d_u, preimages._horner(slope_v, u)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_horner_matches_polyval2d_and_its_partials(degree):
+    # Horner's rule in one variable makes one product and one sum per
+    # coefficient, each within sqrt(5) u and u of its exact value (u =
+    # 2^-53, Higham Lemma 3.5), so a value is within 2 (sqrt(5) + 1) n u of
+    # sum_j |c_j| |x|^j, n the degree (Higham 5.1); the slope recurrence
+    # takes one more product and sum per step.  Both passes (over v, then
+    # u) stay within 4 (sqrt(5) + 1) (2 n + 1) u of the absolute
+    # polynomial (|c| at |u|, |v|), and numpy's polyval2d within the same
+    # of the exact value: a factor 2 covers the pair
+    rng = np.random.default_rng(degree)
+    n = 300
+    c = rng.normal(size=(n, degree + 1, degree + 1, 2)) @ [1.0, 1j]
+    u, v = rng.normal(size=(2, n, 2)) @ [1.0, 1j] * rng.uniform(0.2, 2, (2, n))
+    got = horner_2d(c, u, v)
+    bound = 8 * (np.sqrt(5) + 1) * (2 * degree + 1) * 2.0 ** -53
+    for n_row in range(n):
+        cn, un, vn = c[n_row], u[n_row], v[n_row]
+        for k, coef in enumerate((cn, P.polyder(cn, axis=0),
+                                  P.polyder(cn, axis=1))):
+            want = P.polyval2d(un, vn, coef)
+            scale = P.polyval2d(abs(un), abs(vn), np.abs(coef))
+            assert abs(got[k][n_row] - want) <= bound * scale
+    # every product is elementwise and out of place: a row alone gets the
+    # same bits as in the batch, also in batches below and above the size
+    # where numpy reuses a temporary as a product's output
+    for rows in ([7], [3, 4], list(range(40))):
+        alone = horner_2d(c[rows], u[rows], v[rows])
+        for k in range(3):
+            assert np.array_equal(alone[k], got[k][rows])
+    big = np.resize(np.arange(n), 12_000)
+    whole = horner_2d(c[big], u[big], v[big])
+    for k in range(3):
+        assert np.array_equal(whole[k][:n], got[k])

@@ -112,6 +112,31 @@ def test_kernel_matches_term_by_term_reference(degree, density, batch, real,
             assert np.max(np.abs(jac[:, comp, var] - dref)) <= dtol
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_each_row_is_the_same_alone(degree):
+    # the kernel adds each entry's coefficient-times-monomial products in
+    # one fixed order, and every product is elementwise, not in place and
+    # from named operands, so a row gets the same bits alone as in any
+    # batch: here dense supports (second and third monomial factors), a
+    # 20,000-row batch (past the size where numpy reuses a temporary as a
+    # product's output) and its first 300 rows alone
+    rng = np.random.default_rng(degree)
+    maps = [HomogeneousMap(random_tables(rng, degree, 1.0, real))
+            for real in (False, True)] + [lattes_suspension()]
+    pts = sup_normalize(rng.normal(size=(20_000, 3))
+                        + 1j * rng.normal(size=(20_000, 3)))
+    for f in maps:
+        values, jac = f.polynomial_batch(pts), f.jacobian_h_batch(pts)
+        images, ok = f.evaluate_batch_safe(pts)
+        for i in range(300):
+            one = pts[i:i + 1]
+            assert np.array_equal(f.polynomial_batch(one)[0], values[i])
+            assert np.array_equal(f.jacobian_h_batch(one)[0], jac[i])
+            assert np.array_equal(f.evaluate_batch_safe(one)[0][0],
+                                  images[i])
+        assert ok.all()
+
+
 def test_power_map_support_has_three_monomials():
     f = HomogeneousMap([{(3, 0, 0): 1.0}, {(0, 3, 0): 1.0},
                         {(0, 0, 3): 1.0}])

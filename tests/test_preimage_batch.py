@@ -15,6 +15,7 @@ own, so they are bit-identical), well under 1e-12.
 """
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from p2dyn.preimages import (
     preimage_batch,
 )
 from p2dyn.projective import (
+    CLEAN_REL_TOL,
     HomogeneousMap,
     chart_indices,
     chart_normalize,
@@ -43,6 +45,7 @@ from p2dyn.zoo import (
     mixed_product_family,
     perturbed_power_family,
     power_map,
+    standard_zoo,
 )
 
 # the module itself (the package's ``preimages`` attribute is the function)
@@ -301,6 +304,58 @@ def test_each_row_is_independent_of_its_batch(name):
         assert np.array_equal(batch.lifts[i], one.lifts[0])
         assert np.array_equal(batch.root_ids[i], one.root_ids[0])
         assert batch.rotations[i] == one.rotations[0]
+
+
+@pytest.mark.parametrize("family", standard_zoo(), ids=lambda f: f.name)
+def test_carried_residuals_match_a_fresh_evaluation(family):
+    # each root keeps the residual its solve measured, the map at the lift
+    # with 1 in its search chart against the chart-normalized target; a
+    # fresh one evaluates F at the returned lift against the target as
+    # given.  The chordal distance is a metric, so the two differ by at
+    # most the distance of the two images plus that of the two targets
+    # plus each distance's own rounding.  With u = 2^-53: a complex
+    # division (Smith's, six roundings on terms below sqrt(2) |a / b|)
+    # is within 9 u normwise, so the targets are within 9 u and the lifts
+    # within 9 u + 2 u (two sup-normalizations).  A lift moved by delta
+    # moves F by d delta S |p|^d (first order), and an evaluation rounds F
+    # by (d sqrt(5) + M) u S |p|^d (the count in test_kernel.py), S the
+    # 2-norm of the components' absolute coefficient sums, M the support
+    # size: relative to |F(p)| both scale with kappa = S |p|_sup^d / |F(p)|.
+    # A distance's minors are products of unit-scale coordinates, within
+    # 7 u.  So |carried - fresh| <= (9 + 14) u + (2 (d sqrt(5) + M) +
+    # 11 d) u kappa.  A rotated target's roots also went through U q (three
+    # products and sums per coordinate, U unitary: (3 sqrt(5) + 2) sqrt(3) u
+    # normwise) and were measured under substitute_linear's coefficients,
+    # cleaned below CLEAN_REL_TOL of the largest (at most (d+1)(d+2)/2 of
+    # them, |coefficient| <= 3^(d/2) S): that much more times kappa
+    f = family.map
+    rng = np.random.default_rng(3)
+    targets = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))
+    corners = [c for c in itertools.product([0, 1, -1, 1j], repeat=3)
+               if any(c)]  # where three of the six maps need a rotation
+    targets = np.concatenate([targets, np.array(corners, dtype=complex)])
+    batch = preimage_batch(f, targets)
+    d, want = f.degree, f.degree ** 2
+    lifts = batch.lifts.reshape(-1, 3)
+    fresh = fs_distance_batch(f.evaluate_batch(lifts),
+                              np.repeat(targets, want, axis=0))
+    s = np.linalg.norm([np.sum(np.abs(list(t.values()))) for t in f.tables])
+    kappa = s / np.linalg.norm(f.evaluate_batch(lifts, renormalize=False),
+                               axis=1)
+    m = len(set().union(*f.tables))
+    u = 2.0 ** -53
+    tol = u * (23 + (2 * (d * np.sqrt(5) + m) + 11 * d) * kappa)
+    rotated = np.repeat(batch.rotations > 0, want)
+    tol += rotated * kappa * (u * d * (3 * np.sqrt(5) + 2) * np.sqrt(3)
+                              + (d + 1) * (d + 2) / 2 * CLEAN_REL_TOL
+                              * 3 ** (d / 2))
+    assert np.all(np.abs(batch.residuals.ravel() - fresh) <= tol)
+    if family.name in ("chebyshev_product", "product_mixed",
+                       "perturbed_power"):
+        assert batch.rotations.any()
+    # copies of one root carry its one residual
+    for ids, res in zip(batch.root_ids, batch.residuals):
+        assert all(np.unique(res[ids == k]).size == 1 for k in set(ids))
 
 
 # ---------------------------------------------------------------------------
