@@ -16,7 +16,8 @@ step adds a bounded term and the truncation error after depth N is at most
 B d^(-N) / (d-1), where B bounds |log ||F|| | on the sup-norm unit sphere.
 :func:`escape_rate` computes G_N in the sup norm or in the 2-norm (they
 differ by at most d^(-N) log sqrt(3)), rescaling by exact powers of two once
-per span of steps the coefficients and the degeneracy rule keep in range.
+per span of steps the coefficients and the degeneracy rule keep in range and
+reading the norm only where a rescale, ``also`` or the result needs it.
 Its ``also`` argument returns a shallower truncation G_M (M <= N) from the
 same pass: the partial sum at step M is bit-identical to a depth-M call.
 """
@@ -78,14 +79,20 @@ class GreenEvaluator:
     @cached_property
     def rescale_spans(self) -> dict[str, int]:
         """Steps per rescale in :func:`escape_rate` by norm, derived there."""
-        d, down, spans = self.map.degree, np.log2(DEGENERATE_EVAL_TOL), {}
+        return {norm: cut.size for norm, cut in self.collapse_screens.items()}
+
+    @cached_property
+    def collapse_screens(self) -> dict[str, np.ndarray]:
+        """s_j >= |v_j| after a collapse in a span; see :func:`escape_rate`."""
+        d, down, screens = self.map.degree, np.log2(DEGENERATE_EVAL_TOL), {}
         for norm, (_, k, limit) in _COLUMN_NORMS.items():
             up = np.log2(max(k * self.growth_bound, 1.0))
-            hi, lo, span = up, down - d, 1  # log2 bounds on |v_1|
+            hi, lo, cut = up, down - d, [down + 1.0]  # log2 bounds on |v_1|
             while d * hi + up <= limit and d * lo + down >= -limit:
-                hi, lo, span = d * hi + up, d * lo + down, span + 1
-            spans[norm] = span
-        return spans
+                cut.append(max(d * cut[-1] + up, down + d * hi) + 1.0)
+                hi, lo = d * hi + up, d * lo + down
+            screens[norm] = np.exp2(cut)
+        return screens
 
     def truncation_bound(self, depth: int | None = None) -> float:
         """|G - G_N| <= B d^(-N) / (d-1): geometric in the depth."""
@@ -126,6 +133,18 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     ``_BLOCK_ROWS`` points run as (3, b) columns in one power table, where
     the map writes F; no row's value depends on its block.
 
+    G reads ``|v_k|`` only before a rescale, at ``also`` and at N (ceil(N /
+    span) + 1 norms a block) and screens the rule there.  In a span
+    ``|v_i| <= 2^hi_i``, ``hi_0 = 0``, ``hi_(i+1) = d hi_i + up``, ``up =
+    log2 max(K U, 1)``; a collapse at step i leaves ``log2 |v_(i+1)| <=
+    down + d hi_i`` (``down = log2 DEGENERATE_EVAL_TOL``), which each later
+    step maps by ``x -> d x + up``.  With a bit of rounding slack a step,
+    the largest over i < j is ``s_j = ev.collapse_screens[norm][j - 1]``.
+    A block whose least ``|v_j|`` is at most s_j (as in
+    ``test_a_chain_of_near_collapses_reads_its_closed_form``) runs again
+    from its lifts, with every norm and the rule at every step, as do the
+    call's later blocks: G reads the same exponents and norms either way.
+
     With ``also = M`` (an integer, 0 <= M <= N) the result is the pair
     ``(G_N, G_M)``: G_M is the partial sum the loop holds after M steps,
     the same operations in the same order as a depth-M call, so both are
@@ -134,7 +153,8 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     """
     if norm not in _COLUMN_NORMS:
         raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
-    col_norm, span = _COLUMN_NORMS[norm][0], ev.rescale_spans[norm]
+    col_norm, screen = _COLUMN_NORMS[norm][0], ev.collapse_screens[norm]
+    span = screen.size
     n = ev.depth if depth is None else depth
     if also is not None and (int(also) != also or not 0 <= also <= n):
         raise ValueError("also must be an integer in [0, %d], got %r"
@@ -144,41 +164,51 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     pts = as_point_array(lifts)
     total = np.empty(pts.shape[0], dtype=np.float64)
     shallow = None if also is None else np.empty_like(total)
+    passes = (False, True)
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         table = np.empty((d, 3, total[rows].size), dtype=np.complex128)
         v = table[0]
-        v[...] = pts[rows].T
-        with np.errstate(over="ignore"):
-            norms = col_norm(v)
-        exps, factor = 0.0, 1.0
-        # 2-norm squares over- or underflow far from unit scale, and 2^-e
-        # must stay finite: such (or invalid) lifts take a sup exponent first
-        if not np.all((norms > 2.0 ** -500) & (norms < 2.0 ** 500)):
-            sup = np.max(np.abs(v), axis=0)
-            check_row_scale(sup)
-            pre = np.maximum(np.frexp(sup)[1], -1021)
-            v *= np.ldexp(1.0, -pre)
-            exps, norms = pre.astype(np.float64), col_norm(v)
-        for step in range(n):
-            if step == also:
-                shallow[rows] = np.log(2.0) * exps + factor * np.log(norms)
-            ref = norms
-            if step % span == 0:
-                ref, e = np.frexp(norms)
-                exps += factor * e
-                v *= np.ldexp(1.0, -e)
-            ev.map.polynomial_columns(table)
-            norms = col_norm(v)
-            # the block screen passes every degenerate row; a rescaled ref
-            # holds mantissas, all below 1
-            top = 1.0 if step % span == 0 else ref.max()
-            if norms.min() <= tol * top ** d and np.any(
-                    norms <= tol * ref ** d):
-                raise DegenerateEvaluationError(
-                    "map %r collapsed a point to ~0 (common-zero locus hit)"
-                    % ev.map.name)
-            factor /= d
+        for checked in passes:
+            v[...] = pts[rows].T
+            with np.errstate(over="ignore"):
+                norms = col_norm(v)
+            exps, factor = 0.0, 1.0
+            # 2-norm squares over- or underflow far from unit scale, and 2^-e
+            # must stay finite: such (or invalid) lifts take a sup exponent
+            if not np.all((norms > 2.0 ** -500) & (norms < 2.0 ** 500)):
+                sup = np.max(np.abs(v), axis=0)
+                check_row_scale(sup)
+                pre = np.maximum(np.frexp(sup)[1], -1021)
+                v *= np.ldexp(1.0, -pre)
+                exps, norms = pre.astype(np.float64), col_norm(v)
+            for step in range(n):
+                if step == also:
+                    shallow[rows] = np.log(2.0) * exps + factor * np.log(norms)
+                ref = norms
+                if step % span == 0:
+                    ref, e = np.frexp(norms)
+                    exps += factor * e
+                    v *= np.ldexp(1.0, -e)
+                ev.map.polynomial_columns(table)
+                if checked:
+                    norms = col_norm(v)
+                    # the block screen passes every degenerate row; a
+                    # rescaled ref holds mantissas, all below 1
+                    top = 1.0 if step % span == 0 else ref.max()
+                    if norms.min() <= tol * top ** d and np.any(
+                            norms <= tol * ref ** d):
+                        raise DegenerateEvaluationError(
+                            "map %r collapsed a point to ~0 (common-zero "
+                            "locus hit)" % ev.map.name)
+                elif (step + 1) % span == 0 or step + 1 in (also, n):
+                    norms = col_norm(v)
+                    if norms.min() <= screen[step % span]:
+                        passes = (True,)  # later blocks start checked
+                        break  # a row may have collapsed: run it checked
+                factor /= d
+            else:
+                break
         total[rows] = np.log(2.0) * exps + factor * np.log(norms)
         if also == n:
             shallow[rows] = total[rows]

@@ -10,14 +10,20 @@ Independent oracles used here:
   function of the segment [-2, 2], ``g(z) = log(|z + sqrt(z^2 - 4)| / 2)``
   with the larger branch of the square root;
 * log-homogeneity and the one-step telescoping identity, which the
-  partial sums satisfy exactly up to floating-point roundoff.
+  partial sums satisfy exactly up to floating-point roundoff;
+* a per-step reference of the depth loop, which reads the norm and applies
+  the degeneracy rule after every step: escape_rate must raise on the
+  same blocks and agree bitwise elsewhere.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from p2dyn import green
 from p2dyn.errors import DegenerateEvaluationError, ResolutionError
 from p2dyn.frames import NormalFormCoordinates, OseledecFrame
 from p2dyn.green import (
@@ -26,7 +32,12 @@ from p2dyn.green import (
     escape_rate,
     local_potential,
 )
-from p2dyn.projective import HomogeneousMap, HomogeneousPoint, lift_from_chart
+from p2dyn.projective import (
+    DEGENERATE_EVAL_TOL,
+    HomogeneousMap,
+    HomogeneousPoint,
+    lift_from_chart,
+)
 from p2dyn.slices import (
     LocalGrid,
     axis_chart,
@@ -38,6 +49,7 @@ from p2dyn.zoo import (
     lattes_suspension,
     power_map,
     perturbed_power_family,
+    standard_zoo,
 )
 
 LOG2 = float(np.log(2.0))
@@ -455,6 +467,25 @@ class TestRescaleSpan:
             assert np.all(np.abs(got - want - shift)
                           <= 4 * np.spacing(np.abs(want)))
 
+    def test_spans_and_screens_keep_their_derived_values(self):
+        # spans of the zoo and of c (z^2, w^2, t^2); a screen bound s_j
+        # exists for each position j of a span, at least the tolerance
+        # (a collapse at the span's first step leaves |v_1| <= tol) and
+        # nondecreasing in j
+        maps = [(f.map, (3, 2) if f.map.degree == 3 else (4, 3))
+                for f in standard_zoo()]
+        for c, spans in ((2.0 ** 60, (4, 3)), (2.0 ** 300, (2, 1))):
+            maps.append((HomogeneousMap(
+                [{(2, 0, 0): c}, {(0, 2, 0): c}, {(0, 0, 2): c}],
+                name="scaled-power"), spans))
+        for map_, (sup_span, two_span) in maps:
+            ev = GreenEvaluator(map_)
+            assert ev.rescale_spans == {"sup": sup_span, "2": two_span}
+            for norm, screen in ev.collapse_screens.items():
+                assert screen.size == ev.rescale_spans[norm]
+                assert np.all(screen >= DEGENERATE_EVAL_TOL)
+                assert np.all(np.diff(screen) >= 0.0)
+
     @pytest.mark.parametrize("norm", ["sup", "2"])
     def test_rows_do_not_depend_on_their_block(self, norm):
         # one block of lifts from 1e-170 to 1e160 (the pre-loop rescale),
@@ -470,3 +501,155 @@ class TestRescaleSpan:
         block = escape_rate(ev, lifts, norm=norm)
         alone = np.array([escape_rate(ev, row, norm=norm) for row in lifts])
         assert np.array_equal(block, alone)
+
+
+#: (z^2, zt, wt) vanishes at [0:1:0] and [0:0:1], and its orbits drift
+#: toward them: in log-moduli it acts linearly with an expanding direction,
+#: so random lifts collapse at every step of a span, not only the first two
+DRIFT = HomogeneousMap([{(2, 0, 0): 1.0}, {(1, 0, 1): 1.0},
+                        {(0, 1, 1): 1.0}], name="drift-monomial")
+_REFERENCE_NORMS = {
+    "sup": lambda cols: np.max(np.abs(cols), axis=0),
+    "2": lambda cols: np.sqrt(np.sum(cols.real ** 2 + cols.imag ** 2,
+                                     axis=0)),
+}
+
+
+def reference_escape_rate(ev, lifts, depth, norm, also=None):
+    """The documented loop step by step: the norm after every step, the
+    rescale at steps divisible by the span, and the degeneracy rule
+    ``|v_(k+1)| <= tol |w|^d`` at every step.  Returns G_N, G_also and each
+    row's first collapsing step (-1 where none)."""
+    d, span = ev.map.degree, ev.rescale_spans[norm]
+    col = _REFERENCE_NORMS[norm]
+    table = np.empty((d, 3, len(lifts)), dtype=np.complex128)
+    v = table[0]
+    v[...] = lifts.T
+    norms, exps, factor, shallow = col(v), 0.0, 1.0, None
+    first = np.full(len(lifts), -1)
+    with np.errstate(all="ignore"):  # rows past their collapse run on
+        for step in range(depth):
+            if step == also:
+                shallow = LOG2 * exps + factor * np.log(norms)
+            w_norm = norms
+            if step % span == 0:
+                w_norm, e = np.frexp(norms)
+                exps += factor * e
+                v *= np.ldexp(1.0, -e)
+            ev.map.polynomial_columns(table)
+            norms = col(v)
+            hit = norms <= DEGENERATE_EVAL_TOL * w_norm ** d
+            first[hit & (first < 0)] = step
+            factor /= d
+        total = LOG2 * exps + factor * np.log(norms)
+    return total, total if also == depth else shallow, first
+
+
+def mixed_block(map_, rng, n):
+    """Ordinary lifts mixed with rows near the map's common zeros: the
+    z-cone at [a : 1 : 1] and the cyclic map at [1 : 1 : a] (collapse at
+    step 0 or 1) with a around the tolerance, some within a few ulps of it
+    (rounding decides the step), and drifting lifts of DRIFT."""
+    lifts = random_lifts(rng, n)
+    near = rng.uniform(size=n) < 0.6
+    k = int(near.sum())
+    a = DEGENERATE_EVAL_TOL * np.where(
+        rng.uniform(size=k) < 0.5, 1.0 + rng.integers(-8, 9, k) * 2.0 ** -52,
+        2.0 ** rng.uniform(-3.0, 3.0, k))
+    a[rng.uniform(size=k) < 0.1] = 0.0
+    phases = np.exp(2j * np.pi * rng.uniform(size=(k, 3)))
+    if map_ is DRIFT:
+        rows = np.exp(rng.normal(size=(k, 3)) * rng.uniform(0.0, 20.0, (k, 1)))
+    elif map_ is TestDegeneracy.MAP:
+        rows = np.stack([a, np.ones(k), np.ones(k)], axis=1)
+    else:
+        rows = np.stack([np.ones(k), np.ones(k), a], axis=1)
+    lifts[near] = rows * phases
+    return lifts
+
+
+_NEAR_MAPS = [TestDegeneracy.MAP, TestRescaleSpan.CYCLIC, DRIFT]
+
+
+class TestNormReads:
+    """escape_rate reads the norm only where G needs it and screens the
+    degeneracy rule there; a per-step reference loop is the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(map_=st.sampled_from(_NEAR_MAPS),
+           norm=st.sampled_from(["sup", "2"]), depth=st.integers(1, 13),
+           also=st.none() | st.integers(0, 13),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_step_reference(self, map_, norm, depth, also,
+                                            seed):
+        also = None if also is None else min(also, depth)
+        ev = GreenEvaluator(map_, depth=depth)
+        lifts = mixed_block(map_, np.random.default_rng(seed), 24)
+        total, shallow, first = reference_escape_rate(ev, lifts, depth, norm,
+                                                      also)
+        if np.any(first >= 0):
+            with pytest.raises(DegenerateEvaluationError):
+                escape_rate(ev, lifts, norm=norm, also=also)
+            return
+        got = escape_rate(ev, lifts, norm=norm, also=also)
+        if also is None:
+            assert np.array_equal(got, total)
+        else:
+            assert np.array_equal(got[0], total)
+            assert np.array_equal(got[1], shallow)
+
+    @pytest.mark.parametrize("norm", ["sup", "2"])
+    def test_the_oracle_blocks_collapse_across_the_span(self, norm):
+        # the blocks above collapse on the first (rescaling) step, on later
+        # rescaling steps and on steps that do not rescale
+        steps = set()
+        rng = np.random.default_rng(8)
+        for map_ in _NEAR_MAPS:
+            ev = GreenEvaluator(map_, depth=13)
+            first = reference_escape_rate(ev, mixed_block(map_, rng, 400), 13,
+                                          norm)[2]
+            steps.update(first[first >= 0].tolist())
+        span = GreenEvaluator(DRIFT).rescale_spans[norm]
+        assert 0 in steps
+        assert any(s % span == 0 for s in steps if s > 0)
+        assert any(s % span != 0 for s in steps)
+
+    @pytest.mark.parametrize("norm", ["sup", "2"])
+    def test_blocks_after_a_fired_screen_keep_their_values(self, norm):
+        # the near-collapse chain fires the screen in the first block, so
+        # the call's later blocks run checked from the start
+        ev = GreenEvaluator(TestDegeneracy.MAP, depth=8)
+        chain = np.tile([2e-14, 1.0, 1.0], (green._BLOCK_ROWS, 1))
+        ordinary = random_lifts(np.random.default_rng(31), 300)
+        deep, shallow = escape_rate(ev, np.vstack([chain, ordinary]),
+                                    norm=norm, also=3)
+        for rows, part in ((slice(None, len(chain)), chain),
+                           (slice(len(chain), None), ordinary)):
+            alone = escape_rate(ev, part, norm=norm, also=3)
+            assert np.array_equal(deep[rows], alone[0])
+            assert np.array_equal(shallow[rows], alone[1])
+
+    @pytest.mark.parametrize("norm", ["sup", "2"])
+    def test_norms_read_once_per_span(self, norm, monkeypatch):
+        # a nondegenerate block reads |v_0|, the norm before each later
+        # rescale and |v_N|: ceil(N / span) + 1 norms, one more for a
+        # mid-span also
+        col_norm, k, limit = green._COLUMN_NORMS[norm]
+        calls = []
+
+        def counted(cols):
+            calls.append(cols.shape)
+            return col_norm(cols)
+
+        monkeypatch.setitem(green._COLUMN_NORMS, norm, (counted, k, limit))
+        ev = GreenEvaluator(power_map(2))
+        span = ev.rescale_spans[norm]
+        lifts = random_lifts(np.random.default_rng(30), 500)
+        for depth in (1, 3, 8, 13, 40):
+            calls.clear()
+            escape_rate(ev, lifts, depth=depth, norm=norm)
+            assert len(calls) == math.ceil(depth / span) + 1
+            calls.clear()
+            escape_rate(ev, lifts, depth=depth, norm=norm, also=depth // 2)
+            extra = (depth // 2) % span != 0
+            assert len(calls) == math.ceil(depth / span) + 1 + extra
