@@ -13,11 +13,12 @@ Laplacians feed the slice-measure machinery.
 Partial sums telescope exactly -- G_N(p) = log||p|| + sum_{k<N}
 d^(-k-1) log||F(u_k)|| with u_k the orbit rescaled to unit norm -- so each
 step adds a bounded term and the truncation error after depth N is at most
-B d^(-N) / (d-1), where B bounds |log ||F|| | on the sup-norm unit sphere.
-:func:`escape_rate` computes G_N in the sup norm or in the 2-norm (they
-differ by at most d^(-N) log sqrt(3)), rescaling by exact powers of two once
-per span of steps the coefficients and the degeneracy rule keep in range and
-reading the norm only where a rescale, ``also`` or the result needs it.
+B d^(-N) / (d-1), with B = max(|log c_F|, |log U|) (c_F the map's proven
+``growth_floor``).  :func:`escape_rate` computes G_N in the sup norm or in
+the 2-norm (they differ by at most d^(-N) log sqrt(3)), rescaling by exact
+powers of two once per span of steps the coefficients and the degeneracy
+rule keep in range, and reads every norm with the rule only on a map whose
+c_F cannot rule out a collapse.
 Its ``also`` argument returns a shallower truncation G_M (M <= N) from the
 same pass: the partial sum at step M is bit-identical to a depth-M call.
 """
@@ -44,9 +45,6 @@ DEFAULT_DEPTH = 40
 #: enough that one block's power tables and images stay in cache
 _BLOCK_ROWS = 1 << 13
 
-_SPHERE_SAMPLE_SEED = 524287
-_SPHERE_SAMPLE_COUNT = 4096
-
 
 @dataclass(frozen=True)
 class GreenEvaluator:
@@ -66,39 +64,26 @@ class GreenEvaluator:
                    for table in self.map.tables)
 
     @cached_property
-    def step_bound(self) -> float:
-        """B with |log ||F(v)||_sup| <= B for sup-normalized v: U above, and
-        below half the least image of a seeded sample of the unit sphere
-        (adequate for an error *estimate*; tests check it empirically)."""
-        rng = np.random.default_rng(_SPHERE_SAMPLE_SEED)
-        re, im = rng.normal(size=(2, _SPHERE_SAMPLE_COUNT, 3))
-        images = self.map.evaluate_batch(re + 1j * im, renormalize=False)
-        lower = 0.5 * float(np.min(np.max(np.abs(images), axis=1)))
-        return max(abs(np.log(lower)), abs(np.log(self.growth_bound)))
-
-    @cached_property
     def rescale_spans(self) -> dict[str, int]:
         """Steps per rescale in :func:`escape_rate` by norm, derived there."""
-        return {norm: cut.size for norm, cut in self.collapse_screens.items()}
-
-    @cached_property
-    def collapse_screens(self) -> dict[str, np.ndarray]:
-        """s_j >= |v_j| after a collapse in a span; see :func:`escape_rate`."""
-        d, down, screens = self.map.degree, np.log2(DEGENERATE_EVAL_TOL), {}
+        d, down, spans = self.map.degree, np.log2(DEGENERATE_EVAL_TOL), {}
         for norm, (_, k, limit) in _COLUMN_NORMS.items():
             up = np.log2(max(k * self.growth_bound, 1.0))
-            hi, lo, cut = up, down - d, [down + 1.0]  # log2 bounds on |v_1|
+            hi, lo, span = up, down - d, 1  # log2 bounds on |v_1|
             while d * hi + up <= limit and d * lo + down >= -limit:
-                cut.append(max(d * cut[-1] + up, down + d * hi) + 1.0)
-                hi, lo = d * hi + up, d * lo + down
-            screens[norm] = np.exp2(cut)
-        return screens
+                hi, lo, span = d * hi + up, d * lo + down, span + 1
+            spans[norm] = span
+        return spans
 
     def truncation_bound(self, depth: int | None = None) -> float:
-        """|G - G_N| <= B d^(-N) / (d-1): geometric in the depth."""
+        """|G - G_N| <= B d^(-N) / (d-1): geometric in the depth, with
+        B = max(|log c_F|, |log U|); inf on a map with no growth floor."""
+        floor = self.map.growth_floor
+        if floor == 0.0:
+            return float("inf")
         n = self.depth if depth is None else depth
-        d = self.map.degree
-        return self.step_bound * d ** (-float(n)) / (d - 1.0)
+        step = max(abs(np.log(floor)), abs(np.log(self.growth_bound)))
+        return step * self.map.degree ** (-float(n)) / (self.map.degree - 1)
 
 
 #: norms of (3, N) columns for :func:`escape_rate`, with K (||F(v)|| <= K U
@@ -133,17 +118,11 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     ``_BLOCK_ROWS`` points run as (3, b) columns in one power table, where
     the map writes F; no row's value depends on its block.
 
-    G reads ``|v_k|`` only before a rescale, at ``also`` and at N (ceil(N /
-    span) + 1 norms a block) and screens the rule there.  In a span
-    ``|v_i| <= 2^hi_i``, ``hi_0 = 0``, ``hi_(i+1) = d hi_i + up``, ``up =
-    log2 max(K U, 1)``; a collapse at step i leaves ``log2 |v_(i+1)| <=
-    down + d hi_i`` (``down = log2 DEGENERATE_EVAL_TOL``), which each later
-    step maps by ``x -> d x + up``.  With a bit of rounding slack a step,
-    the largest over i < j is ``s_j = ev.collapse_screens[norm][j - 1]``.
-    A block whose least ``|v_j|`` is at most s_j (as in
-    ``test_a_chain_of_near_collapses_reads_its_closed_form``) runs again
-    from its lifts, with every norm and the rule at every step, as do the
-    call's later blocks: G reads the same exponents and norms either way.
+    Where the proven floor ``|F(w)| >= c_F 3^(-d/2) |w|^d`` (either norm)
+    less the image's rounding ``(M + 2d + 6) eps K U |w|^d``, M = (d+1)
+    (d+2)/2, exceeds the tolerance, no step meets the rule: G reads |v_k|
+    only before a rescale, at ``also`` and at N (ceil(N / span) + 1 norms
+    a block).  Other maps read the norm and apply the rule at every step.
 
     With ``also = M`` (an integer, 0 <= M <= N) the result is the pair
     ``(G_N, G_M)``: G_M is the partial sum the loop holds after M steps,
@@ -153,62 +132,52 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     """
     if norm not in _COLUMN_NORMS:
         raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
-    col_norm, screen = _COLUMN_NORMS[norm][0], ev.collapse_screens[norm]
-    span = screen.size
+    col_norm, k, _ = _COLUMN_NORMS[norm]
+    span = ev.rescale_spans[norm]
     n = ev.depth if depth is None else depth
     if also is not None and (int(also) != also or not 0 <= also <= n):
         raise ValueError("also must be an integer in [0, %d], got %r"
                          % (n, also))
     d, tol = ev.map.degree, DEGENERATE_EVAL_TOL
+    rounding = (((d + 1) * (d + 2) // 2 + 2 * d + 6) * np.finfo(float).eps
+                * k * ev.growth_bound)
+    checked = ev.map.growth_floor * 3.0 ** (-d / 2) - rounding <= tol
     squeeze = np.ndim(lifts) == 1
     pts = as_point_array(lifts)
     total = np.empty(pts.shape[0], dtype=np.float64)
     shallow = None if also is None else np.empty_like(total)
-    passes = (False, True)
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         table = np.empty((d, 3, total[rows].size), dtype=np.complex128)
         v = table[0]
-        for checked in passes:
-            v[...] = pts[rows].T
-            with np.errstate(over="ignore"):
+        v[...] = pts[rows].T
+        with np.errstate(over="ignore"):
+            norms = col_norm(v)
+        exps, factor = 0.0, 1.0
+        # 2-norm squares over- or underflow far from unit scale, and 2^-e
+        # must stay finite: such (or invalid) lifts take a sup exponent
+        if not np.all((norms > 2.0 ** -500) & (norms < 2.0 ** 500)):
+            sup = np.max(np.abs(v), axis=0)
+            check_row_scale(sup)
+            pre = np.maximum(np.frexp(sup)[1], -1021)
+            v *= np.ldexp(1.0, -pre)
+            exps, norms = pre.astype(np.float64), col_norm(v)
+        for step in range(n):
+            if step == also:
+                shallow[rows] = np.log(2.0) * exps + factor * np.log(norms)
+            ref = norms
+            if step % span == 0:
+                ref, e = np.frexp(norms)
+                exps += factor * e
+                v *= np.ldexp(1.0, -e)
+            ev.map.polynomial_columns(table)
+            if checked or (step + 1) % span == 0 or step + 1 in (also, n):
                 norms = col_norm(v)
-            exps, factor = 0.0, 1.0
-            # 2-norm squares over- or underflow far from unit scale, and 2^-e
-            # must stay finite: such (or invalid) lifts take a sup exponent
-            if not np.all((norms > 2.0 ** -500) & (norms < 2.0 ** 500)):
-                sup = np.max(np.abs(v), axis=0)
-                check_row_scale(sup)
-                pre = np.maximum(np.frexp(sup)[1], -1021)
-                v *= np.ldexp(1.0, -pre)
-                exps, norms = pre.astype(np.float64), col_norm(v)
-            for step in range(n):
-                if step == also:
-                    shallow[rows] = np.log(2.0) * exps + factor * np.log(norms)
-                ref = norms
-                if step % span == 0:
-                    ref, e = np.frexp(norms)
-                    exps += factor * e
-                    v *= np.ldexp(1.0, -e)
-                ev.map.polynomial_columns(table)
-                if checked:
-                    norms = col_norm(v)
-                    # the block screen passes every degenerate row; a
-                    # rescaled ref holds mantissas, all below 1
-                    top = 1.0 if step % span == 0 else ref.max()
-                    if norms.min() <= tol * top ** d and np.any(
-                            norms <= tol * ref ** d):
-                        raise DegenerateEvaluationError(
-                            "map %r collapsed a point to ~0 (common-zero "
-                            "locus hit)" % ev.map.name)
-                elif (step + 1) % span == 0 or step + 1 in (also, n):
-                    norms = col_norm(v)
-                    if norms.min() <= screen[step % span]:
-                        passes = (True,)  # later blocks start checked
-                        break  # a row may have collapsed: run it checked
-                factor /= d
-            else:
-                break
+            if checked and np.any(norms <= tol * ref ** d):
+                raise DegenerateEvaluationError(
+                    "map %r collapsed a point to ~0 (common-zero locus "
+                    "hit)" % ev.map.name)
+            factor /= d
         total[rows] = np.log(2.0) * exps + factor * np.log(norms)
         if also == n:
             shallow[rows] = total[rows]

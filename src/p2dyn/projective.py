@@ -18,6 +18,8 @@ entry point accepts it, a ``(3,)`` row or a ``(1, 3)`` array alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -282,8 +284,9 @@ class HomogeneousMap:
     """Endomorphism candidate: three homogeneous polynomials of degree d.
 
     Construction validates homogeneity, the degree range, and that no
-    component is identically zero.  Full nondegeneracy (no common root) is
-    certified separately through preimage counting (see the zoo module).
+    component is identically zero.  Nondegeneracy (no common root) is
+    proven by :attr:`growth_floor` when it is positive, and certified
+    through preimage counting in the zoo module.
 
     ``tables`` keeps the three ``{(i, j, k): coeff}`` tables as given.  For
     evaluation they are compiled into one ``(M, 3)`` coefficient matrix over
@@ -343,6 +346,34 @@ class HomogeneousMap:
         np.matmul(k.real_t, k.monomials(table).view(np.float64),
                   out=table[0].view(np.float64))
         return table[0]
+
+    @cached_property
+    def growth_floor(self) -> float:
+        """Proven c_F with ``||F(v)||_sup >= c_F ||v||_sup^d``, or 0.0.
+
+        A least-squares identity ``x_i^D = sum_k A_ik F_k + R_i`` (D = 3d -
+        2, Macaulay) gives 1 <= sum_k |A_ik(v)| |F_k(v)| + |R_i(v)| where
+        |v_i| = 1 = ||v||_sup, so c_F = min_i (1 - r_i) / sum_k ||A_ik||_1;
+        r_i adds to the computed ||R_i||_1 (n + 3) eps times the moduli
+        summed into each coefficient (n nonzero products).  0.0: no proof.
+        """
+        low, top = 2 * self.degree - 2, 3 * self.degree - 2
+        pairs = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
+        row = {(i, j, top - i - j): m for m, (i, j) in enumerate(pairs)}
+        lower = [(i, j, low - i - j) for i, j in pairs if i + j <= low]
+        system = np.zeros((len(row), 3 * len(lower)), dtype=np.complex128)
+        for col, (table, key) in enumerate(product(self.tables, lower)):
+            for mono, coef in _mul_tables({key: 1.0}, table).items():
+                system[row[mono], col] = coef
+        pure = [row[key] for key in ((top, 0, 0), (0, top, 0), (0, 0, top))]
+        target = np.eye(len(row))[:, pure]
+        coef = np.linalg.lstsq(system, target, rcond=None)[0]
+        slack = (np.count_nonzero(system, axis=1) + 3) * np.finfo(float).eps
+        rounding = slack[:, None] * (target + np.abs(system) @ np.abs(coef))
+        residual = np.sum(np.abs(target - system @ coef) + rounding, axis=0)
+        if np.any(residual >= 1.0):
+            return 0.0
+        return float(np.min((1.0 - residual) / np.sum(np.abs(coef), axis=0)))
 
     def evaluate_batch(self, points: np.ndarray,
                        renormalize: bool = True) -> np.ndarray:

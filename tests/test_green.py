@@ -13,7 +13,9 @@ Independent oracles used here:
   partial sums satisfy exactly up to floating-point roundoff;
 * a per-step reference of the depth loop, which reads the norm and applies
   the degeneracy rule after every step: escape_rate must raise on the
-  same blocks and agree bitwise elsewhere.
+  same blocks and agree bitwise elsewhere;
+* a seeded sample of the sup-norm unit sphere, whose least image bounds
+  every proven growth floor from above.
 """
 
 import math
@@ -47,6 +49,7 @@ from p2dyn.slices import (
 from p2dyn.zoo import (
     chebyshev_product,
     lattes_suspension,
+    mixed_product_family,
     power_map,
     perturbed_power_family,
     standard_zoo,
@@ -71,14 +74,21 @@ def random_lifts(rng, n, spread=2.0):
 
 class TestTruncationBound:
     def test_power_map_bound_closed_form(self):
-        # coefficient sup = 1 (single unit monomials) and the sampled
-        # sphere minimum of max(|z|^2,|w|^2,|t|^2) is exactly 1, halved by
-        # the safety margin: B = log 2 and bound(N) = log2 * 2^-N.
+        # coefficient sup U = 1 (single unit monomials) and the proven floor
+        # c_F = 1 up to its rounding term: B = |log c_F| <= 1e-14, and
+        # bound(N) = B 2^-N (G is exact at every depth on power maps)
         ev = GreenEvaluator(power_map(2))
-        assert ev.truncation_bound(10) == pytest.approx(LOG2 * 2.0 ** -10,
+        step = abs(math.log(ev.map.growth_floor))
+        assert step <= 1e-14
+        assert ev.truncation_bound(10) == pytest.approx(step * 2.0 ** -10,
                                                         rel=1e-12)
-        assert ev.truncation_bound() == pytest.approx(LOG2 * 2.0 ** -40,
+        assert ev.truncation_bound() == pytest.approx(step * 2.0 ** -40,
                                                       rel=1e-12)
+
+    def test_no_growth_floor_no_bound(self):
+        # the z-cone has a common zero: no proof, an infinite bound and no
+        # log(0) warning (pytest turns RuntimeWarning into an error)
+        assert GreenEvaluator(TestDegeneracy.MAP).truncation_bound() == np.inf
 
     def test_geometric_decay(self):
         for map_ in (chebyshev_product(), lattes_suspension()):
@@ -468,10 +478,8 @@ class TestRescaleSpan:
                           <= 4 * np.spacing(np.abs(want)))
 
     def test_spans_and_screens_keep_their_derived_values(self):
-        # spans of the zoo and of c (z^2, w^2, t^2); a screen bound s_j
-        # exists for each position j of a span, at least the tolerance
-        # (a collapse at the span's first step leaves |v_1| <= tol) and
-        # nondecreasing in j
+        # spans of the zoo and of c (z^2, w^2, t^2), derived from the
+        # coefficient bound and the degeneracy tolerance
         maps = [(f.map, (3, 2) if f.map.degree == 3 else (4, 3))
                 for f in standard_zoo()]
         for c, spans in ((2.0 ** 60, (4, 3)), (2.0 ** 300, (2, 1))):
@@ -481,10 +489,6 @@ class TestRescaleSpan:
         for map_, (sup_span, two_span) in maps:
             ev = GreenEvaluator(map_)
             assert ev.rescale_spans == {"sup": sup_span, "2": two_span}
-            for norm, screen in ev.collapse_screens.items():
-                assert screen.size == ev.rescale_spans[norm]
-                assert np.all(screen >= DEGENERATE_EVAL_TOL)
-                assert np.all(np.diff(screen) >= 0.0)
 
     @pytest.mark.parametrize("norm", ["sup", "2"])
     def test_rows_do_not_depend_on_their_block(self, norm):
@@ -571,9 +575,60 @@ def mixed_block(map_, rng, n):
 _NEAR_MAPS = [TestDegeneracy.MAP, TestRescaleSpan.CYCLIC, DRIFT]
 
 
+def scaled_power(c):
+    return HomogeneousMap([{(2, 0, 0): c}, {(0, 2, 0): c}, {(0, 0, 2): c}],
+                          name="scaled-power")
+
+
+def random_map(seed, degree):
+    """Dense map with standard complex normal coefficients."""
+    rng = np.random.default_rng(seed)
+    keys = [(i, j, degree - i - j) for i in range(degree + 1)
+            for j in range(degree + 1 - i)]
+    return HomogeneousMap([dict(zip(keys, rng.normal(size=len(keys))
+                                    + 1j * rng.normal(size=len(keys))))
+                           for _ in range(3)], name="random")
+
+
+def sphere_minimum(map_):
+    """Least ||F(v)||_sup over a seeded sample of 4,096 points of the
+    sup-norm unit sphere: an upper bound on any true growth floor."""
+    rng = np.random.default_rng(524287)
+    re, im = rng.normal(size=(2, 4096, 3))
+    images = map_.evaluate_batch(re + 1j * im, renormalize=False)
+    return float(np.min(np.max(np.abs(images), axis=1)))
+
+
+class TestGrowthFloor:
+    """HomogeneousMap.growth_floor proves ||F(v)||_sup >= c_F ||v||_sup^d
+    from a Macaulay identity, or gives 0 where it cannot."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(map_=st.sampled_from([f.map for f in standard_zoo()]
+                                + [scaled_power(2.0 ** 60),
+                                   scaled_power(2.0 ** 300)])
+           | st.builds(random_map, st.integers(0, 2 ** 32 - 1),
+                       st.integers(2, 4)))
+    def test_floor_is_below_every_sampled_image(self, map_):
+        assert 0.0 <= map_.growth_floor <= sphere_minimum(map_)
+
+    def test_every_zoo_map_has_a_floor(self):
+        for family in standard_zoo():
+            assert family.map.growth_floor > 0.0
+
+    def test_power_maps_are_tight(self):
+        for d in (2, 3):
+            assert abs(power_map(d).growth_floor - 1.0) < 1e-14
+
+    def test_maps_with_common_zeros_get_no_floor(self):
+        for map_ in _NEAR_MAPS:
+            assert map_.growth_floor == 0.0
+
+
 class TestNormReads:
-    """escape_rate reads the norm only where G needs it and screens the
-    degeneracy rule there; a per-step reference loop is the oracle."""
+    """escape_rate reads the norm only where G needs it on maps whose growth
+    floor rules out a collapse, and at every step with the degeneracy rule
+    on the others; a per-step reference loop is the oracle."""
 
     @settings(max_examples=80, deadline=None)
     @given(map_=st.sampled_from(_NEAR_MAPS),
@@ -616,8 +671,9 @@ class TestNormReads:
 
     @pytest.mark.parametrize("norm", ["sup", "2"])
     def test_blocks_after_a_fired_screen_keep_their_values(self, norm):
-        # the near-collapse chain fires the screen in the first block, so
-        # the call's later blocks run checked from the start
+        # the z-cone has no growth floor, so every block reads each norm
+        # and applies the rule: a first block of near-collapse chains and
+        # a second of ordinary rows each keep their values from alone
         ev = GreenEvaluator(TestDegeneracy.MAP, depth=8)
         chain = np.tile([2e-14, 1.0, 1.0], (green._BLOCK_ROWS, 1))
         ordinary = random_lifts(np.random.default_rng(31), 300)
@@ -631,9 +687,10 @@ class TestNormReads:
 
     @pytest.mark.parametrize("norm", ["sup", "2"])
     def test_norms_read_once_per_span(self, norm, monkeypatch):
-        # a nondegenerate block reads |v_0|, the norm before each later
-        # rescale and |v_N|: ceil(N / span) + 1 norms, one more for a
-        # mid-span also
+        # a block of a map with a growth floor reads |v_0|, the norm before
+        # each later rescale and |v_N|: ceil(N / span) + 1 norms, one more
+        # for a mid-span also; product maps too, whose orbits shrink far
+        # below the tolerance's span bounds without collapsing
         col_norm, k, limit = green._COLUMN_NORMS[norm]
         calls = []
 
@@ -642,14 +699,17 @@ class TestNormReads:
             return col_norm(cols)
 
         monkeypatch.setitem(green._COLUMN_NORMS, norm, (counted, k, limit))
-        ev = GreenEvaluator(power_map(2))
-        span = ev.rescale_spans[norm]
         lifts = random_lifts(np.random.default_rng(30), 500)
-        for depth in (1, 3, 8, 13, 40):
-            calls.clear()
-            escape_rate(ev, lifts, depth=depth, norm=norm)
-            assert len(calls) == math.ceil(depth / span) + 1
-            calls.clear()
-            escape_rate(ev, lifts, depth=depth, norm=norm, also=depth // 2)
-            extra = (depth // 2) % span != 0
-            assert len(calls) == math.ceil(depth / span) + 1 + extra
+        for map_, depths in ((power_map(2), (1, 3, 8, 13, 40)),
+                             (mixed_product_family().map, (40,))):
+            ev = GreenEvaluator(map_)
+            span = ev.rescale_spans[norm]
+            for depth in depths:
+                calls.clear()
+                escape_rate(ev, lifts, depth=depth, norm=norm)
+                assert len(calls) == math.ceil(depth / span) + 1
+                calls.clear()
+                escape_rate(ev, lifts, depth=depth, norm=norm,
+                            also=depth // 2)
+                extra = (depth // 2) % span != 0
+                assert len(calls) == math.ceil(depth / span) + 1 + extra
