@@ -54,8 +54,9 @@ class GreenEvaluator:
     depth: int = DEFAULT_DEPTH
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        if not isinstance(self.depth, (int, np.integer)) or self.depth < 1:
+            raise ValueError("depth must be an integer >= 1, got %r"
+                             % (self.depth,))
 
     @cached_property
     def growth_bound(self) -> float:
@@ -135,6 +136,8 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     col_norm, k, _ = _COLUMN_NORMS[norm]
     span = ev.rescale_spans[norm]
     n = ev.depth if depth is None else depth
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError("depth must be an integer >= 0, got %r" % (n,))
     if also is not None and (int(also) != also or not 0 <= also <= n):
         raise ValueError("also must be an integer in [0, %d], got %r"
                          % (n, also))

@@ -6,8 +6,8 @@ the lowest index), which keeps affine representatives inside the closed unit
 bidisk.  Maps are triples of homogeneous polynomials of a common degree d
 with 2 <= d <= 8.  A map keeps its coefficient tables as given and compiles
 them into one coefficient matrix over the union of its components' monomial
-supports (and one more for its first partial derivatives), so every
-evaluation is a single monomial gather and one sum of products.
+supports (and one more for its first partial derivatives); one kernel
+evaluates them, adding each component's terms one by one in a fixed order.
 
 Points are ``(N, 3)`` complex arrays of homogeneous triples, and every
 kernel takes and returns them.  :class:`HomogeneousPoint` is one validated
@@ -18,7 +18,7 @@ entry point accepts it, a ``(3,)`` row or a ``(1, 3)`` array alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -224,17 +224,14 @@ class _SupportKernel:
     """K polynomials in (z, w, t) over the union M of their supports.
 
     Holds the ``(M, K)`` coefficient matrix.  :meth:`monomials` builds the
-    powers of the three coordinates once and multiplies the M monomials
-    from them.  A call adds each column's nonzero coefficient-times-monomial
-    products in monomial order, one pass over the batch per term, so a row
-    gets the same bits alone as in any batch (a BLAS product rounds a row
-    by its place in the batch); its ``(N, K)`` rows view the ``(K, N)``
-    sums.
+    powers of the three coordinates once and reads the M monomials from
+    them; :meth:`sums` adds each column's nonzero coefficient-times-monomial
+    products in support order, one pass over the batch per term, so a row
+    gets the same bits alone as in any batch and in either entry point.
     """
 
     def __init__(self, tables):
-        # monomials with more variables first: the second and third factors
-        # then multiply leading blocks of rows in place
+        # the support order fixes each column's order of summation
         support = sorted({key for table in tables for key in table},
                          key=lambda key: (-np.count_nonzero(key), key))
         row = {key: m for m, key in enumerate(support)}
@@ -243,41 +240,41 @@ class _SupportKernel:
         for col, table in enumerate(tables):
             for key, val in table.items():
                 self.matrix[row[key], col] = val
-        self.real_t = (None if self.matrix.imag.any()
-                       else self.matrix.T.real.copy())
-        self.terms = [(m, k, self.matrix[m, k])
-                      for m, k in zip(*self.matrix.nonzero())]
+        self.columns = [[(m, coef) for m, coef in enumerate(col) if coef]
+                        for col in self.matrix.T]
         self.top = max(max(key) for key in support)
-        # x_var^e sits in row (e - 1) * 3 + var of the flattened powers
-        factors = [[(e - 1) * 3 + var for var, e in enumerate(key) if e]
-                   for key in support]
-        self.factors = [np.asarray([f[k] for f in factors if len(f) > k],
-                                   dtype=np.int64) for k in range(3)]
+        # x_var^e sits in table[e - 1, var]
+        self.factors = [[(e - 1, var) for var, e in enumerate(key) if e]
+                        for key in support]
 
-    def monomials(self, table: np.ndarray) -> np.ndarray:
-        """The (M, n) monomials of the (3, n) columns in ``table[0]``;
-        ``table`` holds at least ``top`` powers."""
+    def monomials(self, table: np.ndarray) -> list:
+        """The M monomial rows of the (3, n) columns in ``table[0]``, which
+        holds at least ``top`` powers: a single power is a view of it, a
+        mixed one a new product of its powers in coordinate order (not in
+        place: numpy rounds a one-element complex product into an operand
+        without the fused multiply-add of its vector loop)."""
         for e in range(1, self.top):
             np.multiply(table[e - 1], table[0], out=table[e])
-        flat = table.reshape(3 * len(table), -1)
-        first, second, third = self.factors
-        mono = flat[first]
-        for factor in (flat[second], flat[third]):
-            # not in place: numpy rounds a one-element complex product into
-            # an operand without the fused multiply-add of its vector loop;
-            # named: numpy may swap a large temporary in as the output, and
-            # complex products are not bitwise commutative
-            mono[:len(factor)] = mono[:len(factor)] * factor
-        return mono
+        return [table[f[0]] if len(f) == 1
+                else reduce(np.multiply, [table[pos] for pos in f])
+                for f in self.factors]
+
+    def sums(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Each column's terms summed into its row of ``out`` (K, n); a
+        column with no term is left as it is."""
+        mono = self.monomials(table)
+        for k, column in enumerate(self.columns):
+            for m, coef in column[:1]:
+                np.multiply(coef, mono[m], out=out[k])
+            for m, coef in column[1:]:
+                out[k] += coef * mono[m]
+        return out
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         table = np.empty((self.top, 3, points.shape[0]), dtype=np.complex128)
         table[0] = points.T
-        mono = self.monomials(table)
-        out = np.zeros((self.matrix.shape[1], points.shape[0]), complex)
-        for m, k, coef in self.terms:
-            out[k] += coef * mono[m]
-        return out.T
+        out = np.zeros((len(self.columns), points.shape[0]), complex)
+        return self.sums(table, out).T
 
 
 class HomogeneousMap:
@@ -292,10 +289,11 @@ class HomogeneousMap:
     evaluation they are compiled into one ``(M, 3)`` coefficient matrix over
     the union of the components' monomial supports (M = 3 for the power
     maps, at most (d+1)(d+2)/2), and the nine first partials into a second
-    matrix over the union of the derivative supports.  For the preimage
-    solver, read-only ``chart_tables[c, k, a, b]`` is the coefficient of
-    u^a v^b in component k once coordinate c is set to 1, (u, v) the other
-    two in increasing order.
+    matrix over the union of the derivative supports, both summed term by
+    term by one kernel.  For the preimage solver, read-only
+    ``chart_tables[c, k, a, b]`` is the coefficient of u^a v^b in component
+    k once coordinate c is set to 1, (u, v) the other two in increasing
+    order.
     """
 
     def __init__(self, components, name: str = "map"):
@@ -338,14 +336,11 @@ class HomogeneousMap:
 
     def polynomial_columns(self, table: np.ndarray) -> np.ndarray:
         """Raw values in place on a (degree, 3, n) table of powers: its
-        first entry holds (3, n) columns x and is overwritten by F(x); a
-        real coefficient matrix takes one real product of float64 views."""
-        k = self._values
-        if k.real_t is None:
-            return np.matmul(k.matrix.T, k.monomials(table), out=table[0])
-        np.matmul(k.real_t, k.monomials(table).view(np.float64),
-                  out=table[0].view(np.float64))
-        return table[0]
+        first entry holds (3, n) columns x and is overwritten by F(x), the
+        same bits as :meth:`polynomial_batch`."""
+        # safe: at degree >= 2 a single power lies past table[0] and mixed
+        # monomials are new arrays, so no term reads what the sums write
+        return self._values.sums(table, table[0])
 
     @cached_property
     def growth_floor(self) -> float:

@@ -385,8 +385,8 @@ def backward_orbit(map_: HomogeneousMap, x0, depth: int,
     root, at most ``BRANCH_RETRIES`` times).  Passing ``branch_choices``
     replays fixed canonical indices instead of sampling (no retries).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    if not isinstance(depth, (int, np.integer)) or depth < 0:
+        raise ValueError("depth must be an integer >= 0")
     if branch_choices is None and rng is None and depth > 0:
         raise ValueError("need an rng or explicit branch choices")
     if branch_choices is not None and len(branch_choices) != depth:
@@ -483,8 +483,9 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
     The result counts aborts, rotated targets and the worst residual (see
     :class:`MeasureSample`); one log line per call reports them.
     """
-    if depth < 1 or count < 1:
-        raise ValueError("depth and count must be >= 1")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1
+               for v in (depth, count)):
+        raise ValueError("depth and count must be integers >= 1")
     ss = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(c) for c in ss.spawn(count)]
     start = _clear_start(map_)

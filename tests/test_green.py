@@ -103,6 +103,13 @@ class TestTruncationBound:
         with pytest.raises(ValueError):
             GreenEvaluator(power_map(2), depth=0)
 
+    @pytest.mark.parametrize("depth", [2.5, 3.0, "3", -1])
+    def test_depth_must_be_an_integer(self, depth):
+        # a fractional depth must fail here, not on the evaluator's first
+        # call (range() raised a bare TypeError there)
+        with pytest.raises(ValueError):
+            GreenEvaluator(power_map(2), depth=depth)
+
 
 class TestPowerMapClosedForm:
     def test_chart_potential_matches_log_sup(self):
@@ -216,6 +223,21 @@ class TestTwoDepthsOnePass:
         ev = GreenEvaluator(power_map(2))
         with pytest.raises(ValueError):
             escape_rate(ev, np.ones(3), depth=3, also=also)
+
+    @pytest.mark.parametrize("depth", [-3, 2.5, 3.0, "3"])
+    def test_depth_must_be_a_nonnegative_integer(self, depth):
+        # a negative depth returned the depth-0 value log 2; a fractional
+        # one raised a bare TypeError from range()
+        ev = GreenEvaluator(power_map(2))
+        with pytest.raises(ValueError):
+            escape_rate(ev, [[2.0, 0.5, 1.0]], depth=depth)
+
+    def test_integer_depths_are_accepted(self):
+        ev = GreenEvaluator(power_map(2))
+        lift = [[2.0, 0.5, 1.0]]
+        assert escape_rate(ev, lift, depth=0) == np.log(2.0)
+        assert escape_rate(ev, lift, depth=np.int64(3)) == escape_rate(
+            ev, lift, depth=3)
 
 
 class TestTelescoping:

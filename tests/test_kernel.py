@@ -1,7 +1,7 @@
 """The map evaluation kernel against a term-by-term reference.
 
 ``HomogeneousMap`` evaluates its components and their partials with one
-matrix product over the union of the monomial supports.  The reference
+term-by-term kernel over the union of the monomial supports.  The reference
 below evaluates each component separately, term by term, with its own power
 table; it is the kernel the library used before the shared basis.
 
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from p2dyn.green import GreenEvaluator, escape_rate
 from p2dyn.projective import HomogeneousMap, sup_normalize
-from p2dyn.zoo import lattes_suspension
+from p2dyn.zoo import lattes_suspension, power_map, standard_zoo
 
 KERNEL_RTOL = 1e-13
 
@@ -84,8 +84,6 @@ def test_kernel_matches_term_by_term_reference(degree, density, batch, real,
     rng = np.random.default_rng(seed)
     tables = random_tables(rng, degree, density, real)
     f = HomogeneousMap(tables)
-    # a real coefficient matrix takes the real product of the float64 views
-    assert (f._values.real_t is not None) == real
     pts = sup_normalize(rng.normal(size=(batch, 3))
                         + 1j * rng.normal(size=(batch, 3)))
     values = f.evaluate_batch(pts, renormalize=False)
@@ -142,6 +140,79 @@ def test_power_map_support_has_three_monomials():
                         {(0, 0, 3): 1.0}])
     assert f._values.matrix.shape == (3, 3)
     assert f._partials.matrix.shape == (3, 9)
+
+
+def phase_conjugate(f, a, b):
+    """``D^-1 F D`` for ``D = diag(e^(ia), e^(ib), 1)``: complex
+    coefficients on a real map's support."""
+    scale = np.exp(1j * np.array([a, b, 0.0]))
+    return HomogeneousMap(
+        [{key: c * np.prod(scale ** np.array(key)) / scale[comp]
+          for key, c in table.items()}
+         for comp, table in enumerate(f.tables)], name=f.name + ".phased")
+
+
+def kernel_maps():
+    """The zoo, two phase-conjugated maps, dense complex maps of degree 2-4,
+    and (zw, wt, tz), whose monomials read only the first power (top 1)."""
+    zoo = {family.name: family.map for family in standard_zoo()}
+    maps = dict(zoo)
+    for name in ("power2", "lattes_suspension"):
+        maps[name + ".phased"] = phase_conjugate(zoo[name], 0.7, -2.1)
+    rng = np.random.default_rng(17)
+    for degree in (2, 3, 4):
+        maps["dense%d" % degree] = HomogeneousMap(
+            random_tables(rng, degree, 1.0))
+    maps["zw_wt_tz"] = HomogeneousMap([{(1, 1, 0): 1.0}, {(0, 1, 1): 1.0},
+                                       {(1, 0, 1): 1.0}])
+    return maps
+
+
+KERNEL_MAPS = kernel_maps()
+
+
+def power_table(f, pts):
+    table = np.empty((f.degree, 3, pts.shape[0]), dtype=np.complex128)
+    table[0] = pts.T
+    return table
+
+
+@pytest.mark.parametrize("name", list(KERNEL_MAPS))
+def test_columns_and_batch_are_one_kernel(name):
+    # the escape-rate loop evaluates in place on a power table, every other
+    # caller on a batch of rows: one kernel gives both the same bits
+    f = KERNEL_MAPS[name]
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(2_000, 3)) + 1j * rng.normal(size=(2_000, 3))
+    batch = f.polynomial_batch(pts)
+    columns = f.polynomial_columns(power_table(f, pts))
+    bits = [np.ascontiguousarray(rows).view(np.uint64)
+            for rows in (columns.T, batch)]
+    differ = np.flatnonzero(np.any(bits[0] != bits[1], axis=1))
+    assert differ.size == 0, "rows %s differ" % differ[:10]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_power_map_monomials_are_read_in_place(degree):
+    pts = sup_normalize(np.random.default_rng(4).normal(size=(50, 3)))
+    f = power_map(degree)
+    table = power_table(f, pts)
+    rows = f._values.monomials(table)
+    assert len(rows) == 3
+    assert all(np.shares_memory(row, table) for row in rows)
+
+
+@pytest.mark.parametrize("name", ["dense2", "dense3", "dense4", "zw_wt_tz"])
+def test_no_monomial_reads_the_entry_the_sums_write(name):
+    # polynomial_columns writes F into table[0] while it sums: single
+    # powers of degree >= 2 lie in later entries, mixed ones are new arrays
+    f = KERNEL_MAPS[name]
+    rng = np.random.default_rng(5)
+    table = power_table(f, rng.normal(size=(50, 3)) + 0j)
+    rows = f._values.monomials(table)
+    for row, factors in zip(rows, f._values.factors):
+        assert not np.shares_memory(row, table[0])
+        assert np.shares_memory(row, table) == (len(factors) == 1)
 
 
 class TestNonFiniteRows:

@@ -303,6 +303,12 @@ class TestBackwardOrbit:
         with pytest.raises(ValueError):
             backward_orbit(power_map(2), x0, 3)
 
+    @pytest.mark.parametrize("depth", [2.5, 3.0])
+    def test_depth_must_be_an_integer(self, depth):
+        x0 = HomogeneousPoint([0.3, 0.4, 1.0])
+        with pytest.raises(ValueError):
+            backward_orbit(power_map(2), x0, depth, np.random.default_rng(1))
+
 
 # ---------------------------------------------------------------------------
 # equilibrium sampling
@@ -345,6 +351,13 @@ class TestSampleEquilibrium:
             sample_equilibrium(power_map(2), depth=0, count=10, seed=1)
         with pytest.raises(ValueError):
             sample_equilibrium(power_map(2), depth=5, count=0, seed=1)
+
+    @pytest.mark.parametrize("depth, count", [(2.5, 10), (5, 2.5),
+                                              (5.0, 10), (5, "10")])
+    def test_depth_and_count_must_be_integers(self, depth, count):
+        with pytest.raises(ValueError):
+            sample_equilibrium(power_map(2), depth=depth, count=count,
+                               seed=1)
 
     @pytest.mark.parametrize("which", ["power", "suspension"])
     def test_paths_are_the_walkers_backward_orbits(
