@@ -16,9 +16,7 @@ step adds a bounded term and the truncation error after depth N is at most
 B d^(-N) / (d-1), with B = max(|log c_F|, |log U|) (c_F the map's proven
 ``growth_floor``).  :func:`escape_rate` computes G_N in the sup norm or in
 the 2-norm (they differ by at most d^(-N) log sqrt(3)), rescaling by exact
-powers of two once per span of steps the coefficients and the degeneracy
-rule keep in range, and reads every norm with the rule only on a map whose
-c_F cannot rule out a collapse.
+powers of two once per span of steps that U and c_F keep in range.
 Its ``also`` argument returns a shallower truncation G_M (M <= N) from the
 same pass: the partial sum at step M is bit-identical to a depth-M call.
 """
@@ -65,9 +63,18 @@ class GreenEvaluator:
                    for table in self.map.tables)
 
     @cached_property
+    def image_floor(self) -> float:
+        """f <= |F(w)| / |w|^d, either norm: c_F 3^(-d/2) less the rounding
+        (M + 2d + 6) eps sqrt(3) U (M monomials), at least the tolerance."""
+        d, eps = self.map.degree, np.finfo(float).eps
+        rounding = ((d + 1) * (d + 2) // 2 + 2 * d + 6) * eps * np.sqrt(3.0)
+        return max(self.map.growth_floor * 3.0 ** (-d / 2)
+                   - rounding * self.growth_bound, DEGENERATE_EVAL_TOL)
+
+    @cached_property
     def rescale_spans(self) -> dict[str, int]:
-        """Steps per rescale in :func:`escape_rate` by norm, derived there."""
-        d, down, spans = self.map.degree, np.log2(DEGENERATE_EVAL_TOL), {}
+        """Steps per rescale in :func:`escape_rate` by norm, from U and f."""
+        d, down, spans = self.map.degree, np.log2(self.image_floor), {}
         for norm, (_, k, limit) in _COLUMN_NORMS.items():
             up = np.log2(max(k * self.growth_bound, 1.0))
             hi, lo, span = up, down - d, 1  # log2 bounds on |v_1|
@@ -109,21 +116,19 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     ``span = ev.rescale_spans[norm]`` and ``e_k = 0`` between: by homogeneity
     G_N telescopes to ``log 2 sum_{k<N} d^(-k) e_k + d^(-N) log |v_N|``.
     ``span`` is the largest j (at least 1) keeping j steps from a norm in
-    [1/2, 1) in the norm's range: above by ``|F(v)| <= K U |v|^d``, below by
-    the degeneracy rule (4 for degree-2 zoo maps and 3 for power3 in the
-    sup norm, 3 and 2 in the 2-norm, whose squares must stay normal).
+    [1/2, 1) in the norm's range (squares normal in the 2-norm): above by
+    ``|F(w)| <= K U |w|^d``, below by ``|F(w)| >= f |w|^d`` with f =
+    ``ev.image_floor`` (sup spans 8, 7 and 5 on power2, the product maps
+    and power3; 2-norm spans one less).
 
-    Zero or non-finite lifts raise ``ValueError``; a step with ``|v_(k+1)|
-    <= DEGENERATE_EVAL_TOL |w|^d``, w the point F is applied to (norm m_k
-    after a rescale), raises :class:`DegenerateEvaluationError`.  Blocks of
+    Zero or non-finite lifts raise ``ValueError``.  Where f exceeds the
+    tolerance no step can meet the degeneracy rule, and G reads |v_k| only
+    before a rescale, at ``also`` and at N (ceil(N / span) + 1 norms a
+    block); other maps read every norm, and a step with ``|v_(k+1)| <=
+    DEGENERATE_EVAL_TOL |w|^d``, w the point F is applied to (norm m_k after
+    a rescale), raises :class:`DegenerateEvaluationError`.  Blocks of
     ``_BLOCK_ROWS`` points run as (3, b) columns in one power table, where
     the map writes F; no row's value depends on its block.
-
-    Where the proven floor ``|F(w)| >= c_F 3^(-d/2) |w|^d`` (either norm)
-    less the image's rounding ``(M + 2d + 6) eps K U |w|^d``, M = (d+1)
-    (d+2)/2, exceeds the tolerance, no step meets the rule: G reads |v_k|
-    only before a rescale, at ``also`` and at N (ceil(N / span) + 1 norms
-    a block).  Other maps read the norm and apply the rule at every step.
 
     With ``also = M`` (an integer, 0 <= M <= N) the result is the pair
     ``(G_N, G_M)``: G_M is the partial sum the loop holds after M steps,
@@ -133,20 +138,15 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     """
     if norm not in _COLUMN_NORMS:
         raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
-    col_norm, k, _ = _COLUMN_NORMS[norm]
-    span = ev.rescale_spans[norm]
+    col_norm, span = _COLUMN_NORMS[norm][0], ev.rescale_spans[norm]
     n = ev.depth if depth is None else depth
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("depth must be an integer >= 0, got %r" % (n,))
     if also is not None and (int(also) != also or not 0 <= also <= n):
         raise ValueError("also must be an integer in [0, %d], got %r"
                          % (n, also))
-    d, tol = ev.map.degree, DEGENERATE_EVAL_TOL
-    rounding = (((d + 1) * (d + 2) // 2 + 2 * d + 6) * np.finfo(float).eps
-                * k * ev.growth_bound)
-    checked = ev.map.growth_floor * 3.0 ** (-d / 2) - rounding <= tol
-    squeeze = np.ndim(lifts) == 1
-    pts = as_point_array(lifts)
+    d, checked = ev.map.degree, ev.image_floor <= DEGENERATE_EVAL_TOL
+    squeeze, pts = np.ndim(lifts) == 1, as_point_array(lifts)
     total = np.empty(pts.shape[0], dtype=np.float64)
     shallow = None if also is None else np.empty_like(total)
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
@@ -176,7 +176,7 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
             ev.map.polynomial_columns(table)
             if checked or (step + 1) % span == 0 or step + 1 in (also, n):
                 norms = col_norm(v)
-            if checked and np.any(norms <= tol * ref ** d):
+            if checked and np.any(norms <= DEGENERATE_EVAL_TOL * ref ** d):
                 raise DegenerateEvaluationError(
                     "map %r collapsed a point to ~0 (common-zero locus "
                     "hit)" % ev.map.name)

@@ -501,9 +501,18 @@ class TestRescaleSpan:
 
     def test_spans_and_screens_keep_their_derived_values(self):
         # spans of the zoo and of c (z^2, w^2, t^2), derived from the
-        # coefficient bound and the degeneracy tolerance
-        maps = [(f.map, (3, 2) if f.map.degree == 3 else (4, 3))
-                for f in standard_zoo()]
+        # coefficient bound U and the image floor f, c_F 3^(-d/2) less
+        # rounding.  By hand on power2 (c_F = U = 1, log2 f = -1.585): the
+        # lower bounds lo_1 = log2 f - 2, lo_(j+1) = 2 lo_j + log2 f read
+        # -3.58, -8.75, -19.1, -39.8, -81.1, -163.9, -329.3, -660.2 and
+        # -1321.9, so the sup norm (range 2^+-1000) keeps 8 steps and the
+        # 2-norm (2^+-500) 7, while hi_j = 0 (sup) or (2^j - 1) log2 sqrt(3)
+        by_family = {"power2": (8, 7), "power3": (5, 4),
+                     "chebyshev_product": (7, 6), "product_mixed": (7, 6),
+                     "lattes_suspension": (8, 7), "perturbed_power": (8, 7)}
+        maps = [(f.map, by_family[f.name]) for f in standard_zoo()]
+        # maps without a floor keep the degeneracy tolerance's spans
+        maps += [(map_, (4, 3)) for map_ in _NEAR_MAPS]
         for c, spans in ((2.0 ** 60, (4, 3)), (2.0 ** 300, (2, 1))):
             maps.append((HomogeneousMap(
                 [{(2, 0, 0): c}, {(0, 2, 0): c}, {(0, 0, 2): c}],
@@ -544,8 +553,9 @@ _REFERENCE_NORMS = {
 def reference_escape_rate(ev, lifts, depth, norm, also=None):
     """The documented loop step by step: the norm after every step, the
     rescale at steps divisible by the span, and the degeneracy rule
-    ``|v_(k+1)| <= tol |w|^d`` at every step.  Returns G_N, G_also and each
-    row's first collapsing step (-1 where none)."""
+    ``|v_(k+1)| <= tol |w|^d`` at every step.  Returns G_N, G_also, each
+    row's first collapsing step (-1 where none) and each row's largest
+    |log2 |v_k|| over steps 1 to N."""
     d, span = ev.map.degree, ev.rescale_spans[norm]
     col = _REFERENCE_NORMS[norm]
     table = np.empty((d, 3, len(lifts)), dtype=np.complex128)
@@ -553,6 +563,7 @@ def reference_escape_rate(ev, lifts, depth, norm, also=None):
     v[...] = lifts.T
     norms, exps, factor, shallow = col(v), 0.0, 1.0, None
     first = np.full(len(lifts), -1)
+    reach = np.zeros(len(lifts))
     with np.errstate(all="ignore"):  # rows past their collapse run on
         for step in range(depth):
             if step == also:
@@ -566,9 +577,10 @@ def reference_escape_rate(ev, lifts, depth, norm, also=None):
             norms = col(v)
             hit = norms <= DEGENERATE_EVAL_TOL * w_norm ** d
             first[hit & (first < 0)] = step
+            reach = np.maximum(reach, np.abs(np.log2(norms)))
             factor /= d
         total = LOG2 * exps + factor * np.log(norms)
-    return total, total if also == depth else shallow, first
+    return total, total if also == depth else shallow, first, reach
 
 
 def mixed_block(map_, rng, n):
@@ -662,9 +674,47 @@ class TestNormReads:
         also = None if also is None else min(also, depth)
         ev = GreenEvaluator(map_, depth=depth)
         lifts = mixed_block(map_, np.random.default_rng(seed), 24)
-        total, shallow, first = reference_escape_rate(ev, lifts, depth, norm,
-                                                      also)
+        total, shallow, first, _ = reference_escape_rate(ev, lifts, depth,
+                                                         norm, also)
         if np.any(first >= 0):
+            with pytest.raises(DegenerateEvaluationError):
+                escape_rate(ev, lifts, norm=norm, also=also)
+            return
+        got = escape_rate(ev, lifts, norm=norm, also=also)
+        if also is None:
+            assert np.array_equal(got, total)
+        else:
+            assert np.array_equal(got[0], total)
+            assert np.array_equal(got[1], shallow)
+
+    @settings(max_examples=60, deadline=None)
+    @given(map_=st.sampled_from([f.map for f in standard_zoo()]
+                                + [scaled_power(2.0 ** 60),
+                                   scaled_power(2.0 ** 300)])
+           | st.builds(random_map, st.integers(0, 2 ** 32 - 1),
+                       st.integers(2, 4)),
+           norm=st.sampled_from(["sup", "2"]), depth=st.integers(1, 40),
+           also=st.none() | st.integers(0, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_spans_from_the_floor_keep_every_norm_in_range(
+            self, map_, norm, depth, also, seed):
+        # the span's proof, checked: from a rescale to [1/2, 1) every
+        # per-step |v_k| of the reference stays in the norm's log2 range,
+        # no step of a map with an image floor meets the degeneracy rule,
+        # and the loop that reads only the norms G needs gives its bits.
+        # Lifts mix unit-scale rows with coordinates spread over eight
+        # decades (fast escape, near-axis directions)
+        also = None if also is None else min(also, depth)
+        ev = GreenEvaluator(map_, depth=depth)
+        rng = np.random.default_rng(seed)
+        lifts = random_lifts(rng, 24)
+        lifts[::2] *= 10.0 ** rng.uniform(-4, 4, (12, 3))
+        total, shallow, first, reach = reference_escape_rate(ev, lifts, depth,
+                                                             norm, also)
+        assert np.all(reach[first < 0] <= green._COLUMN_NORMS[norm][2])
+        if ev.image_floor > DEGENERATE_EVAL_TOL:
+            assert np.all(first < 0)
+        elif np.any(first >= 0):
             with pytest.raises(DegenerateEvaluationError):
                 escape_rate(ev, lifts, norm=norm, also=also)
             return
@@ -711,8 +761,8 @@ class TestNormReads:
     def test_norms_read_once_per_span(self, norm, monkeypatch):
         # a block of a map with a growth floor reads |v_0|, the norm before
         # each later rescale and |v_N|: ceil(N / span) + 1 norms, one more
-        # for a mid-span also; product maps too, whose orbits shrink far
-        # below the tolerance's span bounds without collapsing
+        # for a mid-span also; product maps too, whose smaller growth floor
+        # gives them shorter spans than power2's
         col_norm, k, limit = green._COLUMN_NORMS[norm]
         calls = []
 
