@@ -2,7 +2,8 @@
 
 All library errors derive from :class:`P2DynError` so callers can catch one
 type.  Subclasses mark the distinct failure modes the tooling promises to
-report instead of crashing.
+report instead of crashing.  A map is checked once, when it is built
+(:class:`DegenerateMapError`); no evaluation of a built map raises one.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ class P2DynError(Exception):
 class DegenerateMapError(P2DynError):
     """A polynomial triple does not define an endomorphism.
 
-    Raised for zero components, inhomogeneous coefficient tables, preimage
-    counts that do not reach the squared degree, or evaluations that
-    collapse below the degeneracy threshold.
+    Raised when a map is built from zero components, inhomogeneous or
+    non-finite coefficient tables, or a triple whose proven growth floor
+    does not clear the degeneracy tolerance (a common zero, or too close
+    to one); also for preimage counts that do not reach the squared degree.
     """
-
-
-class DegenerateEvaluationError(DegenerateMapError):
-    """Evaluation of a map collapsed to (numerically) zero."""
 
 
 class CriticalPointError(P2DynError):

@@ -93,11 +93,11 @@ def _forward_factors(map_: HomogeneousMap, lift: np.ndarray) -> np.ndarray:
     """Chained factors along a lift's stored forward orbit.
 
     The orbit is iterated :data:`FORWARD_CAP` steps and stops at its first
-    point with FS Jacobian below ``CRITICAL_DET_TOL`` (0 where the image
-    collapses), found with one batched check over the stored points; one
-    that stopped early lost the support, so its last
-    :data:`FORWARD_BACKOFF` factors are dropped.  Fewer than
-    :data:`MIN_FORWARD_STEPS` usable factors raise :class:`FrameError`.
+    point with FS Jacobian below ``CRITICAL_DET_TOL``, found with one
+    batched check over the stored points; one that stopped early lost the
+    support, so its last :data:`FORWARD_BACKOFF` factors are dropped.
+    Fewer than :data:`MIN_FORWARD_STEPS` usable factors raise
+    :class:`FrameError`.
     """
     orbit = [sup_normalize(lift)]
     for _ in range(FORWARD_CAP):

@@ -13,10 +13,12 @@ Laplacians feed the slice-measure machinery.
 Partial sums telescope exactly -- G_N(p) = log||p|| + sum_{k<N}
 d^(-k-1) log||F(u_k)|| with u_k the orbit rescaled to unit norm -- so each
 step adds a bounded term and the truncation error after depth N is at most
-B d^(-N) / (d-1), with B = max(|log c_F|, |log U|) (c_F the map's proven
-``growth_floor``).  :func:`escape_rate` computes G_N in the sup norm or in
-the 2-norm (they differ by at most d^(-N) log sqrt(3)), rescaling by exact
-powers of two once per span of steps that U and c_F keep in range.
+B d^(-N) / (d-1), with B = max(|log c_F|, |log U|) (c_F the map's
+``growth_floor`` and U its ``growth_bound``, both proven when the map is
+built, which refuses a map with a common zero).  :func:`escape_rate`
+computes G_N in the sup norm or in the 2-norm (they differ by at most
+d^(-N) log sqrt(3)), rescaling by exact powers of two once per span of
+steps that U and c_F keep in range; no step can collapse, so none checks.
 Its ``also`` argument returns a shallower truncation G_M (M <= N) from the
 same pass: the partial sum at step M is bit-identical to a depth-M call.
 """
@@ -28,11 +30,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateEvaluationError, ResolutionError
+from .errors import ResolutionError
 from .projective import (
-    DEGENERATE_EVAL_TOL,
     HomogeneousMap,
     as_point_array,
+    check_integer,
     check_row_scale,
 )
 
@@ -52,31 +54,15 @@ class GreenEvaluator:
     depth: int = DEFAULT_DEPTH
 
     def __post_init__(self):
-        if not isinstance(self.depth, (int, np.integer)) or self.depth < 1:
-            raise ValueError("depth must be an integer >= 1, got %r"
-                             % (self.depth,))
-
-    @cached_property
-    def growth_bound(self) -> float:
-        """U = max_i sum_j |c_ij|, so ||F(v)||_sup <= U ||v||_sup^d."""
-        return max(float(np.sum(np.abs(list(table.values()))))
-                   for table in self.map.tables)
-
-    @cached_property
-    def image_floor(self) -> float:
-        """f <= |F(w)| / |w|^d, either norm: c_F 3^(-d/2) less the rounding
-        (M + 2d + 6) eps sqrt(3) U (M monomials), at least the tolerance."""
-        d, eps = self.map.degree, np.finfo(float).eps
-        rounding = ((d + 1) * (d + 2) // 2 + 2 * d + 6) * eps * np.sqrt(3.0)
-        return max(self.map.growth_floor * 3.0 ** (-d / 2)
-                   - rounding * self.growth_bound, DEGENERATE_EVAL_TOL)
+        check_integer("depth", self.depth, 1)
 
     @cached_property
     def rescale_spans(self) -> dict[str, int]:
-        """Steps per rescale in :func:`escape_rate` by norm, from U and f."""
-        d, down, spans = self.map.degree, np.log2(self.image_floor), {}
+        """Steps per rescale in :func:`escape_rate` by norm, from the map's
+        ``growth_bound`` U and ``image_floor`` f."""
+        d, down, spans = self.map.degree, np.log2(self.map.image_floor), {}
         for norm, (_, k, limit) in _COLUMN_NORMS.items():
-            up = np.log2(max(k * self.growth_bound, 1.0))
+            up = np.log2(max(k * self.map.growth_bound, 1.0))
             hi, lo, span = up, down - d, 1  # log2 bounds on |v_1|
             while d * hi + up <= limit and d * lo + down >= -limit:
                 hi, lo, span = d * hi + up, d * lo + down, span + 1
@@ -85,12 +71,10 @@ class GreenEvaluator:
 
     def truncation_bound(self, depth: int | None = None) -> float:
         """|G - G_N| <= B d^(-N) / (d-1): geometric in the depth, with
-        B = max(|log c_F|, |log U|); inf on a map with no growth floor."""
-        floor = self.map.growth_floor
-        if floor == 0.0:
-            return float("inf")
+        B = max(|log c_F|, |log U|)."""
         n = self.depth if depth is None else depth
-        step = max(abs(np.log(floor)), abs(np.log(self.growth_bound)))
+        step = max(abs(np.log(self.map.growth_floor)),
+                   abs(np.log(self.map.growth_bound)))
         return step * self.map.degree ** (-float(n)) / (self.map.degree - 1)
 
 
@@ -117,35 +101,29 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
     G_N telescopes to ``log 2 sum_{k<N} d^(-k) e_k + d^(-N) log |v_N|``.
     ``span`` is the largest j (at least 1) keeping j steps from a norm in
     [1/2, 1) in the norm's range (squares normal in the 2-norm): above by
-    ``|F(w)| <= K U |w|^d``, below by ``|F(w)| >= f |w|^d`` with f =
-    ``ev.image_floor`` (sup spans 8, 7 and 5 on power2, the product maps
+    ``|F(w)| <= K U |w|^d``, below by ``|F(w)| >= f |w|^d`` with f the
+    map's ``image_floor`` (sup spans 8, 7 and 5 on power2, the product maps
     and power3; 2-norm spans one less).
 
-    Zero or non-finite lifts raise ``ValueError``.  Where f exceeds the
-    tolerance no step can meet the degeneracy rule, and G reads |v_k| only
+    Zero or non-finite lifts raise ``ValueError``.  G reads |v_k| only
     before a rescale, at ``also`` and at N (ceil(N / span) + 1 norms a
-    block); other maps read every norm, and a step with ``|v_(k+1)| <=
-    DEGENERATE_EVAL_TOL |w|^d``, w the point F is applied to (norm m_k after
-    a rescale), raises :class:`DegenerateEvaluationError`.  Blocks of
-    ``_BLOCK_ROWS`` points run as (3, b) columns in one power table, where
-    the map writes F; no row's value depends on its block.
+    block).  Blocks of ``_BLOCK_ROWS`` points run as (3, b) columns in one
+    power table, where the map writes F; no row's value depends on its
+    block.
 
     With ``also = M`` (an integer, 0 <= M <= N) the result is the pair
     ``(G_N, G_M)``: G_M is the partial sum the loop holds after M steps,
     the same operations in the same order as a depth-M call, so both are
-    bit-identical to separate calls (a lift that degenerates within N
-    steps raises, as the depth-N call does).
+    bit-identical to separate calls.
     """
     if norm not in _COLUMN_NORMS:
         raise ValueError("norm must be 'sup' or '2', got %r" % (norm,))
     col_norm, span = _COLUMN_NORMS[norm][0], ev.rescale_spans[norm]
     n = ev.depth if depth is None else depth
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("depth must be an integer >= 0, got %r" % (n,))
-    if also is not None and (int(also) != also or not 0 <= also <= n):
-        raise ValueError("also must be an integer in [0, %d], got %r"
-                         % (n, also))
-    d, checked = ev.map.degree, ev.image_floor <= DEGENERATE_EVAL_TOL
+    check_integer("depth", n, 0)
+    if also is not None:
+        check_integer("also", also, 0, n)
+    d = ev.map.degree
     squeeze, pts = np.ndim(lifts) == 1, as_point_array(lifts)
     total = np.empty(pts.shape[0], dtype=np.float64)
     shallow = None if also is None else np.empty_like(total)
@@ -168,18 +146,13 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
         for step in range(n):
             if step == also:
                 shallow[rows] = np.log(2.0) * exps + factor * np.log(norms)
-            ref = norms
             if step % span == 0:
-                ref, e = np.frexp(norms)
+                e = np.frexp(norms)[1]
                 exps += factor * e
                 v *= np.ldexp(1.0, -e)
             ev.map.polynomial_columns(table)
-            if checked or (step + 1) % span == 0 or step + 1 in (also, n):
+            if (step + 1) % span == 0 or step + 1 in (also, n):
                 norms = col_norm(v)
-            if checked and np.any(norms <= DEGENERATE_EVAL_TOL * ref ** d):
-                raise DegenerateEvaluationError(
-                    "map %r collapsed a point to ~0 (common-zero locus "
-                    "hit)" % ev.map.name)
             factor /= d
         total[rows] = np.log(2.0) * exps + factor * np.log(norms)
         if also == n:

@@ -17,17 +17,14 @@ entry point accepts it, a ``(3,)`` row or a ``(1, 3)`` array alike.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from .errors import (
-    CriticalPointError,
-    DegenerateEvaluationError,
-    DegenerateMapError,
-)
+from .errors import CriticalPointError, DegenerateMapError
 
 #: indices of the two affine coordinates for each chart, in increasing order
 CHART_OTHERS = ((1, 2), (0, 2), (0, 1))
@@ -35,8 +32,7 @@ CHART_OTHERS = ((1, 2), (0, 2), (0, 1))
 CHART_OTHERS_INDEX = np.array(CHART_OTHERS)
 CHART_OTHERS_INDEX.flags.writeable = False
 
-#: evaluations whose sup-norm falls below this (on sup-normalized input)
-#: count as degenerate
+#: a map whose proven image floor does not exceed this is refused
 DEGENERATE_EVAL_TOL = 1e-14
 
 #: chart-Jacobian modulus below which differentials refuse to invert
@@ -91,6 +87,16 @@ def check_row_scale(scale: np.ndarray) -> None:
     if not ((scale > 0.0) & (scale < np.inf)).all():
         raise ValueError("zero or non-finite vector is not a projective "
                          "point")
+
+
+def check_integer(name: str, value, low: int, high: int | None = None):
+    """Reject anything but a Python or numpy integer in [low, high] with a
+    ``ValueError`` naming the argument (no ``high``: no upper end)."""
+    if (not isinstance(value, (int, np.integer)) or value < low
+            or high is not None and value > high):
+        span = ">= %d" % low if high is None else "in [%d, %d]" % (low, high)
+        raise ValueError("%s must be an integer %s, got %r"
+                         % (name, span, value))
 
 
 def divide_rows(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -202,8 +208,12 @@ def _component_table(table, degree) -> dict:
             raise DegenerateMapError(
                 "exponent triple %r does not have total degree %d"
                 % (key, degree))
-        if val != 0:
-            out[(i, j, k)] = complex(val)
+        coef = complex(val)
+        if not cmath.isfinite(coef):
+            raise DegenerateMapError("coefficient %r of %r is not finite"
+                                     % (val, key))
+        if coef:
+            out[(i, j, k)] = coef
     if not out:
         raise DegenerateMapError("component is identically zero")
     return out
@@ -277,13 +287,47 @@ class _SupportKernel:
         return self.sums(table, out).T
 
 
-class HomogeneousMap:
-    """Endomorphism candidate: three homogeneous polynomials of degree d.
+def _growth_floor(tables, degree: int) -> float:
+    """Proven c_F with ``||F(v)||_sup >= c_F ||v||_sup^d``, or 0.0.
 
-    Construction validates homogeneity, the degree range, and that no
-    component is identically zero.  Nondegeneracy (no common root) is
-    proven by :attr:`growth_floor` when it is positive, and certified
-    through preimage counting in the zoo module.
+    A least-squares identity ``x_i^D = sum_k A_ik F_k + R_i`` (D = 3d - 2,
+    Macaulay) gives 1 <= sum_k |A_ik(v)| |F_k(v)| + |R_i(v)| where |v_i| =
+    1 = ||v||_sup, so c_F = min_i (1 - r_i) / sum_k ||A_ik||_1; r_i adds to
+    the computed ||R_i||_1 (n + 3) eps times the moduli summed into each
+    coefficient (n nonzero products).  0.0: no proof.
+    """
+    low, top = 2 * degree - 2, 3 * degree - 2
+    pairs = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
+    row = {(i, j, top - i - j): m for m, (i, j) in enumerate(pairs)}
+    lower = [(i, j, low - i - j) for i, j in pairs if i + j <= low]
+    system = np.zeros((len(row), 3 * len(lower)), dtype=np.complex128)
+    for col, (table, key) in enumerate(product(tables, lower)):
+        for mono, coef in _mul_tables({key: 1.0}, table).items():
+            system[row[mono], col] = coef
+    pure = [row[key] for key in ((top, 0, 0), (0, top, 0), (0, 0, top))]
+    target = np.eye(len(row))[:, pure]
+    coef = np.linalg.lstsq(system, target, rcond=None)[0]
+    slack = (np.count_nonzero(system, axis=1) + 3) * np.finfo(float).eps
+    rounding = slack[:, None] * (target + np.abs(system) @ np.abs(coef))
+    residual = np.sum(np.abs(target - system @ coef) + rounding, axis=0)
+    if np.any(residual >= 1.0):
+        return 0.0
+    return float(np.min((1.0 - residual) / np.sum(np.abs(coef), axis=0)))
+
+
+class HomogeneousMap:
+    """Holomorphic endomorphism: three homogeneous polynomials of degree d.
+
+    Construction validates homogeneity, the degree range, finite
+    coefficients and that no component is identically zero, then proves
+    that the triple has no common zero: ``growth_floor`` c_F is a proven
+    ``||F(v)||_sup >= c_F ||v||_sup^d``, ``growth_bound`` U = max_i sum_j
+    |c_ij| gives ``||F(v)||_sup <= U ||v||_sup^d``, and ``image_floor`` f =
+    c_F 3^(-d/2) less the evaluation rounding ((d+1)(d+2)/2 + 2d + 6) eps
+    sqrt(3) U bounds every computed image of a unit vector from below, in
+    either norm.  A map whose f does not exceed ``DEGENERATE_EVAL_TOL``
+    raises :class:`DegenerateMapError`, so no evaluation of a built map can
+    collapse and none checks.
 
     ``tables`` keeps the three ``{(i, j, k): coeff}`` tables as given.  For
     evaluation they are compiled into one ``(M, 3)`` coefficient matrix over
@@ -327,6 +371,18 @@ class HomogeneousMap:
                     tables[chart, comp, key[i1], key[i2]] = val
         tables.flags.writeable = False
         self.chart_tables = tables
+        self.growth_floor = _growth_floor(self.tables, degree)
+        self.growth_bound = max(float(np.sum(np.abs(list(table.values()))))
+                                for table in self.tables)
+        eps = np.finfo(float).eps
+        rounding = ((degree + 1) * (degree + 2) // 2 + 2 * degree + 6) \
+            * eps * np.sqrt(3.0)
+        self.image_floor = (self.growth_floor * 3.0 ** (-degree / 2)
+                            - rounding * self.growth_bound)
+        if not self.image_floor > DEGENERATE_EVAL_TOL:
+            raise DegenerateMapError(
+                "map %r has no proven growth floor (image floor %.3g): its "
+                "components may share a zero" % (name, self.image_floor))
 
     # -- evaluation --------------------------------------------------------
 
@@ -342,68 +398,28 @@ class HomogeneousMap:
         # monomials are new arrays, so no term reads what the sums write
         return self._values.sums(table, table[0])
 
-    @cached_property
-    def growth_floor(self) -> float:
-        """Proven c_F with ``||F(v)||_sup >= c_F ||v||_sup^d``, or 0.0.
-
-        A least-squares identity ``x_i^D = sum_k A_ik F_k + R_i`` (D = 3d -
-        2, Macaulay) gives 1 <= sum_k |A_ik(v)| |F_k(v)| + |R_i(v)| where
-        |v_i| = 1 = ||v||_sup, so c_F = min_i (1 - r_i) / sum_k ||A_ik||_1;
-        r_i adds to the computed ||R_i||_1 (n + 3) eps times the moduli
-        summed into each coefficient (n nonzero products).  0.0: no proof.
-        """
-        low, top = 2 * self.degree - 2, 3 * self.degree - 2
-        pairs = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
-        row = {(i, j, top - i - j): m for m, (i, j) in enumerate(pairs)}
-        lower = [(i, j, low - i - j) for i, j in pairs if i + j <= low]
-        system = np.zeros((len(row), 3 * len(lower)), dtype=np.complex128)
-        for col, (table, key) in enumerate(product(self.tables, lower)):
-            for mono, coef in _mul_tables({key: 1.0}, table).items():
-                system[row[mono], col] = coef
-        pure = [row[key] for key in ((top, 0, 0), (0, top, 0), (0, 0, top))]
-        target = np.eye(len(row))[:, pure]
-        coef = np.linalg.lstsq(system, target, rcond=None)[0]
-        slack = (np.count_nonzero(system, axis=1) + 3) * np.finfo(float).eps
-        rounding = slack[:, None] * (target + np.abs(system) @ np.abs(coef))
-        residual = np.sum(np.abs(target - system @ coef) + rounding, axis=0)
-        if np.any(residual >= 1.0):
-            return 0.0
-        return float(np.min((1.0 - residual) / np.sum(np.abs(coef), axis=0)))
-
     def evaluate_batch(self, points: np.ndarray,
                        renormalize: bool = True) -> np.ndarray:
-        """Apply the lift to an (N, 3) array of sup-normalized triples.
-
-        Rows whose image collapses below the degeneracy threshold raise
-        :class:`DegenerateEvaluationError`.
-        """
+        """Apply the lift to an (N, 3) array of sup-normalized triples."""
         out = self._values(sup_normalize(points)).copy()
-        scale = sup_norms(out)
-        if (scale <= DEGENERATE_EVAL_TOL).any():
-            raise DegenerateEvaluationError(
-                "map %r collapsed a point to ~0 (common-zero locus hit)"
-                % self.name)
         if renormalize:
-            divide_rows(out, scale)
+            divide_rows(out, sup_norms(out))
         return out
 
     def evaluate_batch_safe(self, points: np.ndarray):
         """Like :meth:`evaluate_batch` but returns a validity mask.
 
-        Rows that collapse below the degeneracy threshold, and zero or
-        non-finite input rows, come back as unit vectors with ``ok`` False
-        instead of raising; used by solvers that must filter wild
+        Zero or non-finite input rows come back as unit vectors with ``ok``
+        False instead of raising; used by solvers that must filter wild
         intermediate candidates row by row.
         """
         pts = as_point_array(points)
         scale = sup_norms(pts)
-        usable = (scale > 0.0) & (scale < np.inf)
-        pts = divide_rows(np.where(usable[:, None], pts, 1.0),
-                          np.where(usable, scale, 1.0))
+        ok = (scale > 0.0) & (scale < np.inf)
+        pts = divide_rows(np.where(ok[:, None], pts, 1.0),
+                          np.where(ok, scale, 1.0))
         out = self._values(pts).copy()
-        scale = sup_norms(out)
-        ok = usable & (scale > DEGENERATE_EVAL_TOL)
-        divide_rows(out, np.where(ok, scale, 1.0))
+        divide_rows(out, np.where(ok, sup_norms(out), 1.0))
         out[~ok] = 1.0, 0.0, 0.0
         return out, ok
 
@@ -423,10 +439,6 @@ class HomogeneousMap:
         """
         pts, charts_in = chart_normalize(points)
         images = self._values(pts)
-        scale = sup_norms(images)
-        if np.any(scale <= DEGENERATE_EVAL_TOL):
-            raise DegenerateEvaluationError(
-                "map %r collapsed a point to ~0" % self.name)
         charts_out = np.argmax(np.abs(images), axis=1)
         jac = self.jacobian_h_batch(pts)
 
@@ -532,11 +544,7 @@ def _c2_norm_estimate(map_: HomogeneousMap) -> float:
             i, j = CHART_OTHERS[chart]
             shifted[:, i] += du
             shifted[:, j] += dv
-            try:
-                m, ci, co = map_.chart_differential_batch(shifted)
-            except DegenerateEvaluationError:
-                return float("inf")
-            mats.append((m, ci, co))
+            mats.append(map_.chart_differential_batch(shifted))
         _, ci0, co0 = mats[-1]
         for k in range(4):
             ok &= (mats[k][1] == ci0) & (mats[k][2] == co0)

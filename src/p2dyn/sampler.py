@@ -57,10 +57,10 @@ from .errors import (
 )
 from .preimages import preimage_batch
 from .projective import (
-    DEGENERATE_EVAL_TOL,
     HomogeneousMap,
     as_point_array,
     chart_indices,
+    check_integer,
     check_row_scale,
     fs_distance_batch,
     one_point,
@@ -156,29 +156,18 @@ def tangent_basis_batch(points) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def _raw_images(map_: HomogeneousMap, pts: np.ndarray):
-    """Unnormalized images of rows the caller has sup-normalized, plus a
-    validity mask; images collapsing below ``DEGENERATE_EVAL_TOL`` read
-    ``[1, 0, 0]``."""
-    raw = map_.polynomial_batch(pts)
-    ok = sup_norms(raw) > DEGENERATE_EVAL_TOL
-    raw[~ok] = 1.0, 0.0, 0.0
-    return raw, ok
-
-
 def _factor_from_bases(map_: HomogeneousMap, pts: np.ndarray,
-                       ok: np.ndarray, basis_in: np.ndarray,
+                       basis_in: np.ndarray,
                        basis_out: np.ndarray) -> np.ndarray:
     """FS cocycle factors B_out^H . DF(p) . B_in * (||p|| / ||F(p)||),
     summed term by term on (3, ., N) views with F(p) = DF(p) p / d (Euler),
-    so a row's bits do not depend on its batch; |F(p)| = 1 where not ok."""
+    so a row's bits do not depend on its batch."""
     jac = map_.jacobian_h_batch(pts).transpose(1, 2, 0)
     b_in, b_out = basis_in.transpose(1, 2, 0), basis_out.transpose(1, 2, 0)
     jb = sum(jac[:, k, None] * b_in[k] for k in range(3))
     a = sum(b_out[k, :, None].conj() * jb[k] for k in range(3))
     d, image = map_.degree, sum(jac[:, k] * pts[:, k] for k in range(3))
-    scale = d * np.linalg.norm(pts, axis=1) / np.where(
-        ok, np.linalg.norm(image, axis=0), d)
+    scale = d * np.linalg.norm(pts, axis=1) / np.linalg.norm(image, axis=0)
     return (a * scale).transpose(2, 0, 1)
 
 
@@ -190,14 +179,14 @@ def fs_tangent_maps(map_: HomogeneousMap, points):
     basis-independent metric derivatives.
     """
     pts = sup_normalize(points)
-    raw, ok = _raw_images(map_, pts)
-    mats = _factor_from_bases(map_, pts, ok, tangent_basis_batch(pts),
+    raw = map_.polynomial_batch(pts)
+    mats = _factor_from_bases(map_, pts, tangent_basis_batch(pts),
                               tangent_basis_batch(raw))
-    return mats, raw, ok
+    return mats, raw
 
 
 def fs_jacobian_dets(map_: HomogeneousMap, points) -> np.ndarray:
-    """|det| of the FS derivative at each row (0 where evaluation fails).
+    """|det| of the FS derivative at each row.
 
     With q = F(p) and unitary U_p = [p/|p|, B(p)], Euler's identity
     J p = d q makes U_q^H J U_p block upper triangular: its first column
@@ -207,14 +196,13 @@ def fs_jacobian_dets(map_: HomogeneousMap, points) -> np.ndarray:
     det J is its cofactor expansion along the first row, row by row.
     """
     pts = sup_normalize(points)
-    raw, ok = _raw_images(map_, pts)
+    raw = map_.polynomial_batch(pts)
     ratio = np.linalg.norm(pts, axis=1) / np.linalg.norm(raw, axis=1)
     j = map_.jacobian_h_batch(pts).transpose(1, 2, 0)
     det = (j[0, 0] * (j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1])
            - j[0, 1] * (j[1, 0] * j[2, 2] - j[1, 2] * j[2, 0])
            + j[0, 2] * (j[1, 0] * j[2, 1] - j[1, 1] * j[2, 0]))
-    dets = np.abs(det) * ratio ** 3
-    return np.where(ok, dets / map_.degree, 0.0)
+    return np.abs(det) * ratio ** 3 / map_.degree
 
 
 def chained_factors(map_: HomogeneousMap, pts) -> np.ndarray:
@@ -230,10 +218,7 @@ def chained_factors(map_: HomogeneousMap, pts) -> np.ndarray:
     width = pts[0].size // 3
     sup = sup_normalize(pts.reshape(-1, 3))
     bases = tangent_basis_batch(sup)
-    _, ok = _raw_images(map_, sup[:-width])
-    if not np.all(ok):
-        raise OrbitInvariantError("orbit point evaluation collapsed")
-    mats = _factor_from_bases(map_, sup[:-width], ok, bases[:-width],
+    mats = _factor_from_bases(map_, sup[:-width], bases[:-width],
                               bases[width:])
     return mats.reshape((len(pts) - 1,) + pts.shape[1:-1] + (2, 2))
 
@@ -385,8 +370,7 @@ def backward_orbit(map_: HomogeneousMap, x0, depth: int,
     root, at most ``BRANCH_RETRIES`` times).  Passing ``branch_choices``
     replays fixed canonical indices instead of sampling (no retries).
     """
-    if not isinstance(depth, (int, np.integer)) or depth < 0:
-        raise ValueError("depth must be an integer >= 0")
+    check_integer("depth", depth, 0)
     if branch_choices is None and rng is None and depth > 0:
         raise ValueError("need an rng or explicit branch choices")
     if branch_choices is not None and len(branch_choices) != depth:
@@ -483,9 +467,9 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
     The result counts aborts, rotated targets and the worst residual (see
     :class:`MeasureSample`); one log line per call reports them.
     """
-    if not all(isinstance(v, (int, np.integer)) and v >= 1
-               for v in (depth, count)):
-        raise ValueError("depth and count must be integers >= 1")
+    check_integer("depth", depth, 1)
+    check_integer("count", count, 1)
+    check_integer("seed", seed, 0)
     ss = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(c) for c in ss.spawn(count)]
     start = _clear_start(map_)
@@ -646,8 +630,7 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     1)`` or more standard errors below it (chance 0.135 %) raises
     SamplingError.  A sample without paths or steps: InsufficientDataError.
     """
-    if n_iter < 100:
-        raise ValueError("n_iter must be >= 100")
+    check_integer("n_iter", n_iter, 100)
     if sample.paths is None:
         raise InsufficientDataError("the sample carries no backward paths")
     # level-major, deepest level first: the direction of the dynamics

@@ -53,7 +53,8 @@ from .errors import ResolutionError
 from .frames import NormalFormCoordinates, OseledecFrame, default_coordinates
 from . import green
 from .green import GreenEvaluator
-from .projective import CHART_OTHERS, HomogeneousMap, one_point, sup_normalize
+from .projective import (CHART_OTHERS, HomogeneousMap, check_integer,
+                         one_point, sup_normalize)
 from .sampler import tangent_basis_batch
 
 __all__ = [
@@ -294,6 +295,9 @@ class SliceMeasure:
             raise ValueError("cell masses must be nonnegative")
         object.__setattr__(self, "cell_mass", mass)
         total = float(mass.sum())
+        if not math.isfinite(total):
+            raise ValueError("cell masses sum to %r: the potential is not "
+                             "finite" % total)
         if abs(total - self.total_mass) > 1e-9 * max(abs(total), 1.0):
             raise ValueError("total_mass %.17g does not equal the cell sum "
                              "%.17g" % (self.total_mass, total))
@@ -350,7 +354,7 @@ def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
     singularity; callers knowingly slicing one may widen ``clamp_budget``.
     An infinite budget disables the failure entirely (clamping is still
     applied and reported) for callers that merely classify whether mass is
-    present.
+    present; a NaN or negative one raises ``ValueError``.
 
     A clamped cell logs a WARNING past ``NEGATIVITY_FLOOR`` times the
     largest cell and the rounding floor ``32 eps S h^2 MASS_NORMALIZATION``,
@@ -359,6 +363,9 @@ def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
     1, 1, 1, -4) carry 8 such errors and 4 sums round partials up to ``8 S``
     by ``eps / 2``: 24, taken up to 32.  Massless basin grids read 2.3-2.6.
     """
+    if not clamp_budget >= 0.0:
+        raise ValueError("clamp_budget must be >= 0 (inf: no failure), got "
+                         "%r" % (clamp_budget,))
     mass = _raw_stencil(potential, grid, direction)
     mass *= grid.spacing ** 2 * MASS_NORMALIZATION
     negative = mass < 0.0
@@ -435,24 +442,27 @@ def ball_mass(sm: SliceMeasure, center, r: float) -> float:
     the fraction of a 2x2x2x2 subsample of the cell falling inside, which
     makes the result exactly monotone in ``r``.  ``center`` is a complex
     pair ``(Z, W)`` and must lie inside the grid box; radii below three
-    cell widths are under-resolved and raise :class:`ResolutionError`.
-    Balls reaching beyond the grid box are truncated to it (the returned
-    value is then a lower bound; keep ``r`` small enough if that matters).
+    cell widths are under-resolved and raise :class:`ResolutionError`, a
+    NaN radius ``ValueError``.  Balls reaching beyond the grid box are
+    truncated to it (the returned value is then a lower bound; keep ``r``
+    small enough if that matters), an infinite radius to the whole box.
     Only the box of cells whose every axis term ``(x - c)^2`` is below
     ``(r + h)^2`` can be inside or in the shell; its cells are gathered in
     the same C order as over the whole cube, so the sums are identical.
     """
     grid = sm.grid
     h = grid.spacing
+    if math.isnan(r):
+        raise ValueError("ball radius is NaN")
     if r < 3.0 * h:
         raise ResolutionError(
             "ball radius %.3g is below the resolution floor 3h = %.3g"
             % (r, 3.0 * h))
     cz, cw = np.asarray(center, dtype=np.complex128).reshape(2)
     parts = (cz.real, cz.imag, cw.real, cw.imag)
-    if max(abs(p) for p in parts) >= grid.radius:
-        raise ValueError("ball center %r lies outside the grid box of "
-                         "radius %.3g" % (center, grid.radius))
+    if not all(abs(p) < grid.radius for p in parts):  # NaN fails too
+        raise ValueError("ball center %r is not finite or lies outside the "
+                         "grid box of radius %.3g" % (center, grid.radius))
     ax = grid.axis_nodes(ghost=False)
     # ax is sorted and has a cell centre near each part: a nonempty run
     keep = [np.flatnonzero(np.square(ax - p) < (r + h) ** 2) for p in parts]
@@ -657,11 +667,11 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
     if n not in (0, 1):
         raise ValueError("the global quadrature certificate supports "
                          "n in {0, 1}, got %r" % (n,))
-    if int(green_depth) != green_depth or green_depth < 0:
-        raise ValueError("green_depth must be a nonnegative integer")
-    if int(resolution) != resolution or resolution < 8 or resolution % 2:
-        raise ValueError("certificate resolution must be an even integer "
-                         ">= 8, got %r" % (resolution,))
+    check_integer("green_depth", green_depth, 0)
+    check_integer("resolution", resolution, 8)
+    if resolution % 2:
+        raise ValueError("certificate resolution must be even, got %r"
+                         % (resolution,))
     ev = GreenEvaluator(map_)
     value = _certificate_integral(ev, n, int(green_depth), int(resolution))
     coarse = _certificate_integral(ev, n, int(green_depth),

@@ -1,9 +1,8 @@
-"""The FS cocycle's edges: masked images, missing paths, bad input.
+"""The FS cocycle's edges: missing paths, bad input.
 
-Every cocycle factor comes from images that are masked where the map
-collapses a row, the exponent estimator needs stored paths that lie on the
-support of the measure, and malformed input is rejected with
-``ValueError`` before any work; these tests pin what the callers see.
+The exponent estimator needs stored paths that lie on the support of the
+measure, and malformed input is rejected with ``ValueError`` before any
+work; these tests pin what the callers see.
 """
 
 import math
@@ -12,36 +11,18 @@ import numpy as np
 import pytest
 
 from p2dyn.errors import InsufficientDataError, SamplingError
-from p2dyn.projective import (
-    HomogeneousMap,
-    HomogeneousPoint,
-    fs_distance_batch,
-)
+from p2dyn.projective import HomogeneousPoint, fs_distance_batch
 from p2dyn.sampler import (
     CRITICAL_DET_TOL,
     MeasureSample,
     _guard_margin,
     backward_orbit,
     fs_jacobian_dets,
-    fs_tangent_maps,
     lyapunov_exponents,
+    sample_equilibrium,
     tangent_basis_batch,
 )
 from p2dyn.zoo import perturbed_power_family, power_map
-
-#: [x^2 : xy : z^2] vanishes at [0:1:0], so it is not an endomorphism
-COMMON_ZERO_MAP = HomogeneousMap([{(2, 0, 0): 1}, {(1, 1, 0): 1},
-                                  {(0, 0, 2): 1}], name="common_zero")
-
-
-def test_collapsed_rows_are_masked_without_touching_the_others():
-    pts = np.array([[0.0, 1.0, 0.0], [0.3, 0.5, 1.0]])
-    mats, _, ok = fs_tangent_maps(COMMON_ZERO_MAP, pts)
-    assert ok.tolist() == [False, True]
-    dets = fs_jacobian_dets(COMMON_ZERO_MAP, pts)
-    assert dets[0] == 0.0 and dets[1] > 0.0
-    single, _, _ = fs_tangent_maps(COMMON_ZERO_MAP, pts[1:])
-    np.testing.assert_allclose(mats[1], single[0], rtol=1e-13, atol=1e-15)
 
 
 def test_estimator_raises_typed_error_on_a_sample_without_paths():
@@ -102,3 +83,25 @@ def test_backward_orbit_needs_one_branch_choice_per_step(choices):
     start = HomogeneousPoint([0.3 + 0.2j, -0.5 + 0.1j, 1.0])
     with pytest.raises(ValueError, match="branch choices"):
         backward_orbit(power_map(2), start, 3, branch_choices=choices)
+
+
+def _sample_without_paths():
+    points = np.array([[0.1 * k + 0.05j, 0.12 - 0.03j * k, 1.0]
+                       for k in range(1, 4)])
+    return MeasureSample(points=points, weights=np.full(3, 1.0 / 3.0),
+                         provenance=(0, 3, 0), n_failures=0)
+
+
+@pytest.mark.parametrize("n_iter", ["500", 500.5, 500.0, math.inf, math.nan,
+                                    99])
+def test_n_iter_must_be_an_integer_from_100(n_iter):
+    # "500" raised a bare TypeError and 500.5 was accepted
+    with pytest.raises(ValueError, match="n_iter must be an integer"):
+        lyapunov_exponents(power_map(2), _sample_without_paths(), n_iter)
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, "1", -1])
+def test_sample_seed_must_be_a_nonnegative_integer(seed):
+    # 1.5 raised a bare TypeError from SeedSequence
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample_equilibrium(power_map(2), depth=2, count=2, seed=seed)

@@ -3,7 +3,9 @@
 ``HomogeneousMap`` evaluates its components and their partials with one
 term-by-term kernel over the union of the monomial supports.  The reference
 below evaluates each component separately, term by term, with its own power
-table; it is the kernel the library used before the shared basis.
+table; it is the kernel the library used before the shared basis.  Sparse
+supports often share a zero, which no map may have, so the reference and
+the (zw, wt, tz) case run on the kernel itself, ``_SupportKernel``.
 
 Tolerance, fixed from float64 before running: on sup-normalized points
 every monomial has modulus <= 1.  Either evaluation forms a monomial of
@@ -21,7 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2dyn.green import GreenEvaluator, escape_rate
-from p2dyn.projective import HomogeneousMap, sup_normalize
+from p2dyn.projective import (
+    HomogeneousMap,
+    _partial_table,
+    _SupportKernel,
+    sup_normalize,
+)
 from p2dyn.zoo import lattes_suspension, power_map, standard_zoo
 
 KERNEL_RTOL = 1e-13
@@ -49,16 +56,6 @@ def table_arrays(table):
     return exps, coeffs
 
 
-def partial(table, var):
-    out = {}
-    for key, val in table.items():
-        if key[var]:
-            lowered = list(key)
-            lowered[var] -= 1
-            out[tuple(lowered)] = val * key[var]
-    return out
-
-
 def random_tables(rng, degree, density, real=False):
     """Three tables of one degree; each monomial kept with ``density``,
     with real or complex coefficients."""
@@ -81,16 +78,19 @@ def random_tables(rng, degree, density, real=False):
        seed=st.integers(0, 2**32 - 1))
 def test_kernel_matches_term_by_term_reference(degree, density, batch, real,
                                                seed):
+    # the value and partial kernels a map with these tables would hold
     rng = np.random.default_rng(seed)
     tables = random_tables(rng, degree, density, real)
-    f = HomogeneousMap(tables)
+    kernel = _SupportKernel(tables)
+    partials = _SupportKernel([_partial_table(table, var)
+                               for table in tables for var in range(3)])
     pts = sup_normalize(rng.normal(size=(batch, 3))
                         + 1j * rng.normal(size=(batch, 3)))
-    values = f.evaluate_batch(pts, renormalize=False)
-    jac = f.jacobian_h_batch(pts)
+    values = kernel(pts)
+    jac = partials(pts).reshape(batch, 3, 3)
     powers = np.empty((degree, 3, batch), dtype=np.complex128)
     powers[0] = pts.T
-    columns = f.polynomial_columns(powers)
+    columns = kernel.sums(powers, powers[0])
     assert values.shape == (batch, 3) and jac.shape == (batch, 3, 3)
     assert columns.shape == (3, batch) and np.shares_memory(columns, powers)
     for comp, table in enumerate(tables):
@@ -100,7 +100,7 @@ def test_kernel_matches_term_by_term_reference(degree, density, batch, real,
         assert np.max(np.abs(values[:, comp] - ref)) <= tol
         assert np.max(np.abs(columns[comp] - ref)) <= tol
         for var in range(3):
-            dtable = partial(table, var)
+            dtable = _partial_table(table, var)
             if not dtable:
                 assert np.all(jac[:, comp, var] == 0.0)
                 continue
@@ -152,9 +152,11 @@ def phase_conjugate(f, a, b):
          for comp, table in enumerate(f.tables)], name=f.name + ".phased")
 
 
-def kernel_maps():
-    """The zoo, two phase-conjugated maps, dense complex maps of degree 2-4,
-    and (zw, wt, tz), whose monomials read only the first power (top 1)."""
+def kernels():
+    """(value kernel, degree) of the zoo, two phase-conjugated maps and
+    dense complex maps of degree 2-4, and of (zw, wt, tz), whose monomials
+    read only the first power (top 1) and share the coordinate points as
+    zeros, so that no map holds it."""
     zoo = {family.name: family.map for family in standard_zoo()}
     maps = dict(zoo)
     for name in ("power2", "lattes_suspension"):
@@ -163,29 +165,32 @@ def kernel_maps():
     for degree in (2, 3, 4):
         maps["dense%d" % degree] = HomogeneousMap(
             random_tables(rng, degree, 1.0))
-    maps["zw_wt_tz"] = HomogeneousMap([{(1, 1, 0): 1.0}, {(0, 1, 1): 1.0},
-                                       {(1, 0, 1): 1.0}])
-    return maps
+    out = {name: (f._values, f.degree) for name, f in maps.items()}
+    out["zw_wt_tz"] = (_SupportKernel([{(1, 1, 0): 1.0}, {(0, 1, 1): 1.0},
+                                       {(1, 0, 1): 1.0}]), 2)
+    return out
 
 
-KERNEL_MAPS = kernel_maps()
+KERNELS = kernels()
 
 
-def power_table(f, pts):
-    table = np.empty((f.degree, 3, pts.shape[0]), dtype=np.complex128)
+def power_table(degree, pts):
+    table = np.empty((degree, 3, pts.shape[0]), dtype=np.complex128)
     table[0] = pts.T
     return table
 
 
-@pytest.mark.parametrize("name", list(KERNEL_MAPS))
+@pytest.mark.parametrize("name", list(KERNELS))
 def test_columns_and_batch_are_one_kernel(name):
-    # the escape-rate loop evaluates in place on a power table, every other
-    # caller on a batch of rows: one kernel gives both the same bits
-    f = KERNEL_MAPS[name]
+    # the escape-rate loop evaluates in place on a power table
+    # (polynomial_columns), every other caller on a batch of rows
+    # (polynomial_batch): one kernel gives both the same bits
+    kernel, degree = KERNELS[name]
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(2_000, 3)) + 1j * rng.normal(size=(2_000, 3))
-    batch = f.polynomial_batch(pts)
-    columns = f.polynomial_columns(power_table(f, pts))
+    batch = kernel(pts)
+    table = power_table(degree, pts)
+    columns = kernel.sums(table, table[0])
     bits = [np.ascontiguousarray(rows).view(np.uint64)
             for rows in (columns.T, batch)]
     differ = np.flatnonzero(np.any(bits[0] != bits[1], axis=1))
@@ -195,9 +200,8 @@ def test_columns_and_batch_are_one_kernel(name):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_power_map_monomials_are_read_in_place(degree):
     pts = sup_normalize(np.random.default_rng(4).normal(size=(50, 3)))
-    f = power_map(degree)
-    table = power_table(f, pts)
-    rows = f._values.monomials(table)
+    table = power_table(degree, pts)
+    rows = power_map(degree)._values.monomials(table)
     assert len(rows) == 3
     assert all(np.shares_memory(row, table) for row in rows)
 
@@ -206,11 +210,11 @@ def test_power_map_monomials_are_read_in_place(degree):
 def test_no_monomial_reads_the_entry_the_sums_write(name):
     # polynomial_columns writes F into table[0] while it sums: single
     # powers of degree >= 2 lie in later entries, mixed ones are new arrays
-    f = KERNEL_MAPS[name]
+    kernel, degree = KERNELS[name]
     rng = np.random.default_rng(5)
-    table = power_table(f, rng.normal(size=(50, 3)) + 0j)
-    rows = f._values.monomials(table)
-    for row, factors in zip(rows, f._values.factors):
+    table = power_table(degree, rng.normal(size=(50, 3)) + 0j)
+    rows = kernel.monomials(table)
+    for row, factors in zip(rows, kernel.factors):
         assert not np.shares_memory(row, table[0])
         assert np.shares_memory(row, table) == (len(factors) == 1)
 

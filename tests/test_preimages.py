@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from p2dyn.errors import PreimageSolverError
 from p2dyn.preimages import polynomial_roots, preimage_batch, preimages
 from p2dyn.projective import (
     HomogeneousMap,
@@ -266,13 +265,6 @@ class TestCertification:
         tiled = np.repeat(target[None, :] / np.max(np.abs(target)),
                           pts.shape[0], axis=0)
         assert fs_distance_batch(images, tiled).max() < 1e-10
-
-    def test_degenerate_system_raises_solver_error(self):
-        # components share the zero z=0, so Bezout count is unreachable
-        f = HomogeneousMap([{(2, 0, 0): 1.0}, {(1, 1, 0): 1.0},
-                            {(1, 0, 1): 1.0}])
-        with pytest.raises(PreimageSolverError):
-            preimages(f, HomogeneousPoint(np.array([0.3, 0.4, 1.0])))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from p2dyn.errors import (
-    CriticalPointError,
-    DegenerateEvaluationError,
-    DegenerateMapError,
-)
+from p2dyn.errors import CriticalPointError, DegenerateMapError
 from p2dyn.projective import (
     CHART_OTHERS,
     HomogeneousMap,
@@ -195,12 +191,41 @@ class TestHomogeneousMap:
             HomogeneousMap([{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0},
                             {(0, 0, 1): 1.0}])
 
-    def test_common_zero_locus_evaluation_raises(self):
-        # components all vanish on z = 0: not a holomorphic endomorphism
-        f = HomogeneousMap([{(2, 0, 0): 1.0}, {(1, 1, 0): 1.0},
-                            {(1, 0, 1): 1.0}])
-        with pytest.raises(DegenerateEvaluationError):
-            f.evaluate_batch(np.array([[0.0, 1.0, 1.0]], dtype=complex))
+    #: triples whose components share a zero, and one within 1e-16 of
+    #: such a triple: none is a holomorphic endomorphism to the tolerance
+    COMMON_ZEROS = {
+        # (z^2, zw, zt) vanishes on z = 0
+        "z-cone": [{(2, 0, 0): 1.0}, {(1, 1, 0): 1.0}, {(1, 0, 1): 1.0}],
+        # (zw, wt, tz) at the three coordinate points
+        "cyclic-monomial": [{(1, 1, 0): 1.0}, {(0, 1, 1): 1.0},
+                            {(1, 0, 1): 1.0}],
+        # (z^2, zt, wt) at [0:1:0] and [0:0:1]
+        "drift-monomial": [{(2, 0, 0): 1.0}, {(1, 0, 1): 1.0},
+                           {(0, 1, 1): 1.0}],
+        # (z^2, zw, t^2) at [0:1:0]
+        "common_zero": [{(2, 0, 0): 1.0}, {(1, 1, 0): 1.0},
+                        {(0, 0, 2): 1.0}],
+        # (z^2, zw + 1e-16 t^2, zt + 1e-16 w^2) has no common zero, but its
+        # images on z = 0 have modulus 1e-16 at most
+        "z-cone+1e-16": [{(2, 0, 0): 1.0}, {(1, 1, 0): 1.0, (0, 0, 2): 1e-16},
+                         {(1, 0, 1): 1.0, (0, 2, 0): 1e-16}],
+    }
+
+    @pytest.mark.parametrize("name", list(COMMON_ZEROS))
+    def test_maps_with_common_zeros_are_refused(self, name):
+        # no growth floor clears the tolerance, so construction refuses
+        # the triple and no evaluation ever meets a collapsed image
+        with pytest.raises(DegenerateMapError, match="growth floor"):
+            HomogeneousMap(self.COMMON_ZEROS[name], name=name)
+
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf, complex(1.0, np.nan),
+                                       complex(0.0, -np.inf)])
+    def test_non_finite_coefficients_are_refused(self, coeff):
+        # a NaN coefficient made every image NaN, and the growth floor's
+        # least-squares solve raised a bare LinAlgError
+        with pytest.raises(DegenerateMapError, match="not finite"):
+            HomogeneousMap([{(2, 0, 0): 1.0, (0, 1, 1): coeff},
+                            {(0, 2, 0): 1.0}, {(0, 0, 2): 1.0}])
 
     def test_evaluation_matches_sympy(self):
         f = random_map(3, seed=20)

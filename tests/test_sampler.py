@@ -142,8 +142,7 @@ class TestFsTangentMaps:
         pts = np.stack([np.exp(1j * angles[:, 0]),
                         np.exp(1j * angles[:, 1]),
                         np.ones(30, dtype=np.complex128)], axis=1)
-        mats, _, ok = fs_tangent_maps(power_map(2), pts)
-        assert np.all(ok)
+        mats, _ = fs_tangent_maps(power_map(2), pts)
         sing = np.linalg.svd(mats, compute_uv=False)
         assert np.max(np.abs(sing - 2.0)) < 1e-12
         dets = np.abs(np.linalg.det(mats))
@@ -154,7 +153,7 @@ class TestFsTangentMaps:
         p = np.array([[0.31 + 0.12j, -0.44 + 0.27j, 1.0]],
                      dtype=np.complex128)
         p /= np.max(np.abs(p))
-        mats, _, _ = fs_tangent_maps(f, p)
+        mats, _ = fs_tangent_maps(f, p)
         basis = tangent_basis_batch(p)
         rng = np.random.default_rng(12)
         t = 1e-6
@@ -179,8 +178,8 @@ class TestFsTangentMaps:
         rng = np.random.default_rng(19)
         pts = rng.normal(size=(2000, 3)) + 1j * rng.normal(size=(2000, 3))
         for family in standard_zoo():
-            mats, _, ok = fs_tangent_maps(family.map, pts)
-            ref = np.where(ok, np.abs(np.linalg.det(mats)), 0.0)
+            mats, _ = fs_tangent_maps(family.map, pts)
+            ref = np.abs(np.linalg.det(mats))
             got = fs_jacobian_dets(family.map, pts)
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0,
                                        err_msg=family.name)

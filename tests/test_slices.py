@@ -366,6 +366,22 @@ class TestCalibrationSlice:
         with pytest.raises(ValueError):
             ball_mass(calibration_slice, outside, 0.3)
 
+    @pytest.mark.parametrize("center", [[complex(np.nan, 0.0), 0.0j],
+                                        [0.0j, complex(0.1, np.nan)],
+                                        [complex(np.inf, 0.0), 0.0j]])
+    def test_non_finite_center_raises(self, calibration_slice, center):
+        # a NaN part passed the box check and left an empty axis run,
+        # whose first index raised a bare IndexError
+        with pytest.raises(ValueError, match="not finite"):
+            ball_mass(calibration_slice, np.array(center), 0.3)
+
+    def test_radius_nan_raises_and_inf_covers_the_box(self,
+                                                      calibration_slice):
+        with pytest.raises(ValueError, match="NaN"):
+            ball_mass(calibration_slice, ORIGIN, math.nan)
+        assert ball_mass(calibration_slice, ORIGIN, math.inf) == \
+            pytest.approx(calibration_slice.total_mass, rel=1e-12)
+
     def test_transverse_free_potential_has_zero_slice(self, flat_grid):
         # |Z|^2 has no W-plane curvature: its Z-direction slice vanishes
         measure = slice_measure(flat_grid.sample_scalar(quadratic_z),
@@ -388,6 +404,19 @@ class TestCalibrationSlice:
     def test_wrong_shape_raises(self, flat_grid):
         with pytest.raises(ValueError):
             slice_measure(np.zeros((33, 33, 33, 33)), flat_grid, "Z")
+
+    def test_non_finite_potential_raises(self, flat_grid):
+        # one NaN node made the masses and the total NaN, silently
+        values = flat_grid.sample_scalar(quadratic_w)
+        values[5, 6, 7, 8] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            slice_measure(values, flat_grid, "Z")
+
+    @pytest.mark.parametrize("budget", [math.nan, -0.01, -math.inf])
+    def test_nan_or_negative_budget_raises(self, flat_grid, budget):
+        values = flat_grid.sample_scalar(quadratic_w)
+        with pytest.raises(ValueError, match="clamp_budget"):
+            slice_measure(values, flat_grid, "Z", clamp_budget=budget)
 
     def test_bad_direction_raises(self, flat_grid):
         values = flat_grid.sample_scalar(quadratic_w)
@@ -694,6 +723,20 @@ class TestMassCertificate:
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
             mass_certificate(POWER, 0, green_depth=-1)
+
+    @pytest.mark.parametrize("depth", [math.inf, math.nan, 2.5, 3.0, "3"])
+    def test_depth_must_be_an_integer(self, depth):
+        # int(inf) raised a bare OverflowError, int(nan) a ValueError about
+        # converting a float
+        with pytest.raises(ValueError, match="green_depth must be an "
+                                             "integer"):
+            mass_certificate(POWER, 0, green_depth=depth)
+
+    @pytest.mark.parametrize("resolution", [math.inf, math.nan, 16.0, "16"])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an "
+                                             "integer"):
+            mass_certificate(POWER, 0, resolution=resolution)
 
     @pytest.mark.parametrize("n, depth", [(0, 0), (1, 0), (1, 3)])
     def test_one_pass_matches_two_calls(self, monkeypatch, n, depth):

@@ -1,4 +1,5 @@
-"""Map zoo: constructors, factor-exponent oracles, perturbation, text format.
+"""Map zoo: constructors, factor-exponent oracles, perturbation, text format,
+and the growth-floor proof of every map the lab builds.
 
 Frozen targets: log 2 = 0.6931471805599453 (factor exponents), the degree-4
 self-composition identity of the chosen torus-dilation map, and closed-form
@@ -7,10 +8,17 @@ spherical derivatives.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2dyn.errors import ConfigError, DegenerateMapError, SamplingError
-from p2dyn.preimages import preimages
-from p2dyn.projective import HomogeneousMap, HomogeneousPoint
+from p2dyn.preimages import _rotation_matrix, preimages
+from p2dyn.projective import (
+    DEGENERATE_EVAL_TOL,
+    HomogeneousMap,
+    HomogeneousPoint,
+    substitute_linear,
+)
 from p2dyn.zoo import (
     MapFamily,
     birkhoff_exponent,
@@ -153,6 +161,15 @@ class TestPerturb:
         with pytest.raises(DegenerateMapError):
             perturb(power_map(2), power_map(3), 0.1)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_raises(self, eps):
+        # a NaN eps failed deep in a preimage rotation, claiming that the
+        # components did not share a single total degree
+        g = HomogeneousMap([{(0, 2, 0): 1.0}, {(0, 0, 2): 1.0},
+                            {(2, 0, 0): 1.0}])
+        with pytest.raises(DegenerateMapError, match="not finite"):
+            perturb(power_map(2), g, eps)
+
 
 class TestFamilies:
     def test_zoo_has_at_least_five_families(self):
@@ -164,6 +181,12 @@ class TestFamilies:
         for fam in standard_zoo():
             worst = certify_nondegenerate(fam.map, n_targets=20, seed=31)
             assert worst < 1e-10, fam.name
+
+    @pytest.mark.parametrize("n_targets", [0, 1.5, 20.0, np.inf, "20"])
+    def test_certificate_needs_an_integer_target_count(self, n_targets):
+        # 0 failed on a zero-size reduction of the residuals
+        with pytest.raises(ValueError, match="n_targets must be an integer"):
+            certify_nondegenerate(power_map(2), n_targets=n_targets)
 
     def test_reference_invariants(self):
         for fam in standard_zoo():
@@ -250,3 +273,90 @@ class TestTextFormat:
         text = ("term 0 2 0 0 1 0\nterm 1 0 1 0 1 0\nterm 2 0 0 2 1 0\n")
         with pytest.raises(ConfigError):
             parse_map(text)
+
+    @pytest.mark.parametrize("coeff", ["nan 0", "1 nan", "inf 0", "0 -inf"])
+    def test_non_finite_coefficient_raises_config_error(self, coeff):
+        text = ("term 0 2 0 0 %s\nterm 1 0 2 0 1 0\nterm 2 0 0 2 1 0\n"
+                % coeff)
+        with pytest.raises(ConfigError, match="not finite"):
+            parse_map(text)
+
+
+# ---------------------------------------------------------------------------
+# every map the lab builds is proven when it is built
+# ---------------------------------------------------------------------------
+
+def dense_map(seed, degree):
+    """Every monomial of one degree, standard complex normal coefficients."""
+    rng = np.random.default_rng(seed)
+    keys = [(i, j, degree - i - j) for i in range(degree + 1)
+            for j in range(degree + 1 - i)]
+    return HomogeneousMap([dict(zip(keys, rng.normal(size=len(keys))
+                                    + 1j * rng.normal(size=len(keys))))
+                           for _ in range(3)], name="dense")
+
+
+def phase_conjugate(f, a, b):
+    """``D^-1 F D`` for ``D = diag(e^(ia), e^(ib), 1)``, as the benchmark's
+    certify workload builds its maps."""
+    scale = np.exp(1j * np.array([a, b, 0.0]))
+    return HomogeneousMap(
+        [{key: c * np.prod(scale ** np.array(key)) / scale[comp]
+          for key, c in table.items()}
+         for comp, table in enumerate(f.tables)], name=f.name + ".phased")
+
+
+def sym2_lattes():
+    """The symmetric square of lattes_factor (ROADMAP item 13):
+    (-(a^2 + b^2 - 2ac + c^2), 2i b (a + c), 4ac)."""
+    return HomogeneousMap([
+        {(2, 0, 0): -1.0, (0, 2, 0): -1.0, (1, 0, 1): 2.0, (0, 0, 2): -1.0},
+        {(1, 1, 0): 2j, (0, 1, 1): 2j},
+        {(1, 0, 1): 4.0}], name="sym2_lattes")
+
+
+def lab_maps():
+    """Builders of the zoo maps, their three preimage-solver rotations and
+    a phase conjugation each, the sym^2 Lattes map, Cantor products
+    z^2 + c1 x w^2 + c2 (item 17) and lattes_suspension + 0.3 g for seeded
+    dense g (item 15)."""
+    builders = {}
+    for family in standard_zoo():
+        f = family.map
+        builders[f.name] = lambda f=f: f
+        for a in (1, 2, 3):
+            builders["%s.rotated%d" % (f.name, a)] = \
+                lambda f=f, a=a: substitute_linear(f, _rotation_matrix(a))
+        builders[f.name + ".phased"] = lambda f=f: phase_conjugate(f, 0.7,
+                                                                   -2.1)
+    builders["sym2_lattes"] = sym2_lattes
+    for c1, c2 in ((-3, -3), (-3, 1), (-2.5, 0.6 + 0.5j), (-100, -100)):
+        builders["cantor(%s, %s)" % (c1, c2)] = \
+            lambda c1=c1, c2=c2: product_map([c1, 0, 1], [c2, 0, 1])
+    for seed in (0, 1, 2):
+        builders["lattes_suspension+0.3*dense%d" % seed] = \
+            lambda seed=seed: perturb(lattes_suspension(),
+                                      dense_map(seed, 2), 0.3)
+    return builders
+
+
+LAB_MAPS = lab_maps()
+
+
+class TestEveryMapIsProven:
+    """Construction proves a growth floor whose image floor clears the
+    degeneracy tolerance on every map the lab and its roadmap build."""
+
+    @pytest.mark.parametrize("name", list(LAB_MAPS))
+    def test_lab_map_constructs(self, name):
+        assert LAB_MAPS[name]().image_floor > DEGENERATE_EVAL_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(map_=st.builds(dense_map, st.integers(0, 2 ** 32 - 1),
+                          st.integers(2, 4))
+           | st.sampled_from([f.map for f in standard_zoo()]).flatmap(
+               lambda f: st.builds(perturb, st.just(f), st.builds(
+                   dense_map, st.integers(0, 2 ** 32 - 1),
+                   st.just(f.degree)), st.floats(1e-3, 0.3))))
+    def test_random_and_perturbed_maps_construct(self, map_):
+        assert map_.image_floor > DEGENERATE_EVAL_TOL
