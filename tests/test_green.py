@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2dyn import green
-from p2dyn.errors import ResolutionError
+from p2dyn.errors import DegenerateMapError, ResolutionError
 from p2dyn.frames import NormalFormCoordinates, OseledecFrame
 from p2dyn.green import (
     DEFAULT_DEPTH,
@@ -34,8 +34,11 @@ from p2dyn.green import (
     local_potential,
 )
 from p2dyn.projective import (
+    DEGENERATE_EVAL_TOL,
     HomogeneousMap,
     HomogeneousPoint,
+    _growth_floor,
+    _SupportKernel,
     lift_from_chart,
 )
 from p2dyn.slices import (
@@ -54,6 +57,13 @@ from p2dyn.zoo import (
 )
 
 LOG2 = float(np.log(2.0))
+
+#: degree-2 triples whose components share a zero: (z^2, zw, zt) on z = 0,
+#: (zw, wt, tz) at the coordinate points, (z^2, zt, wt) at [0:1:0] and
+#: [0:0:1]; construction refuses each
+Z_CONE = [{(2, 0, 0): 1.0}, {(1, 1, 0): 1.0}, {(1, 0, 1): 1.0}]
+CYCLIC = [{(1, 1, 0): 1.0}, {(0, 1, 1): 1.0}, {(1, 0, 1): 1.0}]
+DRIFT = [{(2, 0, 0): 1.0}, {(1, 0, 1): 1.0}, {(0, 1, 1): 1.0}]
 
 
 def segment_green(z):
@@ -82,6 +92,14 @@ class TestTruncationBound:
                                                         rel=1e-12)
         assert ev.truncation_bound() == pytest.approx(step * 2.0 ** -40,
                                                       rel=1e-12)
+
+    def test_no_growth_floor_no_bound(self):
+        # the z-cone has a common zero: no proof, so no map and no evaluator
+        # to bound, and no log(0) warning (pytest turns RuntimeWarning into
+        # an error)
+        assert _growth_floor(Z_CONE, 2) == 0.0
+        with pytest.raises(DegenerateMapError, match="growth floor"):
+            GreenEvaluator(HomogeneousMap(Z_CONE, name="z-cone"))
 
     def test_geometric_decay(self):
         for map_ in (chebyshev_product(), lattes_suspension()):
@@ -157,6 +175,24 @@ class TestHomogeneityAndScale:
             assert a == pytest.approx(b, abs=1e-10)
 
 
+class TestDegeneracy:
+    """The images escape_rate once screened step by step are those of
+    triples that construction refuses, so no evaluator meets one."""
+
+    @pytest.mark.parametrize("a", [0.0, 5e-15])
+    def test_collapsed_image_raises_in_both_norms(self, a):
+        # at the lift [a : 1 : 1] the z-cone's image of the unit-norm
+        # representative has norm a (sup) or about a / sqrt(2) (2): below
+        # the tolerance in both, and the triple is refused when it is built
+        lift = np.array([a, 1.0, 1.0], dtype=complex)
+        for ord_ in (np.inf, 2):
+            unit = lift / np.linalg.norm(lift, ord=ord_)
+            image = _SupportKernel(Z_CONE)(unit[None, :])[0]
+            assert np.linalg.norm(image, ord=ord_) <= DEGENERATE_EVAL_TOL
+        with pytest.raises(DegenerateMapError, match="growth floor"):
+            HomogeneousMap(Z_CONE, name="z-cone")
+
+
 class TestTwoDepthsOnePass:
     """``also`` returns a shallower truncation from the same depth loop."""
 
@@ -181,6 +217,15 @@ class TestTwoDepthsOnePass:
         deep, shallow = escape_rate(ev, lift, depth=3, norm="2", also=1)
         assert deep == escape_rate(ev, lift, depth=3, norm="2")
         assert shallow == escape_rate(ev, lift, depth=1, norm="2")
+
+    def test_degenerate_lift_raises(self):
+        # a zero or non-finite lift is no point of P^2, with also as without
+        ev = GreenEvaluator(power_map(2), depth=3)
+        for lift in ([0.0, 0.0, 0.0], [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0]):
+            for norm in ("sup", "2"):
+                with pytest.raises(ValueError,
+                                   match="not a projective point"):
+                    escape_rate(ev, np.array(lift), norm=norm, also=1)
 
     @pytest.mark.parametrize("also", [-1, 4, 1.5])
     def test_also_outside_the_depth_rejected(self, also):
@@ -586,6 +631,11 @@ class TestGrowthFloor:
     def test_power_maps_are_tight(self):
         for d in (2, 3):
             assert abs(power_map(d).growth_floor - 1.0) < 1e-14
+
+    def test_maps_with_common_zeros_get_no_floor(self):
+        # no Macaulay identity exists when the components share a zero
+        for tables in (Z_CONE, CYCLIC, DRIFT):
+            assert _growth_floor(tables, 2) == 0.0
 
 
 class TestNormReads:

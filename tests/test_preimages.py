@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from p2dyn.errors import PreimageSolverError
 from p2dyn.preimages import polynomial_roots, preimage_batch, preimages
 from p2dyn.projective import (
+    DEGENERATE_EVAL_TOL,
     HomogeneousMap,
     HomogeneousPoint,
     fs_distance_batch,
@@ -265,6 +267,17 @@ class TestCertification:
         tiled = np.repeat(target[None, :] / np.max(np.abs(target)),
                           pts.shape[0], axis=0)
         assert fs_distance_batch(images, tiled).max() < 1e-10
+
+    def test_degenerate_system_raises_solver_error(self):
+        # (z^2, zw + 1e-6 t^2, zt + 1e-6 w^2) is 1e-6 from sharing the zero
+        # z = 0: its growth floor is proven, but its preimages are too ill
+        # conditioned for any rotation to reach the Bezout count
+        f = HomogeneousMap([{(2, 0, 0): 1.0},
+                            {(1, 1, 0): 1.0, (0, 0, 2): 1e-6},
+                            {(1, 0, 1): 1.0, (0, 2, 0): 1e-6}])
+        assert f.image_floor > DEGENERATE_EVAL_TOL
+        with pytest.raises(PreimageSolverError):
+            preimages(f, HomogeneousPoint(np.array([0.3, 0.4, 1.0])))
 
 
 # ---------------------------------------------------------------------------

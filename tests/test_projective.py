@@ -218,6 +218,13 @@ class TestHomogeneousMap:
         with pytest.raises(DegenerateMapError, match="growth floor"):
             HomogeneousMap(self.COMMON_ZEROS[name], name=name)
 
+    def test_common_zero_locus_evaluation_raises(self):
+        # the components of a built map share only the zero at the origin,
+        # which is no projective point: evaluation refuses it
+        for f in (power_map(2), random_map(3, seed=20)):
+            with pytest.raises(ValueError, match="not a projective point"):
+                f.evaluate_batch(np.zeros((1, 3), dtype=complex))
+
     @pytest.mark.parametrize("coeff", [np.nan, np.inf, complex(1.0, np.nan),
                                        complex(0.0, -np.inf)])
     def test_non_finite_coefficients_are_refused(self, coeff):
