@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .projective import (
+    NORM_LOG2_RANGE,
     HomogeneousMap,
     as_point_array,
     check_integer,
@@ -83,7 +84,8 @@ class GreenEvaluator:
 _COLUMN_NORMS = {
     "sup": (lambda cols: np.max(np.abs(cols), axis=0), 1.0, 1000.0),
     "2": (lambda cols: np.sqrt(np.sum(cols.real ** 2 + cols.imag ** 2,
-                                      axis=0)), np.sqrt(3.0), 500.0),
+                                      axis=0)),
+          np.sqrt(3.0), NORM_LOG2_RANGE),
 }
 
 
@@ -137,7 +139,8 @@ def escape_rate(ev: GreenEvaluator, lifts: np.ndarray,
         exps, factor = 0.0, 1.0
         # 2-norm squares over- or underflow far from unit scale, and 2^-e
         # must stay finite: such (or invalid) lifts take a sup exponent
-        if not np.all((norms > 2.0 ** -500) & (norms < 2.0 ** 500)):
+        if not np.all((norms > 2.0 ** -NORM_LOG2_RANGE)
+                      & (norms < 2.0 ** NORM_LOG2_RANGE)):
             sup = np.max(np.abs(v), axis=0)
             check_row_scale(sup)
             pre = np.maximum(np.frexp(sup)[1], -1021)

@@ -32,8 +32,14 @@ CHART_OTHERS = ((1, 2), (0, 2), (0, 1))
 CHART_OTHERS_INDEX = np.array(CHART_OTHERS)
 CHART_OTHERS_INDEX.flags.writeable = False
 
-#: a map whose proven image floor does not exceed this is refused
+#: a map whose proven image floor f does not exceed this times 3^(-d/2) U
+#: (U its growth bound) is refused: the ratio does not change when the
+#: coefficients are scaled, and at U = 3^(d/2) the floor is this
 DEGENERATE_EVAL_TOL = 1e-14
+
+#: log2 range in which the 2-norm reads to rounding (its squares normal);
+#: a map must keep one step from a unit vector inside it
+NORM_LOG2_RANGE = 500.0
 
 #: chart-Jacobian modulus below which differentials refuse to invert
 CRITICAL_JACOBIAN_TOL = 1e-12
@@ -326,8 +332,12 @@ class HomogeneousMap:
     c_F 3^(-d/2) less the evaluation rounding ((d+1)(d+2)/2 + 2d + 6) eps
     sqrt(3) U bounds every computed image of a unit vector from below, in
     either norm.  A map whose f does not exceed ``DEGENERATE_EVAL_TOL``
-    raises :class:`DegenerateMapError`, so no evaluation of a built map can
-    collapse and none checks.
+    3^(-d/2) U (scale-invariant: c_F / U, less the rounding, must exceed
+    the tolerance) raises :class:`DegenerateMapError`, so no evaluation of
+    a built map can collapse and none checks; so does a map that can take
+    a unit vector's image out of 2^(+-``NORM_LOG2_RANGE``) in one step
+    (above by sqrt(3) U, below by f 2^-d), which no rescaling between
+    steps could keep in the 2-norm's range.
 
     ``tables`` keeps the three ``{(i, j, k): coeff}`` tables as given.  For
     evaluation they are compiled into one ``(M, 3)`` coefficient matrix over
@@ -379,10 +389,18 @@ class HomogeneousMap:
             * eps * np.sqrt(3.0)
         self.image_floor = (self.growth_floor * 3.0 ** (-degree / 2)
                             - rounding * self.growth_bound)
-        if not self.image_floor > DEGENERATE_EVAL_TOL:
+        scale = 3.0 ** (-degree / 2) * self.growth_bound
+        if not self.image_floor > DEGENERATE_EVAL_TOL * scale:
             raise DegenerateMapError(
-                "map %r has no proven growth floor (image floor %.3g): its "
-                "components may share a zero" % (name, self.image_floor))
+                "map %r has no proven growth floor (image floor %.3g, "
+                "3^(-d/2) U = %.3g): its components may share a zero"
+                % (name, self.image_floor, scale))
+        if not (np.log2(np.sqrt(3.0) * self.growth_bound) <= NORM_LOG2_RANGE
+                and np.log2(self.image_floor) - degree >= -NORM_LOG2_RANGE):
+            raise DegenerateMapError(
+                "map %r can take one step out of 2^(+-%d) (growth bound "
+                "%.3g, image floor %.3g): rescale its coefficients"
+                % (name, NORM_LOG2_RANGE, self.growth_bound, self.image_floor))
 
     # -- evaluation --------------------------------------------------------
 

@@ -9,7 +9,8 @@ This module realizes those measures as nonnegative mass grids over a
 bidisk in chart coordinates:
 
 * :class:`LocalGrid` fixes a cell-centered grid with one ghost node ring
-  so 5-point stencils cover every interior cell.
+  so 5-point stencils cover every interior cell; in the flattened node
+  cube a stencil's shift along an axis is a flat offset.
 * :func:`slice_measure` converts a sampled potential into per-cell masses
   ``mass = (raw 5-point stencil) * h^2 / (2 pi)``.  The raw stencil is
   ``h^2`` times the transverse Laplacian, so this is the measure of the
@@ -31,7 +32,9 @@ bidisk in chart coordinates:
   truncation depth; the computed number certifies the quadrature and the
   mass normalization at once.  A chart's weight is nonzero only where
   ``|z|^2 + |w|^2 < 3``; only the nodes its stencils read are evaluated,
-  at lifts from plane indices cached per resolution, a few Z-slabs at a time.
+  at lifts from plane indices cached per resolution, a few Z-slabs at a time;
+  a block's stencils run over its whole flat range, where the zero ghost
+  ring of the block weight cancels the reads that wrap across a row.
 * :func:`harmonicity_defect` integrates ``|transverse Laplacian|`` per
   slice, separating harmonic slice families from mass-bearing ones.
 
@@ -131,10 +134,7 @@ class LocalGrid:
     radius: float
 
     def __post_init__(self):
-        if int(self.resolution) != self.resolution \
-                or self.resolution < MIN_RESOLUTION:
-            raise ValueError("grid resolution must be an integer >= %d, "
-                             "got %r" % (MIN_RESOLUTION, self.resolution))
+        check_integer("resolution", self.resolution, MIN_RESOLUTION)
         object.__setattr__(self, "resolution", int(self.resolution))
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError("grid radius must be positive and finite")
@@ -303,22 +303,19 @@ class SliceMeasure:
                              "%.17g" % (self.total_mass, total))
 
 
-def _shifted(values: np.ndarray, shifts: dict) -> np.ndarray:
-    """Interior nodes of a 4-axis node cube, each axis in ``shifts`` moved
-    one node up (+1) or down (-1)."""
-    index = [slice(1, -1)] * 4
-    for axis, step in shifts.items():
-        index[axis] = slice(2, None) if step > 0 else slice(None, -2)
-    return values[tuple(index)]
-
-
-def _plane_stencil(values: np.ndarray, plane: int) -> np.ndarray:
-    """Unnormalized 5-point stencil over the Z-plane (``plane`` 0, axes 0
-    and 1) or the W-plane (``plane`` 1, axes 2 and 3) at interior nodes."""
-    a, b = 2 * plane, 2 * plane + 1
-    return (_shifted(values, {a: 1}) + _shifted(values, {a: -1})
-            + _shifted(values, {b: 1}) + _shifted(values, {b: -1})
-            - 4.0 * _shifted(values, {}))
+def _plane_stencil(flat: np.ndarray, start: int, four: np.ndarray, *planes):
+    """Unnormalized 5-point stencils of a flattened C-contiguous node cube
+    at its positions ``start`` to ``start + four.size``, one per ``(steps,
+    out)`` of ``planes``: the stencil over the plane of the two axes with
+    flat ``steps`` (their strides) into ``out``.  ``four`` receives 4 times
+    the centre values."""
+    stop = start + four.size
+    np.multiply(flat[start:stop], 4.0, out=four)
+    for (a, b), out in planes:
+        np.add(flat[start + a:stop + a], flat[start - a:stop - a], out=out)
+        out += flat[start + b:stop + b]
+        out += flat[start - b:stop - b]
+        out -= four
 
 
 def _raw_stencil(potential: np.ndarray, grid: LocalGrid,
@@ -326,18 +323,26 @@ def _raw_stencil(potential: np.ndarray, grid: LocalGrid,
     """Unnormalized transverse 5-point stencil on interior cells.
 
     The returned array is ``h^2`` times the transverse Laplacian up to
-    ``O(h^4)``: the W-plane Laplacian for direction 'Z' and vice versa.
+    ``O(h^4)``: the W-plane Laplacian for direction 'Z' and vice versa;
+    one flat pass a slab, whose interior the result keeps.
     """
     if direction not in _DIRECTIONS:
         raise ValueError("direction must be 'Z' or 'W', got %r"
                          % (direction,))
     pot = np.asarray(potential, dtype=np.float64)
-    n = grid.resolution + 2
+    m, n = grid.resolution, grid.resolution + 2
     if pot.shape != (n, n, n, n):
         raise ValueError(
             "potential grid mismatch: expected the ghosted node cube "
             "%r, got %r" % ((n, n, n, n), pot.shape))
-    return _plane_stencil(pot, 1 if direction == "Z" else 0)
+    steps = (n, 1) if direction == "Z" else (n ** 3, n * n)
+    flat, slab, out = pot.reshape(-1), np.empty((n, n, n)), np.empty((m,) * 4)
+    rows = slab.reshape(-1)[n * n:-n * n]
+    four = np.empty_like(rows)
+    for a in range(m):
+        _plane_stencil(flat, (a + 1) * n ** 3 + n * n, four, (steps, rows))
+        out[a] = slab[1:-1, 1:-1, 1:-1]
+    return out
 
 
 def slice_measure(potential: np.ndarray, grid: LocalGrid, direction: str,
@@ -576,16 +581,13 @@ def _certificate_lifts(resolution: int) -> np.ndarray:
     return zw
 
 
-def _mixed_differences(values: np.ndarray):
-    """``A = D0 D2 + D1 D3`` and ``B = D0 D3 - D1 D2`` at interior nodes,
-    ``D_a`` the unnormalized central difference along axis ``a``."""
-    i = slice(1, -1)
-    d2 = values[:, :, 2:, :] - values[:, :, :-2, :]
-    d3 = values[..., 2:] - values[..., :-2]
-    return ((d2[2:, i, :, i] - d2[:-2, i, :, i])
-            + (d3[i, 2:, i, :] - d3[i, :-2, i, :]),
-            (d3[2:, i, i, :] - d3[:-2, i, i, :])
-            - (d2[i, 2:, :, i] - d2[i, :-2, :, i]))
+def _central(flat: np.ndarray, start: int, step: int,
+             out: np.ndarray) -> np.ndarray:
+    """Unnormalized central difference of ``flat`` with flat ``step`` at
+    its positions ``start`` to ``start + out.size``, into ``out``."""
+    stop = start + out.size
+    return np.subtract(flat[start + step:stop + step],
+                       flat[start - step:stop - step], out=out)
 
 
 def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
@@ -598,8 +600,14 @@ def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
     run of :func:`_certificate_lifts`.  With ``P`` the unnormalized plane
     stencils, ``h^4`` times the density
     ``u_ZZbar v_WWbar + u_WWbar v_ZZbar - 2 Re(u_ZWbar conj(v_ZWbar))`` is
-    ``(P_Z u P_W v + P_W u P_Z v) / 16 - (A_u A_v + B_u B_v) / 128`` (see
-    :func:`_mixed_differences`), summed over the blocks."""
+    ``(P_Z u P_W v + P_W u P_Z v) / 16 - (A_u A_v + B_u B_v) / 128``, with
+    ``A = D0 D2 + D1 D3``, ``B = D0 D3 - D1 D2`` and ``D_a`` the unnormalized
+    central difference along axis ``a``, summed over the blocks.  A shift along
+    axis ``a`` is a flat offset ``s_a = (m+2)^(3-a)``, so every stencil of
+    a block of ``k`` slabs is one pass over the flat window range ``[s_0 +
+    s_1, (k+1) s_0 - s_1)``.  Its ghost positions, where an offset wraps
+    across a row, read finite window values and meet the zero ghost ring
+    of the block weight's buffer, so they add exactly nothing."""
     axis, weight, nodes = _certificate_quadrature(resolution)
     plane = (axis[:, None] + 1j * axis[None, :]).ravel()
     zw = _certificate_lifts(resolution)
@@ -607,13 +615,17 @@ def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
     offsets = [0] + np.cumsum(np.count_nonzero(nodes, axis=(1, 2, 3))).tolist()
     rows = max(offsets[min(a + slabs, resolution) + 2]
                - offsets[a + 2 * (a > 0)] for a in range(0, resolution, slabs))
-    total = 0.0
-    # one allocation per integral, none per block: the largest block's lifts,
-    # then the window (zeroed once; stale off-mask nodes meet zero weights)
-    scratch = np.zeros(6 * rows + 2 * (slabs + 2) * (resolution + 2) ** 3)
-    room = scratch[:6 * rows].view(np.complex128).reshape(3, rows)
-    window = scratch[6 * rows:].reshape((2, slabs + 2) + nodes.shape[1:])
-    u, v = window if depth >= n else window[::-1]
+    side = resolution + 2
+    cube, row, total = side ** 3, side * side, 0.0
+    # per integral, none per block: the window (zeroed once; stale off-mask
+    # nodes meet zero weights), the block weight (its ghost ring stays 0),
+    # and one region for the largest block's lifts, then its stencils
+    window = np.zeros((2, slabs + 2) + nodes.shape[1:])
+    block_weight = np.zeros((slabs,) + nodes.shape[1:])
+    region = np.empty(6 * max(rows, slabs * cube))
+    room = region[:6 * rows].view(np.complex128).reshape(3, rows)
+    cells = region[:6 * slabs * cube].reshape(6, -1)
+    u, v = window.reshape(2, -1)[::1 if depth >= n else -1]
     for chart in range(3):
         for a in range(0, resolution, slabs):
             k = min(slabs, resolution - a)
@@ -628,19 +640,27 @@ def _certificate_integral(ev: GreenEvaluator, n: int, depth: int,
             # in-range indices: "wrap" skips the buffered copy "raise" makes
             for ax, idx in zip(CHART_OTHERS[chart], zw[:, start:stop]):
                 np.take(plane, idx, out=lifts[ax], mode="wrap")
-            for cube, vals in zip(window, green.escape_rate(
+            for half, vals in zip(window, green.escape_rate(
                     ev, lifts.T, max(depth, n), "2", also=min(depth, n))):
-                cube[fresh:k + 2][nodes[a + fresh:a + k + 2]] = vals
-            # cells past the block's (radial, centred) nonzero range add 0
-            lo = int(np.argmax(weight[a:a + k].any(axis=(0, 2, 3))))
-            ic, kn = slice(lo, resolution - lo), slice(lo, resolution + 2 - lo)
-            w = weight[a:a + k, ic, ic, ic]
-            us, vs = u[:k + 2, kn, kn, kn], v[:k + 2, kn, kn, kn]
-            (au, bu), (av, bv) = _mixed_differences(us), _mixed_differences(vs)
-            total += (np.vdot(w * _plane_stencil(us, 0), _plane_stencil(vs, 1))
-                      + np.vdot(w * _plane_stencil(us, 1),
-                                _plane_stencil(vs, 0))) / 16.0
-            total -= (np.vdot(w * au, av) + np.vdot(w * bu, bv)) / 128.0
+                half[fresh:k + 2][nodes[a + fresh:a + k + 2]] = vals
+            block_weight[:k, 1:-1, 1:-1, 1:-1] = weight[a:a + k]
+            p, q, x, y, t = cells[:5, :k * cube - 2 * row]
+            w = block_weight.reshape(-1)[row:row + p.size]
+            _plane_stencil(u, cube + row, t, ((cube, row), p), ((side, 1), x))
+            _plane_stencil(v, cube + row, t, ((side, 1), q), ((cube, row), y))
+            total += (np.vdot(np.multiply(w, p, out=p), q)
+                      + np.vdot(np.multiply(w, x, out=x), y)) / 16.0
+            # A and B from D0, then D1, over the block grown by a row each way
+            grown = cells[5, :p.size + 2 * side]
+            for f, to_a, to_b in ((u, p, q), (v, x, y)):
+                _central(f, cube + row - side, cube, grown)
+                _central(grown, side, side, to_a)
+                _central(grown, side, 1, to_b)
+                _central(f, cube + row - side, row, grown)
+                to_a += _central(grown, side, 1, t)
+                to_b -= _central(grown, side, side, t)
+            total -= (np.vdot(np.multiply(w, p, out=p), x)
+                      + np.vdot(np.multiply(w, q, out=q), y)) / 128.0
     # v is the depth-n truncation, and log ||F^n||_2 is d^n times it
     return float(total) * ev.map.degree ** n * 4.0 / math.pi ** 2
 

@@ -18,6 +18,7 @@ Independent oracles used here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,42 @@ class TestDegeneracy:
             assert np.linalg.norm(image, ord=ord_) <= DEGENERATE_EVAL_TOL
         with pytest.raises(DegenerateMapError, match="growth floor"):
             HomogeneousMap(Z_CONE, name="z-cone")
+
+
+class TestRefusalByScale:
+    """Construction refuses by the image floor relative to the growth
+    bound, and by the range one step must stay in: the scaled power map
+    c (z^2, w^2, t^2) has c_F = U = c, so its refusal depends on c only
+    through that range."""
+
+    @staticmethod
+    def scaled_power(c):
+        return HomogeneousMap([{(2, 0, 0): c}, {(0, 2, 0): c},
+                               {(0, 0, 2): c}], name="scaled power")
+
+    @pytest.mark.parametrize("exponent", [-46, -50])
+    def test_scaled_down_power_map_builds(self, exponent):
+        # both scales were refused by an absolute floor of 1e-14; the sup
+        # norm of F^N(p) is c^(2^N - 1) ||p||^(2^N), so G_N = log||p||_sup
+        # + (1 - 2^-N) log c, each side within a few ulp of its terms
+        c, depth = 2.0 ** exponent, 40
+        lifts = random_lifts(np.random.default_rng(exponent + 100), 300)
+        got = escape_rate(GreenEvaluator(self.scaled_power(c)), lifts, depth)
+        log_p = np.log(np.max(np.abs(lifts), axis=1))
+        want = log_p + (1.0 - 2.0 ** -depth) * math.log(c)
+        budget = 4.0 * np.finfo(float).eps * (np.abs(log_p)
+                                              + abs(math.log(c)))
+        assert np.all(np.abs(got - want) <= budget)
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_step_out_of_the_two_norm_range_is_refused(self, exponent):
+        # at c = 2^600 both spans read 1, yet one step from a unit vector
+        # overflowed the 2-norm's squares (a bare RuntimeWarning); now no
+        # such map is built, and nothing warns on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateMapError, match="one step"):
+                self.scaled_power(2.0 ** exponent)
 
 
 class TestTwoDepthsOnePass:

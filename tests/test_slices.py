@@ -96,6 +96,40 @@ def pluriharmonic(Z, W):
     return np.real(Z * W)
 
 
+# The strided density: each shift an interior view of the node cube, as
+# the certificate formed it before its stencils became flat passes.  The
+# reference for the flat stencils of ``slices``.
+
+def strided_shift(values, shifts):
+    """Interior nodes of a 4-axis node cube, each axis in ``shifts`` moved
+    one node up (+1) or down (-1)."""
+    index = [slice(1, -1)] * 4
+    for axis, step in shifts.items():
+        index[axis] = slice(2, None) if step > 0 else slice(None, -2)
+    return values[tuple(index)]
+
+
+def strided_plane_stencil(values, plane):
+    """Unnormalized 5-point stencil over the Z-plane (``plane`` 0, axes 0
+    and 1) or the W-plane (``plane`` 1, axes 2 and 3) at interior nodes."""
+    a, b = 2 * plane, 2 * plane + 1
+    return (strided_shift(values, {a: 1}) + strided_shift(values, {a: -1})
+            + strided_shift(values, {b: 1}) + strided_shift(values, {b: -1})
+            - 4.0 * strided_shift(values, {}))
+
+
+def strided_mixed_differences(values):
+    """``A = D0 D2 + D1 D3`` and ``B = D0 D3 - D1 D2`` at interior nodes,
+    ``D_a`` the unnormalized central difference along axis ``a``."""
+    i = slice(1, -1)
+    d2 = values[:, :, 2:, :] - values[:, :, :-2, :]
+    d3 = values[..., 2:] - values[..., :-2]
+    return ((d2[2:, i, :, i] - d2[:-2, i, :, i])
+            + (d3[i, 2:, i, :] - d3[i, :-2, i, :]),
+            (d3[2:, i, i, :] - d3[:-2, i, i, :])
+            - (d2[i, 2:, :, i] - d2[i, :-2, :, i]))
+
+
 def carries_mass(evaluator, point):
     """(Z, W) verdicts: does the m = 32 axis-chart grid at ``point`` carry
     slice mass?  A total must beat ``POSITIVITY_SCALE`` times the
@@ -184,6 +218,20 @@ class TestLocalGrid:
             LocalGrid(coords=flat_grid.coords, resolution=16, radius=0.5)
         with pytest.raises(ValueError):
             LocalGrid(coords=flat_grid.coords, resolution=32.5, radius=0.5)
+
+    @pytest.mark.parametrize("resolution", [math.inf, math.nan, 32.0])
+    def test_resolution_must_be_an_integer(self, flat_grid, resolution):
+        # inf raised a bare OverflowError, NaN a ValueError about float
+        # conversion, and 32.0 was accepted
+        with pytest.raises(ValueError, match="resolution must be an "
+                                             "integer"):
+            LocalGrid(coords=flat_grid.coords, resolution=resolution,
+                      radius=0.5)
+
+    def test_numpy_integer_resolution(self, flat_grid):
+        grid = LocalGrid(coords=flat_grid.coords, resolution=np.int64(32),
+                         radius=0.5)
+        assert grid.resolution == 32 and type(grid.resolution) is int
 
     def test_domain_reach_guard(self, flat_grid):
         # ghosted box corners reach chart norm 2 (radius + h/2) > 2.5
@@ -448,6 +496,16 @@ class TestLineCurrent:
     def test_clamp_fraction_measured(self, line_slice):
         fraction = line_slice.clamped_mass / line_slice.total_mass
         assert 0.03 < fraction < 0.10
+
+    @pytest.mark.parametrize("direction", ["Z", "W"])
+    def test_raw_stencil_is_the_strided_one(self, flat_grid, direction):
+        # one flat pass a slab: the same operations in the same order as
+        # the strided stencil, so the same bits, on any cube
+        values = np.random.default_rng(3).normal(size=(34,) * 4)
+        raw = slices._raw_stencil(values, flat_grid, direction)
+        strided = strided_plane_stencil(values, 1 if direction == "Z" else 0)
+        assert raw.flags.c_contiguous
+        assert raw.tobytes() == np.ascontiguousarray(strided).tobytes()
 
     def test_clamped_cells_are_fields(self, line_slice, flat_grid, caplog):
         raw = slices._raw_stencil(flat_grid.sample_scalar(line_w), flat_grid,
@@ -802,6 +860,44 @@ class TestMassCertificate:
         reference = total * 2 ** n * 4.0 / math.pi ** 2
         value = slices._certificate_integral(ev, n, depth, resolution)
         assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("resolution", [8, 12, 24, 26])
+    @pytest.mark.parametrize("n, depth", [(1, 3), (1, 0)])
+    def test_flat_density_matches_the_strided_one(self, n, depth,
+                                                  resolution):
+        # The strided density over each whole chart cube, from one
+        # escape-rate pass over all its nodes (off-mask nodes meet zero
+        # weights).  The plane stencils are the same operations in the
+        # same order; A and B round differently and the sums run in
+        # another order, so the values agree to a rounding budget of 64 eps
+        # times the summed magnitudes of the weighted terms.  Resolution 26
+        # has slabs = 3, so its last block is short (k = 2); (1, 0) swaps
+        # the window's halves.
+        ev = GreenEvaluator(lattes_suspension())
+        axis, weight, _ = slices._certificate_quadrature(resolution)
+        plane = (axis[:, None] + 1j * axis[None, :]).ravel()
+        value = magnitude = 0.0
+        for chart in range(3):
+            lifts = np.zeros((plane.size ** 2, 3), dtype=np.complex128)
+            lifts[:, chart] = 1.0
+            lifts[:, CHART_OTHERS[chart][0]] = np.repeat(plane, plane.size)
+            lifts[:, CHART_OTHERS[chart][1]] = np.tile(plane, plane.size)
+            deep, shallow = (g.reshape((axis.size,) * 4) for g in escape_rate(
+                ev, lifts, max(depth, n), "2", also=min(depth, n)))
+            u, v = (deep, shallow) if depth >= n else (shallow, deep)
+            (au, bu), (av, bv) = (strided_mixed_differences(u),
+                                  strided_mixed_differences(v))
+            for term in (strided_plane_stencil(u, 0)
+                         * strided_plane_stencil(v, 1) / 16.0,
+                         strided_plane_stencil(u, 1)
+                         * strided_plane_stencil(v, 0) / 16.0,
+                         -au * av / 128.0, -bu * bv / 128.0):
+                value += float(np.sum(weight * term))
+                magnitude += float(np.sum(weight * np.abs(term)))
+        scale = 2 ** n * 4.0 / math.pi ** 2
+        got = slices._certificate_integral(ev, n, depth, resolution)
+        assert abs(got - value * scale) \
+            <= 64.0 * np.finfo(float).eps * magnitude * scale
 
     @pytest.mark.parametrize("resolution", [8, 12, 24])
     def test_node_mask_covers_every_stencil_read(self, resolution):
