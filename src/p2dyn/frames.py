@@ -101,7 +101,7 @@ def _forward_factors(map_: HomogeneousMap, lift: np.ndarray) -> np.ndarray:
     """
     orbit = [sup_normalize(lift)]
     for _ in range(FORWARD_CAP):
-        orbit.append(map_.evaluate_batch_safe(orbit[-1])[0])
+        orbit.append(map_.evaluate_batch(orbit[-1]))
     orbit = np.concatenate(orbit)
     clear = fs_jacobian_dets(map_, orbit[:-1]) >= CRITICAL_DET_TOL
     steps = FORWARD_CAP if clear.all() else int(np.argmin(clear))
@@ -224,12 +224,6 @@ class NormalFormCoordinates:
         if not (np.isfinite(self.domain_radius) and self.domain_radius > 0):
             raise ValueError("domain_radius must be a positive real")
 
-    @property
-    def bilipschitz_upper(self) -> float:
-        """Upper chart constant: inverse least singular value, padded 2%."""
-        smin = float(np.linalg.svd(self.frame.matrix, compute_uv=False)[-1])
-        return 1.02 / smin
-
     def to_frame(self, points) -> np.ndarray:
         """(N, 2) frame coordinates of lifts near the base point."""
         offsets, cosine = _chart_offsets(self.frame.base_lift,
@@ -293,15 +287,6 @@ class PullbackScaling:
     depths: np.ndarray
     alpha_abs: np.ndarray
     beta_abs: np.ndarray
-
-    @property
-    def alpha_rates(self) -> np.ndarray:
-        """Per-depth mean log rate of the fast coordinate scaling."""
-        return np.log(self.alpha_abs) / self.depths
-
-    @property
-    def beta_rates(self) -> np.ndarray:
-        return np.log(self.beta_abs) / self.depths
 
 
 def pullback_scaling(map_: HomogeneousMap, orbit: BackwardOrbit,

@@ -71,9 +71,9 @@ class GreenEvaluator:
         return spans
 
     def truncation_bound(self, depth: int | None = None) -> float:
-        """|G - G_N| <= B d^(-N) / (d-1): geometric in the depth, with
-        B = max(|log c_F|, |log U|)."""
+        """|G - G_N| <= B d^(-N) / (d - 1), B = max(|log c_F|, |log U|)."""
         n = self.depth if depth is None else depth
+        check_integer("depth", n, 0)
         step = max(abs(np.log(self.map.growth_floor)),
                    abs(np.log(self.map.growth_bound)))
         return step * self.map.degree ** (-float(n)) / (self.map.degree - 1)

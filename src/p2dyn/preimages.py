@@ -676,8 +676,8 @@ def _rotation_matrix(attempt: int) -> np.ndarray:
 class PreimageBatch:
     """All d^2 preimages of each of B targets, in canonical branch order.
 
-    ``lifts`` is ``(B, d^2, 3)``: row b holds the preimages of
-    ``targets[b]`` in the branch order of :func:`_canonical_branches`
+    ``lifts`` is ``(B, d^2, 3)``: row b holds the preimages of target b
+    in the branch order of :func:`_canonical_branches`
     (descending affine coordinates in the standard chart, so branch 0 of a
     real Chebyshev product target is the coordinatewise positive square
     root), each root repeated by its multiplicity.  ``root_ids`` ``(B, d^2)``
@@ -690,7 +690,6 @@ class PreimageBatch:
     ``swept`` ``(B,)`` flags the targets that needed the three-chart sweep
     (every rotated target did).
     """
-    targets: np.ndarray
     lifts: np.ndarray
     root_ids: np.ndarray
     residuals: np.ndarray
@@ -739,7 +738,7 @@ def preimage_batch(map_: HomogeneousMap, targets) -> PreimageBatch:
         raise PreimageSolverError(
             "could not account for %d preimages of %d target(s) "
             "after %d rotations" % (want, todo.size, MAX_ROTATIONS))
-    return PreimageBatch(targets, lifts[..., :3].copy(), root_ids,
+    return PreimageBatch(lifts[..., :3].copy(), root_ids,
                          lifts[..., 3].real.copy(), rotations, swept)
 
 

@@ -416,13 +416,10 @@ class HomogeneousMap:
         # monomials are new arrays, so no term reads what the sums write
         return self._values.sums(table, table[0])
 
-    def evaluate_batch(self, points: np.ndarray,
-                       renormalize: bool = True) -> np.ndarray:
+    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Apply the lift to an (N, 3) array of sup-normalized triples."""
         out = self._values(sup_normalize(points)).copy()
-        if renormalize:
-            divide_rows(out, sup_norms(out))
-        return out
+        return divide_rows(out, sup_norms(out))
 
     def evaluate_batch_safe(self, points: np.ndarray):
         """Like :meth:`evaluate_batch` but returns a validity mask.

@@ -3,8 +3,8 @@
 Backward random walks (one uniformly chosen preimage per step, counted with
 multiplicity) equidistribute toward the measure of maximal entropy; the
 walk is also numerically stable because inverse branches contract toward
-the measure's support.  :func:`sample_equilibrium` keeps every walker's
-path.
+the measure's support.  A sample is its walkers' stored paths, and its
+points are their last level (:class:`MeasureSample`).
 
 All tangent-space computations use Fubini-Study orthonormal frames: at a
 lift p the tangent plane is the hermitian orthogonal complement of p, and
@@ -404,38 +404,34 @@ def backward_orbit(map_: HomogeneousMap, x0, depth: int,
 class MeasureSample:
     """Uniformly weighted empirical sample of the equilibrium measure.
 
-    ``points`` (alias ``array``) is the (N, 3) array of lifts, coerced by
-    :func:`~p2dyn.projective.as_point_array` (so a tuple of points works).
-    Of the level steps, ``n_rotated`` counts targets that needed coordinate
-    rotations and ``worst_residual`` is the largest preimage residual.
-    ``paths`` is the (N, depth + 1, 3) array of the walkers' backward
-    orbits, each ordered like :attr:`BackwardOrbit.points` (``paths[:, 0]``
-    is the start, ``paths[:, -1]`` equals ``points``), or ``None`` for a
-    sample built without them; it takes 48 N (depth + 1) bytes, 0.3 MB for
-    200 walkers at depth 30.
+    A sample is its walkers' backward orbits: ``paths`` is the (N, depth +
+    1, 3) complex array of them, each ordered like
+    :attr:`BackwardOrbit.points` (``paths[:, 0]`` is the start), 48 N
+    (depth + 1) bytes, 0.3 MB for 200 walkers at depth 30; anything else
+    raises ``ValueError``.  ``points`` (alias ``array``) is the read-only
+    (N, 3) view ``paths[:, -1]``.  Of the level steps, ``n_rotated`` counts
+    targets that needed coordinate rotations and ``worst_residual`` is the
+    largest preimage residual.
     """
 
-    points: np.ndarray
-    weights: np.ndarray
+    paths: np.ndarray = field(repr=False)
     provenance: tuple[int, int, int]  # (depth, count, seed)
     n_failures: int = 0
     n_rotated: int = 0
     worst_residual: float = 0.0
-    paths: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", as_point_array(self.points))
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.ndim != 1:
-            raise ValueError("weights must be a 1-D array")
-        object.__setattr__(self, "weights", weights)
-        if len(self.points) != len(weights):
-            raise ValueError("one weight per point required")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if self.paths is not None and \
-                np.shape(self.paths)[::2] != (len(weights), 3):
-            raise ValueError("paths must be an (N, depth + 1, 3) array")
+        paths = np.asarray(self.paths, dtype=np.complex128)
+        if paths.ndim != 3 or paths.shape[2] != 3 or not paths.size:
+            raise ValueError("paths must be an (N, depth + 1, 3) array, got "
+                             "shape %s" % (paths.shape,))
+        object.__setattr__(self, "paths", paths)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        view = self.paths[:, -1]
+        view.flags.writeable = False
+        return view
 
     @property
     def array(self) -> np.ndarray:
@@ -511,9 +507,7 @@ def sample_equilibrium(map_: HomogeneousMap, depth: int = 25,
                 "preimage target(s) needed coordinate rotations; worst "
                 "preimage residual %.3g", failures, len(replacement_rows),
                 rotated, worst)
-    return MeasureSample(paths[:, -1].copy(), np.full(count, 1.0 / count),
-                         (depth, count, seed), failures, rotated, worst,
-                         paths)
+    return MeasureSample(paths, (depth, count, seed), failures, rotated, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +622,9 @@ def lyapunov_exponents(map_: HomogeneousMap, sample: MeasureSample,
     On the bound, (mean - bound) / stderr2 of n normal walker values is
     Student's t at n - 1 degrees of freedom, so a mean ``_guard_margin(n -
     1)`` or more standard errors below it (chance 0.135 %) raises
-    SamplingError.  A sample without paths or steps: InsufficientDataError.
+    SamplingError.  Paths that leave no step raise InsufficientDataError.
     """
     check_integer("n_iter", n_iter, 100)
-    if sample.paths is None:
-        raise InsufficientDataError("the sample carries no backward paths")
     # level-major, deepest level first: the direction of the dynamics
     chain = sample.paths.transpose(1, 0, 2)[::-1]
     steps = min(len(chain) - 1 - PATH_BURN_IN - PATH_START_SKIP, n_iter)

@@ -684,9 +684,7 @@ def mass_certificate(map_: HomogeneousMap, n: int, *,
     Node plane indices are cached per resolution, a chart's cube streams
     through a few Z-slabs, and one evaluator serves both resolutions.
     """
-    if n not in (0, 1):
-        raise ValueError("the global quadrature certificate supports "
-                         "n in {0, 1}, got %r" % (n,))
+    check_integer("n", n, 0, 1)
     check_integer("green_depth", green_depth, 0)
     check_integer("resolution", resolution, 8)
     if resolution % 2:

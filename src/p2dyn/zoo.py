@@ -27,10 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateMapError, PreimageSolverError,
-                     SamplingError)
-from .preimages import preimage_batch
-from .projective import HomogeneousMap, check_integer
+from .errors import ConfigError, DegenerateMapError, SamplingError
+from .projective import HomogeneousMap
 
 LOG2 = float(np.log(2.0))
 
@@ -300,27 +298,6 @@ def lattes_suspension() -> HomogeneousMap:
     ], name="lattes_suspension")
 
 
-def certify_nondegenerate(map_: HomogeneousMap, n_targets: int = 20,
-                          seed: int = 417) -> float:
-    """Certify exactly d^2 preimages (with multiplicity) of random targets.
-
-    Returns the worst residual.  Raises DegenerateMapError when the count
-    cannot be achieved -- the fibers of a true endomorphism always carry
-    d^2 points.
-    """
-    check_integer("n_targets", n_targets, 1)
-    rng = np.random.default_rng(seed)
-    targets = rng.normal(size=(n_targets, 3)) \
-        + 1j * rng.normal(size=(n_targets, 3))
-    try:
-        batch = preimage_batch(map_, targets)
-    except PreimageSolverError as exc:
-        raise DegenerateMapError(
-            "map %r failed the preimage-count certificate: %s"
-            % (map_.name, exc)) from exc
-    return float(batch.residuals.max())
-
-
 def perturb(map_: HomogeneousMap, g: HomogeneousMap,
             eps: float) -> HomogeneousMap:
     """Componentwise map + eps*g; construction proves it nondegenerate."""
@@ -459,10 +436,11 @@ def family_by_name(name: str, **params) -> MapFamily:
     """CLI-facing lookup: families addressable by name."""
     if name.startswith("power"):
         try:
-            d = int(name[len("power"):] or params.get("degree", 2))
-        except ValueError as exc:
-            raise ConfigError("bad power-family name %r" % name) from exc
-        return power_family(d)
+            return power_family(int(name[len("power"):]
+                                    or params.get("degree", 2)))
+        except (ValueError, DegenerateMapError) as exc:
+            raise ConfigError("bad power family %r: %s" % (name, exc)) \
+                from exc
     builders = {
         "chebyshev_product": chebyshev_family,
         "product_mixed": mixed_product_family,

@@ -1,4 +1,4 @@
-"""The FS cocycle's edges: missing paths, bad input.
+"""The FS cocycle's edges: paths without a step, bad input.
 
 The exponent estimator needs stored paths that lie on the support of the
 measure, and malformed input is rejected with ``ValueError`` before any
@@ -25,14 +25,16 @@ from p2dyn.sampler import (
 from p2dyn.zoo import perturbed_power_family, power_map
 
 
+def _sample_without_paths():
+    # depth 0: each walker's path is its one point, so no cocycle step
+    points = np.array([[0.1 * k + 0.05j, 0.12 - 0.03j * k, 1.0]
+                       for k in range(1, 4)])
+    return MeasureSample(paths=points[:, None], provenance=(0, 3, 0))
+
+
 def test_estimator_raises_typed_error_on_a_sample_without_paths():
-    points = tuple(
-        HomogeneousPoint(np.array([0.1 * k + 0.05j, 0.12 - 0.03j * k, 1.0]))
-        for k in range(1, 4))
-    sample = MeasureSample(points=points, weights=np.full(3, 1.0 / 3.0),
-                           provenance=(0, 3, 0), n_failures=0)
-    with pytest.raises(InsufficientDataError, match="no backward paths"):
-        lyapunov_exponents(power_map(2), sample, 100)
+    with pytest.raises(InsufficientDataError, match="no cocycle step"):
+        lyapunov_exponents(power_map(2), _sample_without_paths(), 100)
 
 
 def test_estimator_raises_below_the_briend_duval_bound():
@@ -46,8 +48,7 @@ def test_estimator_raises_below_the_briend_duval_bound():
     assert fs_distance_batch(f.evaluate_batch(fixed), fixed)[0] < 1e-15
     assert fs_jacobian_dets(f, fixed)[0] >= CRITICAL_DET_TOL
     paths = np.tile(fixed, (4, 31, 1))
-    sample = MeasureSample(paths[:, -1], np.full(4, 0.25), (30, 4, 0),
-                           paths=paths)
+    sample = MeasureSample(paths, (30, 4, 0))
     with pytest.raises(SamplingError, match="Briend-Duval"):
         lyapunov_exponents(f, sample, 500)
 
@@ -83,13 +84,6 @@ def test_backward_orbit_needs_one_branch_choice_per_step(choices):
     start = HomogeneousPoint([0.3 + 0.2j, -0.5 + 0.1j, 1.0])
     with pytest.raises(ValueError, match="branch choices"):
         backward_orbit(power_map(2), start, 3, branch_choices=choices)
-
-
-def _sample_without_paths():
-    points = np.array([[0.1 * k + 0.05j, 0.12 - 0.03j * k, 1.0]
-                       for k in range(1, 4)])
-    return MeasureSample(points=points, weights=np.full(3, 1.0 / 3.0),
-                         provenance=(0, 3, 0), n_failures=0)
 
 
 @pytest.mark.parametrize("n_iter", ["500", 500.5, 500.0, math.inf, math.nan,

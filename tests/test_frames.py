@@ -292,7 +292,9 @@ class TestNormalFormCoordinates:
         p, q = lifts[:200], lifts[200:]
         d = fs_distance_batch(p, q)
         dxi = np.linalg.norm(xi[:200] - xi[200:], axis=1)
-        beta = coords.bilipschitz_upper
+        # the upper chart constant: the inverse least singular value of
+        # [e1 e2], padded 2 %
+        beta = 1.02 / np.linalg.svd(frame.matrix, compute_uv=False)[-1]
         assert beta <= 2.0 / frame.conditioning
         assert np.all(dxi >= 0.5 * d)
         assert np.all(dxi <= beta * d)
@@ -425,22 +427,16 @@ class TestPullbackScaling:
         else:
             orbit, frame = orb40, f40
         result = pullback_scaling(susp, orbit, frame)
-        assert abs(result.alpha_rates[-1] + LOG2) < 0.05
-        assert abs(result.beta_rates[-1] + 0.5 * LOG2) < 0.05
+        depth = result.depths[-1]
+        assert abs(np.log(result.alpha_abs[-1]) / depth + LOG2) < 0.05
+        assert abs(np.log(result.beta_abs[-1]) / depth + 0.5 * LOG2) < 0.05
 
     def test_slow_rate_misses_a_wrong_band(self, susp_setup):
         susp, base, _, _, _, _ = susp_setup
         orbit = backward_orbit(susp, base, 20, rng=np.random.default_rng(45))
         result = pullback_scaling(susp, orbit, compute_frame(susp, orbit))
-        assert abs(result.beta_rates[-1] + 0.55) > 0.1
-
-    def test_rate_properties_are_consistent(self, power_setup):
-        power, orbit, frame, _ = power_setup
-        result = pullback_scaling(power, orbit, frame)
-        assert np.allclose(result.alpha_rates,
-                           np.log(result.alpha_abs) / result.depths)
-        assert np.allclose(result.beta_rates,
-                           np.log(result.beta_abs) / result.depths)
+        assert abs(np.log(result.beta_abs[-1]) / result.depths[-1]
+                   + 0.55) > 0.1
 
     def test_depths_and_base_validation(self, power_setup, susp_setup):
         power, orbit, frame, _ = power_setup

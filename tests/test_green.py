@@ -41,6 +41,7 @@ from p2dyn.projective import (
     _growth_floor,
     _SupportKernel,
     lift_from_chart,
+    sup_normalize,
 )
 from p2dyn.slices import (
     LocalGrid,
@@ -101,6 +102,14 @@ class TestTruncationBound:
         assert _growth_floor(Z_CONE, 2) == 0.0
         with pytest.raises(DegenerateMapError, match="growth floor"):
             GreenEvaluator(HomogeneousMap(Z_CONE, name="z-cone"))
+
+    @pytest.mark.parametrize("depth", [-5, math.nan, 2.5, "3"])
+    def test_bound_depth_must_be_a_nonnegative_integer(self, depth):
+        # -5 returned a finite bound and NaN returned NaN
+        ev = GreenEvaluator(chebyshev_product())
+        with pytest.raises(ValueError, match="depth must be an integer >= 0"):
+            ev.truncation_bound(depth)
+        assert ev.truncation_bound(0) > ev.truncation_bound(np.int64(3))
 
     def test_geometric_decay(self):
         for map_ in (chebyshev_product(), lattes_suspension()):
@@ -308,7 +317,7 @@ class TestTelescoping:
         lifts = random_lifts(rng, 100)
         lifts /= np.max(np.abs(lifts), axis=1)[:, None]
         lhs = escape_rate(ev, lifts, depth=40)
-        image = map_.evaluate_batch(lifts, renormalize=False)
+        image = map_.polynomial_batch(sup_normalize(lifts))
         norms = np.max(np.abs(image), axis=1)
         d = map_.degree
         rhs = (escape_rate(ev, image / norms[:, None], depth=39)
@@ -640,7 +649,7 @@ def sphere_minimum(map_):
     sup-norm unit sphere: an upper bound on any true growth floor."""
     rng = np.random.default_rng(524287)
     re, im = rng.normal(size=(2, 4096, 3))
-    images = map_.evaluate_batch(re + 1j * im, renormalize=False)
+    images = map_.polynomial_batch(sup_normalize(re + 1j * im))
     return float(np.min(np.max(np.abs(images), axis=1)))
 
 

@@ -7,6 +7,7 @@ import importlib.metadata
 import re
 import sys
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,17 +136,18 @@ def _module_level_names(tree):
 
 
 def _referenced_names(tree):
-    """Names a module reads: loads, attributes, imports, string literals."""
-    found = set()
+    """Names a tree reads, with their counts: loads, attributes, imports,
+    string literals."""
+    found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
+            found[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            found[node.attr] += 1
         elif isinstance(node, ast.alias):
-            found.add(node.name.split(".")[-1])
+            found[node.name.split(".")[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.add(node.value)
+            found[node.value] += 1
     return found
 
 
@@ -162,10 +164,61 @@ def test_private_and_constant_names_are_used():
     used = set()
     for folder in ("src", "tests", "bench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            used |= _referenced_names(ast.parse(path.read_text()))
+            used.update(_referenced_names(ast.parse(path.read_text())))
     dead = sorted("%s: %s" % (home, name) for name, home in defined.items()
                   if name not in used)
     assert not dead, dead
+
+
+#: public names of src/p2dyn that nothing in src/ or bench/*.py calls, each
+#: with the reason it stays
+UNCALLED_PUBLIC_NAMES = {
+    "HomogeneousPoint": "the one-point input form tests/test_points.py pins",
+    "affine_coords": "test reference: chart coordinates of sample points",
+    "birkhoff_exponent": "test reference: the zoo's factor exponent oracle",
+    "fs_tangent_maps": "test reference: self-contained per-point factors",
+    "local_potential": "test reference: G along a frame chart",
+    "parse_map": "ROADMAP item 4: the map file that verify reads",
+    "pullback_scaling": "ROADMAP item 11: the inverse branches' reference",
+    "resonance_detect": "ROADMAP item 4: verify's exponent stage",
+    "sample_scalar": "test reference: any scalar on a slice grid",
+    "serialize_map": "ROADMAP item 22: the map text in the run record",
+    "standard_zoo": "test reference: the families per-map tests run over",
+    "to_frame": "ROADMAP item 10: frame coordinates of grid points",
+    "truncation_bound": "ROADMAP items 7 and 23: the depth for a scale",
+}
+
+
+def _definitions(tree):
+    """(name, node) of a module's functions and classes and of the methods
+    and properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((sub.name, sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+
+
+def test_public_names_have_a_caller():
+    # public API that nothing uses gets deleted: every public function,
+    # class, method or property of src/p2dyn is named in src/ outside its
+    # own definition or in bench/*.py, or the allow-list says why it stays;
+    # an allow-list entry that gained a caller or is gone fails too
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "p2dyn").glob("*.py"))]
+    in_src = sum(map(_referenced_names, trees), Counter())
+    in_bench = sum((_referenced_names(ast.parse(path.read_text()))
+                    for path in sorted((ROOT / "bench").glob("*.py"))),
+                   Counter())
+    uncalled = {name for tree in trees
+                for name, node in _definitions(tree)
+                if not name.startswith("_") and not in_bench[name]
+                and in_src[name] == _referenced_names(node)[name]}
+    unlisted = sorted(uncalled - set(UNCALLED_PUBLIC_NAMES))
+    assert not unlisted, unlisted
+    stale = sorted(set(UNCALLED_PUBLIC_NAMES) - uncalled)
+    assert not stale, stale
 
 
 _CROSS_REFERENCE = re.compile(

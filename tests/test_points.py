@@ -91,13 +91,14 @@ class TestEntryPoints:
                                np.random.default_rng(2))
         assert orbit.array is orbit.points
         assert orbit.points.shape == (4, 3)
-        big = np.ones((100_000, 3), dtype=np.complex128)
-        built = MeasureSample(big, np.full(100_000, 1e-5), (0, 100_000, 0))
-        assert built.points is big
+        big = np.ones((100_000, 1, 3), dtype=np.complex128)
+        built = MeasureSample(big, (0, 100_000, 0))
+        assert built.paths is big
+        assert np.shares_memory(built.points, big)
 
     def test_tuples_of_points_still_construct(self):
         pts = tuple(HomogeneousPoint([0.1 * k, 0.2j, 1.0]) for k in range(3))
-        sample = MeasureSample(pts, np.full(3, 1.0 / 3.0), (0, 3, 0))
+        sample = MeasureSample([[p] for p in pts], (0, 3, 0))
         assert np.array_equal(sample.points, [p.array for p in pts])
 
 

@@ -238,10 +238,10 @@ class TestHomogeneousMap:
         f = random_map(3, seed=20)
         (z, w, t), exprs = sympy_polys(f)
         pt = np.array([0.4 - 0.2j, -0.8 + 0.1j, 1.0])
-        img = f.evaluate_batch(pt[None, :], renormalize=False)[0]
+        img = f.polynomial_batch(sup_normalize(pt[None, :]))[0]
         subs = {z: complex(pt[0]), w: complex(pt[1]), t: complex(pt[2])}
         oracle = np.array([complex(e.evalf(subs=subs)) for e in exprs])
-        # evaluate_batch sup-normalizes its input first; compare projectively
+        # the input is sup-normalized first; compare projectively
         ratio = img[np.argmax(np.abs(oracle))] / oracle[np.argmax(np.abs(oracle))]
         np.testing.assert_allclose(img, oracle * ratio, rtol=1e-12)
 
@@ -257,9 +257,9 @@ class TestSymbolicAlgebra:
         u = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         g = substitute_linear(f, u)
         pts = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-        got = g.evaluate_batch(pts, renormalize=False)
+        got = g.polynomial_batch(sup_normalize(pts))
         # oracle: evaluate f at U x directly (projective comparison)
-        fx = f.evaluate_batch(pts @ u.T, renormalize=False)
+        fx = f.polynomial_batch(sup_normalize(pts @ u.T))
         for row in range(pts.shape[0]):
             k = int(np.argmax(np.abs(fx[row])))
             np.testing.assert_allclose(got[row] / got[row][k],
@@ -272,7 +272,7 @@ class TestSymbolicAlgebra:
         rng = np.random.default_rng(14)
         uv = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         lifts = lift_from_chart(2, uv)
-        oracle = f.evaluate_batch(lifts, renormalize=False)
+        oracle = f.polynomial_batch(sup_normalize(lifts))
         pu = np.stack([uv[:, 0] ** a for a in range(f.degree + 1)], axis=1)
         pv = np.stack([uv[:, 1] ** b for b in range(f.degree + 1)], axis=1)
         top = np.max(np.abs(lifts), axis=1) ** f.degree

@@ -319,7 +319,6 @@ class TestSampleEquilibrium:
         dev = np.abs(np.abs(aff) - 1.0)
         on_torus = np.all(dev < 1e-3, axis=1)
         assert np.mean(on_torus) >= 0.99
-        assert abs(float(np.sum(power_sample.weights)) - 1.0) < 1e-12
         assert power_sample.provenance == (25, 200, 5)
         assert power_sample.n_failures == 0
 
@@ -374,13 +373,19 @@ class TestSampleEquilibrium:
         gaps = fs_distance_batch(images, paths[:, :-1].reshape(-1, 3))
         assert np.max(gaps) < ORBIT_CONSISTENCY_TOL
 
-    def test_weights_are_coerced_to_a_float_array(self):
-        points = np.tile([0.3 + 0.2j, -0.5 + 0.1j, 1.0], (20, 1))
-        sample = MeasureSample(points, [0.05] * 20, (1, 20, 1))
-        assert sample.weights.dtype == np.float64
-        assert sample.weights.shape == (20,)
-        with pytest.raises(ValueError, match="1-D"):
-            MeasureSample(points, np.full((20, 1), 0.05), (1, 20, 1))
+    def test_paths_are_coerced_to_a_complex_array(self):
+        paths = [[[0.3, -0.5, 1.0], [0.2, 0.1, 1.0]]] * 20
+        sample = MeasureSample(paths, (1, 20, 1))
+        assert sample.paths.dtype == np.complex128
+        assert sample.paths.shape == (20, 2, 3)
+        assert np.array_equal(sample.points, np.tile([0.2, 0.1, 1], (20, 1)))
+        with pytest.raises(ValueError):
+            sample.points[0, 0] = 1.0
+        # (4, 3, 3, 3) passed the old shape[::2] check, and the estimator
+        # then failed with a bare numpy "axes don't match array"
+        for shape in (4, 3, 3, 3), (4, 3), (4, 3, 2), (0, 3, 3), (4, 0, 3):
+            with pytest.raises(ValueError, match="paths must be an"):
+                MeasureSample(np.ones(shape, complex), (2, 4, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +507,7 @@ class TestLyapunovExponents:
         f = lattes_suspension()
         full = sample_equilibrium(f, depth=30, count=200, seed=0)
         rows = slice(50, 90)
-        part = MeasureSample(full.points[rows], np.full(40, 1 / 40),
-                             full.provenance, paths=full.paths[rows])
+        part = MeasureSample(full.paths[rows], full.provenance)
         expected = lyapunov_exponents(f, full, 500).per_point[rows]
         got = lyapunov_exponents(f, part, 500).per_point
         assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))

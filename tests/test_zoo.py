@@ -12,17 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2dyn.errors import ConfigError, DegenerateMapError, SamplingError
-from p2dyn.preimages import _rotation_matrix, preimages
+from p2dyn.preimages import _rotation_matrix, preimage_batch, preimages
 from p2dyn.projective import (
     DEGENERATE_EVAL_TOL,
     HomogeneousMap,
     HomogeneousPoint,
     substitute_linear,
+    sup_normalize,
 )
 from p2dyn.zoo import (
     MapFamily,
     birkhoff_exponent,
-    certify_nondegenerate,
     chebyshev_factor,
     chebyshev_product,
     family_by_name,
@@ -69,7 +69,7 @@ class TestConstructors:
         rng = np.random.default_rng(21)
         for _ in range(5):
             arr = rng.normal(size=3) + 1j * rng.normal(size=3)
-            img = f.evaluate_batch(arr[None, :], renormalize=False)[0]
+            img = f.polynomial_batch(sup_normalize(arr[None, :]))[0]
             base_in = arr[0] / arr[2]
             base_out = img[0] / img[2]
             oracle = 1j * (base_in ** 2 + 1.0) / (2.0 * base_in)
@@ -178,15 +178,14 @@ class TestFamilies:
         assert len({fam.name for fam in zoo}) == len(zoo)
 
     def test_every_family_passes_nondegeneracy_certificate(self):
+        # every fiber of an endomorphism carries d^2 points with
+        # multiplicity: certified on 20 random targets
+        rng = np.random.default_rng(31)
+        targets = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
         for fam in standard_zoo():
-            worst = certify_nondegenerate(fam.map, n_targets=20, seed=31)
-            assert worst < 1e-10, fam.name
-
-    @pytest.mark.parametrize("n_targets", [0, 1.5, 20.0, np.inf, "20"])
-    def test_certificate_needs_an_integer_target_count(self, n_targets):
-        # 0 failed on a zero-size reduction of the residuals
-        with pytest.raises(ValueError, match="n_targets must be an integer"):
-            certify_nondegenerate(power_map(2), n_targets=n_targets)
+            batch = preimage_batch(fam.map, targets)
+            assert batch.lifts.shape == (20, fam.degree ** 2, 3), fam.name
+            assert batch.residuals.max() < 1e-10, fam.name
 
     def test_reference_invariants(self):
         for fam in standard_zoo():
@@ -228,6 +227,11 @@ class TestFamilies:
             == 2
         with pytest.raises(ConfigError):
             family_by_name("does_not_exist")
+        # power degrees the zoo cannot build raised DegenerateMapError
+        for name, params in (("power1", {}), ("power9", {}),
+                             ("power", {"degree": 1})):
+            with pytest.raises(ConfigError, match="bad power family"):
+                family_by_name(name, **params)
 
 
 class TestTextFormat:
